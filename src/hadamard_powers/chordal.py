@@ -10,7 +10,7 @@ from __future__ import annotations
 import itertools
 from collections import deque
 from dataclasses import dataclass
-from functools import lru_cache
+from functools import cached_property
 
 from .graphs import is_connected
 
@@ -63,10 +63,9 @@ def is_perfect_elimination_order(g, order):
     return True
 
 
-@lru_cache(maxsize=4096)
 def is_chordal(g):
     """True iff every cycle of length >= 4 has a chord."""
-    return is_perfect_elimination_order(g, mcs_order(g))
+    return g.analysis.is_chordal
 
 
 def find_chordless_cycle(g):
@@ -113,48 +112,157 @@ def _require_chordal(g):
 def maximal_cliques_chordal(g):
     """Maximal cliques of a chordal graph (at most n of them), sorted."""
     _require_chordal(g)
-    order = mcs_order(g)
-    pos = {v: k for k, v in enumerate(order)}
-    candidates = []
-    for v in order:
-        clique = frozenset({v} | {u for u in g.neighbors(v) if pos[u] > pos[v]})
-        candidates.append(clique)
-    maximal = [c for c in candidates if not any(c < d for d in candidates)]
-    return sorted(set(maximal), key=sorted)
+    return list(g.analysis.maximal_cliques)
 
 
-@lru_cache(maxsize=4096)
-def _maximal_cliques_general_cached(g, max_n):
-    if g.n > max_n:
-        raise ValueError(
-            f"general clique enumeration limited to {max_n} vertices, got {g.n}")
+def maximal_cliques_general(g):
+    """All maximal cliques of any graph, sorted; see GraphAnalysis."""
+    return list(g.analysis.maximal_cliques)
+
+
+def clique_number(g):
+    return g.analysis.clique_number
+
+
+# ---------------------------------------------------------------------------
+# per-graph analysis
+
+#: Work limit of general clique enumeration, in Bron-Kerbosch expansions.
+#: Pivoting keeps the count near the number of maximal cliques, at most
+#: 3^(n/3) (Moon-Moser), so sparse graphs of any size pass and dense ones
+#: fail loudly instead of slowly.
+MAX_CLIQUE_EXPANSIONS = 100_000
+
+
+class GraphAnalysis:
+    """Clique facts of one graph, each computed on first use and kept as
+    long as the graph (reached as `g.analysis`): chordality and the MCS
+    order, the maximal cliques, the clique number, the near-complete order
+    r, and the bordered search's realization per clique size. Nothing is
+    kept per vertex pair.
+    """
+
+    def __init__(self, g):
+        self.graph = g
+        self._realizations = {}
+
+    @cached_property
+    def order(self):
+        """Elimination ordering from maximum cardinality search."""
+        return mcs_order(self.graph)
+
+    @cached_property
+    def is_chordal(self):
+        return is_perfect_elimination_order(self.graph, self.order)
+
+    @cached_property
+    def maximal_cliques(self):
+        """All maximal cliques as frozensets, sorted by their sorted labels.
+
+        The one place choosing the route: for a chordal graph the maximal
+        sets among each vertex with its later neighbors in the elimination
+        order, else Bron-Kerbosch.
+        """
+        if not self.is_chordal:
+            return _bron_kerbosch(self.graph)
+        nbrs = self.graph.neighbors
+        pos = {v: k for k, v in enumerate(self.order)}
+        candidates = [frozenset({v} | {u for u in nbrs(v) if pos[u] > pos[v]})
+                      for v in self.order]
+        maximal = [c for c in candidates if not any(c < d for d in candidates)]
+        return tuple(sorted(set(maximal), key=sorted))
+
+    @cached_property
+    def clique_number(self):
+        return max((len(c) for c in self.maximal_cliques), default=0)
+
+    @cached_property
+    def near_complete_order(self):
+        """Largest r such that some r vertices span at least C(r,2) - 1 edges.
+
+        r = max(clique number, 2 + largest clique in the common neighborhood
+        of a non-adjacent pair): a near-complete subgraph on r vertices is an
+        r-clique or two non-adjacent vertices joined to a common
+        (r-2)-clique. A largest clique inside a vertex set is a largest
+        intersection of the set with a maximal clique.
+        """
+        if self.graph.n < 2:
+            raise ValueError(f"need at least 2 vertices, got {self.graph.n}")
+        best = max(2, self.clique_number)
+        for _, _, common in self._open_pairs():
+            if len(common) + 2 > best:
+                best = max(best, 2 + max(len(c & common) for c in self.maximal_cliques))
+        return best
+
+    def realization(self, m):
+        """Vertices (v1, S, v2) with S an m-clique and v1, v2 joined to all of S.
+
+        Together they span a near-complete subgraph on m + 2 vertices (the
+        v1-v2 edge is irrelevant: the witness puts a zero there either way).
+        Takes the first non-adjacent pair in label order whose common
+        neighborhood holds an m-clique, with S the first m vertices of the
+        first such clique in sorted order; else splits a maximal clique of
+        size >= m + 2. None when no such subgraph exists.
+        """
+        if m < 1:
+            raise ValueError(f"need m >= 1, got {m}")
+        if m not in self._realizations:
+            self._realizations[m] = self._find_realization(m)
+        return self._realizations[m]
+
+    def _find_realization(self, m):
+        for v1, v2, common in self._open_pairs():
+            if len(common) < m:
+                continue
+            # the maximal cliques of G[common] are among these intersections;
+            # any other one sorts after the maximal clique extending it, or
+            # is a prefix of it and so shares its first m vertices
+            inside = [sorted(c & common) for c in self.maximal_cliques]
+            inside = [c for c in inside if len(c) >= m]
+            if inside:
+                return v1, tuple(min(inside)[:m]), v2
+        for clique in self.maximal_cliques:
+            if len(clique) >= m + 2:
+                verts = sorted(clique)
+                return verts[0], tuple(verts[1:m + 1]), verts[m + 1]
+        return None
+
+    def _open_pairs(self):
+        """Non-adjacent pairs (u, v), u < v, with a common neighbor, in label
+        order, each with its common neighborhood."""
+        g = self.graph
+        for u in g.vertices:
+            near = g.neighbors(u)
+            second = set().union(*(g.neighbors(w) for w in near)) - near
+            for v in sorted(x for x in second if x > u):
+                yield u, v, near & g.neighbors(v)
+
+
+def _bron_kerbosch(g):
+    """Maximal cliques of any graph by Bron-Kerbosch with pivoting, sorted.
+
+    Raises ValueError after MAX_CLIQUE_EXPANSIONS expansions.
+    """
     cliques = []
-
-    def expand(r, p, x):
+    stack = [(frozenset(), frozenset(g.vertices), frozenset())]
+    expansions = 0
+    while stack:
+        expansions += 1
+        if expansions > MAX_CLIQUE_EXPANSIONS:
+            raise ValueError(
+                f"general clique enumeration stopped at the work limit of "
+                f"{MAX_CLIQUE_EXPANSIONS} Bron-Kerbosch expansions "
+                f"(MAX_CLIQUE_EXPANSIONS) on a {g.n}-vertex graph")
+        r, p, x = stack.pop()
         if not p and not x:
-            cliques.append(frozenset(r))
-            return
+            cliques.append(r)
+            continue
         pivot = max(p | x, key=lambda u: len(g.neighbors(u) & p))
         for v in sorted(p - g.neighbors(pivot)):
-            expand(r | {v}, p & g.neighbors(v), x & g.neighbors(v))
+            stack.append((r | {v}, p & g.neighbors(v), x & g.neighbors(v)))
             p = p - {v}
             x = x | {v}
-
-    expand(frozenset(), frozenset(g.vertices), frozenset())
     return tuple(sorted(cliques, key=sorted))
-
-
-def maximal_cliques_general(g, max_n=20):
-    """All maximal cliques via Bron-Kerbosch with pivoting, sorted."""
-    return list(_maximal_cliques_general_cached(g, max_n))
-
-
-def clique_number(g, max_n=20):
-    if g.n == 0:
-        return 0
-    if is_chordal(g):
-        return max(len(c) for c in maximal_cliques_chordal(g))
-    return max(len(c) for c in maximal_cliques_general(g, max_n=max_n))
 
 
 # ---------------------------------------------------------------------------
@@ -277,7 +385,7 @@ def perfect_ordering(g):
     ordering is used instead, so a bug in either route cannot slip through.
     """
     cliques = maximal_cliques_chordal(g)
-    visit_rank = {v: k for k, v in enumerate(reversed(mcs_order(g)))}
+    visit_rank = {v: k for k, v in enumerate(reversed(g.analysis.order))}
     ordered = sorted(cliques, key=lambda c: (min(visit_rank[v] for v in c), sorted(c)))
     if not check_perfect_ordering(g, ordered):
         ordered = _clique_tree_order(g, cliques)

@@ -12,6 +12,7 @@ errors. With a fixed --seed the JSON output is byte-identical across runs.
 from __future__ import annotations
 
 import argparse
+import inspect
 import json
 import os
 import sys
@@ -65,25 +66,15 @@ def _sig6(x):
 # argument plumbing
 
 
-_FAMILY_FLAGS = {
-    "complete": ("n",),
-    "near-complete": ("n",),
-    "cycle": ("n",),
-    "path": ("n",),
-    "tree": ("n", "graph_seed"),
-    "complete-bipartite": ("a", "b"),
-    "band": ("n", "d"),
-    "split": ("clique_size", "independent_size", "attach", "graph_seed"),
-    "apollonian": ("n", "graph_seed"),
-    "max-outerplanar": ("n",),
-    "random-chordal": ("n", "density", "graph_seed"),
-}
+#: generator parameters whose command-line flags carry another name
+_FLAG_FOR_PARAM = {"seed": "graph_seed", "attach_degrees": "attach"}
 
 
 def _add_graph_arguments(p):
     p.add_argument("graph_file", nargs="?", default=None,
                    help="edge-list file ('n <count>' header optional) or .json graph")
-    p.add_argument("--family", choices=sorted(_FAMILY_FLAGS),
+    p.add_argument("--family",
+                   choices=sorted(name.replace("_", "-") for name in graphs.FAMILY_GENERATORS),
                    help="generate a named family member instead of reading a file")
     p.add_argument("--n", type=int)
     p.add_argument("--d", type=int)
@@ -142,44 +133,21 @@ def _load_graph(args):
             raise CliError(f"{args.graph_file}: {exc}") from None
     if args.family is None:
         raise CliError("need a graph file or --family")
-    name = args.family
+    # the generator's parameters come from the flags of the same name; a
+    # parameter without a default needs its flag
+    gen = graphs.FAMILY_GENERATORS[args.family.replace("-", "_")]
+    params = {}
+    for param in inspect.signature(gen).parameters.values():
+        attr = _FLAG_FOR_PARAM.get(param.name, param.name)
+        value = getattr(args, attr)
+        if value is not None:
+            params[param.name] = value
+        elif param.default is param.empty:
+            raise CliError(f"family {args.family} needs --{attr.replace('_', '-')}")
     try:
-        if name in ("complete", "near-complete", "cycle", "path", "max-outerplanar"):
-            gen = {"complete": graphs.complete, "near-complete": graphs.near_complete,
-                   "cycle": graphs.cycle, "path": graphs.path,
-                   "max-outerplanar": graphs.max_outerplanar}[name]
-            _require_flags(args, name, ["n"])
-            return gen(args.n)
-        if name == "tree":
-            _require_flags(args, name, ["n"])
-            return graphs.random_tree(args.n, seed=args.graph_seed)
-        if name == "complete-bipartite":
-            _require_flags(args, name, ["a", "b"])
-            return graphs.complete_bipartite(args.a, args.b)
-        if name == "band":
-            _require_flags(args, name, ["n", "d"])
-            return graphs.band(args.n, args.d)
-        if name == "split":
-            _require_flags(args, name, ["clique_size", "independent_size", "attach"])
-            return graphs.split_graph(args.clique_size, args.independent_size,
-                                      args.attach, seed=args.graph_seed)
-        if name == "apollonian":
-            _require_flags(args, name, ["n"])
-            return graphs.apollonian(args.n, seed=args.graph_seed)
-        if name == "random-chordal":
-            _require_flags(args, name, ["n"])
-            return graphs.random_chordal(args.n, density=args.density,
-                                         seed=args.graph_seed)
+        return gen(**params)
     except ValueError as exc:
         raise CliError(str(exc)) from None
-    raise CliError(f"unknown family {name}")
-
-
-def _require_flags(args, family, names):
-    for nm in names:
-        if getattr(args, nm) is None:
-            flag = "--" + nm.replace("_", "-")
-            raise CliError(f"family {family} needs {flag}")
 
 
 # ---------------------------------------------------------------------------
@@ -322,8 +290,6 @@ def _families_rows(max_n, seed):
         rows.append(("tree", {"n": n}, graphs.random_tree(n, seed=seed + n), 1))
     for n in range(2, max_n + 1):
         rows.append(("complete", {"n": n}, graphs.complete(n), n - 2))
-    for n in range(4, max_n + 1):
-        rows.append(("triangulated-cycle", {"n": n}, graphs.max_outerplanar(n), 2))
     for n in range(3, max_n + 1):
         rows.append(("apollonian", {"n": n}, graphs.apollonian(n, seed=seed + n),
                      min(3, n - 2)))

@@ -13,8 +13,6 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .chordal import is_chordal, maximal_cliques_chordal, maximal_cliques_general
-
 FAMILIES = ("plain", "odd", "even")
 
 #: invertibility guard for corner blocks; beyond this the block is treated
@@ -53,6 +51,11 @@ def entrywise_power(m, alpha, family="plain"):
     if family == "plain" and (m < 0).any():
         raise ValueError("plain powers need entrywise nonnegative input; "
                          "use the odd or even extension for signed matrices")
+    return _power(m, alpha, family)
+
+
+def _power(m, alpha, family="plain"):
+    """entrywise_power on a float array, without the input checks."""
     out = np.zeros_like(m)
     mask = m != 0
     np.power(np.abs(m), alpha, out=out, where=mask)
@@ -115,14 +118,8 @@ def conforms_to_pattern(m, g):
     return True
 
 
-def _graph_cliques(g):
-    if is_chordal(g):
-        return maximal_cliques_chordal(g)
-    return maximal_cliques_general(g)
-
-
 def random_psd_for_graph(g, rank_per_clique=1, seed=None, *, eps_diag=0.0,
-                         rng=None, cliques=None, nonnegative=False):
+                         rng=None, nonnegative=False):
     """Random PSD matrix supported exactly on the graph's pattern.
 
     Sum over the maximal cliques of `rank_per_clique` Gram terms x x^T with
@@ -136,10 +133,8 @@ def random_psd_for_graph(g, rank_per_clique=1, seed=None, *, eps_diag=0.0,
         raise ValueError(f"rank_per_clique must be >= 1, got {rank_per_clique}")
     if rng is None:
         rng = np.random.default_rng(seed)
-    if cliques is None:
-        cliques = _graph_cliques(g)
     m = np.zeros((g.n, g.n))
-    for clique in cliques:
+    for clique in g.analysis.maximal_cliques:
         idx = np.array(sorted(clique)) - 1
         for _ in range(rank_per_clique):
             x = rng.standard_normal(len(idx))
@@ -149,8 +144,6 @@ def random_psd_for_graph(g, rank_per_clique=1, seed=None, *, eps_diag=0.0,
     if eps_diag:
         m[np.diag_indices(g.n)] += eps_diag
     return m
-
-
 
 
 def _as_zero_based(indices, n):

@@ -20,7 +20,8 @@ from scipy.optimize import minimize
 
 from .chordal import NotChordalError, find_chordless_cycle, is_chordal, maximal_cliques_chordal
 from .cones import (
-    FAMILIES,
+    _check_family,
+    _power,
     as_symmetric,
     certify_not_psd,
     conforms_to_pattern,
@@ -29,13 +30,13 @@ from .cones import (
     matrix_from_json,
     matrix_to_json,
     random_psd_for_graph,
+    witness_matrix,
 )
 from .graphs import (
     Graph,
     connected_components,
     graph_from_json,
     graph_to_json,
-    induced_subgraph,
     max_near_complete_order_fast,
 )
 
@@ -43,11 +44,6 @@ LATTICES = ("naturals", "odd", "even", "none")
 
 _LATTICE_FOR_FAMILY = {"plain": "naturals", "odd": "odd", "even": "even"}
 _LATTICE_MIN = {"naturals": 1.0, "odd": 1.0, "even": 2.0}
-
-
-def _check_family(family):
-    if family not in FAMILIES:
-        raise ValueError(f"unknown power family {family!r}; expected one of {FAMILIES}")
 
 
 def _lattice_contains(lattice, alpha):
@@ -363,48 +359,6 @@ class WitnessReport:
         )
 
 
-def _integer_power_preserved(k, family):
-    if k < 1:
-        return False
-    if family == "plain":
-        return True
-    if family == "odd":
-        return k % 2 == 1
-    return k % 2 == 0
-
-
-def _near_complete_realization(g, m):
-    """Vertices (v1, S, v2) with S an m-clique and v1, v2 joined to all of S.
-
-    Together they span a near-complete subgraph on m + 2 vertices (the
-    v1-v2 edge is irrelevant: the witness puts a zero there either way).
-    Returns None when no such subgraph exists.
-    """
-    from .chordal import maximal_cliques_general
-
-    if m < 1:
-        raise ValueError(f"need m >= 1, got {m}")
-    for v1, v2 in itertools.combinations(range(1, g.n + 1), 2):
-        if g.has_edge(v1, v2):
-            continue
-        common = g.neighbors(v1) & g.neighbors(v2)
-        if len(common) < m:
-            continue
-        sub, mapping = induced_subgraph(g, common)
-        back = {new: old for old, new in mapping.items()}
-        for clique in maximal_cliques_general(sub, max_n=max(20, sub.n)):
-            if len(clique) >= m:
-                s = tuple(sorted(back[w] for w in sorted(clique)[:m]))
-                return v1, s, v2
-    cliques = (maximal_cliques_chordal(g) if is_chordal(g)
-               else maximal_cliques_general(g, max_n=max(20, g.n)))
-    for clique in cliques:
-        if len(clique) >= m + 2:
-            verts = sorted(clique)
-            return verts[0], tuple(verts[1:m + 1]), verts[m + 1]
-    return None
-
-
 def _embed_bordered(g, realization, u, v):
     """PSD rank-two witness supported on the near-complete subgraph."""
     v1, s, v2 = realization
@@ -419,8 +373,6 @@ def _embed_bordered(g, realization, u, v):
 
 
 def _small_bordered_image_fails(u, v, alpha, family, witness_scale):
-    from .cones import witness_matrix
-
     mid = np.outer(u, u) + np.outer(v, v)
     w = witness_matrix(u, v, mid)
     image = entrywise_power(w, alpha, family)
@@ -436,26 +388,30 @@ def _mirror_pair(m, rng):
     return u / c, v / c
 
 
-def _plain_power(x, alpha):
-    out = np.zeros_like(x)
-    np.power(np.abs(x), alpha, out=out, where=x != 0)
-    return out
+def _exp_pair(z, m):
+    """u = exp(z[:m]), v = exp(z[m:]), with z clipped to [-9, 9]."""
+    z = np.clip(z, -9.0, 9.0)
+    return np.exp(z[:m]), np.exp(z[m:])
+
+
+def _normalized_pair(z, m):
+    """_exp_pair rescaled to u.u + v.v = 2m."""
+    u, v = _exp_pair(z, m)
+    c = math.sqrt((u @ u + v @ v) / (2 * m))
+    return u / c, v / c
 
 
 def _defect_value_grad(z, m, alpha):
     """Least eigenvalue of the plain-power defect for u = exp(z[:m]),
     v = exp(z[m:]) rescaled to u.u + v.v = 2m, with its gradient in z."""
-    z = np.clip(z, -9.0, 9.0)
-    u, v = np.exp(z[:m]), np.exp(z[m:])
-    c = math.sqrt((u @ u + v @ v) / (2 * m))
-    u, v = u / c, v / c
+    u, v = _normalized_pair(z, m)
     p, q = np.outer(u, u), np.outer(v, v)
-    defect = _plain_power(p + q, alpha) - _plain_power(p, alpha) - _plain_power(q, alpha)
+    defect = _power(p + q, alpha) - _power(p, alpha) - _power(q, alpha)
     lam, vecs = np.linalg.eigh(defect)
     x = vecs[:, 0]
     val = lam[0]
-    ru = _plain_power(p + q, alpha - 1) - _plain_power(p, alpha - 1)
-    rv = _plain_power(p + q, alpha - 1) - _plain_power(q, alpha - 1)
+    ru = _power(p + q, alpha - 1) - _power(p, alpha - 1)
+    rv = _power(p + q, alpha - 1) - _power(q, alpha - 1)
     glam_u = 2 * alpha * x * (ru @ (u * x))
     glam_v = 2 * alpha * x * (rv @ (v * x))
     gu = u * glam_u - (alpha / m) * val * u * u
@@ -466,21 +422,11 @@ def _defect_value_grad(z, m, alpha):
 def _defect_rel_value(z, m, alpha):
     """Least defect eigenvalue relative to max(1, spectral radius); this is
     the quantity the strict witness threshold measures."""
-    z = np.clip(z, -9.0, 9.0)
-    u, v = np.exp(z[:m]), np.exp(z[m:])
-    c = math.sqrt((u @ u + v @ v) / (2 * m))
-    u, v = u / c, v / c
+    u, v = _normalized_pair(z, m)
     p, q = np.outer(u, u), np.outer(v, v)
-    defect = _plain_power(p + q, alpha) - _plain_power(p, alpha) - _plain_power(q, alpha)
+    defect = _power(p + q, alpha) - _power(p, alpha) - _power(q, alpha)
     eigs = np.linalg.eigvalsh(defect)
     return eigs[0] / max(1.0, abs(eigs[0]), abs(eigs[-1]))
-
-
-def _normalized_pair(z, m):
-    z = np.clip(z, -9.0, 9.0)
-    u, v = np.exp(z[:m]), np.exp(z[m:])
-    c = math.sqrt((u @ u + v @ v) / (2 * m))
-    return u / c, v / c
 
 
 def _rung_minimize(z, m, alpha, thorough):
@@ -504,12 +450,9 @@ def _image_rel_value(z, m, alpha):
     overall scale of (u, v) is a genuine degree of freedom here; z is used
     unnormalized.
     """
-    from .cones import witness_matrix
-
-    z = np.clip(z, -9.0, 9.0)
-    u, v = np.exp(z[:m]), np.exp(z[m:])
+    u, v = _exp_pair(z, m)
     w = witness_matrix(u, v, np.outer(u, u) + np.outer(v, v))
-    image = entrywise_power(w, alpha, "plain")
+    image = _power(w, alpha)
     eigs = np.linalg.eigvalsh(image)
     return eigs[0] / max(1.0, abs(eigs[0]), abs(eigs[-1]))
 
@@ -545,7 +488,7 @@ def _continuation_pair(m, alpha, rng, witness_scale, family):
                  options={"maxfev": 2500, "fatol": 1e-16, "xatol": 1e-11})
     if r.fun < best_val:
         best_z = np.clip(r.x, -9.0, 9.0)
-    u, v = np.exp(np.clip(best_z[:m], -9.0, 9.0)), np.exp(np.clip(best_z[m:], -9.0, 9.0))
+    u, v = _exp_pair(best_z, m)
     if _small_bordered_image_fails(u, v, alpha, family, witness_scale):
         return u, v
     return None
@@ -560,7 +503,7 @@ def _bordered_search(g, alpha, family, budget, rng, witness_scale, refine_attemp
         return None
     is_integer = float(alpha).is_integer() and alpha >= 1
     if is_integer:
-        if _integer_power_preserved(int(alpha), family):
+        if _lattice_contains(_LATTICE_FOR_FAMILY[family], alpha):
             return None
         m = int(alpha) + 1
         if m > s_max:
@@ -569,7 +512,7 @@ def _bordered_search(g, alpha, family, budget, rng, witness_scale, refine_attemp
         if alpha >= s_max:
             return None
         m = max(1, int(math.floor(alpha)) + 1)
-    realization = _near_complete_realization(g, m)
+    realization = g.analysis.realization(m)
     if realization is None:
         return None
 

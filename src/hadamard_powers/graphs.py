@@ -10,7 +10,7 @@ from __future__ import annotations
 import bisect
 import itertools
 from dataclasses import dataclass
-from functools import cached_property, lru_cache
+from functools import cached_property
 
 import numpy as np
 
@@ -51,6 +51,14 @@ class Graph:
             adj[i].add(j)
             adj[j].add(i)
         return {v: frozenset(nb) for v, nb in adj.items()}
+
+    @cached_property
+    def analysis(self):
+        """Chordality, maximal cliques and near-complete subgraphs of this
+        graph (chordal.GraphAnalysis), each computed once, on first use."""
+        from .chordal import GraphAnalysis
+
+        return GraphAnalysis(self)
 
     @property
     def vertices(self):
@@ -396,27 +404,7 @@ def max_near_complete_order(g):
     return 2
 
 
-@lru_cache(maxsize=4096)
-def max_near_complete_order_fast(g, max_clique_n=64):
-    """Same value as max_near_complete_order, via clique enumeration.
-
-    r = max over (clique number, 2 + largest clique in the common
-    neighborhood of a non-adjacent pair): a near-complete subgraph on r
-    vertices is either an r-clique or two non-adjacent vertices joined to
-    a common (r-2)-clique.
-    """
-    from .chordal import clique_number
-
-    if g.n < 2:
-        raise ValueError(f"need at least 2 vertices, got {g.n}")
-    best = max(2, clique_number(g, max_n=max_clique_n))
-    for u, v in itertools.combinations(range(1, g.n + 1), 2):
-        if g.has_edge(u, v):
-            continue
-        common = g.neighbors(u) & g.neighbors(v)
-        if len(common) + 2 <= best:
-            continue
-        if common:
-            sub, _ = induced_subgraph(g, common)
-            best = max(best, 2 + clique_number(sub, max_n=max_clique_n))
-    return best
+def max_near_complete_order_fast(g):
+    """Same value as max_near_complete_order, via clique enumeration
+    (GraphAnalysis.near_complete_order)."""
+    return g.analysis.near_complete_order

@@ -2,10 +2,14 @@
 decompositions, cross-checked against brute-force oracles."""
 
 import itertools
+import time
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from hadamard_powers.chordal import (
+    MAX_CLIQUE_EXPANSIONS,
     CliqueOrdering,
     Decomposition,
     NotChordalError,
@@ -29,6 +33,7 @@ from hadamard_powers.graphs import (
     cycle,
     generate,
     induced_subgraph,
+    max_near_complete_order,
     max_outerplanar,
     near_complete,
     path,
@@ -131,8 +136,17 @@ def test_maximal_cliques_general_examples():
     assert maximal_cliques_general(complete(5)) == [frozenset(range(1, 6))]
     assert maximal_cliques_general(complete_bipartite(2, 2)) == [
         frozenset({1, 3}), frozenset({1, 4}), frozenset({2, 3}), frozenset({2, 4})]
-    with pytest.raises(ValueError):
-        maximal_cliques_general(complete(25), max_n=20)
+    assert maximal_cliques_general(complete(25)) == [frozenset(range(1, 26))]
+
+
+def test_general_enumeration_stops_at_the_work_limit():
+    # complete 15-partite graph with parts of size 3: 3^15 maximal cliques
+    g = Graph.from_edges(45, [(i, j) for i, j in itertools.combinations(range(1, 46), 2)
+                              if (i - 1) // 3 != (j - 1) // 3])
+    start = time.perf_counter()
+    with pytest.raises(ValueError, match=f"work limit of {MAX_CLIQUE_EXPANSIONS}"):
+        maximal_cliques_general(g)
+    assert time.perf_counter() - start < 1.0
 
 
 def test_maximal_cliques_match_bruteforce():
@@ -143,12 +157,47 @@ def test_maximal_cliques_match_bruteforce():
 
 
 def test_chordal_and_general_enumeration_agree():
+    from hadamard_powers.chordal import _bron_kerbosch
+
     count = 0
     for seed in range(300):
         g = random_chordal(2 + seed % 8, density=0.3 + 0.07 * (seed % 10), seed=seed)
-        assert maximal_cliques_chordal(g) == maximal_cliques_general(g)
+        assert maximal_cliques_chordal(g) == list(_bron_kerbosch(g))
         count += 1
     assert count == 300
+
+
+@settings(max_examples=150, deadline=None)
+@given(st.integers(2, 9).flatmap(lambda n: st.tuples(
+    st.just(n), st.sets(st.sampled_from(list(itertools.combinations(range(1, n + 1), 2)))))))
+def test_analysis_matches_brute_force(n_edges):
+    n, edges = n_edges
+    g = Graph.from_edges(n, edges)
+    a = g.analysis
+    assert list(a.maximal_cliques) == brute_force_maximal_cliques(g)
+    r = a.near_complete_order
+    assert r == max_near_complete_order(g)
+    for m in range(1, r - 1):
+        v1, s, v2 = a.realization(m)
+        assert len(s) == m and v1 not in s and v2 not in s and v1 != v2
+        assert all(g.has_edge(x, y) for x, y in itertools.combinations(s, 2))
+        assert all(g.has_edge(v, x) for v in (v1, v2) for x in s)
+
+
+def test_realization_choice_is_stable():
+    # seeded witness reports embed into these vertices, so the choice is
+    # part of the output: first qualifying pair, first clique, else a split
+    expected = {
+        random_graph(10, 0.6, seed=7): [(1, (5,), 2), (1, (5, 6), 2), (1, (5, 6, 8), 2),
+                                        (4, (2, 5, 6, 7), 8)],
+        random_graph(11, 0.4, seed=5): [(1, (9,), 2), (1, (7, 10), 11), (6, (1, 5, 10), 7)],
+        random_graph(12, 0.7, seed=11): [(1, (3,), 7), (1, (3, 4), 7), (1, (3, 4, 5), 7),
+                                         (1, (3, 4, 5, 9), 7), (1, (3, 4, 6, 9, 12), 7)],
+        complete(5): [(1, (2,), 3), (1, (2, 3), 4), (1, (2, 3, 4), 5), None],
+    }
+    for g, realizations in expected.items():
+        assert [g.analysis.realization(m)
+                for m in range(1, len(realizations) + 1)] == realizations
 
 
 def test_clique_number():

@@ -221,3 +221,21 @@ def test_missing_family_params_exit_two(capsys):
     code, _, err = run(capsys, ["ce", "--family", "band", "--n", "5"])
     assert code == 2
     assert "--d" in err
+
+
+def test_ce_on_cycle_past_twenty_vertices(capsys):
+    code, out, err = run(capsys, ["ce", "--family", "cycle", "--n", "21", "--budget", "20",
+                                  "--seed", "0", "--format", "json"])
+    assert code == 0, err
+    data = json.loads(out)
+    assert data["r"] == 3
+    assert data["bracket_lower"] <= 1.0 <= data["bracket_upper"]
+
+
+def test_witness_on_cycle_past_sixty_four_vertices(capsys, tmp_path):
+    report = str(tmp_path / "c70.json")
+    code, _, err = run(capsys, ["witness", "--family", "cycle", "--n", "70", "--alpha", "0.5",
+                                "--seed", "0", "-o", report])
+    assert code == 0, err
+    code, out, _ = run(capsys, ["witness", "--verify", report])
+    assert code == 0 and "witness verified" in out
