@@ -56,9 +56,8 @@ def entrywise_power(m, alpha, family="plain"):
 
 def _power(m, alpha, family="plain"):
     """entrywise_power on a float array, without the input checks."""
-    out = np.zeros_like(m)
-    mask = m != 0
-    np.power(np.abs(m), alpha, out=out, where=mask)
+    out = np.abs(m)
+    np.power(out, alpha, out=out, where=out != 0)
     if family == "odd":
         out *= np.sign(m)
     return out
@@ -72,10 +71,11 @@ class PsdVerdict:
 
 
 def _eig_range(m):
+    """Least eigenvalue and spectral radius of a symmetric matrix, or of
+    each matrix of a stack (one batched eigensolve)."""
     eigs = np.linalg.eigvalsh(m)
-    lam_min = float(eigs[0])
-    spectral = float(max(abs(eigs[0]), abs(eigs[-1])))
-    return lam_min, spectral
+    lam_min = eigs[..., 0]
+    return lam_min, np.maximum(np.abs(lam_min), np.abs(eigs[..., -1]))
 
 
 def is_psd(m, tol_scale=1e-9):
@@ -87,7 +87,7 @@ def is_psd(m, tol_scale=1e-9):
     if tol_scale <= 0:
         raise ValueError(f"tol_scale must be positive, got {tol_scale}")
     m = as_symmetric(m)
-    lam_min, spectral = _eig_range(m)
+    lam_min, spectral = map(float, _eig_range(m))
     tol = tol_scale * max(1.0, spectral)
     return PsdVerdict(is_psd=lam_min >= -tol, min_eigenvalue=lam_min, tolerance_used=tol)
 
@@ -100,7 +100,7 @@ def certify_not_psd(m, threshold_scale=1e-6):
     never promoted to a counterexample.
     """
     m = as_symmetric(m)
-    lam_min, spectral = _eig_range(m)
+    lam_min, spectral = map(float, _eig_range(m))
     if lam_min < -threshold_scale * max(1.0, spectral):
         return lam_min
     return None
@@ -127,23 +127,59 @@ def random_psd_for_graph(g, rank_per_clique=1, seed=None, *, eps_diag=0.0,
     pattern are exactly 0.0 by construction. `eps_diag` adds a multiple of
     the identity for conditioning studies; `nonnegative` folds the Gram
     vectors to their absolute values, sampling the entrywise-nonnegative
-    part of the cone (needed for plain powers).
+    part of the cone (needed for plain powers). The sample is a one-matrix
+    read of `_clique_sample_stack`, the sampler every search shares.
     """
     if rank_per_clique < 1:
         raise ValueError(f"rank_per_clique must be >= 1, got {rank_per_clique}")
     if rng is None:
         rng = np.random.default_rng(seed)
-    m = np.zeros((g.n, g.n))
-    for clique in g.analysis.maximal_cliques:
-        idx = np.array(sorted(clique)) - 1
-        for _ in range(rank_per_clique):
-            x = rng.standard_normal(len(idx))
-            if nonnegative:
-                x = np.abs(x)
-            m[np.ix_(idx, idx)] += np.outer(x, x)
+    m = _clique_sample_stack(g, [rank_per_clique], rng, nonnegative)[0]
     if eps_diag:
         m[np.diag_indices(g.n)] += eps_diag
     return m
+
+
+#: most floats in one sample stack (samples x n x n, 512 KB): batched
+#: searches draw and eigensolve their samples a stack at a time, and hold
+#: about three stacks (samples, power images, one temporary) at the peak.
+SAMPLE_CHUNK_FLOATS = 1 << 16
+
+
+def _samples_per_chunk(n):
+    return max(1, SAMPLE_CHUNK_FLOATS // max(1, n * n))
+
+
+def _clique_sample_stack(g, ranks, rng, nonnegative):
+    """Stack of len(ranks) clique-sum samples; sample b sums ranks[b] Gram
+    terms x x^T per maximal clique.
+
+    The normals come from one draw, laid out sample by sample, then clique
+    by clique, then term by term, the order in which one sample at a time
+    would draw them. The terms are added clique by clique and term by term,
+    so every entry sums the same products in the same order: the stack
+    equals the samples drawn one at a time, bit for bit, and leaves the
+    generator in the same state.
+    """
+    cliques = [np.array(sorted(c)) - 1 for c in g.analysis.maximal_cliques]
+    ranks = np.asarray(ranks, dtype=np.intp)
+    per_sample = ranks * sum(len(idx) for idx in cliques)
+    z = rng.standard_normal(int(per_sample.sum()))
+    if nonnegative:
+        z = np.abs(z)
+    sample_start = np.cumsum(per_sample) - per_sample
+    # the samples having a term t, for each t
+    term_rows = [np.flatnonzero(ranks > t) for t in range(int(ranks.max(initial=0)))]
+    stack = np.zeros((len(ranks), g.n, g.n))
+    done = 0  # clique entries before this clique, per unit of rank
+    for idx in cliques:
+        k = len(idx)
+        for t, rows in enumerate(term_rows):
+            start = sample_start[rows] + ranks[rows] * done + t * k
+            x = z[start[:, None] + np.arange(k)]
+            stack[rows[:, None, None], idx[:, None], idx] += x[:, :, None] * x[:, None, :]
+        done += k
+    return stack
 
 
 def _as_zero_based(indices, n):

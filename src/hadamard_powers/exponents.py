@@ -21,7 +21,10 @@ from scipy.optimize import minimize
 from .chordal import NotChordalError, find_chordless_cycle, is_chordal, maximal_cliques_chordal
 from .cones import (
     _check_family,
+    _clique_sample_stack,
+    _eig_range,
     _power,
+    _samples_per_chunk,
     as_symmetric,
     certify_not_psd,
     conforms_to_pattern,
@@ -29,7 +32,6 @@ from .cones import (
     is_psd,
     matrix_from_json,
     matrix_to_json,
-    random_psd_for_graph,
     witness_matrix,
 )
 from .graphs import (
@@ -653,6 +655,9 @@ def find_counterexample(g, alpha, family="plain", budget=None, seed=0, *,
         raise ValueError("graph must have at least one vertex")
     if budget is not None and budget < 1:
         raise ValueError(f"budget must be >= 1, got {budget}")
+    for name, value in (("bordered_budget", bordered_budget), ("sample_budget", sample_budget)):
+        if value is not None and value < 0:
+            raise ValueError(f"{name} must be >= 0, got {value}")
     rng = np.random.default_rng(seed)
     n_bordered = bordered_budget if bordered_budget is not None else (budget or 200)
     n_samples = sample_budget if sample_budget is not None else (budget or 500)
@@ -665,14 +670,38 @@ def find_counterexample(g, alpha, family="plain", budget=None, seed=0, *,
         report = _signed_cycle_witness(g, alpha, witness_scale)
         if report is not None:
             return report
-    for k in range(n_samples):
-        rank = 2 if k % 5 == 4 else 1
-        matrix = random_psd_for_graph(g, rank, rng=rng, nonnegative=(family == "plain"))
-        image = entrywise_power(matrix, alpha, family)
-        lam = certify_not_psd(image, witness_scale)
-        if lam is not None and is_psd(matrix, tol_scale).is_psd:
-            return WitnessReport(graph=g, alpha=alpha, family=family, matrix=matrix,
-                                 image_min_eigenvalue=lam, construction="random_sample")
+    return _sample_search(g, alpha, family, n_samples, rng, tol_scale, witness_scale)
+
+
+def _sample_search(g, alpha, family, n_samples, rng, tol_scale, witness_scale):
+    """Random clique-sum samples (every fifth of rank two), drawn and
+    eigensolved a stack at a time. The witness is the first sample, in
+    draw order, whose image clears the witness threshold and which is PSD
+    within tol_scale; the generator is left where drawing the samples one
+    at a time up to that one would leave it.
+    """
+    ranks = [2 if k % 5 == 4 else 1 for k in range(n_samples)]
+    nonnegative = family == "plain"
+    step = _samples_per_chunk(g.n)
+    for first in range(0, n_samples, step):
+        chunk = ranks[first:first + step]
+        state = rng.bit_generator.state
+        stack = _clique_sample_stack(g, chunk, rng, nonnegative)
+        images = _power(stack, alpha, family)
+        # a non-finite image stops the search there, as certifying it would
+        finite = np.isfinite(images).all(axis=(1, 2))
+        stop = len(chunk) if finite.all() else int(np.argmin(finite))
+        lam, spectral = _eig_range(images[:stop])
+        for b in np.flatnonzero(lam < -witness_scale * np.maximum(1.0, spectral)):
+            matrix = stack[b].copy()
+            if is_psd(matrix, tol_scale).is_psd:
+                rng.bit_generator.state = state
+                _clique_sample_stack(g, chunk[:b + 1], rng, nonnegative)
+                return WitnessReport(graph=g, alpha=alpha, family=family, matrix=matrix,
+                                     image_min_eigenvalue=float(lam[b]),
+                                     construction="random_sample")
+        if stop < len(chunk):
+            raise ValueError("matrix has non-finite entries")
     return None
 
 

@@ -239,3 +239,11 @@ def test_witness_on_cycle_past_sixty_four_vertices(capsys, tmp_path):
     assert code == 0, err
     code, out, _ = run(capsys, ["witness", "--verify", report])
     assert code == 0 and "witness verified" in out
+
+
+@pytest.mark.parametrize("samples", ["0", "-3"])
+def test_verify_rejects_fewer_than_one_sample(capsys, samples):
+    code, out, err = run(capsys, ["verify", "--family", "cycle", "--n", "5",
+                                  "--alphas", "1.5", "--samples", samples, "--seed", "1"])
+    assert code == 2 and out == ""
+    assert f"--samples must be >= 1, got {samples}" in err

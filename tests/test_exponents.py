@@ -397,3 +397,13 @@ def test_conjecture_scan_on_petersen_graph():
     assert rec["r"] == 3 and not rec["chordal"]
     assert rec["bracket_lower"] <= 1.0 <= rec["bracket_upper"]
     assert not rec["flagged"]
+
+
+def test_negative_phase_budgets_are_rejected():
+    g = complete(4)
+    for name in ("bordered_budget", "sample_budget"):
+        with pytest.raises(ValueError, match=f"{name} must be >= 0, got -1"):
+            find_counterexample(g, 1.5, "plain", **{name: -1})
+    # zero skips the phase: nothing is drawn, so no witness appears
+    assert find_counterexample(g, 1.5, "plain", seed=3, bordered_budget=0,
+                               sample_budget=0, refine_attempts=0) is None
