@@ -7,6 +7,7 @@ residuals and separators, and clique-separator decompositions (A, C, B).
 
 from __future__ import annotations
 
+import heapq
 import itertools
 from collections import deque
 from dataclasses import dataclass
@@ -37,17 +38,7 @@ def mcs_order(g):
     ties broken by smallest label; the returned order is the reversed visit
     order, which is a perfect elimination ordering iff the graph is chordal.
     """
-    weight = {v: 0 for v in g.vertices}
-    unvisited = set(g.vertices)
-    visit = []
-    for _ in range(g.n):
-        z = min(unvisited, key=lambda v: (-weight[v], v))
-        unvisited.remove(z)
-        visit.append(z)
-        for y in g.neighbors(z):
-            if y in unvisited:
-                weight[y] += 1
-    return visit[::-1]
+    return list(g.analysis.order)
 
 
 def is_perfect_elimination_order(g, order):
@@ -136,10 +127,10 @@ MAX_CLIQUE_EXPANSIONS = 100_000
 
 class GraphAnalysis:
     """Clique facts of one graph, each computed on first use and kept as
-    long as the graph (reached as `g.analysis`): chordality and the MCS
-    order, the maximal cliques, the clique number, the near-complete order
-    r, and the bordered search's realization per clique size. Nothing is
-    kept per vertex pair.
+    long as the graph (reached as `g.analysis`): chordality, the MCS order
+    and clique tree, the maximal cliques, the clique number, the
+    near-complete order r, and the bordered search's realization per clique
+    size. Nothing is kept per vertex pair.
     """
 
     def __init__(self, g):
@@ -147,30 +138,73 @@ class GraphAnalysis:
         self._realizations = {}
 
     @cached_property
+    def _search(self):
+        """One maximum cardinality search: the visit order, and the maximal
+        cliques in a perfect order with their separators.
+
+        Visits by descending count of visited neighbors, ties to the smallest
+        label. A clique starts at each vertex with no more visited neighbors
+        than the vertex visited just before it (so at the first vertex); it
+        holds that vertex, its visited neighbors (the separator: its
+        intersection with all earlier cliques) and the vertices visited after
+        it up to the next start (Blair-Peyton 1993, An introduction to
+        chordal graphs and clique trees, section 4). The cliques and
+        separators hold only for a chordal graph; read them via clique_tree.
+        """
+        nbrs = self.graph.neighbors
+        weight = dict.fromkeys(self.graph.vertices, 0)
+        heap = [(0, v) for v in self.graph.vertices]
+        visited = set()
+        visit, cliques, separators = [], [], []
+        previous = 0
+        while heap:
+            w, v = heapq.heappop(heap)
+            # v's entry with its current weight sorts before its stale ones
+            if v in visited:
+                continue
+            if -w <= previous:
+                separators.append(frozenset(nbrs(v) & visited))
+                cliques.append([*separators[-1], v])
+            else:
+                cliques[-1].append(v)
+            previous = -w
+            visited.add(v)
+            visit.append(v)
+            for u in nbrs(v):
+                if u not in visited:
+                    weight[u] += 1
+                    heapq.heappush(heap, (-weight[u], u))
+        return tuple(visit), tuple(map(frozenset, cliques)), tuple(separators)
+
+    @cached_property
     def order(self):
-        """Elimination ordering from maximum cardinality search."""
-        return mcs_order(self.graph)
+        """Elimination ordering: the reversed visit order of the search."""
+        return self._search[0][::-1]
 
     @cached_property
     def is_chordal(self):
         return is_perfect_elimination_order(self.graph, self.order)
 
+    @property
+    def clique_tree(self):
+        """(cliques, separators): the maximal cliques of a chordal graph in a
+        perfect order, each with its intersection with the cliques before it.
+
+        Raises NotChordalError for any other graph.
+        """
+        _require_chordal(self.graph)
+        return self._search[1:]
+
     @cached_property
     def maximal_cliques(self):
         """All maximal cliques as frozensets, sorted by their sorted labels.
 
-        The one place choosing the route: for a chordal graph the maximal
-        sets among each vertex with its later neighbors in the elimination
-        order, else Bron-Kerbosch.
+        The one place choosing the route: the clique tree of a chordal graph,
+        else Bron-Kerbosch.
         """
         if not self.is_chordal:
             return _bron_kerbosch(self.graph)
-        nbrs = self.graph.neighbors
-        pos = {v: k for k, v in enumerate(self.order)}
-        candidates = [frozenset({v} | {u for u in nbrs(v) if pos[u] > pos[v]})
-                      for v in self.order]
-        maximal = [c for c in candidates if not any(c < d for d in candidates)]
-        return tuple(sorted(set(maximal), key=sorted))
+        return tuple(sorted(self.clique_tree[0], key=sorted))
 
     @cached_property
     def clique_number(self):
@@ -334,64 +368,11 @@ def check_perfect_ordering(g, cliques):
     return True
 
 
-def _clique_tree_order(g, cliques):
-    """Fallback ordering from a maximum-weight spanning tree of the clique
-    graph (weights = intersection sizes), traversed root-first."""
-    k = len(cliques)
-    if k <= 1:
-        return list(cliques)
-    pairs = sorted(
-        itertools.combinations(range(k), 2),
-        key=lambda ij: (-len(cliques[ij[0]] & cliques[ij[1]]), ij),
-    )
-    parent = list(range(k))
-
-    def find(a):
-        while parent[a] != a:
-            parent[a] = parent[parent[a]]
-            a = parent[a]
-        return a
-
-    tree = {i: [] for i in range(k)}
-    used = 0
-    for i, j in pairs:
-        ri, rj = find(i), find(j)
-        if ri != rj:
-            parent[ri] = rj
-            tree[i].append(j)
-            tree[j].append(i)
-            used += 1
-            if used == k - 1:
-                break
-    order = []
-    seen = {0}
-    queue = deque([0])
-    while queue:
-        i = queue.popleft()
-        order.append(cliques[i])
-        for j in sorted(tree[i]):
-            if j not in seen:
-                seen.add(j)
-                queue.append(j)
-    return order
-
-
 def perfect_ordering(g):
-    """A perfect ordering of the maximal cliques of a chordal graph.
-
-    Primary route: sort cliques by the search rank at which maximum
-    cardinality search first discovers one of their vertices. The result is
-    verified against check_perfect_ordering; on failure a clique-tree
-    ordering is used instead, so a bug in either route cannot slip through.
-    """
-    cliques = maximal_cliques_chordal(g)
-    visit_rank = {v: k for k, v in enumerate(reversed(g.analysis.order))}
-    ordered = sorted(cliques, key=lambda c: (min(visit_rank[v] for v in c), sorted(c)))
-    if not check_perfect_ordering(g, ordered):
-        ordered = _clique_tree_order(g, cliques)
-        if not check_perfect_ordering(g, ordered):
-            raise AssertionError("both clique-ordering routes failed on a chordal graph")
-    return CliqueOrdering(cliques=tuple(ordered))
+    """A perfect ordering of the maximal cliques of a chordal graph: the
+    order in which maximum cardinality search completes them."""
+    cliques, _ = g.analysis.clique_tree
+    return CliqueOrdering(cliques=cliques)
 
 
 # ---------------------------------------------------------------------------

@@ -339,6 +339,8 @@ def _cmd_families(args):
 
 def _cmd_scan(args):
     cfg = _resolve_config(args)
+    if not (np.isfinite(args.grid_step) and args.grid_step > 0):
+        raise CliError(f"--grid-step must be positive and finite, got {args.grid_step}")
     try:
         with open(args.stream_file, "r", encoding="utf-8") as fh:
             text = fh.read()

@@ -18,7 +18,7 @@ from dataclasses import dataclass
 import numpy as np
 from scipy.optimize import minimize
 
-from .chordal import NotChordalError, find_chordless_cycle, is_chordal, maximal_cliques_chordal
+from .chordal import NotChordalError, find_chordless_cycle, is_chordal
 from .cones import (
     _check_family,
     _clique_sample_stack,
@@ -190,21 +190,18 @@ def hset_chordal(g, family="plain"):
 def critical_exponent_clique_formula(g):
     """Critical exponent of a chordal pattern from its clique structure.
 
-    Largest entry of M^T M - 2 I over the vertex-by-maximal-clique incidence
+    max(clique number - 2, largest separator of a clique tree). This is the
+    largest entry of M^T M - 2 I over the vertex-by-maximal-clique incidence
     matrix M: the diagonal gives clique sizes minus two, the off-diagonal
-    pairwise clique overlaps. Disconnected graphs are covered by the same
-    expression, since cliques in different components never overlap.
+    pairwise clique overlaps, and in a chordal graph two maximal cliques
+    meet inside every separator on the clique-tree path between them, while
+    each separator is the overlap of a clique and one before it. Cliques in
+    different components meet in the empty separator.
     """
     if g.n < 2:
         raise ValueError(f"need at least 2 vertices, got {g.n}")
-    cliques = maximal_cliques_chordal(g)
-    k = len(cliques)
-    inc = np.zeros((g.n, k), dtype=np.int64)
-    for j, c in enumerate(cliques):
-        for v in c:
-            inc[v - 1, j] = 1
-    gram = inc.T @ inc - 2 * np.eye(k, dtype=np.int64)
-    return int(gram.max())
+    cliques, separators = g.analysis.clique_tree
+    return max(max(map(len, cliques)) - 2, max(map(len, separators)))
 
 
 def hset_cycle(n, family="plain"):
@@ -722,8 +719,8 @@ def estimate_ce_numeric(g, family="plain", grid_step=1 / 16, budget=None, seed=0
     _check_family(family)
     if g.n < 2:
         raise ValueError(f"need at least 2 vertices, got {g.n}")
-    if grid_step <= 0:
-        raise ValueError(f"grid_step must be positive, got {grid_step}")
+    if not (math.isfinite(grid_step) and grid_step > 0):
+        raise ValueError(f"grid_step must be positive and finite, got {grid_step}")
     hi = float(g.n - 2)
     grid = []
     k = 1

@@ -4,6 +4,7 @@ decompositions, cross-checked against brute-force oracles."""
 import itertools
 import time
 
+import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
@@ -13,6 +14,7 @@ from hadamard_powers.chordal import (
     CliqueOrdering,
     Decomposition,
     NotChordalError,
+    _bron_kerbosch,
     check_decomposition,
     check_perfect_ordering,
     clique_number,
@@ -25,6 +27,7 @@ from hadamard_powers.chordal import (
     mcs_order,
     perfect_ordering,
 )
+from hadamard_powers.exponents import critical_exponent_clique_formula
 from hadamard_powers.graphs import (
     Graph,
     band,
@@ -157,8 +160,6 @@ def test_maximal_cliques_match_bruteforce():
 
 
 def test_chordal_and_general_enumeration_agree():
-    from hadamard_powers.chordal import _bron_kerbosch
-
     count = 0
     for seed in range(300):
         g = random_chordal(2 + seed % 8, density=0.3 + 0.07 * (seed % 10), seed=seed)
@@ -311,16 +312,67 @@ def test_clique_ordering_is_hashable_value():
     assert a == b and hash(a) == hash(b)
 
 
-def test_clique_tree_fallback_route_is_also_valid():
-    # the spanning-tree ordering guards the primary route; it must produce
-    # valid perfect orderings on its own
-    from hadamard_powers.chordal import _clique_tree_order
+def reference_mcs_order(g):
+    """Quadratic maximum cardinality search: most visited neighbors first,
+    ties to the smallest label, returned in reverse visit order."""
+    weight = {v: 0 for v in g.vertices}
+    unvisited = set(g.vertices)
+    visit = []
+    for _ in range(g.n):
+        z = min(unvisited, key=lambda v: (-weight[v], v))
+        unvisited.remove(z)
+        visit.append(z)
+        for y in g.neighbors(z):
+            if y in unvisited:
+                weight[y] += 1
+    return visit[::-1]
 
-    for seed in range(30):
-        g = random_chordal(4 + seed % 6, density=0.5, seed=seed + 300)
-        ordered = _clique_tree_order(g, maximal_cliques_chordal(g))
-        assert check_perfect_ordering(g, ordered)
-    # disconnected graphs work too (separators across components are empty)
-    g = Graph.from_edges(7, [(1, 2), (2, 3), (1, 3), (4, 5), (5, 6)])
-    ordered = _clique_tree_order(g, maximal_cliques_chordal(g))
-    assert check_perfect_ordering(g, ordered)
+
+def clique_gram_max(g):
+    """Largest entry of M^T M - 2 I over the vertex-by-maximal-clique
+    incidence matrix M of a chordal graph."""
+    cliques = _bron_kerbosch(g)
+    inc = np.zeros((g.n, len(cliques)), dtype=np.int64)
+    for j, c in enumerate(cliques):
+        inc[np.array(sorted(c)) - 1, j] = 1
+    return int((inc.T @ inc - 2 * np.eye(len(cliques), dtype=np.int64)).max())
+
+
+@st.composite
+def chordal_graphs(draw):
+    """Disjoint unions of one to three random_chordal graphs, relabelled by a
+    random permutation (the clique order then differs from the build order)."""
+    parts = draw(st.lists(st.tuples(st.integers(1, 14), st.integers(0, 10),
+                                    st.integers(0, 2**16)), min_size=1, max_size=3))
+    edges, offset = [], 0
+    for n, density, seed in parts:
+        part = random_chordal(n, density=density / 10, seed=seed)
+        edges += [(a + offset, b + offset) for a, b in part.edges]
+        offset += n
+    perm = draw(st.permutations(range(1, offset + 1)))
+    return Graph.from_edges(offset, [(perm[a - 1], perm[b - 1]) for a, b in edges])
+
+
+@settings(max_examples=300, deadline=None)
+@given(chordal_graphs())
+def test_one_search_gives_the_clique_tree(g):
+    assert mcs_order(g) == reference_mcs_order(g)
+    cliques, separators = g.analysis.clique_tree
+    po = perfect_ordering(g)
+    assert po.cliques == cliques
+    assert check_perfect_ordering(g, po.cliques)
+    assert po.separators == separators
+    assert sorted(cliques, key=sorted) == list(_bron_kerbosch(g))
+    assert maximal_cliques_chordal(g) == list(_bron_kerbosch(g))
+    if g.n >= 2:
+        ce = critical_exponent_clique_formula(g)
+        assert ce == clique_gram_max(g)
+        if g.n <= 9:
+            assert ce == max_near_complete_order(g) - 2
+
+
+def test_clique_tree_rejects_non_chordal():
+    with pytest.raises(NotChordalError):
+        cycle(5).analysis.clique_tree
+    with pytest.raises(NotChordalError):
+        critical_exponent_clique_formula(cycle(4))

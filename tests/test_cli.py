@@ -158,6 +158,15 @@ def test_scan_stream(capsys, tmp_path):
     assert all(not rec["flagged"] for rec in lines[:-1])
 
 
+@pytest.mark.parametrize("step", ["0", "-1", "nan", "inf"])
+def test_scan_rejects_bad_grid_step(capsys, tmp_path, step):
+    stream = tmp_path / "c5.edges"
+    stream.write_text("1 2\n2 3\n3 4\n4 5\n1 5\n")
+    code, out, err = run(capsys, ["scan", str(stream), "--grid-step", step, "--seed", "1"])
+    assert code == 2 and out == ""
+    assert "--grid-step must be positive and finite" in err
+
+
 def test_scan_empty_stream(capsys, tmp_path):
     stream = tmp_path / "empty.txt"
     stream.write_text("\n")
@@ -247,3 +256,14 @@ def test_verify_rejects_fewer_than_one_sample(capsys, samples):
                                   "--alphas", "1.5", "--samples", samples, "--seed", "1"])
     assert code == 2 and out == ""
     assert f"--samples must be >= 1, got {samples}" in err
+
+
+def test_ce_exact_on_a_large_chordal_graph(capsys):
+    # the exact route reads one clique tree; a dense clique Gram here
+    # would be 10,000 x ~8,000 int64 before its product
+    code, out, err = run(capsys, ["ce", "--family", "random-chordal", "--n", "10000",
+                                  "--format", "json"])
+    assert code == 0, err
+    data = json.loads(out)
+    assert data["method"] == "exact"
+    assert data["ce"] == data["r"] - 2

@@ -362,6 +362,12 @@ def test_estimate_lower_end_is_sound_on_chordal_graphs():
         assert lo <= ce <= hi
 
 
+@pytest.mark.parametrize("step", [0.0, -0.5, float("nan"), float("inf")])
+def test_estimate_rejects_bad_grid_step(step):
+    with pytest.raises(ValueError, match="grid_step must be positive and finite"):
+        estimate_ce_numeric(cycle(5), grid_step=step, seed=0)
+
+
 def test_estimate_degenerate_two_vertices():
     assert estimate_ce_numeric(Graph.from_edges(2, [(1, 2)]), seed=0) == (0.0, 0.0)
     with pytest.raises(ValueError):
