@@ -400,18 +400,17 @@ class Decomposition:
 
 def decompose(g):
     """Split a connected chordal graph along the last separator of a perfect
-    ordering: A = H_{k-1} - S_k, C = S_k, B = R_k. None if complete."""
+    ordering: A = V - C_k, C = S_k, B = C_k - S_k (the residual R_k; A is
+    H_{k-1} - S_k, as the cliques cover V). None if complete."""
     _require_chordal(g)
     if not is_connected(g):
         raise ValueError("decompose requires a connected graph")
-    ordering = perfect_ordering(g)
-    k = len(ordering.cliques)
-    if k == 1:
+    cliques, separators = g.analysis.clique_tree
+    if len(cliques) == 1:
         return None
-    hist = ordering.histories
-    sep = ordering.separators[k - 1]
-    res = ordering.residuals[k - 1]
-    return Decomposition(side_a=hist[k - 2] - sep, separator=sep, side_b=res)
+    last, sep = cliques[-1], separators[-1]
+    return Decomposition(side_a=frozenset(g.vertices) - last, separator=sep,
+                         side_b=last - sep)
 
 
 def check_decomposition(g, d):

@@ -226,8 +226,11 @@ def _cmd_witness(args):
     if args.output is not None:
         with open(args.output, "w", encoding="utf-8") as fh:
             fh.write(payload + "\n")
+        route = ("float" if report.certificate is None
+                 else f"interval, {report.certificate.digits} digits")
         print(f"witness written to {args.output}: power image eigenvalue "
-              f"{_sig6(report.image_min_eigenvalue)} ({report.construction})")
+              f"{_sig6(report.image_min_eigenvalue)} ({report.construction}; "
+              f"certificate: {route})")
     else:
         print(payload)
     return 0
@@ -379,7 +382,13 @@ def build_parser():
     _add_run_arguments(p)
     p.set_defaults(func=_cmd_hset)
 
-    p = sub.add_parser("witness", help="search for a power-map counterexample")
+    p = sub.add_parser(
+        "witness", help="search for a power-map counterexample",
+        epilog="Report JSON fields: graph, alpha, family, matrix, image_min_eigenvalue, "
+               "construction, and, for witnesses proved by interval arithmetic, "
+               "certificate: {factor (the columns of F, matrix = F F^T), test_vector "
+               "(decimal strings), digits (working precision)}. Without a certificate "
+               "the proof is the float least eigenvalue of the power image.")
     _add_graph_arguments(p)
     _add_run_arguments(p)
     p.add_argument("--alpha", type=float, default=None)

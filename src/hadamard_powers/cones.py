@@ -4,7 +4,8 @@ Entrywise power maps (plain x^a on nonnegative entries, the odd extension
 sgn(x)|x|^a, and the even extension |x|^a, all sending 0 to 0), PSD testing
 with a relative tolerance, clique-supported random PSD samples, Schur
 complements, the two-summand splitting along a decomposition, the bordered
-three-factor form, and super-additivity defects.
+three-factor form, the rank-two bordered witness factor, and super-additivity
+defects.
 """
 
 from __future__ import annotations
@@ -313,26 +314,54 @@ def three_factor_form(m, d, *, cond_limit=COND_LIMIT):
     return ThreeFactorForm(left=left, middle=middle, schur_block=s_block, order=order)
 
 
+def bordered_factor(u, v, n=None, index=None):
+    """n x 2 factor F = [x1 x2] of a rank-two bordered matrix F F^T.
+
+    x1 is 1 at index[0] and u along index[1:-1]; x2 is v along index[1:-1]
+    and 1 at index[-1]; both are 0 elsewhere, so F F^T is zero between
+    index[0] and index[-1] and off the index rows. By default n = len(u) + 2
+    and index = 0..n-1, the factor of witness_matrix(u, v, uu^T + vv^T).
+    """
+    u = np.asarray(u, dtype=float).ravel()
+    v = np.asarray(v, dtype=float).ravel()
+    k = len(u)
+    if len(v) != k:
+        raise ValueError(f"need len(u) == len(v), got {len(u)}, {len(v)}")
+    n = k + 2 if n is None else n
+    index = np.arange(k + 2) if index is None else np.asarray(index, dtype=np.intp)
+    if len(index) != k + 2:
+        raise ValueError(f"need {k + 2} indices, got {len(index)}")
+    f = np.zeros((n, 2))
+    f[index[0], 0] = 1.0
+    f[index[1:-1], 0] = u
+    f[index[1:-1], 1] = v
+    f[index[-1], 1] = 1.0
+    return f
+
+
+def factor_gram(f):
+    """F F^T as the sum of the column outer products, in column order: one
+    rounding per product and per sum, so it is reproducible bit for bit."""
+    f = np.asarray(f, dtype=float)
+    out = np.outer(f[:, 0], f[:, 0])
+    for col in f.T[1:]:
+        out += np.outer(col, col)
+    return out
+
+
 def witness_matrix(u, v, mid):
     """Bordered matrix [[1, u^T, 0], [u, mid, v], [0, v^T, 1]].
 
     Transfers super-additivity failures of power maps into positivity
-    failures on patterns missing one edge (the zero corners).
+    failures on patterns missing one edge (the zero corners). With
+    mid = uu^T + vv^T it is the Gram matrix of bordered_factor(u, v).
     """
-    u = np.asarray(u, dtype=float).ravel()
-    v = np.asarray(v, dtype=float).ravel()
     mid = as_symmetric(mid)
-    k = len(u)
-    if len(v) != k or mid.shape[0] != k:
+    k = mid.shape[0]
+    if np.size(u) != k or np.size(v) != k:
         raise ValueError(f"need len(u) == len(v) == mid dimension, got "
-                         f"{len(u)}, {len(v)}, {mid.shape[0]}")
-    w = np.zeros((k + 2, k + 2))
-    w[0, 0] = 1.0
-    w[-1, -1] = 1.0
-    w[0, 1:k + 1] = u
-    w[1:k + 1, 0] = u
-    w[-1, 1:k + 1] = v
-    w[1:k + 1, -1] = v
+                         f"{np.size(u)}, {np.size(v)}, {k}")
+    w = factor_gram(bordered_factor(u, v))
     w[1:k + 1, 1:k + 1] = mid
     return w
 

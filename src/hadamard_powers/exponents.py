@@ -2,9 +2,9 @@
 
 Exact descriptions of the powers preserving positive semidefiniteness for
 complete and chordal patterns, the super-additivity thresholds, partial
-descriptions for cycles and connected bipartite patterns, randomized
-counterexample search with eigenvalue certificates, numeric bracketing of
-the critical exponent, and the scan checking the observed identity
+descriptions for cycles and connected bipartite patterns, counterexample
+search with float-eigenvalue or interval-arithmetic certificates, numeric
+bracketing of the critical exponent, and the scan checking the observed identity
 CE = r - 2 (r the largest near-complete subgraph order).
 """
 
@@ -16,23 +16,26 @@ from collections import deque
 from dataclasses import dataclass
 
 import numpy as np
-from scipy.optimize import minimize
+from mpmath.ctx_iv import MPIntervalContext
+from mpmath.ctx_mp import MPContext
 
 from .chordal import NotChordalError, find_chordless_cycle, is_chordal
 from .cones import (
+    FAMILIES,
     _check_family,
     _clique_sample_stack,
     _eig_range,
     _power,
     _samples_per_chunk,
     as_symmetric,
+    bordered_factor,
     certify_not_psd,
     conforms_to_pattern,
     entrywise_power,
+    factor_gram,
     is_psd,
     matrix_from_json,
     matrix_to_json,
-    witness_matrix,
 )
 from .graphs import (
     Graph,
@@ -303,13 +306,106 @@ def expected_hset(g, family="plain"):
 # witness search
 
 
+#: v = BORDER_SCALE * linspace(1, 2, m) in the closed-form bordered witness
+BORDER_SCALE = 0.56
+#: most decimal digits an interval certificate may use; a closed-form
+#: witness not proved at this precision is dropped, and verify() rejects
+#: certificates asking for more
+CERTIFICATE_MAX_DIGITS = 480
+
+
+def _image_rows(ctx, f, alpha):
+    """(F F^T)^{∘alpha} as nested lists of the mpmath context ctx (point or
+    interval) numbers; entries with no nonzero product stay exactly zero."""
+    a = ctx.mpf(float(alpha))
+    vals = [[ctx.mpf(float(x)) for x in row] for row in f]
+    n, k = f.shape
+    out = [[ctx.mpf(0)] * n for _ in range(n)]
+    for i in range(n):
+        for j in range(i, n):
+            terms = [vals[i][c] * vals[j][c] for c in range(k) if f[i, c] and f[j, c]]
+            if terms:
+                out[i][j] = out[j][i] = sum(terms, ctx.mpf(0)) ** a
+    return out
+
+
+@dataclass(frozen=True, eq=False)
+class IntervalCertificate:
+    """Proof that the Gram matrix of a float factor F is a witness.
+
+    F F^T is PSD exactly. The proof is an interval-arithmetic enclosure,
+    at `digits` decimal digits, of x^T (F F^T)^{∘alpha} x whose upper end
+    is negative (Rump 2010, Acta Numerica 19). The test vector x is kept as
+    decimal strings: rounding it to floats can move the form by more than
+    the margin.
+    """
+
+    factor: np.ndarray
+    test_vector: tuple[str, ...]
+    digits: int
+
+    def upper_bound(self, alpha):
+        """Upper end of the enclosure of x^T (F F^T)^{∘alpha} x."""
+        iv = MPIntervalContext()
+        iv.dps = self.digits
+        rows = np.flatnonzero(self.factor.any(axis=1))
+        image = _image_rows(iv, self.factor[rows], alpha)
+        x = [iv.mpf(self.test_vector[r]) for r in rows]
+        terms = (image[i][j] * x[i] * x[j] for i in range(len(x)) for j in range(len(x)))
+        return sum(terms, iv.mpf(0)).b
+
+    def proves(self, g, matrix, alpha, family):
+        """The stored matrix is the float Gram of F bit for bit; each column
+        of F is supported on a clique of g, so F F^T conforms exactly; F is
+        nonnegative, so the three families share one image; and the
+        interval bound is negative."""
+        f = self.factor
+        if f.shape != (g.n, 2) or len(self.test_vector) != g.n or not np.isfinite(f).all():
+            return False
+        gram = factor_gram(f)
+        if gram.shape != matrix.shape or gram.tobytes() != np.ascontiguousarray(matrix).tobytes():
+            return False
+        for col in f.T:
+            support = np.flatnonzero(col) + 1
+            if not all(g.has_edge(a, b) for a, b in itertools.combinations(support, 2)):
+                return False
+        if family not in FAMILIES or (f < 0).any() or not np.isfinite(alpha):
+            return False
+        if not 1 <= self.digits <= CERTIFICATE_MAX_DIGITS:
+            return False
+        try:
+            return self.upper_bound(alpha) < 0
+        except ValueError:  # a test vector entry that is not a number
+            return False
+
+    def to_json(self):
+        return {"factor": [[float(x) for x in col] for col in self.factor.T],
+                "test_vector": list(self.test_vector),
+                "digits": self.digits}
+
+    @classmethod
+    def from_json(cls, data):
+        try:
+            factor = np.array(data["factor"], dtype=float).T
+            test_vector = tuple(data["test_vector"])
+            digits = int(data["digits"])
+        except (KeyError, TypeError, ValueError) as exc:
+            raise ValueError(f"bad certificate JSON: {exc}") from None
+        if factor.ndim != 2 or not all(isinstance(x, str) for x in test_vector):
+            raise ValueError("bad certificate JSON: factor must be columns of numbers "
+                             "and test_vector decimal strings")
+        return cls(factor=factor, test_vector=test_vector, digits=digits)
+
+
 @dataclass(frozen=True, eq=False)
 class WitnessReport:
     """A PSD pattern-conforming matrix whose entrywise power loses PSD-ness.
 
-    The certificate is the least eigenvalue of the power image, strictly
-    below the witness threshold; verify() recomputes everything from the
-    stored data.
+    Without a certificate, the proof is the float least eigenvalue of the
+    power image, strictly below the witness threshold; with one, it is the
+    interval bound of an IntervalCertificate, and image_min_eigenvalue is
+    the high-precision least eigenvalue. verify() recomputes everything
+    from the stored data.
     """
 
     graph: Graph
@@ -318,6 +414,7 @@ class WitnessReport:
     matrix: np.ndarray
     image_min_eigenvalue: float
     construction: str
+    certificate: IntervalCertificate | None = None
 
     def verify(self, tol_scale=1e-9, witness_scale=1e-6):
         try:
@@ -326,6 +423,8 @@ class WitnessReport:
             return False
         if m.shape[0] != self.graph.n:
             return False
+        if self.certificate is not None:
+            return self.certificate.proves(self.graph, m, self.alpha, self.family)
         if not conforms_to_pattern(m, self.graph):
             return False
         if not is_psd(m, tol_scale).is_psd:
@@ -337,7 +436,7 @@ class WitnessReport:
         return certify_not_psd(image, witness_scale) is not None
 
     def to_json(self):
-        return {
+        out = {
             "graph": graph_to_json(self.graph),
             "alpha": float(self.alpha),
             "family": self.family,
@@ -345,9 +444,13 @@ class WitnessReport:
             "image_min_eigenvalue": float(self.image_min_eigenvalue),
             "construction": self.construction,
         }
+        if self.certificate is not None:
+            out["certificate"] = self.certificate.to_json()
+        return out
 
     @classmethod
     def from_json(cls, data):
+        cert = data.get("certificate")
         return cls(
             graph=graph_from_json(data["graph"]),
             alpha=float(data["alpha"]),
@@ -355,150 +458,84 @@ class WitnessReport:
             matrix=matrix_from_json(data["matrix"]),
             image_min_eigenvalue=float(data["image_min_eigenvalue"]),
             construction=str(data["construction"]),
+            certificate=IntervalCertificate.from_json(cert) if cert is not None else None,
         )
 
 
 def _embed_bordered(g, realization, u, v):
-    """PSD rank-two witness supported on the near-complete subgraph."""
+    """Factor of the PSD rank-two witness on the near-complete subgraph."""
     v1, s, v2 = realization
-    x1 = np.zeros(g.n)
-    x2 = np.zeros(g.n)
-    x1[v1 - 1] = 1.0
-    x2[v2 - 1] = 1.0
-    for uk, vk, vert in zip(u, v, s):
-        x1[vert - 1] = uk
-        x2[vert - 1] = vk
-    return np.outer(x1, x1) + np.outer(x2, x2)
+    return bordered_factor(u, v, g.n, [v1 - 1, *(x - 1 for x in s), v2 - 1])
 
 
 def _small_bordered_image_fails(u, v, alpha, family, witness_scale):
-    mid = np.outer(u, u) + np.outer(v, v)
-    w = witness_matrix(u, v, mid)
-    image = entrywise_power(w, alpha, family)
+    image = entrywise_power(factor_gram(bordered_factor(u, v)), alpha, family)
     return certify_not_psd(image, witness_scale) is not None
 
 
-def _mirror_pair(m, rng):
-    t = np.linspace(-1.0, 1.0, m) if m > 1 else np.zeros(1)
-    w = rng.uniform(0.8, 3.2)
-    u = np.exp(w * t + 0.1 * rng.standard_normal(m))
-    v = np.exp(-w * t + 0.1 * rng.standard_normal(m))
-    c = math.sqrt((u @ u + v @ v) / (2 * m)) * math.exp(rng.uniform(-0.4, 0.4))
-    return u / c, v / c
+def _interval_certificate(factor, alpha, digits):
+    """(certificate, least image eigenvalue) proving F F^T a witness at
+    alpha, doubling the precision from `digits`; None past the limit.
 
-
-def _exp_pair(z, m):
-    """u = exp(z[:m]), v = exp(z[m:]), with z clipped to [-9, 9]."""
-    z = np.clip(z, -9.0, 9.0)
-    return np.exp(z[:m]), np.exp(z[m:])
-
-
-def _normalized_pair(z, m):
-    """_exp_pair rescaled to u.u + v.v = 2m."""
-    u, v = _exp_pair(z, m)
-    c = math.sqrt((u @ u + v @ v) / (2 * m))
-    return u / c, v / c
-
-
-def _defect_value_grad(z, m, alpha):
-    """Least eigenvalue of the plain-power defect for u = exp(z[:m]),
-    v = exp(z[m:]) rescaled to u.u + v.v = 2m, with its gradient in z."""
-    u, v = _normalized_pair(z, m)
-    p, q = np.outer(u, u), np.outer(v, v)
-    defect = _power(p + q, alpha) - _power(p, alpha) - _power(q, alpha)
-    lam, vecs = np.linalg.eigh(defect)
-    x = vecs[:, 0]
-    val = lam[0]
-    ru = _power(p + q, alpha - 1) - _power(p, alpha - 1)
-    rv = _power(p + q, alpha - 1) - _power(q, alpha - 1)
-    glam_u = 2 * alpha * x * (ru @ (u * x))
-    glam_v = 2 * alpha * x * (rv @ (v * x))
-    gu = u * glam_u - (alpha / m) * val * u * u
-    gv = v * glam_v - (alpha / m) * val * v * v
-    return val, np.concatenate([gu, gv])
-
-
-def _defect_rel_value(z, m, alpha):
-    """Least defect eigenvalue relative to max(1, spectral radius); this is
-    the quantity the strict witness threshold measures."""
-    u, v = _normalized_pair(z, m)
-    p, q = np.outer(u, u), np.outer(v, v)
-    defect = _power(p + q, alpha) - _power(p, alpha) - _power(q, alpha)
-    eigs = np.linalg.eigvalsh(defect)
-    return eigs[0] / max(1.0, abs(eigs[0]), abs(eigs[-1]))
-
-
-def _rung_minimize(z, m, alpha, thorough):
-    r = minimize(_defect_value_grad, z, args=(m, alpha), jac=True,
-                 method="L-BFGS-B",
-                 options={"maxiter": 150, "ftol": 1e-18, "gtol": 1e-16})
-    best_z = np.clip(r.x, -9.0, 9.0)
-    best_rel = _defect_rel_value(best_z, m, alpha)
-    if thorough or best_rel > -1e-8:
-        r2 = minimize(_defect_rel_value, best_z, args=(m, alpha), method="Nelder-Mead",
-                      options={"maxfev": 1200, "fatol": 1e-16, "xatol": 1e-10})
-        if r2.fun < best_rel:
-            best_rel, best_z = r2.fun, np.clip(r2.x, -9.0, 9.0)
-    return best_rel, best_z
-
-
-def _image_rel_value(z, m, alpha):
-    """Relative least eigenvalue of the bordered power image itself.
-
-    Unlike the defect, the border pins the corner entries to 1, so the
-    overall scale of (u, v) is a genuine degree of freedom here; z is used
-    unnormalized.
+    The test vector is the least eigenvector of the image on F's rows,
+    from a symmetric eigensolve at the working precision.
     """
-    u, v = _exp_pair(z, m)
-    w = witness_matrix(u, v, np.outer(u, u) + np.outer(v, v))
-    image = _power(w, alpha)
-    eigs = np.linalg.eigvalsh(image)
-    return eigs[0] / max(1.0, abs(eigs[0]), abs(eigs[-1]))
-
-
-def _continuation_pair(m, alpha, rng, witness_scale, family):
-    """Track the failing valley from just below the integer boundary m down
-    to the target power, then polish the bordered image margin itself.
-
-    Near the boundary nearly every pair fails, so the walk starts inside
-    the basin; each rung re-minimizes the relative least defect eigenvalue,
-    and the final stage optimizes the image margin over shape and scale.
-    """
-    delta_star = m - alpha
-    d0 = min(1e-3, delta_star / 4)
-    steps = max(2, int(math.ceil(math.log(delta_star / d0) / math.log(1.6))) + 1)
-    deltas = d0 * (delta_star / d0) ** (np.arange(steps + 1) / steps)
-    thorough = m >= 5
-    t = np.linspace(-1.0, 1.0, m) if m > 1 else np.zeros(1)
-    w = rng.uniform(1.0, 2.5)
-    z = np.concatenate([w * t, -w * t]) + 0.1 * rng.standard_normal(2 * m)
-    for d in deltas:
-        _, z = _rung_minimize(z, m, m - d, thorough)
-    u, v = _normalized_pair(z, m)
-    z = np.concatenate([np.log(u), np.log(v)])
-    # sweep the free overall scale, then polish the image margin directly
-    best_val, best_z = np.inf, z
-    for logc in np.linspace(-0.8, 0.8, 17):
-        cand = z + logc
-        val = _image_rel_value(cand, m, alpha)
-        if val < best_val:
-            best_val, best_z = val, cand
-    r = minimize(_image_rel_value, best_z, args=(m, alpha), method="Nelder-Mead",
-                 options={"maxfev": 2500, "fatol": 1e-16, "xatol": 1e-11})
-    if r.fun < best_val:
-        best_z = np.clip(r.x, -9.0, 9.0)
-    u, v = _exp_pair(best_z, m)
-    if _small_bordered_image_fails(u, v, alpha, family, witness_scale):
-        return u, v
+    rows = np.flatnonzero(factor.any(axis=1))
+    while digits <= CERTIFICATE_MAX_DIGITS:
+        mp = MPContext()
+        mp.dps = digits
+        eigs, vecs = mp.eigsy(mp.matrix(_image_rows(mp, factor[rows], alpha)))
+        k = min(range(len(rows)), key=lambda i: eigs[i])
+        x = ["0"] * factor.shape[0]
+        for i, r in enumerate(rows):
+            x[r] = mp.nstr(vecs[i, k], digits)
+        cert = IntervalCertificate(factor=factor, test_vector=tuple(x), digits=digits)
+        if cert.upper_bound(alpha) < 0:
+            return cert, float(eigs[k])
+        digits *= 2
     return None
 
 
-def _bordered_search(g, alpha, family, budget, rng, witness_scale, refine_attempts):
-    """Rank-one bordered strategy: find (u, v) whose super-additivity defect
-    fails on the separator clique, and embed the bordered matrix in P_G."""
+def _closed_form_witness(g, alpha, family, realization, witness_scale):
+    """Bordered witness at a non-integer alpha with u = 1 and
+    v = BORDER_SCALE * linspace(1, 2, m), m = |S| = floor(alpha) + 1.
+
+    The image is PSD iff the defect (J + e^2 yy^T)^{∘alpha} - J
+    - e^{2 alpha} y^{∘alpha} (y^{∘alpha})^T is, with v = e y. Expanding
+    (1 + e^2 y_i y_j)^alpha in powers of e^2, the terms up to
+    e^{2 floor(alpha)} vanish on a vector orthogonal to y^{∘1}, ...,
+    y^{∘floor(alpha)}, and there the -e^{2 alpha} term outweighs the rest
+    (the Taylor argument, FitzGerald-Horn 1977, J. Math. Anal. Appl. 61).
+    The entries are nonnegative, so the matrix serves all three families.
+    The float eigenvalue proves the failure when it clears the witness
+    threshold; otherwise an IntervalCertificate does.
+    """
+    m = len(realization[1])
+    factor = _embed_bordered(g, realization, np.ones(m),
+                             BORDER_SCALE * np.linspace(1.0, 2.0, m))
+    matrix = factor_gram(factor)
+    with np.errstate(over="ignore"):
+        image = _power(matrix, alpha, family)
+    lam = certify_not_psd(image, witness_scale) if np.isfinite(image).all() else None
+    cert = None
+    if lam is None:
+        proved = _interval_certificate(factor, alpha, 20 + 5 * m)
+        if proved is None:
+            return None
+        cert, lam = proved
+    return WitnessReport(graph=g, alpha=alpha, family=family, matrix=matrix,
+                         image_min_eigenvalue=lam, construction="rank_one_bordered",
+                         certificate=cert)
+
+
+def _bordered_search(g, alpha, family, budget, rng, witness_scale):
+    """Rank-one bordered strategy on a largest near-complete subgraph: the
+    closed-form pair at non-integer powers, random signed pairs whose
+    super-additivity defect fails on the separator clique at integer
+    powers off the family's lattice."""
     r = max_near_complete_order_fast(g)
     s_max = r - 2
-    if s_max < 1:
+    if s_max < 1 or budget == 0:
         return None
     is_integer = float(alpha).is_integer() and alpha >= 1
     if is_integer:
@@ -514,42 +551,18 @@ def _bordered_search(g, alpha, family, budget, rng, witness_scale, refine_attemp
     realization = g.analysis.realization(m)
     if realization is None:
         return None
-
-    def finish(u, v):
-        matrix = _embed_bordered(g, realization, u, v)
-        image = entrywise_power(matrix, alpha, family)
-        lam = certify_not_psd(image, witness_scale)
-        if lam is None:
-            return None
-        return WitnessReport(graph=g, alpha=alpha, family=family, matrix=matrix,
-                             image_min_eigenvalue=lam, construction="rank_one_bordered")
-
-    # cheap draw phase
-    for k in range(budget):
-        if is_integer:
-            u = rng.standard_normal(m)
-            v = rng.standard_normal(m)
-        elif family != "plain" and k % 3 == 2:
-            u = rng.standard_normal(m)
-            v = rng.standard_normal(m)
-        elif k % 2 == 0:
-            u, v = _mirror_pair(m, rng)
-        else:
-            u = np.abs(rng.standard_normal(m))
-            v = np.abs(rng.standard_normal(m))
-        if _small_bordered_image_fails(u, v, alpha, family, witness_scale):
-            report = finish(u, v)
-            if report is not None:
-                return report
-    # guided continuation (nonnegative pairs fail identically for all three
-    # families at non-integer powers, so the plain-power defect drives it)
     if not is_integer:
-        for _ in range(refine_attempts):
-            pair = _continuation_pair(m, alpha, rng, witness_scale, family)
-            if pair is not None:
-                report = finish(*pair)
-                if report is not None:
-                    return report
+        return _closed_form_witness(g, alpha, family, realization, witness_scale)
+    for _ in range(budget):
+        u = rng.standard_normal(m)
+        v = rng.standard_normal(m)
+        if _small_bordered_image_fails(u, v, alpha, family, witness_scale):
+            matrix = factor_gram(_embed_bordered(g, realization, u, v))
+            lam = certify_not_psd(entrywise_power(matrix, alpha, family), witness_scale)
+            if lam is not None:
+                return WitnessReport(graph=g, alpha=alpha, family=family, matrix=matrix,
+                                     image_min_eigenvalue=lam,
+                                     construction="rank_one_bordered")
     return None
 
 
@@ -635,13 +648,14 @@ def _signed_cycle_witness(g, alpha, witness_scale):
 
 def find_counterexample(g, alpha, family="plain", budget=None, seed=0, *,
                         bordered_budget=None, sample_budget=None,
-                        refine_attempts=3, tol_scale=1e-9, witness_scale=1e-6):
+                        tol_scale=1e-9, witness_scale=1e-6):
     """Search for a PSD matrix in the pattern cone whose entrywise power
     fails PSD-ness at the given alpha.
 
     Strategies, in order: the rank-one bordered construction on a largest
-    near-complete subgraph (guided by super-additivity failures), a signed
-    even cycle for the even-power family, and random clique-sum samples.
+    near-complete subgraph (closed-form at non-integer powers, random
+    signed pairs at integer ones), a signed even cycle for the even-power
+    family, and random clique-sum samples.
     Returns the first strictly certified witness, or None once the budgets
     are exhausted (absence of a witness is evidence, not proof).
     """
@@ -659,8 +673,7 @@ def find_counterexample(g, alpha, family="plain", budget=None, seed=0, *,
     n_bordered = bordered_budget if bordered_budget is not None else (budget or 200)
     n_samples = sample_budget if sample_budget is not None else (budget or 500)
     if g.n >= 2:
-        report = _bordered_search(g, alpha, family, n_bordered, rng,
-                                  witness_scale, refine_attempts)
+        report = _bordered_search(g, alpha, family, n_bordered, rng, witness_scale)
         if report is not None:
             return report
     if family == "even":
@@ -707,7 +720,7 @@ def _sample_search(g, alpha, family, n_samples, rng, tol_scale, witness_scale):
 
 
 def estimate_ce_numeric(g, family="plain", grid_step=1 / 16, budget=None, seed=0, *,
-                        refine_attempts=3, witness_scale=1e-6):
+                        witness_scale=1e-6):
     """Bracket the critical exponent by scanning non-integer powers.
 
     Walks a grid over (0, n - 2] top-down; a verified witness at alpha
@@ -738,7 +751,7 @@ def estimate_ce_numeric(g, family="plain", grid_step=1 / 16, budget=None, seed=0
         report = find_counterexample(
             g, a, family, seed=rng,
             bordered_budget=point_budget, sample_budget=point_budget,
-            refine_attempts=refine_attempts, witness_scale=witness_scale)
+            witness_scale=witness_scale)
         if report is not None:
             upper = prev_above if prev_above is not None else hi
             return a, upper
@@ -784,3 +797,12 @@ def conjecture_scan(graphs, family="plain", *, grid_step=1 / 16, budget=None, se
                     "family": family},
         "records": records,
     }
+
+
+def __getattr__(name):
+    # perfbench/spans.py patches `exponents.minimize` by name; the benchmark
+    # follow-up (ROADMAP item 1) deletes this hook with that patch
+    if name == "minimize":
+        from scipy.optimize import minimize
+        return minimize
+    raise AttributeError(f"module {__name__!r} has no attribute {name!r}")

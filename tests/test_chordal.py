@@ -285,6 +285,34 @@ def test_decompose_output_passes_checker():
         assert d.vertices() == frozenset(g.vertices)
 
 
+@settings(max_examples=200, deadline=None)
+@given(st.integers(1, 30), st.integers(0, 10), st.integers(0, 2**16), st.randoms())
+def test_decompose_matches_the_perfect_ordering_split(n, density, seed, rnd):
+    # relabelled, so the clique order differs from the build order
+    part = random_chordal(n, density=density / 10, seed=seed)
+    perm = list(range(1, n + 1))
+    rnd.shuffle(perm)
+    g = Graph.from_edges(n, [(perm[a - 1], perm[b - 1]) for a, b in part.edges])
+    d = decompose(g)
+    ordering = perfect_ordering(g)
+    k = len(ordering.cliques)
+    if k == 1:
+        assert d is None
+        return
+    sep = ordering.separators[k - 1]
+    assert d == Decomposition(side_a=ordering.histories[k - 2] - sep, separator=sep,
+                              side_b=ordering.residuals[k - 1])
+    assert check_decomposition(g, d)
+
+
+def test_decompose_is_linear_on_a_large_chordal_graph():
+    g = random_chordal(20000, seed=0)
+    t0 = time.perf_counter()
+    d = decompose(g)
+    assert time.perf_counter() - t0 < 1.0
+    assert d.vertices() == frozenset(g.vertices)
+
+
 def test_check_decomposition_examples():
     p3 = path(3)
     ok = Decomposition(frozenset({1}), frozenset({2}), frozenset({3}))

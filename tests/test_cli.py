@@ -98,6 +98,32 @@ def test_witness_roundtrip(capsys, tmp_path):
     assert code == 0 and "verified" in out
 
 
+@pytest.mark.parametrize("argv, route", [
+    (["--family", "complete", "--n", "4", "--alpha", "1.5"], "certificate: float)"),
+    (["--family", "near-complete", "--n", "9", "--alpha", "6.5"],
+     "certificate: interval, 55 digits)"),
+])
+def test_witness_line_names_the_certificate_route(capsys, tmp_path, argv, route):
+    out_file = tmp_path / "w.json"
+    code, out, _ = run(capsys, ["witness", *argv, "--seed", "1", "-o", str(out_file)])
+    assert code == 0 and out.rstrip().endswith(route)
+    code, out, _ = run(capsys, ["witness", "--verify", str(out_file)])
+    assert code == 0 and "verified" in out
+
+
+@pytest.mark.parametrize("field, value", [("test_vector", 5), ("test_vector", [0.5]),
+                                          ("factor", "x"), ("digits", None)])
+def test_witness_malformed_certificate_is_a_load_error(capsys, tmp_path, field, value):
+    out_file = tmp_path / "w.json"
+    run(capsys, ["witness", "--family", "near-complete", "--n", "7", "--alpha", "4.5",
+                 "--seed", "1", "-o", str(out_file)])
+    data = json.loads(out_file.read_text())
+    data["certificate"][field] = value
+    out_file.write_text(json.dumps(data))
+    code, _, err = run(capsys, ["witness", "--verify", str(out_file)])
+    assert code == 2 and "cannot load witness report" in err
+
+
 def test_witness_tampered_report_fails(capsys, tmp_path):
     out_file = tmp_path / "w.json"
     run(capsys, ["witness", "--family", "complete", "--n", "4",

@@ -1,9 +1,15 @@
 """Symbolic power sets, critical exponents, witnesses, and brackets."""
 
 import json
+import os
+import subprocess
+import sys
+from pathlib import Path
 
 import numpy as np
 import pytest
+from hypothesis import assume, given, settings
+from hypothesis import strategies as st
 
 from hadamard_powers.chordal import NotChordalError
 from hadamard_powers.exponents import (
@@ -412,4 +418,98 @@ def test_negative_phase_budgets_are_rejected():
             find_counterexample(g, 1.5, "plain", **{name: -1})
     # zero skips the phase: nothing is drawn, so no witness appears
     assert find_counterexample(g, 1.5, "plain", seed=3, bordered_budget=0,
-                               sample_budget=0, refine_attempts=0) is None
+                               sample_budget=0) is None
+
+
+# --- closed-form bordered witnesses and their certificates ----------------------
+
+FIXTURES = Path(__file__).resolve().parent / "fixtures"
+
+
+@settings(max_examples=60, deadline=None)
+@given(st.integers(1, 10).flatmap(lambda m: st.tuples(
+    st.just(m),
+    st.one_of(st.floats(m - 1, m, exclude_min=True, exclude_max=True),
+              st.sampled_from([m - 1 + 1 / 16, m - 1 / 16, m - 1e-4])),
+    st.sampled_from(["plain", "odd", "even"]),
+    st.booleans())))
+def test_closed_form_witness_verifies(case):
+    m, alpha, family, near = case
+    assume(not float(alpha).is_integer())
+    g = near_complete(m + 3) if near else complete(m + 2)
+    rng = np.random.default_rng(0)
+    state = rng.bit_generator.state
+    w = find_counterexample(g, alpha, family, seed=rng, sample_budget=0)
+    assert w is not None and w.construction == "rank_one_bordered"
+    assert w.image_min_eigenvalue < 0
+    assert rng.bit_generator.state == state  # the closed form draws nothing
+    assert WitnessReport.from_json(json.loads(json.dumps(w.to_json()))).verify()
+
+
+WITNESS_WORKLOAD = [(band(10, 5), (4.5, 4.95)), (band(14, 6), (5.5, 4.75)),
+                    (near_complete(9), (6.5, 5.75))]
+
+
+@pytest.mark.parametrize("family", ["plain", "odd", "even"])
+def test_every_witness_workload_power_is_certified(family):
+    for g, alphas in WITNESS_WORKLOAD:
+        for alpha in alphas:
+            w = find_counterexample(g, alpha, family, seed=1)
+            assert w is not None and w.certificate is not None, (g.n, alpha)
+            assert WitnessReport.from_json(json.loads(json.dumps(w.to_json()))).verify()
+
+
+def _interval_report():
+    w = find_counterexample(near_complete(9), 6.5, "plain", seed=1)
+    assert w.certificate is not None and w.verify()
+    return w.to_json()
+
+
+def _bump_factor(data):
+    data["certificate"]["factor"][1][3] *= 1.001
+
+
+def _unit_test_vector(data):
+    data["certificate"]["test_vector"] = ["1"] * len(data["certificate"]["test_vector"])
+
+
+def _integer_alpha(data):
+    data["alpha"] = 7.0
+
+
+def _unknown_family(data):
+    data["family"] = "absolute"
+
+
+def _bump_matrix_entry(data):
+    rows = data["matrix"]["rows"]
+    rows[2][3] = rows[3][2] = float(np.nextafter(rows[2][3], 2.0))
+
+
+def _too_many_digits(data):
+    data["certificate"]["digits"] = 10**6
+
+
+@pytest.mark.parametrize("tamper", [_bump_factor, _unit_test_vector, _integer_alpha,
+                                    _unknown_family, _bump_matrix_entry,
+                                    _too_many_digits])
+def test_tampered_interval_certificate_fails(tamper):
+    data = _interval_report()
+    tamper(data)
+    assert not WitnessReport.from_json(data).verify()
+
+
+def test_float_route_report_without_certificate_still_verifies():
+    # written before interval certificates existed: no certificate field
+    data = json.loads((FIXTURES / "witness_float_route.json").read_text())
+    assert "certificate" not in data
+    assert WitnessReport.from_json(data).verify()
+
+
+def test_import_does_not_load_scipy():
+    src = str(Path(__file__).resolve().parents[1] / "src")
+    env = dict(os.environ, PYTHONPATH=os.pathsep.join(
+        filter(None, [src, os.environ.get("PYTHONPATH")])))
+    subprocess.run([sys.executable, "-c",
+                    "import hadamard_powers, sys; assert 'scipy' not in sys.modules"],
+                   check=True, env=env)

@@ -90,7 +90,7 @@ def test_sample_phase_matches_one_at_a_time(monkeypatch, g, alpha, family,
         monkeypatch.setattr(cones, "SAMPLE_CHUNK_FLOATS", samples_per_chunk * g.n * g.n)
     rng, rng_ref = np.random.default_rng(3), np.random.default_rng(3)
     report = find_counterexample(g, alpha, family, seed=rng, bordered_budget=0,
-                                 sample_budget=30, refine_attempts=0)
+                                 sample_budget=30)
     expected = _reference_sample_search(g, alpha, family, 30, rng_ref)
     if expected is None:
         assert report is None
