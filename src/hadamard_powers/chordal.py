@@ -129,13 +129,12 @@ class GraphAnalysis:
     """Clique facts of one graph, each computed on first use and kept as
     long as the graph (reached as `g.analysis`): chordality, the MCS order
     and clique tree, the maximal cliques, the clique number, the
-    near-complete order r, and the bordered search's realization per clique
-    size. Nothing is kept per vertex pair.
+    largest near-complete subgraph with its certificate. Nothing is kept
+    per vertex pair.
     """
 
     def __init__(self, g):
         self.graph = g
-        self._realizations = {}
 
     @cached_property
     def _search(self):
@@ -211,55 +210,36 @@ class GraphAnalysis:
         return max((len(c) for c in self.maximal_cliques), default=0)
 
     @cached_property
-    def near_complete_order(self):
-        """Largest r such that some r vertices span at least C(r,2) - 1 edges.
+    def near_complete(self):
+        """(r, v1, S, v2): r is the largest number of vertices spanning at
+        least C(r,2) - 1 edges, and the certificate has S an (r-2)-clique and
+        v1 != v2 outside S, joined to all of S (the v1-v2 edge is irrelevant:
+        the bordered witness puts a zero there either way).
 
-        r = max(clique number, 2 + largest clique in the common neighborhood
-        of a non-adjacent pair): a near-complete subgraph on r vertices is an
-        r-clique or two non-adjacent vertices joined to a common
-        (r-2)-clique. A largest clique inside a vertex set is a largest
-        intersection of the set with a maximal clique.
+        The certificate splits the first largest maximal clique, unless a
+        non-adjacent pair does better: then it is the first such pair in
+        label order reaching the best r, with S the first largest clique in
+        its common neighborhood (a largest intersection of it with a maximal
+        clique). Any m-subset of S certifies m + 2 the same way.
         """
-        if self.graph.n < 2:
-            raise ValueError(f"need at least 2 vertices, got {self.graph.n}")
-        best = max(2, self.clique_number)
-        for _, _, common in self._open_pairs():
-            if len(common) + 2 > best:
-                best = max(best, 2 + max(len(c & common) for c in self.maximal_cliques))
+        g = self.graph
+        if g.n < 2:
+            raise ValueError(f"need at least 2 vertices, got {g.n}")
+        verts = sorted(max(self.maximal_cliques, key=len))
+        if len(verts) < 2:
+            verts = [1, 2]
+        best = (len(verts), verts[0], tuple(verts[1:-1]), verts[-1])
+        for v1, v2, common in self._open_pairs():
+            if len(common) + 2 > best[0]:
+                s = max((c & common for c in self.maximal_cliques), key=len)
+                if len(s) + 2 > best[0]:
+                    best = (len(s) + 2, v1, tuple(sorted(s)), v2)
         return best
 
-    def realization(self, m):
-        """Vertices (v1, S, v2) with S an m-clique and v1, v2 joined to all of S.
-
-        Together they span a near-complete subgraph on m + 2 vertices (the
-        v1-v2 edge is irrelevant: the witness puts a zero there either way).
-        Takes the first non-adjacent pair in label order whose common
-        neighborhood holds an m-clique, with S the first m vertices of the
-        first such clique in sorted order; else splits a maximal clique of
-        size >= m + 2. None when no such subgraph exists.
-        """
-        if m < 1:
-            raise ValueError(f"need m >= 1, got {m}")
-        if m not in self._realizations:
-            self._realizations[m] = self._find_realization(m)
-        return self._realizations[m]
-
-    def _find_realization(self, m):
-        for v1, v2, common in self._open_pairs():
-            if len(common) < m:
-                continue
-            # the maximal cliques of G[common] are among these intersections;
-            # any other one sorts after the maximal clique extending it, or
-            # is a prefix of it and so shares its first m vertices
-            inside = [sorted(c & common) for c in self.maximal_cliques]
-            inside = [c for c in inside if len(c) >= m]
-            if inside:
-                return v1, tuple(min(inside)[:m]), v2
-        for clique in self.maximal_cliques:
-            if len(clique) >= m + 2:
-                verts = sorted(clique)
-                return verts[0], tuple(verts[1:m + 1]), verts[m + 1]
-        return None
+    @property
+    def near_complete_order(self):
+        """r, the order of near_complete."""
+        return self.near_complete[0]
 
     def _open_pairs(self):
         """Non-adjacent pairs (u, v), u < v, with a common neighbor, in label

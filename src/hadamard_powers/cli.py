@@ -5,8 +5,9 @@ Subcommands: ce (critical exponent), hset (symbolic power set), witness
 power grid), families (closed-form table for the named chordal families),
 and scan (CE = r - 2 consistency over a stream of edge lists).
 
-Exit codes: 0 success, 1 not-found / mismatch / flags, 2 usage or domain
-errors. With a fixed --seed the JSON output is byte-identical across runs.
+Exit codes: 0 success, 1 not-found / mismatch / flags / scan records with
+errors, 2 usage or domain errors. With a fixed --seed the JSON output is
+byte-identical across runs.
 """
 
 from __future__ import annotations
@@ -22,7 +23,7 @@ import numpy as np
 
 from . import graphs
 from .chordal import NotChordalError, is_chordal
-from .cones import _clique_sample_stack, _eig_range, _samples_per_chunk, entrywise_power
+from .cones import sample_spectra
 from .exponents import (
     WitnessReport,
     conjecture_scan,
@@ -112,6 +113,8 @@ def _resolve_config(args):
     wit = args.witness_scale
     if tol <= 0 or wit <= 0:
         raise CliError("tolerances must be positive")
+    if args.budget is not None and args.budget < 1:
+        raise CliError("--budget must be >= 1")
     return RunConfig(seed=seed, tol_scale=tol, witness_scale=wit,
                      budget=args.budget, output_format=args.output_format)
 
@@ -249,22 +252,17 @@ def _cmd_verify(args):
         raise CliError(f"--samples must be >= 1, got {args.samples}")
     expected = expected_hset(g, args.powers) if g.n >= 2 else None
     rng = np.random.default_rng(cfg.seed)
-    step = _samples_per_chunk(g.n)
     rows = []
     violation = False
     for alpha in alphas:
+        if not np.isfinite(alpha):
+            raise CliError(f"power must be finite, got {alpha}")
         worst = np.inf
         preserved = True
-        for first in range(0, args.samples, step):
-            stack = _clique_sample_stack(g, [1] * min(step, args.samples - first), rng,
-                                         nonnegative=(args.powers == "plain"))
-            images = entrywise_power(stack, alpha, args.powers)
-            if not np.isfinite(images).all():
-                raise ValueError("matrix has non-finite entries")
-            lam, spectral = _eig_range(images)
+        for *_, lam, tol in sample_spectra(g, [1] * args.samples, alpha, args.powers, rng,
+                                           cfg.tol_scale):
             worst = min(worst, float(lam.min()))
-            preserved = preserved and bool(
-                (lam >= -cfg.tol_scale * np.maximum(1.0, spectral)).all())
+            preserved = preserved and bool((lam >= -tol).all())
         row = {"alpha": alpha, "samples": args.samples,
                "worst_min_eigenvalue": worst, "all_images_psd": preserved}
         if expected is not None:
@@ -361,7 +359,8 @@ def _cmd_scan(args):
     for rec in report["records"]:
         print(_json_dump(rec))
     print(_json_dump({"summary": report["summary"]}))
-    return 1 if report["summary"]["flagged"] else 0
+    summary = report["summary"]
+    return 1 if summary["flagged"] or summary["errors"] else 0
 
 
 def build_parser():

@@ -71,12 +71,14 @@ class PsdVerdict:
     tolerance_used: float
 
 
-def _eig_range(m):
-    """Least eigenvalue and spectral radius of a symmetric matrix, or of
-    each matrix of a stack (one batched eigensolve)."""
+def _least_eig(m, scale):
+    """Least eigenvalue of a symmetric matrix, or of each matrix of a stack
+    (one batched eigensolve), and the relative tolerance
+    scale * max(1, spectral radius) it is judged by."""
     eigs = np.linalg.eigvalsh(m)
     lam_min = eigs[..., 0]
-    return lam_min, np.maximum(np.abs(lam_min), np.abs(eigs[..., -1]))
+    spectral = np.maximum(np.abs(lam_min), np.abs(eigs[..., -1]))
+    return lam_min, scale * np.maximum(1.0, spectral)
 
 
 def is_psd(m, tol_scale=1e-9):
@@ -88,8 +90,7 @@ def is_psd(m, tol_scale=1e-9):
     if tol_scale <= 0:
         raise ValueError(f"tol_scale must be positive, got {tol_scale}")
     m = as_symmetric(m)
-    lam_min, spectral = map(float, _eig_range(m))
-    tol = tol_scale * max(1.0, spectral)
+    lam_min, tol = map(float, _least_eig(m, tol_scale))
     return PsdVerdict(is_psd=lam_min >= -tol, min_eigenvalue=lam_min, tolerance_used=tol)
 
 
@@ -101,10 +102,8 @@ def certify_not_psd(m, threshold_scale=1e-6):
     never promoted to a counterexample.
     """
     m = as_symmetric(m)
-    lam_min, spectral = map(float, _eig_range(m))
-    if lam_min < -threshold_scale * max(1.0, spectral):
-        return lam_min
-    return None
+    lam_min, tol = map(float, _least_eig(m, threshold_scale))
+    return lam_min if lam_min < -tol else None
 
 
 def conforms_to_pattern(m, g):
@@ -147,8 +146,29 @@ def random_psd_for_graph(g, rank_per_clique=1, seed=None, *, eps_diag=0.0,
 SAMPLE_CHUNK_FLOATS = 1 << 16
 
 
-def _samples_per_chunk(n):
-    return max(1, SAMPLE_CHUNK_FLOATS // max(1, n * n))
+def sample_spectra(g, ranks, alpha, family, rng, scale):
+    """The sample loop every sampling search reads: clique-sum samples of
+    the given ranks (nonnegative for the plain family), drawn a stack of
+    at most SAMPLE_CHUNK_FLOATS floats at a time, their power images, and
+    one stacked eigensolve per stack.
+
+    Yields (first, state, samples, least, tol) per stack: the index in
+    ranks of its first sample, the generator state before its draw, the
+    samples, and the least image eigenvalue of each with its relative
+    tolerance scale * max(1, spectral radius). A non-finite image ends the
+    stack before it, and the loop raises ValueError once that stack is read.
+    """
+    step = max(1, SAMPLE_CHUNK_FLOATS // max(1, g.n * g.n))
+    for first in range(0, len(ranks), step):
+        chunk = ranks[first:first + step]
+        state = rng.bit_generator.state
+        stack = _clique_sample_stack(g, chunk, rng, family == "plain")
+        images = _power(stack, alpha, family)
+        finite = np.isfinite(images).all(axis=(1, 2))
+        stop = len(chunk) if finite.all() else int(np.argmin(finite))
+        yield (first, state, stack, *_least_eig(images[:stop], scale))
+        if stop < len(chunk):
+            raise ValueError("matrix has non-finite entries")
 
 
 def _clique_sample_stack(g, ranks, rng, nonnegative):

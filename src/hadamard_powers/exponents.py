@@ -24,9 +24,7 @@ from .cones import (
     FAMILIES,
     _check_family,
     _clique_sample_stack,
-    _eig_range,
     _power,
-    _samples_per_chunk,
     as_symmetric,
     bordered_factor,
     certify_not_psd,
@@ -36,6 +34,7 @@ from .cones import (
     is_psd,
     matrix_from_json,
     matrix_to_json,
+    sample_spectra,
 )
 from .graphs import (
     Graph,
@@ -462,9 +461,10 @@ class WitnessReport:
         )
 
 
-def _embed_bordered(g, realization, u, v):
-    """Factor of the PSD rank-two witness on the near-complete subgraph."""
-    v1, s, v2 = realization
+def _embed_bordered(g, support, u, v):
+    """Factor of the PSD rank-two witness on the near-complete subgraph
+    support = (v1, S, v2)."""
+    v1, s, v2 = support
     return bordered_factor(u, v, g.n, [v1 - 1, *(x - 1 for x in s), v2 - 1])
 
 
@@ -496,7 +496,7 @@ def _interval_certificate(factor, alpha, digits):
     return None
 
 
-def _closed_form_witness(g, alpha, family, realization, witness_scale):
+def _closed_form_witness(g, alpha, family, support, witness_scale):
     """Bordered witness at a non-integer alpha with u = 1 and
     v = BORDER_SCALE * linspace(1, 2, m), m = |S| = floor(alpha) + 1.
 
@@ -510,8 +510,8 @@ def _closed_form_witness(g, alpha, family, realization, witness_scale):
     The float eigenvalue proves the failure when it clears the witness
     threshold; otherwise an IntervalCertificate does.
     """
-    m = len(realization[1])
-    factor = _embed_bordered(g, realization, np.ones(m),
+    m = len(support[1])
+    factor = _embed_bordered(g, support, np.ones(m),
                              BORDER_SCALE * np.linspace(1.0, 2.0, m))
     matrix = factor_gram(factor)
     with np.errstate(over="ignore"):
@@ -529,13 +529,14 @@ def _closed_form_witness(g, alpha, family, realization, witness_scale):
 
 
 def _bordered_search(g, alpha, family, budget, rng, witness_scale):
-    """Rank-one bordered strategy on a largest near-complete subgraph: the
-    closed-form pair at non-integer powers, random signed pairs whose
-    super-additivity defect fails on the separator clique at integer
-    powers off the family's lattice."""
-    r = max_near_complete_order_fast(g)
+    """Rank-one bordered strategy on (v1, S[:m], v2), S the clique of the
+    largest near-complete subgraph's certificate: the closed-form pair at
+    non-integer powers, random signed pairs whose super-additivity defect
+    fails on the separator clique at integer powers off the family's
+    lattice."""
+    r, v1, s, v2 = g.analysis.near_complete
     s_max = r - 2
-    if s_max < 1 or budget == 0:
+    if s_max < 1:
         return None
     is_integer = float(alpha).is_integer() and alpha >= 1
     if is_integer:
@@ -548,16 +549,14 @@ def _bordered_search(g, alpha, family, budget, rng, witness_scale):
         if alpha >= s_max:
             return None
         m = max(1, int(math.floor(alpha)) + 1)
-    realization = g.analysis.realization(m)
-    if realization is None:
-        return None
+    support = (v1, s[:m], v2)
     if not is_integer:
-        return _closed_form_witness(g, alpha, family, realization, witness_scale)
+        return _closed_form_witness(g, alpha, family, support, witness_scale)
     for _ in range(budget):
         u = rng.standard_normal(m)
         v = rng.standard_normal(m)
         if _small_bordered_image_fails(u, v, alpha, family, witness_scale):
-            matrix = factor_gram(_embed_bordered(g, realization, u, v))
+            matrix = factor_gram(_embed_bordered(g, support, u, v))
             lam = certify_not_psd(entrywise_power(matrix, alpha, family), witness_scale)
             if lam is not None:
                 return WitnessReport(graph=g, alpha=alpha, family=family, matrix=matrix,
@@ -647,7 +646,6 @@ def _signed_cycle_witness(g, alpha, witness_scale):
 
 
 def find_counterexample(g, alpha, family="plain", budget=None, seed=0, *,
-                        bordered_budget=None, sample_budget=None,
                         tol_scale=1e-9, witness_scale=1e-6):
     """Search for a PSD matrix in the pattern cone whose entrywise power
     fails PSD-ness at the given alpha.
@@ -655,9 +653,10 @@ def find_counterexample(g, alpha, family="plain", budget=None, seed=0, *,
     Strategies, in order: the rank-one bordered construction on a largest
     near-complete subgraph (closed-form at non-integer powers, random
     signed pairs at integer ones), a signed even cycle for the even-power
-    family, and random clique-sum samples.
-    Returns the first strictly certified witness, or None once the budgets
-    are exhausted (absence of a witness is evidence, not proof).
+    family, and random clique-sum samples. `budget` (>= 1) caps both the
+    signed-pair draws and the samples; None means 200 draws and 500
+    samples. Returns the first strictly certified witness, or None once the
+    budget is exhausted (absence of a witness is evidence, not proof).
     """
     _check_family(family)
     if not np.isfinite(alpha):
@@ -666,21 +665,16 @@ def find_counterexample(g, alpha, family="plain", budget=None, seed=0, *,
         raise ValueError("graph must have at least one vertex")
     if budget is not None and budget < 1:
         raise ValueError(f"budget must be >= 1, got {budget}")
-    for name, value in (("bordered_budget", bordered_budget), ("sample_budget", sample_budget)):
-        if value is not None and value < 0:
-            raise ValueError(f"{name} must be >= 0, got {value}")
     rng = np.random.default_rng(seed)
-    n_bordered = bordered_budget if bordered_budget is not None else (budget or 200)
-    n_samples = sample_budget if sample_budget is not None else (budget or 500)
     if g.n >= 2:
-        report = _bordered_search(g, alpha, family, n_bordered, rng, witness_scale)
+        report = _bordered_search(g, alpha, family, budget or 200, rng, witness_scale)
         if report is not None:
             return report
     if family == "even":
         report = _signed_cycle_witness(g, alpha, witness_scale)
         if report is not None:
             return report
-    return _sample_search(g, alpha, family, n_samples, rng, tol_scale, witness_scale)
+    return _sample_search(g, alpha, family, budget or 500, rng, tol_scale, witness_scale)
 
 
 def _sample_search(g, alpha, family, n_samples, rng, tol_scale, witness_scale):
@@ -691,27 +685,16 @@ def _sample_search(g, alpha, family, n_samples, rng, tol_scale, witness_scale):
     at a time up to that one would leave it.
     """
     ranks = [2 if k % 5 == 4 else 1 for k in range(n_samples)]
-    nonnegative = family == "plain"
-    step = _samples_per_chunk(g.n)
-    for first in range(0, n_samples, step):
-        chunk = ranks[first:first + step]
-        state = rng.bit_generator.state
-        stack = _clique_sample_stack(g, chunk, rng, nonnegative)
-        images = _power(stack, alpha, family)
-        # a non-finite image stops the search there, as certifying it would
-        finite = np.isfinite(images).all(axis=(1, 2))
-        stop = len(chunk) if finite.all() else int(np.argmin(finite))
-        lam, spectral = _eig_range(images[:stop])
-        for b in np.flatnonzero(lam < -witness_scale * np.maximum(1.0, spectral)):
+    for first, state, stack, lam, tol in sample_spectra(g, ranks, alpha, family, rng,
+                                                        witness_scale):
+        for b in np.flatnonzero(lam < -tol):
             matrix = stack[b].copy()
             if is_psd(matrix, tol_scale).is_psd:
                 rng.bit_generator.state = state
-                _clique_sample_stack(g, chunk[:b + 1], rng, nonnegative)
+                _clique_sample_stack(g, ranks[first:first + b + 1], rng, family == "plain")
                 return WitnessReport(graph=g, alpha=alpha, family=family, matrix=matrix,
                                      image_min_eigenvalue=float(lam[b]),
                                      construction="random_sample")
-        if stop < len(chunk):
-            raise ValueError("matrix has non-finite entries")
     return None
 
 
@@ -748,10 +731,8 @@ def estimate_ce_numeric(g, family="plain", grid_step=1 / 16, budget=None, seed=0
     point_budget = budget if budget is not None else 120
     prev_above = None
     for a in reversed(grid):
-        report = find_counterexample(
-            g, a, family, seed=rng,
-            bordered_budget=point_budget, sample_budget=point_budget,
-            witness_scale=witness_scale)
+        report = find_counterexample(g, a, family, point_budget, seed=rng,
+                                     witness_scale=witness_scale)
         if report is not None:
             upper = prev_above if prev_above is not None else hi
             return a, upper

@@ -176,29 +176,27 @@ def test_analysis_matches_brute_force(n_edges):
     g = Graph.from_edges(n, edges)
     a = g.analysis
     assert list(a.maximal_cliques) == brute_force_maximal_cliques(g)
-    r = a.near_complete_order
-    assert r == max_near_complete_order(g)
-    for m in range(1, r - 1):
-        v1, s, v2 = a.realization(m)
-        assert len(s) == m and v1 not in s and v2 not in s and v1 != v2
-        assert all(g.has_edge(x, y) for x, y in itertools.combinations(s, 2))
-        assert all(g.has_edge(v, x) for v in (v1, v2) for x in s)
+    r, v1, s, v2 = a.near_complete
+    assert r == a.near_complete_order == max_near_complete_order(g)
+    # the certificate is a near-complete subgraph on exactly r vertices
+    assert len({v1, v2, *s}) == len(s) + 2 == r
+    assert {v1, v2, *s} <= set(g.vertices)
+    assert all(g.has_edge(x, y) for x, y in itertools.combinations(s, 2))
+    assert all(g.has_edge(v, x) for v in (v1, v2) for x in s)
 
 
-def test_realization_choice_is_stable():
+def test_near_complete_certificate_is_stable():
     # seeded witness reports embed into these vertices, so the choice is
-    # part of the output: first qualifying pair, first clique, else a split
+    # part of the output: the first open pair reaching the best r, with the
+    # first largest clique of its common neighborhood, else a split clique
     expected = {
-        random_graph(10, 0.6, seed=7): [(1, (5,), 2), (1, (5, 6), 2), (1, (5, 6, 8), 2),
-                                        (4, (2, 5, 6, 7), 8)],
-        random_graph(11, 0.4, seed=5): [(1, (9,), 2), (1, (7, 10), 11), (6, (1, 5, 10), 7)],
-        random_graph(12, 0.7, seed=11): [(1, (3,), 7), (1, (3, 4), 7), (1, (3, 4, 5), 7),
-                                         (1, (3, 4, 5, 9), 7), (1, (3, 4, 6, 9, 12), 7)],
-        complete(5): [(1, (2,), 3), (1, (2, 3), 4), (1, (2, 3, 4), 5), None],
+        random_graph(10, 0.6, seed=7): (6, 2, (5, 6, 7, 8), 9),
+        random_graph(11, 0.4, seed=5): (5, 1, (5, 6, 9), 10),
+        random_graph(12, 0.7, seed=11): (7, 1, (3, 4, 6, 9, 12), 7),
+        complete(5): (5, 1, (2, 3, 4), 5),
     }
-    for g, realizations in expected.items():
-        assert [g.analysis.realization(m)
-                for m in range(1, len(realizations) + 1)] == realizations
+    for g, certificate in expected.items():
+        assert g.analysis.near_complete == certificate
 
 
 def test_clique_number():

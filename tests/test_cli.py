@@ -1,12 +1,15 @@
 """Command line surface: flags, exit codes, determinism, and wire formats."""
 
 import json
+from pathlib import Path
 
 import pytest
 
 from hadamard_powers.cli import SEED_ENV_VAR, main
 from hadamard_powers.exponents import WitnessReport
 from hadamard_powers.graphs import cycle, to_edge_list
+
+FIXTURES = Path(__file__).resolve().parent / "fixtures"
 
 
 @pytest.fixture()
@@ -52,6 +55,30 @@ def test_ce_json_is_deterministic(capsys):
     data = json.loads(out1)
     assert data["method"] == "heuristic"
     assert data["bracket_lower"] <= 1.0 <= data["bracket_upper"]
+
+
+# `ce --format json` records of an earlier version of the search. Brackets are
+# grid values, so they do not depend on the BLAS build; a change to a budget
+# or an RNG stream that moves them shows here.
+@pytest.mark.parametrize("case", json.loads((FIXTURES / "ce_brackets.json").read_text()),
+                         ids=lambda case: " ".join(case["argv"][1:-2]))
+def test_ce_brackets_are_pinned(capsys, case):
+    code, out, _ = run(capsys, case["argv"])
+    assert code == 0
+    assert json.loads(out) == case["output"]
+
+
+@pytest.mark.parametrize("command", [["ce", "--family", "cycle", "--n", "6"], ["scan"]],
+                         ids=["ce", "scan"])
+@pytest.mark.parametrize("budget", ["0", "-3"])
+def test_budget_below_one_exits_two(capsys, tmp_path, command, budget):
+    if command == ["scan"]:
+        stream = tmp_path / "c5.edges"
+        stream.write_text("1 2\n2 3\n3 4\n4 5\n1 5\n")
+        command = ["scan", str(stream)]
+    code, out, err = run(capsys, command + ["--budget", budget, "--seed", "1"])
+    assert code == 2 and out == ""
+    assert "--budget must be >= 1" in err
 
 
 def test_hset_complete_odd(capsys):
@@ -191,6 +218,18 @@ def test_scan_rejects_bad_grid_step(capsys, tmp_path, step):
     code, out, err = run(capsys, ["scan", str(stream), "--grid-step", step, "--seed", "1"])
     assert code == 2 and out == ""
     assert "--grid-step must be positive and finite" in err
+
+
+def test_scan_record_error_exits_one(capsys, tmp_path):
+    # a one-vertex graph has no critical exponent; the scan records the
+    # error, goes on to the path, and exits 1
+    stream = tmp_path / "graphs.txt"
+    stream.write_text("n 1\n\n1 2\n2 3\n")
+    code, out, _ = run(capsys, ["scan", str(stream), "--seed", "2", "--budget", "20"])
+    lines = [json.loads(line) for line in out.strip().splitlines()]
+    assert code == 1
+    assert "error" in lines[0] and not lines[1]["flagged"]
+    assert lines[-1]["summary"]["errors"] == 1 and lines[-1]["summary"]["flagged"] == 0
 
 
 def test_scan_empty_stream(capsys, tmp_path):

@@ -15,6 +15,7 @@ from hadamard_powers.chordal import NotChordalError
 from hadamard_powers.exponents import (
     HSet,
     WitnessReport,
+    _bordered_search,
     bipartition,
     conjecture_scan,
     critical_exponent_clique_formula,
@@ -267,10 +268,8 @@ def test_witness_found_below_threshold():
 
 
 def test_no_witness_at_positive_integers():
-    assert find_counterexample(complete(3), 2.0, "plain", seed=1,
-                               sample_budget=80) is None
-    assert find_counterexample(complete(4), 1.0, "odd", seed=1,
-                               sample_budget=80) is None
+    assert find_counterexample(complete(3), 2.0, "plain", budget=80, seed=1) is None
+    assert find_counterexample(complete(4), 1.0, "odd", budget=80, seed=1) is None
 
 
 def test_witness_on_cycle_plain():
@@ -285,8 +284,7 @@ def test_witness_even_family_uses_signed_cycle():
     w6 = find_counterexample(cycle(6), 1.0, "even", seed=1)
     assert w6 is not None and w6.construction == "signed_cycle" and w6.verify()
     # odd cycles have no signed-cycle witness at power 1
-    assert find_counterexample(cycle(5), 1.0, "even", seed=1,
-                               bordered_budget=40, sample_budget=40) is None
+    assert find_counterexample(cycle(5), 1.0, "even", budget=40, seed=1) is None
 
 
 def test_witness_report_roundtrips_and_reverifies():
@@ -322,10 +320,12 @@ def test_witness_respects_pattern_and_psdness():
         assert is_psd(w.matrix).is_psd
 
 
-def test_witness_hard_continuation_case():
-    # needs the guided walk: five-clique separator just below its boundary
+def test_witness_interval_certified_closed_form_case():
+    # five-clique separator just below its boundary: the float eigenvalue of
+    # the closed form does not clear the threshold, the interval bound does
     w = find_counterexample(complete(7), 4.9375, "plain", seed=0)
-    assert w is not None and w.construction == "rank_one_bordered" and w.verify()
+    assert w is not None and w.construction == "rank_one_bordered"
+    assert w.certificate is not None and w.verify()
 
 
 def test_witness_at_mismatched_parity_integers():
@@ -411,14 +411,13 @@ def test_conjecture_scan_on_petersen_graph():
     assert not rec["flagged"]
 
 
-def test_negative_phase_budgets_are_rejected():
-    g = complete(4)
-    for name in ("bordered_budget", "sample_budget"):
-        with pytest.raises(ValueError, match=f"{name} must be >= 0, got -1"):
-            find_counterexample(g, 1.5, "plain", **{name: -1})
-    # zero skips the phase: nothing is drawn, so no witness appears
-    assert find_counterexample(g, 1.5, "plain", seed=3, bordered_budget=0,
-                               sample_budget=0) is None
+def test_budget_below_one_is_rejected():
+    # a search with nothing to draw would report a vacuous miss
+    for budget in (0, -3):
+        with pytest.raises(ValueError, match=f"budget must be >= 1, got {budget}"):
+            find_counterexample(complete(4), 1.5, "plain", budget=budget)
+        with pytest.raises(ValueError, match=f"budget must be >= 1, got {budget}"):
+            estimate_ce_numeric(cycle(6), budget=budget)
 
 
 # --- closed-form bordered witnesses and their certificates ----------------------
@@ -439,7 +438,7 @@ def test_closed_form_witness_verifies(case):
     g = near_complete(m + 3) if near else complete(m + 2)
     rng = np.random.default_rng(0)
     state = rng.bit_generator.state
-    w = find_counterexample(g, alpha, family, seed=rng, sample_budget=0)
+    w = _bordered_search(g, alpha, family, 1, rng, 1e-6)
     assert w is not None and w.construction == "rank_one_bordered"
     assert w.image_min_eigenvalue < 0
     assert rng.bit_generator.state == state  # the closed form draws nothing

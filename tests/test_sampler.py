@@ -1,9 +1,9 @@
 """The batched clique-sum sampler against its one-sample-at-a-time definition.
 
-Every reader of `cones._clique_sample_stack` (single samples, the sample
-phase of the witness search, the `verify` command) must give, bit for bit,
-what drawing one sample at a time would, and leave the generator in the
-same state.
+Every reader of `cones._clique_sample_stack` (single samples, and through
+`cones.sample_spectra` the sample phase of the witness search and the
+`verify` command) must give, bit for bit, what drawing one sample at a
+time would, and leave the generator in the same state.
 """
 
 import itertools
@@ -23,7 +23,7 @@ from hadamard_powers.cones import (
     is_psd,
     random_psd_for_graph,
 )
-from hadamard_powers.exponents import find_counterexample
+from hadamard_powers.exponents import _sample_search, find_counterexample
 from hadamard_powers.graphs import Graph, complete, cycle
 
 
@@ -89,8 +89,7 @@ def test_sample_phase_matches_one_at_a_time(monkeypatch, g, alpha, family,
         # small chunks put the first hit of the K4 case in the third chunk
         monkeypatch.setattr(cones, "SAMPLE_CHUNK_FLOATS", samples_per_chunk * g.n * g.n)
     rng, rng_ref = np.random.default_rng(3), np.random.default_rng(3)
-    report = find_counterexample(g, alpha, family, seed=rng, bordered_budget=0,
-                                 sample_budget=30)
+    report = _sample_search(g, alpha, family, 30, rng, 1e-9, 1e-6)
     expected = _reference_sample_search(g, alpha, family, 30, rng_ref)
     if expected is None:
         assert report is None
@@ -110,7 +109,7 @@ def test_sample_phase_stops_at_a_non_finite_image():
         _reference_sample_search(complete(3), 2000.5, "plain", 20,
                                  np.random.default_rng(0))
     with pytest.raises(ValueError, match="non-finite"):
-        find_counterexample(complete(3), 2000.5, "plain", seed=0, sample_budget=20)
+        find_counterexample(complete(3), 2000.5, "plain", budget=20, seed=0)
 
 
 def test_verify_rows_match_one_sample_at_a_time(capsys):
