@@ -241,6 +241,30 @@ class GraphAnalysis:
         """r, the order of near_complete."""
         return self.near_complete[0]
 
+    @cached_property
+    def even_cycle(self):
+        """A shortest even cycle as an ordered vertex list, or None.
+
+        4-cycles come from common-neighborhood pairs; longer even lengths,
+        up to 12, from bounded depth-first search (the cycle need not be
+        induced).
+        """
+        g = self.graph
+        best4 = None
+        for a, b in itertools.combinations(g.vertices, 2):
+            common = sorted(g.neighbors(a) & g.neighbors(b))
+            if len(common) >= 2:
+                cand = [a, common[0], b, common[1]]
+                if best4 is None or cand < best4:
+                    best4 = cand
+        if best4 is not None:
+            return best4
+        for length in range(6, 13, 2):
+            cyc = _simple_cycle_of_length(g, length)
+            if cyc is not None:
+                return cyc
+        return None
+
     def _open_pairs(self):
         """Non-adjacent pairs (u, v), u < v, with a common neighbor, in label
         order, each with its common neighborhood."""
@@ -277,6 +301,25 @@ def _bron_kerbosch(g):
             p = p - {v}
             x = x | {v}
     return tuple(sorted(cliques, key=sorted))
+
+
+def _simple_cycle_of_length(g, length, step_cap=500_000):
+    steps = 0
+    for start in g.vertices:
+        stack = [(start, [start])]
+        while stack:
+            steps += 1
+            if steps > step_cap:
+                return None
+            v, path_ = stack.pop()
+            if len(path_) == length:
+                if start in g.neighbors(v):
+                    return path_
+                continue
+            for u in sorted(g.neighbors(v), reverse=True):
+                if u > start and u not in path_:
+                    stack.append((u, path_ + [u]))
+    return None
 
 
 # ---------------------------------------------------------------------------

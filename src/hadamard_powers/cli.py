@@ -23,7 +23,7 @@ import numpy as np
 
 from . import graphs
 from .chordal import NotChordalError, is_chordal
-from .cones import sample_spectra
+from .cones import least_eigenvalue, sample_spectra
 from .exponents import (
     WitnessReport,
     conjecture_scan,
@@ -259,9 +259,9 @@ def _cmd_verify(args):
             raise CliError(f"power must be finite, got {alpha}")
         worst = np.inf
         preserved = True
-        for *_, lam, tol in sample_spectra(g, [1] * args.samples, alpha, args.powers, rng,
-                                           cfg.tol_scale):
-            worst = min(worst, float(lam.min()))
+        for *_, images in sample_spectra(g, [1] * args.samples, alpha, args.powers, rng):
+            lam, tol = least_eigenvalue(images, cfg.tol_scale)
+            worst = min(worst, float(lam.min(initial=np.inf)))
             preserved = preserved and bool((lam >= -tol).all())
         row = {"alpha": alpha, "samples": args.samples,
                "worst_min_eigenvalue": worst, "all_images_psd": preserved}

@@ -71,7 +71,7 @@ class PsdVerdict:
     tolerance_used: float
 
 
-def _least_eig(m, scale):
+def least_eigenvalue(m, scale):
     """Least eigenvalue of a symmetric matrix, or of each matrix of a stack
     (one batched eigensolve), and the relative tolerance
     scale * max(1, spectral radius) it is judged by."""
@@ -90,7 +90,7 @@ def is_psd(m, tol_scale=1e-9):
     if tol_scale <= 0:
         raise ValueError(f"tol_scale must be positive, got {tol_scale}")
     m = as_symmetric(m)
-    lam_min, tol = map(float, _least_eig(m, tol_scale))
+    lam_min, tol = map(float, least_eigenvalue(m, tol_scale))
     return PsdVerdict(is_psd=lam_min >= -tol, min_eigenvalue=lam_min, tolerance_used=tol)
 
 
@@ -102,7 +102,7 @@ def certify_not_psd(m, threshold_scale=1e-6):
     never promoted to a counterexample.
     """
     m = as_symmetric(m)
-    lam_min, tol = map(float, _least_eig(m, threshold_scale))
+    lam_min, tol = map(float, least_eigenvalue(m, threshold_scale))
     return lam_min if lam_min < -tol else None
 
 
@@ -141,22 +141,24 @@ def random_psd_for_graph(g, rank_per_clique=1, seed=None, *, eps_diag=0.0,
 
 
 #: most floats in one sample stack (samples x n x n, 512 KB): batched
-#: searches draw and eigensolve their samples a stack at a time, and hold
-#: about three stacks (samples, power images, one temporary) at the peak.
+#: searches draw, screen and eigensolve their samples a stack at a time, and
+#: hold about four stack-sized arrays (samples, power images, the Cholesky
+#: factor of the screen or one eigensolve temporary) at the peak.
 SAMPLE_CHUNK_FLOATS = 1 << 16
 
 
-def sample_spectra(g, ranks, alpha, family, rng, scale):
+def sample_spectra(g, ranks, alpha, family, rng):
     """The sample loop every sampling search reads: clique-sum samples of
     the given ranks (nonnegative for the plain family), drawn a stack of
-    at most SAMPLE_CHUNK_FLOATS floats at a time, their power images, and
-    one stacked eigensolve per stack.
+    at most SAMPLE_CHUNK_FLOATS floats at a time, and their power images.
 
-    Yields (first, state, samples, least, tol) per stack: the index in
-    ranks of its first sample, the generator state before its draw, the
-    samples, and the least image eigenvalue of each with its relative
-    tolerance scale * max(1, spectral radius). A non-finite image ends the
-    stack before it, and the loop raises ValueError once that stack is read.
+    Yields (first, state, samples, images) per stack: the index in ranks of
+    its first sample, the generator state before its draw, the samples and
+    their power images. A non-finite image ends the stack before it, and
+    the loop raises ValueError once that stack is read. Each reader reduces
+    the images its own way: `verify` takes every least eigenvalue
+    (least_eigenvalue), the witness search first tries to clear the whole
+    stack with one Cholesky factorization (_cholesky_clears).
     """
     step = max(1, SAMPLE_CHUNK_FLOATS // max(1, g.n * g.n))
     for first in range(0, len(ranks), step):
@@ -166,9 +168,38 @@ def sample_spectra(g, ranks, alpha, family, rng, scale):
         images = _power(stack, alpha, family)
         finite = np.isfinite(images).all(axis=(1, 2))
         stop = len(chunk) if finite.all() else int(np.argmin(finite))
-        yield (first, state, stack, *_least_eig(images[:stop], scale))
+        yield first, state, stack, images[:stop]
         if stop < len(chunk):
             raise ValueError("matrix has non-finite entries")
+
+
+def _cholesky_clears(images, scale):
+    """True when one stacked Cholesky factorization proves that no image of
+    the stack has a least eigenvalue below -scale * max(1, spectral radius),
+    the tolerance of least_eigenvalue.
+
+    Image b is shifted by s_b = scale / 2 * max(1, largest |diagonal entry|),
+    at most half its tolerance, since the spectral radius bounds every
+    diagonal entry. A factorization of A + s_b I that completes proves
+    lambda_min(A) >= -s_b up to a backward error below n (n + 1) u ||A + s_b I||
+    (Higham, Accuracy and Stability of Numerical Algorithms, 2002, ch. 10),
+    which the other half covers unless scale is within a few n^2 of the unit
+    roundoff u; such a scale clears nothing. The diagonals are shifted in
+    place and restored exactly.
+    """
+    n = images.shape[-1]
+    if scale < 8 * n * (n + 1) * np.finfo(float).eps:
+        return False
+    i = np.arange(n)
+    diag = images[:, i, i]
+    images[:, i, i] = diag + scale / 2 * np.abs(diag).max(axis=1, initial=1.0)[:, None]
+    try:
+        np.linalg.cholesky(images)
+    except np.linalg.LinAlgError:
+        return False
+    finally:
+        images[:, i, i] = diag
+    return True
 
 
 def _clique_sample_stack(g, ranks, rng, nonnegative):
@@ -177,30 +208,47 @@ def _clique_sample_stack(g, ranks, rng, nonnegative):
 
     The normals come from one draw, laid out sample by sample, then clique
     by clique, then term by term, the order in which one sample at a time
-    would draw them. The terms are added clique by clique and term by term,
-    so every entry sums the same products in the same order: the stack
-    equals the samples drawn one at a time, bit for bit, and leaves the
-    generator in the same state.
+    would draw them. One ordered bincount adds every product x_i x_j of a
+    sample clique by clique, term by term, from 0.0, so every entry sums the
+    same products in the same order: the stack equals the samples drawn one
+    at a time, bit for bit, and leaves the generator in the same state.
     """
     cliques = [np.array(sorted(c)) - 1 for c in g.analysis.maximal_cliques]
     ranks = np.asarray(ranks, dtype=np.intp)
+    n = g.n
     per_sample = ranks * sum(len(idx) for idx in cliques)
     z = rng.standard_normal(int(per_sample.sum()))
     if nonnegative:
         z = np.abs(z)
     sample_start = np.cumsum(per_sample) - per_sample
-    # the samples having a term t, for each t
-    term_rows = [np.flatnonzero(ranks > t) for t in range(int(ranks.max(initial=0)))]
-    stack = np.zeros((len(ranks), g.n, g.n))
-    done = 0  # clique entries before this clique, per unit of rank
-    for idx in cliques:
-        k = len(idx)
-        for t, rows in enumerate(term_rows):
-            start = sample_start[rows] + ranks[rows] * done + t * k
-            x = z[start[:, None] + np.arange(k)]
-            stack[rows[:, None, None], idx[:, None], idx] += x[:, :, None] * x[:, None, :]
-        done += k
-    return stack
+    targets, weights = [], []
+    for rank in range(1, int(ranks.max(initial=0)) + 1):
+        rows = np.flatnonzero(ranks == rank)
+        if rows.size and cliques:
+            # normals of rank r lie as those of rank one with each clique r times
+            left, right, target = _gram_layout([idx for idx in cliques for _ in range(rank)], n)
+            start = sample_start[rows, None]
+            weights.append((z[start + left] * z[start + right]).ravel())
+            targets.append((rows[:, None] * (n * n) + target).ravel())
+    if not targets:  # no sample has a term
+        return np.zeros((len(ranks), n, n))
+    stack = np.bincount(np.concatenate(targets), np.concatenate(weights), len(ranks) * n * n)
+    return stack.reshape(len(ranks), n, n)
+
+
+def _gram_layout(blocks, n):
+    """Normals laid out block after block, block k on the 0-based vertices
+    blocks[k]: the offsets (left, right) of the two normals of every product
+    x_a1 x_a2 of a block, and its flat index a1 * n + a2 in an n x n matrix,
+    block by block, then by a1, then by a2."""
+    sizes = np.array([len(b) for b in blocks], dtype=np.intp)
+    members = np.concatenate(blocks)
+    block_size = np.repeat(sizes, sizes)  # at each normal
+    block_start = np.repeat(np.cumsum(sizes) - sizes, sizes)
+    left = np.repeat(np.arange(len(members)), block_size)
+    run_start = np.cumsum(block_size) - block_size  # where the products of each left normal begin
+    right = np.arange(len(left)) - np.repeat(run_start - block_start, block_size)
+    return left, right, members[left] * n + members[right]
 
 
 def _as_zero_based(indices, n):

@@ -23,6 +23,7 @@ from .chordal import NotChordalError, find_chordless_cycle, is_chordal
 from .cones import (
     FAMILIES,
     _check_family,
+    _cholesky_clears,
     _clique_sample_stack,
     _power,
     as_symmetric,
@@ -32,6 +33,7 @@ from .cones import (
     entrywise_power,
     factor_gram,
     is_psd,
+    least_eigenvalue,
     matrix_from_json,
     matrix_to_json,
     sample_spectra,
@@ -568,47 +570,6 @@ def _bordered_search(g, alpha, family, budget, rng, witness_scale):
 # --- signed even cycles (even-power family only) ---------------------------
 
 
-def _find_even_cycle(g, max_len=12):
-    """A shortest even cycle as an ordered vertex list, or None.
-
-    4-cycles come from common-neighborhood pairs; longer even lengths from
-    bounded depth-first search (the cycle need not be induced).
-    """
-    best4 = None
-    for a, b in itertools.combinations(range(1, g.n + 1), 2):
-        common = sorted(g.neighbors(a) & g.neighbors(b))
-        if len(common) >= 2:
-            cand = [a, common[0], b, common[1]]
-            if best4 is None or cand < best4:
-                best4 = cand
-    if best4 is not None:
-        return best4
-    for length in range(6, max_len + 1, 2):
-        cyc = _simple_cycle_of_length(g, length)
-        if cyc is not None:
-            return cyc
-    return None
-
-
-def _simple_cycle_of_length(g, length, step_cap=500_000):
-    steps = 0
-    for start in g.vertices:
-        stack = [(start, [start])]
-        while stack:
-            steps += 1
-            if steps > step_cap:
-                return None
-            v, path_ = stack.pop()
-            if len(path_) == length:
-                if start in g.neighbors(v):
-                    return path_
-                continue
-            for u in sorted(g.neighbors(v), reverse=True):
-                if u > start and u not in path_:
-                    stack.append((u, path_ + [u]))
-    return None
-
-
 def _signed_cycle_witness(g, alpha, witness_scale):
     """Even-cycle matrix with one negated edge: PSD further out than its
     entrywise absolute value, so even powers below the threshold fail.
@@ -619,7 +580,7 @@ def _signed_cycle_witness(g, alpha, witness_scale):
     """
     if alpha <= 0:
         return None
-    cyc = _find_even_cycle(g)
+    cyc = g.analysis.even_cycle
     if cyc is None:
         return None
     k2 = len(cyc)
@@ -678,15 +639,18 @@ def find_counterexample(g, alpha, family="plain", budget=None, seed=0, *,
 
 
 def _sample_search(g, alpha, family, n_samples, rng, tol_scale, witness_scale):
-    """Random clique-sum samples (every fifth of rank two), drawn and
-    eigensolved a stack at a time. The witness is the first sample, in
-    draw order, whose image clears the witness threshold and which is PSD
-    within tol_scale; the generator is left where drawing the samples one
-    at a time up to that one would leave it.
+    """Random clique-sum samples (every fifth of rank two), drawn a stack at
+    a time. A stack that one Cholesky factorization clears holds no
+    witness; any other is eigensolved whole. The witness is the first
+    sample, in draw order, whose image clears the witness threshold and
+    which is PSD within tol_scale; the generator is left where drawing the
+    samples one at a time up to that one would leave it.
     """
     ranks = [2 if k % 5 == 4 else 1 for k in range(n_samples)]
-    for first, state, stack, lam, tol in sample_spectra(g, ranks, alpha, family, rng,
-                                                        witness_scale):
+    for first, state, stack, images in sample_spectra(g, ranks, alpha, family, rng):
+        if _cholesky_clears(images, witness_scale):
+            continue
+        lam, tol = least_eigenvalue(images, witness_scale)
         for b in np.flatnonzero(lam < -tol):
             matrix = stack[b].copy()
             if is_psd(matrix, tol_scale).is_psd:

@@ -68,6 +68,27 @@ def test_ce_brackets_are_pinned(capsys, case):
     assert json.loads(out) == case["output"]
 
 
+# `verify --format json` records of an earlier version of the sampler: band(40,
+# 3) plain (the CI case, 300 samples over 8 stacks), band(12, 3) odd and
+# cycle(6) even. Every field must match exactly except the worst eigenvalue,
+# which LAPACK builds round differently; it must agree to well inside the
+# 1e-9 PSD tolerance, so a change to a sample or an RNG stream shows here.
+@pytest.mark.parametrize("case", json.loads((FIXTURES / "verify_spectra.json").read_text()),
+                         ids=lambda case: " ".join(case["argv"][1:-2]))
+def test_verify_rows_are_pinned(capsys, case):
+    code, out, _ = run(capsys, case["argv"])
+    assert code == 0
+    got, worst = _split_worst(json.loads(out))
+    want, pinned = _split_worst(case["output"])
+    assert got == want
+    assert worst == pytest.approx(pinned, rel=1e-9, abs=1e-11)
+
+
+def _split_worst(output):
+    rows = [dict(row) for row in output["rows"]]
+    return {**output, "rows": rows}, [row.pop("worst_min_eigenvalue") for row in rows]
+
+
 @pytest.mark.parametrize("command", [["ce", "--family", "cycle", "--n", "6"], ["scan"]],
                          ids=["ce", "scan"])
 @pytest.mark.parametrize("budget", ["0", "-3"])

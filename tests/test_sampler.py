@@ -3,7 +3,8 @@
 Every reader of `cones._clique_sample_stack` (single samples, and through
 `cones.sample_spectra` the sample phase of the witness search and the
 `verify` command) must give, bit for bit, what drawing one sample at a
-time would, and leave the generator in the same state.
+time would, and leave the generator in the same state. The Cholesky screen
+of the search may skip a stack only if the eigensolve would flag none of it.
 """
 
 import itertools
@@ -17,11 +18,15 @@ from hypothesis import strategies as st
 from hadamard_powers import cones
 from hadamard_powers.cli import main
 from hadamard_powers.cones import (
+    FAMILIES,
+    _cholesky_clears,
     _clique_sample_stack,
     certify_not_psd,
     entrywise_power,
     is_psd,
+    least_eigenvalue,
     random_psd_for_graph,
+    sample_spectra,
 )
 from hadamard_powers.exponents import _sample_search, find_counterexample
 from hadamard_powers.graphs import Graph, complete, cycle
@@ -52,11 +57,14 @@ def _reference_sample_search(g, alpha, family, n_samples, rng, tol_scale=1e-9,
     return None
 
 
+GRAPHS = st.integers(1, 9).flatmap(lambda n: st.tuples(
+    st.just(n),
+    st.sets(st.sampled_from(list(itertools.combinations(range(1, n + 1), 2))))
+    if n > 1 else st.just(set())))
+
+
 @settings(max_examples=120, deadline=None)
-@given(st.integers(1, 9).flatmap(lambda n: st.tuples(
-           st.just(n),
-           st.sets(st.sampled_from(list(itertools.combinations(range(1, n + 1), 2))))
-           if n > 1 else st.just(set()))),
+@given(GRAPHS,
        st.lists(st.integers(1, 3), max_size=7),
        st.booleans(),
        st.integers(0, 2**32 - 1))
@@ -127,3 +135,81 @@ def test_verify_rows_match_one_sample_at_a_time(capsys):
                     for _ in range(samples)]
         assert row["worst_min_eigenvalue"] == min(v.min_eigenvalue for v in verdicts)
         assert row["all_images_psd"] == all(v.is_psd for v in verdicts)
+
+
+def _screened(stack, scale):
+    """_cholesky_clears, checking that it leaves the stack as it found it."""
+    before = stack.tobytes()
+    cleared = _cholesky_clears(stack, scale)
+    assert stack.tobytes() == before
+    return cleared
+
+
+# the least eigenvalue of each image, in units of its tolerance
+# scale * max(1, spectral radius); 0 makes a singular PSD image
+LEAST_IN_TOL = [c * sign for c in (0.1, 0.5, 0.9, 1.1, 2.0) for sign in (1, -1)] + [0.0]
+
+
+@settings(max_examples=150, deadline=None)
+@given(st.integers(2, 12), st.lists(st.sampled_from(LEAST_IN_TOL), min_size=1, max_size=5),
+       st.integers(0, 4), st.sampled_from([1e-9, 1e-6, 1e-3]), st.floats(-2, 6),
+       st.integers(0, 2**32 - 1))
+def test_cholesky_screen_never_hides_a_flagged_image(n, least, zeros, scale, log_radius, seed):
+    # images Q diag(lam) Q^T with spectral radius 10^log_radius, least
+    # eigenvalue c * tol, and up to `zeros` more zero eigenvalues. The screen
+    # reads only the images, so these stand for the images of every family.
+    rng = np.random.default_rng(seed)
+    radius = 10.0 ** log_radius
+    stack = []
+    for c in least:
+        lam = rng.uniform(0, radius, n)
+        lam[-1] = radius
+        lam[1:1 + min(zeros, n - 2)] = 0.0
+        lam[0] = c * scale * max(1.0, radius)
+        q, _ = np.linalg.qr(rng.standard_normal((n, n)))
+        m = (q * lam) @ q.T
+        stack.append((m + m.T) / 2)
+    stack = np.array(stack)
+    cleared = _screened(stack, scale)
+    lam, tol = least_eigenvalue(stack, scale)
+    if cleared:
+        assert not (lam < -tol).any()
+    if min(least) < -1:
+        assert not cleared
+    if min(least) >= 0:
+        assert cleared
+
+
+@settings(max_examples=120, deadline=None)
+@given(GRAPHS, st.sampled_from(FAMILIES), st.sampled_from([0.5, 1.0, 1.5, 2.0, 2.5, 3.0]),
+       st.sampled_from([1e-9, 1e-6]), st.integers(0, 2**32 - 1))
+def test_cholesky_screen_on_power_images(n_edges, family, alpha, scale, seed):
+    n, edges = n_edges
+    g = Graph.from_edges(n, sorted(edges))
+    ranks = [2 if k % 5 == 4 else 1 for k in range(12)]
+    rng = np.random.default_rng(seed)
+    for *_, images in sample_spectra(g, ranks, alpha, family, rng):
+        for b in range(len(images)):
+            lam, tol = least_eigenvalue(images[b:b + 1], scale)
+            if _screened(images[b:b + 1], scale):
+                assert lam[0] >= -tol[0]
+        if _screened(images, scale):
+            lam, tol = least_eigenvalue(images, scale)
+            assert (lam >= -tol).all()
+
+
+def test_cholesky_screen_clears_nothing_near_the_roundoff():
+    # at a tolerance within a few n^2 of the unit roundoff the backward
+    # error of the factorization could hide a flagged image
+    stack = np.eye(3)[None] * 2.0
+    assert _screened(stack.copy(), 1e-6)
+    assert not _screened(stack.copy(), 1e-15)
+
+
+@pytest.mark.filterwarnings("ignore:overflow encountered in power")
+def test_verify_reports_a_first_non_finite_image(capsys):
+    code = main(["verify", "--family", "complete", "--n", "3", "--alphas", "-400",
+                 "--samples", "5", "--seed", "1"])
+    captured = capsys.readouterr()
+    assert code == 2 and captured.out == ""
+    assert "non-finite" in captured.err
