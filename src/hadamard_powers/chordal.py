@@ -1,8 +1,9 @@
 """Chordal graph machinery.
 
-Maximum cardinality search, perfect elimination orderings, maximal clique
-enumeration, perfect orderings of the maximal cliques with their histories,
-residuals and separators, and clique-separator decompositions (A, C, B).
+Maximum cardinality search and Lex-BFS, perfect elimination orderings,
+maximal clique enumeration, perfect orderings of the maximal cliques with
+their histories, residuals and separators, and clique-separator
+decompositions (A, C, B).
 """
 
 from __future__ import annotations
@@ -42,14 +43,24 @@ def mcs_order(g):
 
 
 def is_perfect_elimination_order(g, order):
-    """Check that each vertex's later neighbors form a clique."""
+    """Check that each vertex's later neighbors form a clique.
+
+    In O(n + m) by the parent test (Tarjan-Yannakakis 1984, SIAM J. Comput.
+    13(3)): for each v with later neighbors, p the earliest of them, the
+    others must all be neighbors of p. By induction from the back of the
+    order, that makes every later neighborhood a clique.
+    """
     if sorted(order) != list(g.vertices):
         raise ValueError("order must be a permutation of the vertices")
-    pos = {v: k for k, v in enumerate(order)}
+    pos = [0] * (g.n + 1)
+    for k, v in enumerate(order):
+        pos[v] = k
     for v in order:
         later = [u for u in g.neighbors(v) if pos[u] > pos[v]]
-        for a, b in itertools.combinations(later, 2):
-            if not g.has_edge(a, b):
+        if later:
+            p = min(later, key=pos.__getitem__)
+            near = g.neighbors(p)
+            if any(u != p and u not in near for u in later):
                 return False
     return True
 
@@ -209,6 +220,27 @@ class GraphAnalysis:
     def clique_number(self):
         return max((len(c) for c in self.maximal_cliques), default=0)
 
+    @property
+    def lex_bfs_clique_tree(self):
+        """(cliques, separators) of a chordal graph from the Lex-BFS pass: a
+        second clique tree, by another algorithm than clique_tree, built
+        again on each read. Each chain gives one maximal clique and its
+        separator.
+
+        Raises NotChordalError for any other graph.
+        """
+        g = self.graph
+        _require_chordal(g)
+        visit, pos, earlier, parent = _lex_bfs(g)
+        starts, extends = _lex_bfs_chains(visit, earlier, parent)
+        cliques, seps = [], []
+        for h in starts:
+            seps.append(frozenset(_visited_before(g, pos, h)))
+            while extends[h]:
+                h = extends[h]
+            cliques.append(frozenset([h, *_visited_before(g, pos, h)]))
+        return tuple(cliques), tuple(seps)
+
     @cached_property
     def near_complete(self):
         """(r, v1, S, v2): r is the largest number of vertices spanning at
@@ -221,10 +253,48 @@ class GraphAnalysis:
         label order reaching the best r, with S the first largest clique in
         its common neighborhood (a largest intersection of it with a maximal
         clique). Any m-subset of S certifies m + 2 the same way.
+
+        A chordal graph reads r off the Lex-BFS clique tree in O(n + m),
+        independently of the MCS tree behind the clique formula; any other
+        graph walks the open pairs (_near_complete_walk).
+        """
+        if self.graph.n < 2:
+            raise ValueError(f"need at least 2 vertices, got {self.graph.n}")
+        if self.is_chordal:
+            return self._near_complete_chordal()
+        return self._near_complete_walk()
+
+    def _near_complete_chordal(self):
+        """near_complete of a chordal graph: r = max(omega, 2 + k), k the
+        largest separator of the Lex-BFS clique tree.
+
+        The common neighborhood of a non-adjacent pair is a clique (two
+        non-adjacent common neighbors would close a chordless 4-cycle) and
+        lies in every minimal separator of the pair, and the minimal
+        separators are the tree's separators. So the pairs reaching 2 + k
+        are the non-adjacent pairs joined to all of some size-k separator S,
+        with common neighborhood S, and the walk's first pair is the first
+        of them over all such S.
         """
         g = self.graph
-        if g.n < 2:
-            raise ValueError(f"need at least 2 vertices, got {g.n}")
+        visit, pos, earlier, parent = _lex_bfs(g)
+        starts, _ = _lex_bfs_chains(visit, earlier, parent)
+        k = max(earlier[b] for b in starts)
+        omega = max(earlier) + 1
+        if k + 2 <= max(omega, 2):
+            verts = min(sorted([v, *_visited_before(g, pos, v)])
+                        for v in g.vertices if earlier[v] + 1 == omega)
+            if len(verts) < 2:
+                verts = [1, 2]
+            return len(verts), verts[0], tuple(verts[1:-1]), verts[-1]
+        seps = {frozenset(_visited_before(g, pos, b)) for b in starts if earlier[b] == k}
+        (v1, v2), s = min((_first_open_pair(g, s), s) for s in seps)
+        return k + 2, v1, tuple(sorted(s)), v2
+
+    def _near_complete_walk(self):
+        """near_complete by walking every open pair: the route of a
+        non-chordal graph, and the oracle of the chordal one."""
+        g = self.graph
         verts = sorted(max(self.maximal_cliques, key=len))
         if len(verts) < 2:
             verts = [1, 2]
@@ -274,6 +344,91 @@ class GraphAnalysis:
             second = set().union(*(g.neighbors(w) for w in near)) - near
             for v in sorted(x for x in second if x > u):
                 yield u, v, near & g.neighbors(v)
+
+
+def _lex_bfs(g):
+    """One lexicographic breadth-first search (Rose-Tarjan-Lueker 1976,
+    SIAM J. Comput. 5(2)) by partition refinement, in O(n + m).
+
+    Returns (visit, pos, earlier, parent): the visit order, each vertex's
+    place in it, and per vertex v the count of neighbors visited before it
+    (E(v), the later neighbors in the reversed order) and the last of
+    them (0 for none). The unvisited vertices sit in `visit` as
+    contiguous cells; visiting v moves each unvisited neighbor to the
+    front of its cell, into the cell split off just before it in this
+    round, so the next vertex is always the next slot and no cell is
+    searched. Flat lists only: start[c] is where cell c begins, split[c]
+    the cell last split off c and made[d] the round that made cell d.
+    """
+    nbrs = g.neighbors
+    n = g.n
+    visit = list(g.vertices)
+    pos = list(range(-1, n))
+    cell = [0] * (n + 1)
+    earlier = [0] * (n + 1)
+    parent = [0] * (n + 1)
+    start, made, split = [0], [-1], [0]
+    for i in range(n):
+        v = visit[i]
+        start[cell[v]] += 1
+        for w in nbrs(v):
+            j = pos[w]
+            if j <= i:
+                continue
+            earlier[w] += 1
+            parent[w] = v
+            c = cell[w]
+            d = split[c]
+            if made[d] != i:
+                d = len(start)
+                start.append(start[c])
+                made.append(i)
+                split.append(0)
+                split[c] = d
+            k = start[c]
+            u = visit[k]
+            visit[k], visit[j] = w, u
+            pos[w], pos[u] = k, j
+            start[c] = k + 1
+            cell[w] = d
+    return visit, pos, earlier, parent
+
+
+def _lex_bfs_chains(visit, earlier, parent):
+    """(starts, extends): the Lex-BFS clique tree as chains of vertices.
+
+    v extends the clique of its parent p when E(v) = p + E(p) and no
+    vertex visited before v did so (extends[p] = v); otherwise v starts a
+    chain. A chain runs from its start b up to the vertex h nothing
+    extends; h + E(h) is a maximal clique of a chordal graph, and E(b)
+    its separator (Blair-Peyton 1993, An introduction to chordal graphs
+    and clique trees, section 4).
+    """
+    extends = [0] * len(parent)
+    starts = []
+    for v in visit:
+        p = parent[v]
+        if p and not extends[p] and earlier[v] == earlier[p] + 1:
+            extends[p] = v
+        else:
+            starts.append(v)
+    return starts, extends
+
+
+def _visited_before(g, pos, v):
+    return [u for u in g.neighbors(v) if pos[u] < pos[v]]
+
+
+def _first_open_pair(g, s):
+    """The first non-adjacent pair (u, v), u < v, in label order, of the
+    vertices outside the nonempty clique s joined to all of it."""
+    joined = sorted(frozenset.intersection(*map(g.neighbors, s)))
+    rank = {x: i for i, x in enumerate(joined)}
+    for i, u in enumerate(joined):
+        near = g.neighbors(u)
+        if sum(rank.get(x, -1) > i for x in near) < len(joined) - 1 - i:
+            return u, next(x for x in joined[i + 1:] if x not in near)
+    raise AssertionError(f"no open pair around the separator {sorted(s)}")
 
 
 def _bron_kerbosch(g):

@@ -2,7 +2,9 @@
 decompositions, cross-checked against brute-force oracles."""
 
 import itertools
+import json
 import time
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -13,8 +15,10 @@ from hadamard_powers.chordal import (
     MAX_CLIQUE_EXPANSIONS,
     CliqueOrdering,
     Decomposition,
+    GraphAnalysis,
     NotChordalError,
     _bron_kerbosch,
+    _lex_bfs,
     check_decomposition,
     check_perfect_ordering,
     clique_number,
@@ -30,6 +34,7 @@ from hadamard_powers.chordal import (
 from hadamard_powers.exponents import critical_exponent_clique_formula
 from hadamard_powers.graphs import (
     Graph,
+    apollonian,
     band,
     complete,
     complete_bipartite,
@@ -43,7 +48,10 @@ from hadamard_powers.graphs import (
     random_chordal,
     random_graph,
     random_tree,
+    split_graph,
 )
+
+FIXTURES = Path(__file__).resolve().parent / "fixtures"
 
 
 def brute_force_is_chordal(g):
@@ -68,6 +76,28 @@ def brute_force_maximal_cliques(g):
     return sorted((c for c in cliques if not any(c < d for d in cliques)), key=sorted)
 
 
+def pairwise_is_peo(g, order):
+    """Quadratic-per-vertex oracle: every two later neighbors are adjacent."""
+    pos = {v: k for k, v in enumerate(order)}
+    for v in order:
+        later = [u for u in g.neighbors(v) if pos[u] > pos[v]]
+        if not all(g.has_edge(a, b) for a, b in itertools.combinations(later, 2)):
+            return False
+    return True
+
+
+def is_lex_bfs_order(g, visit):
+    """The four-point condition (Corneil 2004, Lexicographic breadth first
+    search - a survey, WG): for a < b < c in the order with ac an edge and ab
+    not, some d < a is adjacent to b and not to c."""
+    for a, b, c in itertools.combinations(visit, 3):
+        if g.has_edge(a, c) and not g.has_edge(a, b):
+            if not any(g.has_edge(d, b) and not g.has_edge(d, c)
+                       for d in visit[:visit.index(a)]):
+                return False
+    return True
+
+
 def test_mcs_is_peo_on_chordal_samples():
     for g in [complete(5), path(3), random_tree(8, seed=1), band(6, 2),
               near_complete(5), random_chordal(9, 0.5, seed=3)]:
@@ -79,6 +109,22 @@ def test_no_ordering_of_c4_is_a_peo():
     assert not is_perfect_elimination_order(g, mcs_order(g))
     for order in itertools.permutations(range(1, 5)):
         assert not is_perfect_elimination_order(g, list(order))
+
+
+@settings(max_examples=150, deadline=None)
+@given(st.integers(1, 9).flatmap(lambda n: st.tuples(
+    st.just(n), st.sets(st.sampled_from(list(itertools.combinations(range(1, n + 1), 2))))
+    if n > 1 else st.just(set()))), st.randoms())
+def test_lex_bfs_is_a_lex_bfs_and_recognizes_chordality(n_edges, rnd):
+    n, edges = n_edges
+    g = Graph.from_edges(n, edges)
+    visit = _lex_bfs(g)[0]
+    assert sorted(visit) == list(g.vertices)
+    assert is_lex_bfs_order(g, visit)
+    assert pairwise_is_peo(g, visit[::-1]) == is_chordal(g)
+    order = list(g.vertices)
+    rnd.shuffle(order)
+    assert is_perfect_elimination_order(g, order) == pairwise_is_peo(g, order)
 
 
 def test_peo_checker_rejects_non_permutations():
@@ -364,17 +410,28 @@ def clique_gram_max(g):
     return int((inc.T @ inc - 2 * np.eye(len(cliques), dtype=np.int64)).max())
 
 
+CHORDAL_PARTS = st.one_of(
+    st.builds(lambda n, density, seed: random_chordal(n, density=density / 10, seed=seed),
+              st.integers(1, 14), st.integers(0, 10), st.integers(0, 2**16)),
+    st.builds(apollonian, st.integers(3, 14), seed=st.integers(0, 2**16)),
+    st.integers(1, 7).flatmap(lambda c: st.builds(
+        split_graph, st.just(c), st.integers(0, 6), st.integers(0, c - 1),
+        seed=st.integers(0, 2**16))),
+    st.integers(1, 14).flatmap(lambda n: st.builds(band, st.just(n), st.integers(0, n))),
+    st.builds(Graph.from_edges, st.integers(1, 5), st.just(())),
+)
+
+
 @st.composite
 def chordal_graphs(draw):
-    """Disjoint unions of one to three random_chordal graphs, relabelled by a
+    """Disjoint unions of one to three chordal graphs (random_chordal at a
+    random density, apollonian, split, band or edgeless), relabelled by a
     random permutation (the clique order then differs from the build order)."""
-    parts = draw(st.lists(st.tuples(st.integers(1, 14), st.integers(0, 10),
-                                    st.integers(0, 2**16)), min_size=1, max_size=3))
+    parts = draw(st.lists(CHORDAL_PARTS, min_size=1, max_size=3))
     edges, offset = [], 0
-    for n, density, seed in parts:
-        part = random_chordal(n, density=density / 10, seed=seed)
+    for part in parts:
         edges += [(a + offset, b + offset) for a, b in part.edges]
-        offset += n
+        offset += part.n
     perm = draw(st.permutations(range(1, offset + 1)))
     return Graph.from_edges(offset, [(perm[a - 1], perm[b - 1]) for a, b in edges])
 
@@ -402,3 +459,44 @@ def test_clique_tree_rejects_non_chordal():
         cycle(5).analysis.clique_tree
     with pytest.raises(NotChordalError):
         critical_exponent_clique_formula(cycle(4))
+
+
+@settings(max_examples=300, deadline=None)
+@given(chordal_graphs(), st.randoms())
+def test_lex_bfs_route_matches_the_open_pair_walk(g, rnd):
+    a = g.analysis
+    visit = _lex_bfs(g)[0]
+    assert pairwise_is_peo(g, visit[::-1])
+    cliques, separators = a.lex_bfs_clique_tree
+    mcs_cliques, mcs_separators = a.clique_tree
+    assert len(cliques) == len(mcs_cliques) and set(cliques) == set(mcs_cliques)
+    assert sorted(map(sorted, separators)) == sorted(map(sorted, mcs_separators))
+    if g.n >= 2:
+        assert a.near_complete == a._near_complete_walk()
+    # the parent test against the oracle, on perfect and nearly perfect orders
+    order = list(visit[::-1])
+    if g.n >= 2:
+        k = rnd.randrange(g.n - 1)
+        order[k], order[k + 1] = order[k + 1], order[k]
+    assert is_perfect_elimination_order(g, order) == pairwise_is_peo(g, order)
+
+
+def test_near_complete_certificates_are_pinned():
+    # recorded by the open-pair walk before chordal graphs took the Lex-BFS
+    # route; seeded witness reports embed into these vertices
+    for rec in json.loads((FIXTURES / "near_complete_certificates.json").read_text()):
+        g = generate(rec["family"], **rec["params"])
+        r, v1, s, v2 = rec["certificate"]
+        assert g.analysis.near_complete == (r, v1, tuple(s), v2), rec
+
+
+def test_chordal_near_complete_walks_no_open_pair(monkeypatch):
+    def walk(self):
+        raise AssertionError("open-pair walk on a chordal graph")
+
+    monkeypatch.setattr(GraphAnalysis, "_open_pairs", walk)
+    for g in [band(14, 6), near_complete(9), complete(30), random_chordal(300, seed=4),
+              Graph.from_edges(4, [])]:
+        assert g.analysis.near_complete[0] == g.analysis.near_complete_order
+    with pytest.raises(AssertionError, match="open-pair walk"):
+        cycle(5).analysis.near_complete
