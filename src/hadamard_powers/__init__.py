@@ -11,12 +11,12 @@ from .chordal import (
     check_perfect_ordering,
     clique_number,
     decompose,
+    elimination_order,
     find_chordless_cycle,
     is_chordal,
     is_perfect_elimination_order,
     maximal_cliques_chordal,
     maximal_cliques_general,
-    mcs_order,
     perfect_ordering,
 )
 from .cones import (

@@ -1,14 +1,13 @@
 """Chordal graph machinery.
 
-Maximum cardinality search and Lex-BFS, perfect elimination orderings,
-maximal clique enumeration, perfect orderings of the maximal cliques with
-their histories, residuals and separators, and clique-separator
-decompositions (A, C, B).
+One Lex-BFS pass per graph gives chordality, a perfect elimination
+ordering and the clique tree; on top of it: maximal clique enumeration,
+perfect orderings of the maximal cliques with their histories, residuals
+and separators, and clique-separator decompositions (A, C, B).
 """
 
 from __future__ import annotations
 
-import heapq
 import itertools
 from collections import deque
 from dataclasses import dataclass
@@ -32,13 +31,9 @@ class NotChordalError(ValueError):
         super().__init__(message)
 
 
-def mcs_order(g):
-    """Elimination ordering from maximum cardinality search.
-
-    Vertices are visited by descending count of already-visited neighbors,
-    ties broken by smallest label; the returned order is the reversed visit
-    order, which is a perfect elimination ordering iff the graph is chordal.
-    """
+def elimination_order(g):
+    """Elimination ordering: the reversed Lex-BFS visit order, which is a
+    perfect elimination ordering iff the graph is chordal."""
     return list(g.analysis.order)
 
 
@@ -135,75 +130,59 @@ def clique_number(g):
 #: fail loudly instead of slowly.
 MAX_CLIQUE_EXPANSIONS = 100_000
 
+#: Work limit of the depth-first search for an even cycle of one length
+#: (GraphAnalysis.even_cycle), in stack pops; past it that length reports
+#: no cycle.
+MAX_CYCLE_SEARCH_STEPS = 500_000
+
 
 class GraphAnalysis:
     """Clique facts of one graph, each computed on first use and kept as
-    long as the graph (reached as `g.analysis`): chordality, the MCS order
-    and clique tree, the maximal cliques, the clique number, the
-    largest near-complete subgraph with its certificate. Nothing is kept
-    per vertex pair.
+    long as the graph (reached as `g.analysis`): from one Lex-BFS pass,
+    chordality, the elimination order and the clique tree; then the
+    maximal cliques, the clique number, and the largest near-complete
+    subgraph with its certificate. Nothing is kept per vertex pair.
     """
 
     def __init__(self, g):
         self.graph = g
 
     @cached_property
-    def _search(self):
-        """One maximum cardinality search: the visit order, and the maximal
-        cliques in a perfect order with their separators.
-
-        Visits by descending count of visited neighbors, ties to the smallest
-        label. A clique starts at each vertex with no more visited neighbors
-        than the vertex visited just before it (so at the first vertex); it
-        holds that vertex, its visited neighbors (the separator: its
-        intersection with all earlier cliques) and the vertices visited after
-        it up to the next start (Blair-Peyton 1993, An introduction to
-        chordal graphs and clique trees, section 4). The cliques and
-        separators hold only for a chordal graph; read them via clique_tree.
-        """
-        nbrs = self.graph.neighbors
-        weight = dict.fromkeys(self.graph.vertices, 0)
-        heap = [(0, v) for v in self.graph.vertices]
-        visited = set()
-        visit, cliques, separators = [], [], []
-        previous = 0
-        while heap:
-            w, v = heapq.heappop(heap)
-            # v's entry with its current weight sorts before its stale ones
-            if v in visited:
-                continue
-            if -w <= previous:
-                separators.append(frozenset(nbrs(v) & visited))
-                cliques.append([*separators[-1], v])
-            else:
-                cliques[-1].append(v)
-            previous = -w
-            visited.add(v)
-            visit.append(v)
-            for u in nbrs(v):
-                if u not in visited:
-                    weight[u] += 1
-                    heapq.heappush(heap, (-weight[u], u))
-        return tuple(visit), tuple(map(frozenset, cliques)), tuple(separators)
+    def _lex_bfs_pass(self):
+        """The one search of the graph: the visit order and positions of
+        _lex_bfs, and the chains of _lex_bfs_chains."""
+        visit, pos, earlier, parent = _lex_bfs(self.graph)
+        starts, extends = _lex_bfs_chains(visit, earlier, parent)
+        return visit, pos, starts, extends
 
     @cached_property
     def order(self):
-        """Elimination ordering: the reversed visit order of the search."""
-        return self._search[0][::-1]
+        """Elimination ordering: the reversed Lex-BFS visit order."""
+        return tuple(reversed(self._lex_bfs_pass[0]))
 
     @cached_property
     def is_chordal(self):
         return is_perfect_elimination_order(self.graph, self.order)
 
-    @property
+    @cached_property
     def clique_tree(self):
         """(cliques, separators): the maximal cliques of a chordal graph in a
         perfect order, each with its intersection with the cliques before it.
+        One clique per Lex-BFS chain, in the order the chains start, with
+        the neighbors visited before the start as its separator.
 
         Raises NotChordalError for any other graph.
         """
-        _require_chordal(self.graph)
-        return self._search[1:]
+        g = self.graph
+        _require_chordal(g)
+        _, pos, starts, extends = self._lex_bfs_pass
+        cliques, seps = [], []
+        for h in starts:
+            seps.append(frozenset(_visited_before(g, pos, h)))
+            while extends[h]:
+                h = extends[h]
+            cliques.append(frozenset([h, *_visited_before(g, pos, h)]))
+        return tuple(cliques), tuple(seps)
 
     @cached_property
     def maximal_cliques(self):
@@ -220,27 +199,6 @@ class GraphAnalysis:
     def clique_number(self):
         return max((len(c) for c in self.maximal_cliques), default=0)
 
-    @property
-    def lex_bfs_clique_tree(self):
-        """(cliques, separators) of a chordal graph from the Lex-BFS pass: a
-        second clique tree, by another algorithm than clique_tree, built
-        again on each read. Each chain gives one maximal clique and its
-        separator.
-
-        Raises NotChordalError for any other graph.
-        """
-        g = self.graph
-        _require_chordal(g)
-        visit, pos, earlier, parent = _lex_bfs(g)
-        starts, extends = _lex_bfs_chains(visit, earlier, parent)
-        cliques, seps = [], []
-        for h in starts:
-            seps.append(frozenset(_visited_before(g, pos, h)))
-            while extends[h]:
-                h = extends[h]
-            cliques.append(frozenset([h, *_visited_before(g, pos, h)]))
-        return tuple(cliques), tuple(seps)
-
     @cached_property
     def near_complete(self):
         """(r, v1, S, v2): r is the largest number of vertices spanning at
@@ -254,8 +212,7 @@ class GraphAnalysis:
         its common neighborhood (a largest intersection of it with a maximal
         clique). Any m-subset of S certifies m + 2 the same way.
 
-        A chordal graph reads r off the Lex-BFS clique tree in O(n + m),
-        independently of the MCS tree behind the clique formula; any other
+        A chordal graph reads r off the clique tree in O(n + m); any other
         graph walks the open pairs (_near_complete_walk).
         """
         if self.graph.n < 2:
@@ -266,7 +223,7 @@ class GraphAnalysis:
 
     def _near_complete_chordal(self):
         """near_complete of a chordal graph: r = max(omega, 2 + k), k the
-        largest separator of the Lex-BFS clique tree.
+        largest separator of the clique tree.
 
         The common neighborhood of a non-adjacent pair is a clique (two
         non-adjacent common neighbors would close a chordless 4-cycle) and
@@ -276,19 +233,16 @@ class GraphAnalysis:
         with common neighborhood S, and the walk's first pair is the first
         of them over all such S.
         """
-        g = self.graph
-        visit, pos, earlier, parent = _lex_bfs(g)
-        starts, _ = _lex_bfs_chains(visit, earlier, parent)
-        k = max(earlier[b] for b in starts)
-        omega = max(earlier) + 1
+        cliques, separators = self.clique_tree
+        k = max(map(len, separators))
+        omega = max(map(len, cliques))
         if k + 2 <= max(omega, 2):
-            verts = min(sorted([v, *_visited_before(g, pos, v)])
-                        for v in g.vertices if earlier[v] + 1 == omega)
+            verts = min(sorted(c) for c in cliques if len(c) == omega)
             if len(verts) < 2:
                 verts = [1, 2]
             return len(verts), verts[0], tuple(verts[1:-1]), verts[-1]
-        seps = {frozenset(_visited_before(g, pos, b)) for b in starts if earlier[b] == k}
-        (v1, v2), s = min((_first_open_pair(g, s), s) for s in seps)
+        seps = {s for s in separators if len(s) == k}
+        (v1, v2), s = min((_first_open_pair(self.graph, s), s) for s in seps)
         return k + 2, v1, tuple(sorted(s)), v2
 
     def _near_complete_walk(self):
@@ -458,13 +412,16 @@ def _bron_kerbosch(g):
     return tuple(sorted(cliques, key=sorted))
 
 
-def _simple_cycle_of_length(g, length, step_cap=500_000):
+def _simple_cycle_of_length(g, length):
+    """A cycle of `length` distinct vertices as an ordered list, its
+    smallest label first, or None; None also once the search has taken
+    MAX_CYCLE_SEARCH_STEPS steps."""
     steps = 0
     for start in g.vertices:
         stack = [(start, [start])]
         while stack:
             steps += 1
-            if steps > step_cap:
+            if steps > MAX_CYCLE_SEARCH_STEPS:
                 return None
             v, path_ = stack.pop()
             if len(path_) == length:
@@ -548,7 +505,7 @@ def check_perfect_ordering(g, cliques):
 
 def perfect_ordering(g):
     """A perfect ordering of the maximal cliques of a chordal graph: the
-    order in which maximum cardinality search completes them."""
+    clique tree's order, in which the Lex-BFS chains start."""
     cliques, _ = g.analysis.clique_tree
     return CliqueOrdering(cliques=cliques)
 

@@ -111,8 +111,8 @@ def _resolve_config(args):
         seed = int(env) if env else 0
     tol = args.tol_scale
     wit = args.witness_scale
-    if tol <= 0 or wit <= 0:
-        raise CliError("tolerances must be positive")
+    if not (0 < tol < np.inf and 0 < wit < np.inf):
+        raise CliError("tolerances must be positive and finite")
     if args.budget is not None and args.budget < 1:
         raise CliError("--budget must be >= 1")
     return RunConfig(seed=seed, tol_scale=tol, witness_scale=wit,

@@ -87,8 +87,8 @@ def is_psd(m, tol_scale=1e-9):
     The tolerance is relative: tol_scale * max(1, spectral radius), since
     clique-sum samples vary over orders of magnitude in scale.
     """
-    if tol_scale <= 0:
-        raise ValueError(f"tol_scale must be positive, got {tol_scale}")
+    if not 0 < tol_scale < np.inf:
+        raise ValueError(f"tol_scale must be positive and finite, got {tol_scale}")
     m = as_symmetric(m)
     lam_min, tol = map(float, least_eigenvalue(m, tol_scale))
     return PsdVerdict(is_psd=lam_min >= -tol, min_eigenvalue=lam_min, tolerance_used=tol)

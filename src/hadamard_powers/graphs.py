@@ -406,7 +406,7 @@ def max_near_complete_order(g):
 
 def max_near_complete_order_fast(g):
     """Same value as max_near_complete_order: GraphAnalysis.near_complete_order,
-    read off a Lex-BFS clique tree in O(n + m) for a chordal graph, and from
-    the maximal cliques and a walk over the non-adjacent pairs at distance
-    two otherwise."""
+    read off the clique tree of the graph's one Lex-BFS pass in O(n + m) for
+    a chordal graph, and from the maximal cliques and a walk over the
+    non-adjacent pairs at distance two otherwise."""
     return g.analysis.near_complete_order

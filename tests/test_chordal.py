@@ -8,7 +8,7 @@ from pathlib import Path
 
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from hadamard_powers.chordal import (
@@ -23,12 +23,12 @@ from hadamard_powers.chordal import (
     check_perfect_ordering,
     clique_number,
     decompose,
+    elimination_order,
     find_chordless_cycle,
     is_chordal,
     is_perfect_elimination_order,
     maximal_cliques_chordal,
     maximal_cliques_general,
-    mcs_order,
     perfect_ordering,
 )
 from hadamard_powers.exponents import critical_exponent_clique_formula
@@ -98,15 +98,15 @@ def is_lex_bfs_order(g, visit):
     return True
 
 
-def test_mcs_is_peo_on_chordal_samples():
+def test_elimination_order_is_peo_on_chordal_samples():
     for g in [complete(5), path(3), random_tree(8, seed=1), band(6, 2),
               near_complete(5), random_chordal(9, 0.5, seed=3)]:
-        assert is_perfect_elimination_order(g, mcs_order(g))
+        assert is_perfect_elimination_order(g, elimination_order(g))
 
 
 def test_no_ordering_of_c4_is_a_peo():
     g = cycle(4)
-    assert not is_perfect_elimination_order(g, mcs_order(g))
+    assert not is_perfect_elimination_order(g, elimination_order(g))
     for order in itertools.permutations(range(1, 5)):
         assert not is_perfect_elimination_order(g, list(order))
 
@@ -230,6 +230,37 @@ def test_analysis_matches_brute_force(n_edges):
     assert all(g.has_edge(x, y) for x, y in itertools.combinations(s, 2))
     assert all(g.has_edge(v, x) for v in (v1, v2) for x in s)
 
+
+
+def brute_force_shortest_even_cycle(g):
+    """Length of a shortest even cycle (not necessarily induced), or None."""
+    for length in range(4, g.n + 1, 2):
+        for first, *rest in itertools.combinations(g.vertices, length):
+            if any(is_cycle_of(g, [first, *tail]) for tail in itertools.permutations(rest)):
+                return length
+    return None
+
+
+def is_cycle_of(g, cyc):
+    return (len(set(cyc)) == len(cyc) >= 3
+            and all(g.has_edge(a, b) for a, b in zip(cyc, cyc[1:] + cyc[:1])))
+
+
+@settings(max_examples=200, deadline=None)
+@given(st.integers(1, 7).flatmap(lambda n: st.builds(
+    Graph.from_edges, st.just(n),
+    st.sets(st.sampled_from(list(itertools.combinations(range(1, n + 1), 2))))
+    if n > 1 else st.just(set()))))
+@example(cycle(6))
+@example(cycle(8))
+@example(cycle(5))
+def test_even_cycle_is_a_shortest_even_cycle(g):
+    found = g.analysis.even_cycle
+    length = brute_force_shortest_even_cycle(g)
+    if length is None:
+        assert found is None
+    else:
+        assert is_cycle_of(g, found) and len(found) == length
 
 def test_near_complete_certificate_is_stable():
     # seeded witness reports embed into these vertices, so the choice is
@@ -384,22 +415,6 @@ def test_clique_ordering_is_hashable_value():
     assert a == b and hash(a) == hash(b)
 
 
-def reference_mcs_order(g):
-    """Quadratic maximum cardinality search: most visited neighbors first,
-    ties to the smallest label, returned in reverse visit order."""
-    weight = {v: 0 for v in g.vertices}
-    unvisited = set(g.vertices)
-    visit = []
-    for _ in range(g.n):
-        z = min(unvisited, key=lambda v: (-weight[v], v))
-        unvisited.remove(z)
-        visit.append(z)
-        for y in g.neighbors(z):
-            if y in unvisited:
-                weight[y] += 1
-    return visit[::-1]
-
-
 def clique_gram_max(g):
     """Largest entry of M^T M - 2 I over the vertex-by-maximal-clique
     incidence matrix M of a chordal graph."""
@@ -439,7 +454,8 @@ def chordal_graphs(draw):
 @settings(max_examples=300, deadline=None)
 @given(chordal_graphs())
 def test_one_search_gives_the_clique_tree(g):
-    assert mcs_order(g) == reference_mcs_order(g)
+    assert elimination_order(g) == _lex_bfs(g)[0][::-1]
+    assert pairwise_is_peo(g, elimination_order(g))
     cliques, separators = g.analysis.clique_tree
     po = perfect_ordering(g)
     assert po.cliques == cliques
@@ -467,10 +483,6 @@ def test_lex_bfs_route_matches_the_open_pair_walk(g, rnd):
     a = g.analysis
     visit = _lex_bfs(g)[0]
     assert pairwise_is_peo(g, visit[::-1])
-    cliques, separators = a.lex_bfs_clique_tree
-    mcs_cliques, mcs_separators = a.clique_tree
-    assert len(cliques) == len(mcs_cliques) and set(cliques) == set(mcs_cliques)
-    assert sorted(map(sorted, separators)) == sorted(map(sorted, mcs_separators))
     if g.n >= 2:
         assert a.near_complete == a._near_complete_walk()
     # the parent test against the oracle, on perfect and nearly perfect orders

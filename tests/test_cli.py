@@ -102,6 +102,18 @@ def test_budget_below_one_exits_two(capsys, tmp_path, command, budget):
     assert "--budget must be >= 1" in err
 
 
+
+@pytest.mark.parametrize("command", [
+    ["ce", "--family", "cycle", "--n", "5"],
+    ["verify", "--family", "cycle", "--n", "5", "--alphas", "0.5,1.5", "--samples", "50"],
+], ids=["ce", "verify"])
+@pytest.mark.parametrize("flag", ["--tol-scale", "--witness-scale"])
+@pytest.mark.parametrize("value", ["nan", "inf"])
+def test_non_finite_tolerance_exits_two(capsys, command, flag, value):
+    code, out, err = run(capsys, command + ["--seed", "1", flag, value])
+    assert code == 2 and out == ""
+    assert "tolerances must be positive and finite" in err
+
 def test_hset_complete_odd(capsys):
     code, out, _ = run(capsys, ["hset", "--family", "complete", "--n", "4",
                                 "--powers", "odd"])

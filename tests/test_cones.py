@@ -125,8 +125,9 @@ def test_is_psd_input_validation():
         is_psd(np.array([[1.0, 2.0], [0.0, 1.0]]))
     with pytest.raises(ValueError, match="finite"):
         is_psd(np.array([[np.inf, 0.0], [0.0, 1.0]]))
-    with pytest.raises(ValueError, match="tol_scale"):
-        is_psd(np.eye(2), tol_scale=0.0)
+    for tol_scale in (0.0, np.nan, np.inf):
+        with pytest.raises(ValueError, match="tol_scale must be positive and finite"):
+            is_psd(np.eye(2), tol_scale=tol_scale)
 
 
 def test_is_psd_verdict_invariant():
