@@ -3,17 +3,19 @@
 One Lex-BFS pass per graph gives chordality, a perfect elimination
 ordering and the clique tree; on top of it: maximal clique enumeration,
 perfect orderings of the maximal cliques with their histories, residuals
-and separators, and clique-separator decompositions (A, C, B).
+and separators, clique-separator decompositions (A, C, B), and a chordal
+supergraph of any graph by greedy min-fill elimination.
 """
 
 from __future__ import annotations
 
 import itertools
+import weakref
 from collections import deque
 from dataclasses import dataclass
 from functools import cached_property
 
-from .graphs import is_connected
+from .graphs import Graph, is_connected
 
 
 class NotChordalError(ValueError):
@@ -135,17 +137,42 @@ MAX_CLIQUE_EXPANSIONS = 100_000
 #: no cycle.
 MAX_CYCLE_SEARCH_STEPS = 500_000
 
+#: Work limit of the min-fill triangulation (GraphAnalysis.triangulation),
+#: in neighbor-set entries read while counting, adding and updating fill:
+#: 10-30 ns each on a 2-vCPU Xeon VM, so the limit is about a second
+#: (K_400 plus a 4-cycle takes 85 M, random_graph(300, 0.5) 25 M). Past it
+#: the chordal supergraph is the complete graph, whose r is n, so the
+#: numeric walk searches all of (0, n - 2] as without one.
+MAX_FILL_WORK = 50_000_000
+
 
 class GraphAnalysis:
     """Clique facts of one graph, each computed on first use and kept as
     long as the graph (reached as `g.analysis`): from one Lex-BFS pass,
     chordality, the elimination order and the clique tree; then the
-    maximal cliques, the clique number, and the largest near-complete
-    subgraph with its certificate. Nothing is kept per vertex pair.
+    maximal cliques, the clique number, the largest near-complete subgraph
+    with its certificate, a chordal supergraph with its r, and the index
+    layout of the clique-sum sampler. Nothing is kept per vertex pair.
+
+    The analysis refers to its graph weakly, so an analysed graph is freed
+    as soon as its last reference goes, without the cyclic collector.
     """
 
     def __init__(self, g):
-        self.graph = g
+        self._graph = weakref.ref(g)
+        self._n, self._edges = g.n, g.edges
+
+    @property
+    def graph(self):
+        """The analysed graph. An analysis read after its graph is gone (as
+        in `cycle(5).analysis.near_complete`) rebuilds the graph from its
+        edges around itself and keeps it from then on."""
+        g = self._graph()
+        if g is None:
+            g = Graph(n=self._n, edges=self._edges)
+            g.__dict__["analysis"] = self
+            self._graph = lambda: g
+        return g
 
     @cached_property
     def _lex_bfs_pass(self):
@@ -266,6 +293,37 @@ class GraphAnalysis:
         return self.near_complete[0]
 
     @cached_property
+    def triangulation(self):
+        """(fill, order, r): a chordal supergraph H of the graph, given by
+        the edges it adds and a perfect elimination order of H, and r of H,
+        the order of its largest near-complete subgraph (read off H's clique
+        tree). H = G on a chordal graph, with no search.
+
+        Zero padding puts the pattern cone of G inside that of H, so every
+        power of H's set, lattice union [r(H) - 2, oo), is in G's set too.
+        H comes from greedy min-fill elimination (_min_fill); past
+        MAX_FILL_WORK it is the complete graph: fill None (every missing
+        edge), order 1..n and r = n.
+        """
+        g = self.graph
+        if self.is_chordal:
+            return (), self.order, self.near_complete_order
+        found = _min_fill(g)
+        if found is None:
+            return None, tuple(g.vertices), g.n
+        fill, order = found
+        h = Graph.from_edges(g.n, [*g.edges, *fill])
+        return fill, order, h.analysis.near_complete_order
+
+    @cached_property
+    def sample_layout(self):
+        """Index layout of the graph's clique-sum samples
+        (cones.SampleLayout), built once and shared by every stack."""
+        from .cones import SampleLayout
+
+        return SampleLayout(self.maximal_cliques, self.graph.n)
+
+    @cached_property
     def even_cycle(self):
         """A shortest even cycle as an ordered vertex list, or None.
 
@@ -383,6 +441,68 @@ def _first_open_pair(g, s):
         if sum(rank.get(x, -1) > i for x in near) < len(joined) - 1 - i:
             return u, next(x for x in joined[i + 1:] if x not in near)
     raise AssertionError(f"no open pair around the separator {sorted(s)}")
+
+
+def _min_fill(g):
+    """Greedy minimum-fill elimination: take a vertex whose remaining
+    neighbors miss the fewest edges among themselves (the smallest label
+    among ties), add those edges, and remove it; repeat.
+
+    Returns (fill, order): the added edges, sorted, and the elimination
+    order, a perfect elimination order of G + fill. None past
+    MAX_FILL_WORK. Each vertex's count of missing neighbor pairs is counted
+    once and then updated as edges are added and vertices removed; a heap
+    with lazy deletion keeps the smallest count.
+    """
+    import heapq  # on first use: only non-chordal graphs reach here
+
+    adj = {v: set(g.neighbors(v)) for v in g.vertices}
+    missing = [0] * (g.n + 1)
+    work = 0
+    for v, near in adj.items():
+        links = 0
+        for u in near:
+            work += min(len(adj[u]), len(near))
+            links += len(adj[u] & near)
+        if work > MAX_FILL_WORK:
+            return None
+        missing[v] = len(near) * (len(near) - 1) // 2 - links // 2
+    heap = [(missing[v], v) for v in g.vertices]
+    heapq.heapify(heap)
+    fill, order = [], []
+    while heap:
+        count, v = heapq.heappop(heap)
+        if v not in adj or count != missing[v]:
+            continue  # eliminated, or a stale count
+        order.append(v)
+        near = adj.pop(v)
+        changed = set(near)
+        for a in sorted(near) if count else ():  # a simplicial v adds nothing
+            work += len(near)
+            for b in sorted(near - adj[a]):
+                if b <= a:
+                    continue
+                work += len(adj[a]) + len(adj[b])
+                if work > MAX_FILL_WORK:
+                    return None
+                for c in adj[a] & adj[b]:  # the pair a, b of N(c) is now joined
+                    missing[c] -= 1
+                    changed.add(c)
+                missing[a] += len(adj[a] - adj[b])
+                missing[b] += len(adj[b] - adj[a])
+                adj[a].add(b)
+                adj[b].add(a)
+                fill.append((a, b))
+        for w in near:  # the pairs (v, x) of N(w) with x outside N(v) go
+            adj[w].discard(v)
+            work += len(adj[w])
+            missing[w] -= len(adj[w] - near)
+        if work > MAX_FILL_WORK:
+            return None
+        for c in changed:
+            if c in adj:
+                heapq.heappush(heap, (missing[c], c))
+    return tuple(sorted(fill)), tuple(order)
 
 
 def _bron_kerbosch(g):

@@ -81,14 +81,19 @@ def least_eigenvalue(m, scale):
     return lam_min, scale * np.maximum(1.0, spectral)
 
 
+def _check_scale(name, scale):
+    """Raise ValueError unless a relative tolerance is positive and finite."""
+    if not 0 < scale < np.inf:
+        raise ValueError(f"{name} must be positive and finite, got {scale}")
+
+
 def is_psd(m, tol_scale=1e-9):
     """PSD test by full symmetric eigendecomposition.
 
     The tolerance is relative: tol_scale * max(1, spectral radius), since
     clique-sum samples vary over orders of magnitude in scale.
     """
-    if not 0 < tol_scale < np.inf:
-        raise ValueError(f"tol_scale must be positive and finite, got {tol_scale}")
+    _check_scale("tol_scale", tol_scale)
     m = as_symmetric(m)
     lam_min, tol = map(float, least_eigenvalue(m, tol_scale))
     return PsdVerdict(is_psd=lam_min >= -tol, min_eigenvalue=lam_min, tolerance_used=tol)
@@ -99,8 +104,11 @@ def certify_not_psd(m, threshold_scale=1e-6):
     -threshold_scale * max(1, spectral radius), else None.
 
     Deliberately stricter than the is_psd tolerance so numerical noise is
-    never promoted to a counterexample.
+    never promoted to a counterexample. A threshold_scale that is not
+    positive and finite raises ValueError: it would certify PSD matrices,
+    or nothing.
     """
+    _check_scale("threshold_scale", threshold_scale)
     m = as_symmetric(m)
     lam_min, tol = map(float, least_eigenvalue(m, threshold_scale))
     return lam_min if lam_min < -tol else None
@@ -213,10 +221,10 @@ def _clique_sample_stack(g, ranks, rng, nonnegative):
     same products in the same order: the stack equals the samples drawn one
     at a time, bit for bit, and leaves the generator in the same state.
     """
-    cliques = [np.array(sorted(c)) - 1 for c in g.analysis.maximal_cliques]
+    layout = g.analysis.sample_layout
     ranks = np.asarray(ranks, dtype=np.intp)
     n = g.n
-    per_sample = ranks * sum(len(idx) for idx in cliques)
+    per_sample = ranks * layout.normals
     z = rng.standard_normal(int(per_sample.sum()))
     if nonnegative:
         z = np.abs(z)
@@ -224,9 +232,8 @@ def _clique_sample_stack(g, ranks, rng, nonnegative):
     targets, weights = [], []
     for rank in range(1, int(ranks.max(initial=0)) + 1):
         rows = np.flatnonzero(ranks == rank)
-        if rows.size and cliques:
-            # normals of rank r lie as those of rank one with each clique r times
-            left, right, target = _gram_layout([idx for idx in cliques for _ in range(rank)], n)
+        if rows.size and layout.cliques:
+            left, right, target = layout.gram(rank)
             start = sample_start[rows, None]
             weights.append((z[start + left] * z[start + right]).ravel())
             targets.append((rows[:, None] * (n * n) + target).ravel())
@@ -234,6 +241,26 @@ def _clique_sample_stack(g, ranks, rng, nonnegative):
         return np.zeros((len(ranks), n, n))
     stack = np.bincount(np.concatenate(targets), np.concatenate(weights), len(ranks) * n * n)
     return stack.reshape(len(ranks), n, n)
+
+
+class SampleLayout:
+    """Index layout of one graph's clique-sum samples, built once per graph
+    (GraphAnalysis.sample_layout): the maximal cliques as 0-based index
+    arrays, the normals one rank-one sample draws, and per rank the
+    _gram_layout of a sample's terms, made on first use."""
+
+    def __init__(self, cliques, n):
+        self.cliques = [np.array(sorted(c)) - 1 for c in cliques]
+        self.normals = sum(len(idx) for idx in self.cliques)
+        self._n = n
+        self._grams = {}
+
+    def gram(self, rank):
+        if rank not in self._grams:
+            # normals of rank r lie as those of rank one with each clique r times
+            self._grams[rank] = _gram_layout(
+                [idx for idx in self.cliques for _ in range(rank)], self._n)
+        return self._grams[rank]
 
 
 def _gram_layout(blocks, n):

@@ -23,6 +23,7 @@ from .chordal import NotChordalError, find_chordless_cycle, is_chordal
 from .cones import (
     FAMILIES,
     _check_family,
+    _check_scale,
     _cholesky_clears,
     _clique_sample_stack,
     _power,
@@ -419,6 +420,7 @@ class WitnessReport:
 
     def verify(self, tol_scale=1e-9, witness_scale=1e-6):
         try:
+            _check_scale("witness_scale", witness_scale)
             m = as_symmetric(self.matrix)
         except ValueError:
             return False
@@ -618,8 +620,10 @@ def find_counterexample(g, alpha, family="plain", budget=None, seed=0, *,
     signed-pair draws and the samples; None means 200 draws and 500
     samples. Returns the first strictly certified witness, or None once the
     budget is exhausted (absence of a witness is evidence, not proof).
+    A witness_scale that is not positive and finite raises ValueError.
     """
     _check_family(family)
+    _check_scale("witness_scale", witness_scale)
     if not np.isfinite(alpha):
         raise ValueError(f"power must be finite, got {alpha}")
     if g.n < 1:
@@ -672,15 +676,22 @@ def estimate_ce_numeric(g, family="plain", grid_step=1 / 16, budget=None, seed=0
 
     Walks a grid over (0, n - 2] top-down; a verified witness at alpha
     proves alpha is outside the power set (so CE > alpha), giving the lower
-    end. The upper end is the smallest tested power above it with no
-    witness found, capped by n - 2; absence of witnesses is heuristic
-    evidence only. Returns (lower, upper).
+    end. The upper end is the smallest grid power above it with no witness,
+    capped by n - 2. Powers at or above r(H) - 2, H the chordal supergraph
+    of GraphAnalysis.triangulation, are proven to be in the set (P_G lies
+    in P_H, whose set is lattice union [r(H) - 2, oo)): they count as
+    tested with no witness and are not searched, so an upper end there is
+    proven. Below r(H) - 2, an upper end only means the search found no
+    witness. Returns (lower, upper).
     """
     _check_family(family)
+    _check_scale("witness_scale", witness_scale)
     if g.n < 2:
         raise ValueError(f"need at least 2 vertices, got {g.n}")
     if not (math.isfinite(grid_step) and grid_step > 0):
         raise ValueError(f"grid_step must be positive and finite, got {grid_step}")
+    if budget is not None and budget < 1:  # checked here too: the walk may search nothing
+        raise ValueError(f"budget must be >= 1, got {budget}")
     hi = float(g.n - 2)
     grid = []
     k = 1
@@ -691,15 +702,17 @@ def estimate_ce_numeric(g, family="plain", grid_step=1 / 16, budget=None, seed=0
         k += 1
     if not grid:
         return 0.0, 0.0
+    proven = g.analysis.triangulation[2] - 2
     rng = np.random.default_rng(seed)
     point_budget = budget if budget is not None else 120
     prev_above = None
     for a in reversed(grid):
-        report = find_counterexample(g, a, family, point_budget, seed=rng,
-                                     witness_scale=witness_scale)
-        if report is not None:
-            upper = prev_above if prev_above is not None else hi
-            return a, upper
+        if a < proven:
+            report = find_counterexample(g, a, family, point_budget, seed=rng,
+                                         witness_scale=witness_scale)
+            if report is not None:
+                upper = prev_above if prev_above is not None else hi
+                return a, upper
         prev_above = a
     return 0.0, grid[0]
 

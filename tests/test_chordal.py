@@ -1,9 +1,11 @@
 """Chordality recognition, clique enumeration, perfect orderings, and
 decompositions, cross-checked against brute-force oracles."""
 
+import gc
 import itertools
 import json
 import time
+import weakref
 from pathlib import Path
 
 import numpy as np
@@ -11,6 +13,7 @@ import pytest
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
+from hadamard_powers import chordal
 from hadamard_powers.chordal import (
     MAX_CLIQUE_EXPANSIONS,
     CliqueOrdering,
@@ -512,3 +515,103 @@ def test_chordal_near_complete_walks_no_open_pair(monkeypatch):
         assert g.analysis.near_complete[0] == g.analysis.near_complete_order
     with pytest.raises(AssertionError, match="open-pair walk"):
         cycle(5).analysis.near_complete
+
+
+# ---------------------------------------------------------------------------
+# the chordal supergraph
+
+
+def naive_min_fill(g):
+    """Greedy min-fill recounting every remaining vertex's missing neighbor
+    pairs at every step; ties go to the smallest label."""
+    adj = {v: set(g.neighbors(v)) for v in g.vertices}
+    fill, order = [], []
+
+    def missing(v):
+        return sum(b not in adj[a] for a, b in itertools.combinations(adj[v], 2))
+
+    while adj:
+        v = min(adj, key=lambda u: (missing(u), u))
+        near = adj.pop(v)
+        for a, b in itertools.combinations(sorted(near), 2):
+            if b not in adj[a]:
+                adj[a].add(b)
+                adj[b].add(a)
+                fill.append((a, b))
+        for w in near:
+            adj[w].discard(v)
+        order.append(v)
+    return tuple(sorted(fill)), tuple(order)
+
+
+GRAPHS_UP_TO_8 = st.integers(2, 8).flatmap(lambda n: st.builds(
+    Graph.from_edges, st.just(n),
+    st.sets(st.sampled_from(list(itertools.combinations(range(1, n + 1), 2))))))
+
+
+@settings(max_examples=300, deadline=None)
+@given(GRAPHS_UP_TO_8)
+@example(cycle(4))
+@example(complete_bipartite(3, 3))
+def test_triangulation_is_a_chordal_supergraph(g):
+    fill, order, r_h = g.analysis.triangulation
+    assert not set(fill) & g.edges
+    assert all(a < b for a, b in fill)
+    h = Graph.from_edges(g.n, [*g.edges, *fill])
+    assert is_perfect_elimination_order(h, order)
+    assert pairwise_is_peo(h, order)
+    assert g.analysis.near_complete_order <= r_h <= g.n
+    assert r_h == max_near_complete_order(h)
+    if is_chordal(g):  # H = G, read off the analysis the graph has
+        assert fill == () and order == g.analysis.order
+        assert r_h == g.analysis.near_complete_order
+    else:
+        assert fill and (fill, order) == naive_min_fill(g)
+
+
+def test_triangulation_of_cycles_and_bipartite_graphs():
+    # a triangulated cycle holds two triangles on one edge, K4 minus an edge
+    for n in (4, 5, 9, 80):
+        fill, _, r_h = cycle(n).analysis.triangulation
+        assert len(fill) == n - 3 and r_h == 4
+    fill, _, r_h = complete_bipartite(2, 5).analysis.triangulation
+    assert fill == ((1, 2),) and r_h == 4
+
+
+def test_chordal_graphs_run_no_min_fill(monkeypatch):
+    def min_fill(g):
+        raise AssertionError("min-fill on a chordal graph")
+
+    monkeypatch.setattr(chordal, "_min_fill", min_fill)
+    for g in [band(14, 6), random_chordal(300, seed=4), complete(30)]:
+        assert g.analysis.triangulation == ((), g.analysis.order,
+                                            g.analysis.near_complete_order)
+    with pytest.raises(AssertionError, match="min-fill"):
+        cycle(5).analysis.triangulation
+
+
+def test_triangulation_past_the_work_limit_is_the_complete_graph(monkeypatch):
+    monkeypatch.setattr(chordal, "MAX_FILL_WORK", 0)
+    assert cycle(6).analysis.triangulation == (None, (1, 2, 3, 4, 5, 6), 6)
+    g = band(9, 3)  # chordal: no search, so no limit
+    assert g.analysis.triangulation[2] == g.analysis.near_complete_order == 5
+
+
+def test_an_analysed_graph_is_freed_with_its_last_reference():
+    gc.disable()
+    try:
+        g = cycle(6)
+        g.analysis.near_complete
+        g.analysis.triangulation
+        ref = weakref.ref(g)
+        del g
+        assert ref() is None
+    finally:
+        gc.enable()
+
+
+def test_an_analysis_outliving_its_graph_still_answers():
+    a = cycle(6).analysis
+    assert a.near_complete_order == 3
+    assert a.graph.n == 6 and a.graph.analysis is a
+    assert a.triangulation[2] == 4

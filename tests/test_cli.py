@@ -57,6 +57,16 @@ def test_ce_json_is_deterministic(capsys):
     assert data["bracket_lower"] <= 1.0 <= data["bracket_upper"]
 
 
+def test_ce_on_cycle_80_searches_only_below_the_triangulation_bound(capsys):
+    # a triangulated cycle has r(H) = 4, so only the powers in (0, 2) are
+    # searched; walking all of (0, 78] took seconds
+    argv = ["ce", "--family", "cycle", "--n", "80", "--seed", "3", "--format", "json"]
+    code, out, _ = run(capsys, argv)
+    assert code == 0
+    data = json.loads(out)
+    assert (data["bracket_lower"], data["bracket_upper"]) == (0.9375, 1.0625)
+
+
 # `ce --format json` records of an earlier version of the search. Brackets are
 # grid values, so they do not depend on the BLAS build; a change to a budget
 # or an RNG stream that moves them shows here.

@@ -130,6 +130,13 @@ def test_is_psd_input_validation():
             is_psd(np.eye(2), tol_scale=tol_scale)
 
 
+@pytest.mark.parametrize("scale", [-1.0, 0.0, np.nan, np.inf])
+def test_certify_not_psd_rejects_a_bad_threshold_scale(scale):
+    # at -1 the PSD diag(0.5, 1) would come back "certified" with eigenvalue 0.5
+    with pytest.raises(ValueError, match="threshold_scale must be positive and finite"):
+        certify_not_psd(np.diag([0.5, 1.0]), scale)
+
+
 def test_is_psd_verdict_invariant():
     rng = np.random.default_rng(3)
     for _ in range(50):

@@ -8,9 +8,10 @@ from pathlib import Path
 
 import numpy as np
 import pytest
-from hypothesis import assume, given, settings
+from hypothesis import assume, example, given, settings
 from hypothesis import strategies as st
 
+from hadamard_powers import chordal, exponents
 from hadamard_powers.chordal import NotChordalError
 from hadamard_powers.exponents import (
     HSet,
@@ -380,6 +381,105 @@ def test_estimate_degenerate_two_vertices():
         estimate_ce_numeric(Graph.from_edges(1, []), seed=0)
 
 
+STEP = 1 / 16
+
+
+CHORDAL_UP_TO_8 = st.one_of(
+    st.builds(random_chordal, st.integers(3, 8), st.floats(0, 1), st.integers(0, 2**16)),
+    st.integers(3, 8).flatmap(lambda n: st.builds(band, st.just(n), st.integers(1, n))))
+
+
+@settings(max_examples=60, deadline=None)
+@given(CHORDAL_UP_TO_8, st.sampled_from(["plain", "odd", "even"]), st.integers(0, 2**32 - 1))
+@example(complete(8), "odd", 0)  # the interval-certified witness at 5.9375
+@example(band(8, 4), "even", 0)
+def test_estimate_on_chordal_graphs_searches_nothing_above_r_minus_2(g, family, rng_seed):
+    # H = G: every grid power above r - 2 is proven, and the one below it is
+    # the closed-form bordered witness, which draws nothing
+    r = max_near_complete_order(g)
+    assume(r >= 3)
+    rng = np.random.default_rng(rng_seed)
+    state = rng.bit_generator.state
+    upper = min(r - 2 + STEP, g.n - 2)  # the grid ends at n - 2
+    assert estimate_ce_numeric(g, family, seed=rng) == (r - 2 - STEP, upper)
+    assert rng.bit_generator.state == state
+
+
+GRAPHS_UP_TO_8 = st.integers(4, 8).flatmap(lambda n: st.builds(
+    Graph.from_edges, st.just(n),
+    st.sets(st.sampled_from([(i, j) for i in range(1, n + 1) for j in range(i + 1, n + 1)]))))
+
+
+def _grid(n):
+    """The walk's grid: multiples of STEP in (0, n - 2] off the integers."""
+    return [k * STEP for k in range(1, 16 * (n - 2) + 1) if k % 16]
+
+
+def _searched_powers(g, *args, **kwargs):
+    """estimate_ce_numeric's bracket and the powers it searched, in order."""
+    searched = []
+
+    def search(g, alpha, *search_args, **search_kwargs):
+        searched.append(alpha)
+        return find_counterexample(g, alpha, *search_args, **search_kwargs)
+
+    with pytest.MonkeyPatch.context() as mp:
+        mp.setattr(exponents, "find_counterexample", search)
+        return estimate_ce_numeric(g, *args, **kwargs), searched
+
+
+@settings(max_examples=40, deadline=None)
+@given(GRAPHS_UP_TO_8, st.sampled_from(["plain", "odd", "even"]))
+@example(cycle(8), "even")
+@example(complete_bipartite(3, 4), "odd")
+@example(Graph.from_edges(7, [(1, 2), (2, 3), (3, 4), (4, 5), (5, 1), (1, 6), (2, 6),
+                              (3, 7), (4, 7), (6, 7)]), "plain")
+def test_estimate_searches_only_below_the_triangulation_bound(g, family):
+    r_h = g.analysis.triangulation[2]
+    (lo, hi), searched = _searched_powers(g, family, budget=10, seed=1)
+    assert lo < hi <= max(r_h - 2 + STEP, STEP)
+    # from the top of the grid down to the lower end, each power below
+    # r(H) - 2 is searched once
+    assert searched == [a for a in reversed(_grid(g.n)) if lo <= a < r_h - 2]
+
+
+def test_estimate_past_the_min_fill_work_limit_walks_every_power(monkeypatch):
+    # H = K_n: r(H) - 2 = n - 2 skips nothing, as before the triangulation
+    # existed, so the bracket and the draws are those of the full walk
+    monkeypatch.setattr(chordal, "MAX_FILL_WORK", 0)
+    for g, family, bracket in [(cycle(6), "even", (1.25, 1.3125)),
+                               (cycle(7), "plain", (0.9375, 1.0625))]:
+        assert g.analysis.triangulation[2] == g.n
+        got, searched = _searched_powers(g, family, seed=3)
+        assert got == bracket
+        assert searched == [a for a in reversed(_grid(g.n)) if a >= bracket[0]]
+
+
+BAD_SCALES = [-1.0, 0.0, float("nan"), float("inf")]
+
+
+@pytest.mark.parametrize("scale", BAD_SCALES)
+def test_searches_reject_a_bad_witness_scale(scale):
+    # a non-positive scale would pass PSD images off as witnesses, and a NaN
+    # or infinite one would certify nothing
+    with pytest.raises(ValueError, match="witness_scale must be positive and finite"):
+        find_counterexample(cycle(5), 1.5, "plain", seed=1, witness_scale=scale)
+    with pytest.raises(ValueError, match="witness_scale must be positive and finite"):
+        estimate_ce_numeric(cycle(5), seed=1, witness_scale=scale)
+    with pytest.raises(ValueError, match="witness_scale must be positive and finite"):
+        estimate_ce_numeric(complete(4), seed=1, witness_scale=scale)
+
+
+@pytest.mark.parametrize("scale", BAD_SCALES)
+def test_verify_fails_at_a_bad_witness_scale(scale):
+    float_route = find_counterexample(complete(4), 1.5, "plain", seed=7)
+    interval_route = find_counterexample(near_complete(9), 6.5, "plain", seed=1)
+    assert interval_route.certificate is not None and float_route.certificate is None
+    for report in (float_route, interval_route):
+        assert report.verify()
+        assert not report.verify(witness_scale=scale)
+
+
 def test_conjecture_scan_small_set():
     report = conjecture_scan([path(3), cycle(4), complete(4)], seed=3)
     assert report["summary"]["graphs"] == 3
@@ -418,6 +518,9 @@ def test_budget_below_one_is_rejected():
             find_counterexample(complete(4), 1.5, "plain", budget=budget)
         with pytest.raises(ValueError, match=f"budget must be >= 1, got {budget}"):
             estimate_ce_numeric(cycle(6), budget=budget)
+        # r = 2: every power of the walk is proven, so nothing is searched
+        with pytest.raises(ValueError, match=f"budget must be >= 1, got {budget}"):
+            estimate_ce_numeric(Graph.from_edges(4, [(1, 2), (3, 4)]), budget=budget)
 
 
 # --- closed-form bordered witnesses and their certificates ----------------------

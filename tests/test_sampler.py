@@ -83,6 +83,23 @@ def test_stack_equals_samples_drawn_one_at_a_time(n_edges, ranks, nonnegative, s
     assert nxt == rng_ref.standard_normal() == rng_one.standard_normal()
 
 
+def test_layout_is_built_once_per_graph_and_rank(monkeypatch):
+    built = []
+    layout = cones._gram_layout
+
+    def counted(blocks, n):
+        built.append(len(blocks))
+        return layout(blocks, n)
+
+    monkeypatch.setattr(cones, "_gram_layout", counted)
+    g = cycle(7)
+    rng = np.random.default_rng(0)
+    for ranks in ([1, 1, 2], [2, 1], [1] * 5, [3]):
+        _clique_sample_stack(g, ranks, rng, False)
+    assert built == [7, 14, 21]  # the 7 edges once per rank, on first use
+    assert g.analysis.sample_layout.cliques[0].tolist() == [0, 1]
+
+
 # (graph, alpha, family): first hit at sample 4 (the first rank-two one),
 # a miss over every sample, a hit at sample 0, and a signed family
 SEARCH_CASES = [(complete(4), 1.5, "plain"), (complete(4), 2.5, "plain"),
