@@ -337,9 +337,12 @@ class IntervalCertificate:
 
     F F^T is PSD exactly. The proof is an interval-arithmetic enclosure,
     at `digits` decimal digits, of x^T (F F^T)^{∘alpha} x whose upper end
-    is negative (Rump 2010, Acta Numerica 19). The test vector x is kept as
-    decimal strings: rounding it to floats can move the form by more than
-    the margin.
+    is negative (Rump 2010, Acta Numerica 19). The test vector x is the
+    negative-pivot vector L^{-T} e_k of a diagonally pivoted L D L^T of the
+    image at that precision, so the form is, up to rounding, the negative
+    diagonal entry of the Schur complement where the factorization stops.
+    It is kept as decimal strings: rounding it to floats can move the form
+    by more than the margin.
     """
 
     factor: np.ndarray
@@ -406,8 +409,9 @@ class WitnessReport:
     Without a certificate, the proof is the float least eigenvalue of the
     power image, strictly below the witness threshold; with one, it is the
     interval bound of an IntervalCertificate, and image_min_eigenvalue is
-    the high-precision least eigenvalue. verify() recomputes everything
-    from the stored data.
+    the high-precision least eigenvalue: Rayleigh-quotient iteration seeded
+    with the certificate's test vector, confirmed least by an inertia count.
+    verify() recomputes everything from the stored data.
     """
 
     graph: Graph
@@ -420,6 +424,7 @@ class WitnessReport:
 
     def verify(self, tol_scale=1e-9, witness_scale=1e-6):
         try:
+            _check_scale("tol_scale", tol_scale)
             _check_scale("witness_scale", witness_scale)
             m = as_symmetric(self.matrix)
         except ValueError:
@@ -477,25 +482,143 @@ def _small_bordered_image_fails(u, v, alpha, family, witness_scale):
     return certify_not_psd(image, witness_scale) is not None
 
 
+def _negative_pivot_vector(ctx, b, shift=0):
+    """(x, x^T (B - shift I) x) for the symmetric matrix b (nested lists of
+    ctx numbers), or None when B - shift I is positive definite.
+
+    B - shift I is factored as L D L^T with diagonal pivoting, each step on
+    the largest remaining diagonal entry. At the first pivot that is not
+    positive the Schur complement S has no positive diagonal entry; with k
+    the least one, x = L^{-T} e_k gives x^T (B - shift I) x = S_kk <= 0
+    (Sylvester's law of inertia). No pivot is divided by unless positive.
+    """
+    n = len(b)
+    s = [[entry - shift if i == j else entry for j, entry in enumerate(row)]
+         for i, row in enumerate(b)]
+    rest = list(range(n))
+    steps = []  # (pivot, {later index: multiplier}) in elimination order
+    while rest:
+        p = max(rest, key=lambda i: s[i][i])
+        d = s[p][p]
+        if d <= 0:
+            k = min(rest, key=lambda i: s[i][i])
+            x = [ctx.zero] * n
+            x[k] = ctx.one
+            for q, col in reversed(steps):  # back-substitute L^T x = e_k
+                x[q] = -sum((lq * x[i] for i, lq in col.items()), ctx.zero)
+            return x, s[k][k]
+        rest.remove(p)
+        sp = s[p]
+        col = {i: s[i][p] / d for i in rest}
+        for a, i in enumerate(rest):
+            li, si = col[i], s[i]
+            for j in rest[a:]:
+                si[j] -= li * sp[j]
+                s[j][i] = si[j]
+        steps.append((p, col))
+    return None
+
+
+def _rayleigh_quotient(ctx, b, x):
+    bx = [sum((bij * xj for bij, xj in zip(row, x)), ctx.zero) for row in b]
+    return (sum((xi * y for xi, y in zip(x, bx)), ctx.zero)
+            / sum((xi * xi for xi in x), ctx.zero))
+
+
+def _solve(ctx, a, rhs):
+    """Solution of a y = rhs by Gaussian elimination with partial pivoting;
+    None when a is singular at the working precision."""
+    n = len(a)
+    m = [row[:] + [r] for row, r in zip(a, rhs)]
+    for c in range(n):
+        p = max(range(c, n), key=lambda i: abs(m[i][c]))
+        if not m[p][c]:
+            return None
+        m[c], m[p] = m[p], m[c]
+        piv = m[c]
+        for row in m[c + 1:]:
+            f = row[c] / piv[c]
+            if f:
+                for j in range(c + 1, n + 1):
+                    row[j] -= f * piv[j]
+    y = [ctx.zero] * n
+    for c in reversed(range(n)):
+        y[c] = (m[c][n] - sum((m[c][j] * y[j] for j in range(c + 1, n)), ctx.zero)) / m[c][c]
+    return y
+
+
+#: Rayleigh-quotient iteration stops once a step moves the quotient by at
+#: most this share of it (well past float precision) plus the working
+#: precision's noise floor; the least-eigenvalue check shifts below the
+#: quotient by CONFIRM_SHARE of it plus that floor
+RQI_TOL = 2.0 ** -80
+CONFIRM_SHARE = 2.0 ** -64
+RQI_MAX_STEPS = 25
+
+
+def _rayleigh_iteration(ctx, b, x, floor):
+    """Least Rayleigh quotient met by Rayleigh-quotient iteration on b from
+    x, with its vector."""
+    rho = _rayleigh_quotient(ctx, b, x)
+    best = rho, x
+    for _ in range(RQI_MAX_STEPS):
+        y = _solve(ctx, [[bij - rho if i == j else bij for j, bij in enumerate(row)]
+                         for i, row in enumerate(b)], x)
+        if y is None:  # rho is an eigenvalue at the working precision
+            break
+        top = max(abs(v) for v in y)
+        x = [v / top for v in y]
+        step, rho = rho, _rayleigh_quotient(ctx, b, x)
+        best = min(best, (rho, x), key=lambda t: t[0])
+        if abs(rho - step) <= abs(rho) * RQI_TOL + floor:
+            break
+    return best
+
+
+def _least_eigenvalue(ctx, b, x):
+    """Least eigenvalue of b by Rayleigh-quotient iteration from x, or None
+    if it cannot be confirmed.
+
+    A Rayleigh quotient rho bounds the least eigenvalue from above; it is
+    confirmed least when B - (rho - delta) I has no non-positive pivot, with
+    delta = CONFIRM_SHARE |rho| plus the noise floor 4 n eps ||B||_inf of an
+    L D L^T at the working precision. Otherwise the check's negative-pivot
+    vector, whose quotient lies below rho - delta, seeds the next iteration.
+    """
+    floor = 4 * len(b) * ctx.eps * max(sum(abs(v) for v in row) for row in b)
+    for _ in range(len(b) + 1):
+        rho, x = _rayleigh_iteration(ctx, b, x, floor)
+        found = _negative_pivot_vector(ctx, b, rho - abs(rho) * CONFIRM_SHARE - floor)
+        if found is None:
+            return rho
+        x = found[0]
+    return None
+
+
 def _interval_certificate(factor, alpha, digits):
     """(certificate, least image eigenvalue) proving F F^T a witness at
     alpha, doubling the precision from `digits`; None past the limit.
 
-    The test vector is the least eigenvector of the image on F's rows,
-    from a symmetric eigensolve at the working precision.
+    The test vector is the negative-pivot vector of a diagonally pivoted
+    L D L^T of the image on F's rows at the working precision; the
+    eigenvalue comes from Rayleigh-quotient iteration seeded with it and
+    confirmed least by an inertia count.
     """
     rows = np.flatnonzero(factor.any(axis=1))
     while digits <= CERTIFICATE_MAX_DIGITS:
         mp = MPContext()
         mp.dps = digits
-        eigs, vecs = mp.eigsy(mp.matrix(_image_rows(mp, factor[rows], alpha)))
-        k = min(range(len(rows)), key=lambda i: eigs[i])
-        x = ["0"] * factor.shape[0]
-        for i, r in enumerate(rows):
-            x[r] = mp.nstr(vecs[i, k], digits)
-        cert = IntervalCertificate(factor=factor, test_vector=tuple(x), digits=digits)
-        if cert.upper_bound(alpha) < 0:
-            return cert, float(eigs[k])
+        image = _image_rows(mp, factor[rows], alpha)
+        found = _negative_pivot_vector(mp, image)
+        if found is not None:
+            x = ["0"] * factor.shape[0]
+            for r, v in zip(rows, found[0]):
+                x[r] = mp.nstr(v, digits)
+            cert = IntervalCertificate(factor=factor, test_vector=tuple(x), digits=digits)
+            if cert.upper_bound(alpha) < 0:
+                lam = _least_eigenvalue(mp, image, found[0])
+                if lam is not None:
+                    return cert, float(lam)
         digits *= 2
     return None
 

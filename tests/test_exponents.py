@@ -1,22 +1,33 @@
 """Symbolic power sets, critical exponents, witnesses, and brackets."""
 
+import hashlib
 import json
+import math
 import os
 import subprocess
 import sys
+from fractions import Fraction
 from pathlib import Path
 
 import numpy as np
 import pytest
 from hypothesis import assume, example, given, settings
 from hypothesis import strategies as st
+from mpmath.ctx_mp import MPContext
 
 from hadamard_powers import chordal, exponents
 from hadamard_powers.chordal import NotChordalError
+from hadamard_powers.cones import bordered_factor
 from hadamard_powers.exponents import (
+    BORDER_SCALE,
     HSet,
     WitnessReport,
     _bordered_search,
+    _image_rows,
+    _interval_certificate,
+    _least_eigenvalue,
+    _negative_pivot_vector,
+    _rayleigh_iteration,
     bipartition,
     conjecture_scan,
     critical_exponent_clique_formula,
@@ -480,6 +491,17 @@ def test_verify_fails_at_a_bad_witness_scale(scale):
         assert not report.verify(witness_scale=scale)
 
 
+@pytest.mark.parametrize("scale", BAD_SCALES)
+def test_verify_fails_at_a_bad_tol_scale(scale):
+    # both routes refuse the scale instead of one raising and one ignoring it
+    float_route = find_counterexample(complete(4), 1.5, "plain", seed=7)
+    interval_route = find_counterexample(near_complete(9), 6.5, "plain", seed=1)
+    assert interval_route.certificate is not None and float_route.certificate is None
+    for report in (float_route, interval_route):
+        assert report.verify()
+        assert not report.verify(tol_scale=scale)
+
+
 def test_conjecture_scan_small_set():
     report = conjecture_scan([path(3), cycle(4), complete(4)], seed=3)
     assert report["summary"]["graphs"] == 3
@@ -559,6 +581,94 @@ def test_every_witness_workload_power_is_certified(family):
             w = find_counterexample(g, alpha, family, seed=1)
             assert w is not None and w.certificate is not None, (g.n, alpha)
             assert WitnessReport.from_json(json.loads(json.dumps(w.to_json()))).verify()
+
+
+def test_witness_workload_reports_are_pinned():
+    # recorded while the test vector was the least eigenvector of a full
+    # multiprecision eigensolve; the eigenvalue, precision and matrix of
+    # each report are unchanged since (the test vector is not pinned)
+    graphs = {"band(10,5)": band(10, 5), "band(14,6)": band(14, 6),
+              "near_complete(9)": near_complete(9)}
+    records = json.loads((FIXTURES / "witness_certificates.json").read_text())
+    assert len(records) == 18
+    for rec in records:
+        w = find_counterexample(graphs[rec["graph"]], rec["alpha"], rec["family"], seed=1)
+        rows = w.to_json()["matrix"]["rows"]
+        assert (repr(w.image_min_eigenvalue), w.certificate.digits, w.construction,
+                hashlib.sha256(json.dumps(rows).encode()).hexdigest()) == (
+            rec["image_min_eigenvalue"], rec["digits"], rec["construction"],
+            rec["matrix_sha256"]), rec
+
+
+def _exact(x):
+    """An mpf as an exact fraction."""
+    return (-1 if x < 0 else 1) * x.man * Fraction(2) ** x.exp
+
+
+def _exact_form(b, x):
+    xs = [_exact(v) for v in x]
+    return sum(_exact(bij) * xs[i] * xs[j]
+               for i, row in enumerate(b) for j, bij in enumerate(row))
+
+
+@settings(max_examples=40, deadline=None)
+@given(st.integers(1, 12).flatmap(lambda m: st.tuples(
+    st.just(m),
+    st.one_of(st.floats(m - 1, m, exclude_min=True, exclude_max=True),
+              st.sampled_from([m - 1 + 1 / 16, m - 1 / 16, m - 1e-4])))))
+def test_closed_form_certificate_from_the_pivot_vector(case):
+    m, alpha = case
+    assume(not float(alpha).is_integer())
+    factor = bordered_factor(np.ones(m), BORDER_SCALE * np.linspace(1.0, 2.0, m))
+    proved = _interval_certificate(factor, alpha, 20 + 5 * m)
+    assert proved is not None
+    cert, lam = proved
+    mp = MPContext()
+    mp.dps = cert.digits
+    image = _image_rows(mp, factor, alpha)
+    # the noise floor of an L D L^T at this precision
+    noise = len(image) * mp.eps * max(sum(abs(v) for v in row) for row in image)
+    # the test vector's form, summed exactly, is the negative pivot
+    x, pivot = _negative_pivot_vector(mp, image)
+    form = _exact_form(image, x)
+    assert pivot < 0 and form < 0
+    assert abs(form - _exact(pivot)) <= _exact(noise) * max(abs(_exact(v)) for v in x) ** 2
+    # the reported eigenvalue is the least one of a full eigensolve, to
+    # float precision where the working precision resolves it
+    least = min(mp.eigsy(mp.matrix(image))[0])
+    assert abs(lam - least) <= abs(least) * 2**-52 + 8 * noise
+    # the inertia count rejects a shift just above it and accepts one below
+    gap = abs(least) * mp.mpf(2) ** -40 + 16 * noise
+    assert _negative_pivot_vector(mp, image, least + gap) is not None
+    assert _negative_pivot_vector(mp, image, least - gap) is None
+
+
+@pytest.mark.parametrize("rows, least", [
+    ([[0, 1], [1, 0]], 0),
+    ([[1, 1, 1], [1, 1, 2], [1, 2, 1]], 0),  # the Schur block after one pivot is [[0, 1], [1, 0]]
+    ([[0, 0], [0, 0]], 0),
+    ([[2, 0, 1], [0, -1, 0], [1, 0, 0]], -1),  # Schur diagonal -1 and -1/2 after one pivot
+])
+def test_negative_pivot_vector_without_a_positive_diagonal(rows, least):
+    # no positive pivot left: the vector picks the least Schur diagonal
+    # entry, and its form is that entry exactly
+    mp = MPContext()
+    mp.dps = 30
+    b = [[mp.mpf(v) for v in row] for row in rows]
+    x, pivot = _negative_pivot_vector(mp, b)
+    assert pivot == least and _exact_form(b, x) == least
+
+
+def test_least_eigenvalue_reseeds_past_another_eigenvalue():
+    # Rayleigh-quotient iteration from the pivot vector e_1 does not reach
+    # the least eigenvalue here; the inertia check's vector reseeds it
+    mp = MPContext()
+    mp.dps = 30
+    b = [[mp.mpf(v) for v in row] for row in [[-8, 5, 5], [5, -6, -8], [5, -8, 0]]]
+    x, _ = _negative_pivot_vector(mp, b)
+    least = min(mp.eigsy(mp.matrix(b))[0])
+    assert abs(_rayleigh_iteration(mp, b, x, 0)[0] - least) > 1
+    assert abs(_least_eigenvalue(mp, b, x) - least) <= abs(least) * mp.mpf(2) ** -60
 
 
 def _interval_report():
