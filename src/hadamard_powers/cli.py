@@ -13,6 +13,7 @@ byte-identical across runs.
 from __future__ import annotations
 
 import argparse
+import functools
 import inspect
 import json
 import os
@@ -193,9 +194,6 @@ def _cmd_hset(args):
     if g.n < 2:
         raise CliError("power sets are defined for graphs with >= 2 vertices")
     hs = expected_hset(g, args.powers)
-    if hs is None:
-        raise CliError("no exact or partial description known for this graph; "
-                       "use 'ce' for a numeric bracket")
     if cfg.output_format == "json":
         print(_json_dump({"powers": args.powers, "hset": hs.to_json()}))
     else:
@@ -250,7 +248,7 @@ def _cmd_verify(args):
         raise CliError("--alphas must name at least one power")
     if args.samples < 1:
         raise CliError(f"--samples must be >= 1, got {args.samples}")
-    expected = expected_hset(g, args.powers) if g.n >= 2 else None
+    expected = expected_hset(g, args.powers)
     rng = np.random.default_rng(cfg.seed)
     rows = []
     violation = False
@@ -363,7 +361,10 @@ def _cmd_scan(args):
     return 1 if summary["flagged"] or summary["errors"] else 0
 
 
+@functools.cache
 def build_parser():
+    """The argument parser, built once per process: parse_args returns a
+    fresh namespace each call, and no argument has a mutable default."""
     parser = argparse.ArgumentParser(
         prog="hadamard-powers",
         description="Entrywise powers preserving positive semidefiniteness "

@@ -10,6 +10,7 @@ CE = r - 2 (r the largest near-complete subgraph order).
 
 from __future__ import annotations
 
+import functools
 import itertools
 import math
 from collections import deque
@@ -289,19 +290,69 @@ def _is_cycle_graph(g):
             and len(connected_components(g)) == 1)
 
 
+def _subset(a, b):
+    """Whether the exact set a lies inside the exact set b: a's ray lies
+    in b's, and so does each lattice power of a below b's ray."""
+    return a.ray_start >= b.ray_start and all(
+        b.contains(k) for k in range(1, math.ceil(b.ray_start))
+        if _lattice_contains(a.lattice, k))
+
+
+def _union(a, b):
+    """a union b when one holds the other (a on a tie); otherwise the one
+    with the smaller ray, a proven part of the union."""
+    if _subset(b, a):
+        return a
+    if _subset(a, b):
+        return b
+    return min(a, b, key=lambda h: h.ray_start)
+
+
+def _intersection(a, b):
+    """a intersect b when one holds the other (a on a tie); otherwise the
+    one with the larger ray, which holds the intersection."""
+    if _subset(a, b):
+        return a
+    if _subset(b, a):
+        return b
+    return max(a, b, key=lambda h: h.ray_start)
+
+
 def expected_hset(g, family="plain"):
-    """Best available description for a pattern, or None when nothing
-    exact or partial is known (chordal, cycle, then connected bipartite)."""
+    """The tightest proven description of a pattern's power set; None for
+    fewer than 2 vertices.
+
+    Every pattern has the sandwich lattice union [r(H) - 2, oo) <= set <=
+    lattice union [r - 2, oo): zero padding puts the pattern cone of the
+    near-complete subgraph (r, GraphAnalysis.near_complete) inside G's, and
+    G's inside that of the chordal supergraph H (r(H),
+    GraphAnalysis.triangulation), so their chordal sets bound G's. It is
+    exact when r(H) = r, as for every chordal G (it is then hset_chordal).
+    Otherwise the cycle and connected bipartite theorems (hset_cycle,
+    hset_bipartite) join it where they apply: inner bounds by union, outer
+    bounds by intersection, exclusions together.
+    """
     _check_family(family)
     if g.n < 2:
         return None
-    if is_chordal(g):
-        return hset_chordal(g, family)
+    lattice = _LATTICE_FOR_FAMILY[family]
+    r, r_h = g.analysis.near_complete_order, g.analysis.triangulation[2]
+    sandwich = HSet(lattice=lattice, ray_start=float(r_h - 2))
+    if r_h == r:
+        return sandwich
+    sources = []
     if _is_cycle_graph(g):
-        return hset_cycle(g.n, family)
-    if len(connected_components(g)) == 1 and bipartition(g) is not None and g.n >= 3:
-        return hset_bipartite(g, family)
-    return None
+        sources.append(hset_cycle(g.n, family))
+    if g.n >= 3 and len(connected_components(g)) == 1 and bipartition(g) is not None:
+        sources.append(hset_bipartite(g, family))
+    sources.append(HSet.partial(inner=sandwich,
+                                outer=HSet(lattice=lattice, ray_start=float(r - 2))))
+    inner = functools.reduce(_union, (h if h.exact else h.inner for h in sources))
+    outer = functools.reduce(_intersection, (h if h.exact else h.outer for h in sources))
+    if _subset(outer, inner):
+        return inner
+    return HSet.partial(inner=inner, outer=outer,
+                        exclusions=sorted({x for h in sources for x in h.exclusions}))
 
 
 # ---------------------------------------------------------------------------
@@ -575,17 +626,23 @@ def _rayleigh_iteration(ctx, b, x, floor):
     return best
 
 
+def _noise_floor(ctx, b):
+    """4 n eps ||B||_inf: the rounding noise of an L D L^T of b at the
+    working precision."""
+    return 4 * len(b) * ctx.eps * max(sum(abs(v) for v in row) for row in b)
+
+
 def _least_eigenvalue(ctx, b, x):
     """Least eigenvalue of b by Rayleigh-quotient iteration from x, or None
     if it cannot be confirmed.
 
     A Rayleigh quotient rho bounds the least eigenvalue from above; it is
     confirmed least when B - (rho - delta) I has no non-positive pivot, with
-    delta = CONFIRM_SHARE |rho| plus the noise floor 4 n eps ||B||_inf of an
-    L D L^T at the working precision. Otherwise the check's negative-pivot
-    vector, whose quotient lies below rho - delta, seeds the next iteration.
+    delta = CONFIRM_SHARE |rho| plus the noise floor (_noise_floor).
+    Otherwise the check's negative-pivot vector, whose quotient lies below
+    rho - delta, seeds the next iteration.
     """
-    floor = 4 * len(b) * ctx.eps * max(sum(abs(v) for v in row) for row in b)
+    floor = _noise_floor(ctx, b)
     for _ in range(len(b) + 1):
         rho, x = _rayleigh_iteration(ctx, b, x, floor)
         found = _negative_pivot_vector(ctx, b, rho - abs(rho) * CONFIRM_SHARE - floor)
@@ -602,7 +659,11 @@ def _interval_certificate(factor, alpha, digits):
     The test vector is the negative-pivot vector of a diagonally pivoted
     L D L^T of the image on F's rows at the working precision; the
     eigenvalue comes from Rayleigh-quotient iteration seeded with it and
-    confirmed least by an inertia count.
+    confirmed least by an inertia count. Where the noise floor of that
+    precision exceeds 2^-53 of the eigenvalue (a power next to an integer,
+    whose image is nearly singular), only the eigenvalue is recomputed, at
+    doubled precision up to CERTIFICATE_MAX_DIGITS, so that it is resolved
+    to float precision.
     """
     rows = np.flatnonzero(factor.any(axis=1))
     while digits <= CERTIFICATE_MAX_DIGITS:
@@ -618,9 +679,28 @@ def _interval_certificate(factor, alpha, digits):
             if cert.upper_bound(alpha) < 0:
                 lam = _least_eigenvalue(mp, image, found[0])
                 if lam is not None:
-                    return cert, float(lam)
+                    return cert, _resolved_eigenvalue(factor[rows], alpha, mp, image,
+                                                      found[0], lam)
         digits *= 2
     return None
+
+
+def _resolved_eigenvalue(f, alpha, ctx, image, x, lam):
+    """lam, the least eigenvalue of image = (F F^T)^{∘alpha} at ctx's
+    precision, as a float. While the noise floor exceeds 2^-53 |lam| and
+    the precision stays within CERTIFICATE_MAX_DIGITS, Rayleigh-quotient
+    iteration from x recomputes it at doubled precision."""
+    while (_noise_floor(ctx, image) > abs(lam) * 2.0 ** -53
+           and 2 * ctx.dps <= CERTIFICATE_MAX_DIGITS):
+        digits = 2 * ctx.dps
+        ctx = MPContext()
+        ctx.dps = digits
+        image = _image_rows(ctx, f, alpha)
+        finer = _least_eigenvalue(ctx, image, [ctx.mpf(v) for v in x])
+        if finer is None:
+            break
+        lam = finer
+    return float(lam)
 
 
 def _closed_form_witness(g, alpha, family, support, witness_scale):
@@ -800,12 +880,11 @@ def estimate_ce_numeric(g, family="plain", grid_step=1 / 16, budget=None, seed=0
     Walks a grid over (0, n - 2] top-down; a verified witness at alpha
     proves alpha is outside the power set (so CE > alpha), giving the lower
     end. The upper end is the smallest grid power above it with no witness,
-    capped by n - 2. Powers at or above r(H) - 2, H the chordal supergraph
-    of GraphAnalysis.triangulation, are proven to be in the set (P_G lies
-    in P_H, whose set is lattice union [r(H) - 2, oo)): they count as
-    tested with no witness and are not searched, so an upper end there is
-    proven. Below r(H) - 2, an upper end only means the search found no
-    witness. Returns (lower, upper).
+    capped by n - 2. Powers that expected_hset proves in the set (its exact
+    set, or the inner bound of a partial one) count as tested with no
+    witness and are not searched, so an upper end there is proven. Every
+    other upper end only means the search found no witness. Returns
+    (lower, upper).
     """
     _check_family(family)
     _check_scale("witness_scale", witness_scale)
@@ -825,12 +904,12 @@ def estimate_ce_numeric(g, family="plain", grid_step=1 / 16, budget=None, seed=0
         k += 1
     if not grid:
         return 0.0, 0.0
-    proven = g.analysis.triangulation[2] - 2
+    known = expected_hset(g, family)
     rng = np.random.default_rng(seed)
     point_budget = budget if budget is not None else 120
     prev_above = None
     for a in reversed(grid):
-        if a < proven:
+        if known.classify(a) != "in":
             report = find_counterexample(g, a, family, point_budget, seed=rng,
                                          witness_scale=witness_scale)
             if report is not None:

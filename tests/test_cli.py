@@ -5,6 +5,7 @@ from pathlib import Path
 
 import pytest
 
+from hadamard_powers import cli
 from hadamard_powers.cli import SEED_ENV_VAR, main
 from hadamard_powers.exponents import WitnessReport
 from hadamard_powers.graphs import cycle, to_edge_list
@@ -147,14 +148,15 @@ def test_hset_complete_bipartite_even_exact(capsys):
     assert "exact: [2, ∞)" in out
 
 
-def test_hset_unknown_graph_is_an_error(capsys, tmp_path):
+def test_hset_graph_without_a_theorem_gets_the_sandwich(capsys, tmp_path):
+    # neither chordal, a cycle nor bipartite: r = 3 and r(H) = 4 bound the set
     g = cycle(5)
     chord = "1 3\n"
     p = tmp_path / "odd.edges"
     p.write_text(to_edge_list(g) + chord)
-    code, _, err = run(capsys, ["hset", str(p)])
-    assert code == 2
-    assert "numeric bracket" in err
+    code, out, _ = run(capsys, ["hset", str(p)])
+    assert code == 0
+    assert out.startswith("partial: contains N ∪ [2, ∞), contained in [1, ∞)\n")
 
 
 def test_witness_roundtrip(capsys, tmp_path):
@@ -308,6 +310,28 @@ def test_env_seed_honored_outside_strict(capsys, monkeypatch, tmp_path):
                               "--alpha", "2.5", "--seed", "11", "-o", str(out_file)])
     assert code == 0
     assert out_file.read_text() == with_env
+
+
+def test_main_calls_share_no_parsed_state(capsys, monkeypatch):
+    # the parser is built once per process; each call still parses afresh,
+    # so neither --seed nor --strict carries over to the next call
+    assert cli.build_parser() is cli.build_parser()
+    seeds = []
+    resolve = cli._resolve_config
+
+    def record(args):
+        cfg = resolve(args)
+        seeds.append(cfg.seed)
+        return cfg
+
+    monkeypatch.setattr(cli, "_resolve_config", record)
+    monkeypatch.delenv(SEED_ENV_VAR, raising=False)
+    argv = ["ce", "--family", "complete", "--n", "4"]
+    assert run(capsys, [*argv, "--seed", "5", "--strict"])[0] == 0
+    assert run(capsys, argv)[0] == 0
+    monkeypatch.setenv(SEED_ENV_VAR, "7")
+    assert run(capsys, argv)[0] == 0
+    assert seeds == [5, 0, 7]
 
 
 def test_json_graph_input(capsys, tmp_path):

@@ -16,7 +16,7 @@ from hypothesis import strategies as st
 from mpmath.ctx_mp import MPContext
 
 from hadamard_powers import chordal, exponents
-from hadamard_powers.chordal import NotChordalError
+from hadamard_powers.chordal import NotChordalError, is_chordal
 from hadamard_powers.cones import bordered_factor
 from hadamard_powers.exponents import (
     BORDER_SCALE,
@@ -47,6 +47,7 @@ from hadamard_powers.graphs import (
     complete_bipartite,
     cycle,
     generate,
+    is_connected,
     max_near_complete_order,
     max_near_complete_order_fast,
     max_outerplanar,
@@ -263,9 +264,13 @@ def test_expected_hset_dispatch():
     assert expected_hset(complete(4)).exact
     assert expected_hset(cycle(5)).ray_start == 1.0
     assert expected_hset(complete_bipartite(2, 3), "even").ray_start == 2.0
-    # non-chordal, non-bipartite, not a cycle: nothing known
+    # non-chordal, non-bipartite, not a cycle: the sandwich alone, with
+    # r = 3 and r(H) = 4
     g = Graph.from_edges(5, [(1, 2), (2, 3), (3, 4), (4, 5), (1, 5), (1, 3)])
-    assert expected_hset(g) is None
+    h = expected_hset(g)
+    assert not h.exact
+    assert (h.inner.lattice, h.inner.ray_start) == ("naturals", 2.0)
+    assert (h.outer.lattice, h.outer.ray_start) == ("naturals", 1.0)
     assert expected_hset(Graph.from_edges(1, [])) is None
 
 
@@ -439,28 +444,92 @@ def _searched_powers(g, *args, **kwargs):
         return estimate_ce_numeric(g, *args, **kwargs), searched
 
 
+def _proven(g, family):
+    """The set of powers the walk skips: expected_hset's exact set or inner
+    bound."""
+    known = expected_hset(g, family)
+    return known if known.exact else known.inner
+
+
 @settings(max_examples=40, deadline=None)
 @given(GRAPHS_UP_TO_8, st.sampled_from(["plain", "odd", "even"]))
 @example(cycle(8), "even")
+@example(cycle(7), "plain")  # [1, oo) exactly: (1, 2) below r(H) - 2 is skipped too
 @example(complete_bipartite(3, 4), "odd")
 @example(Graph.from_edges(7, [(1, 2), (2, 3), (3, 4), (4, 5), (5, 1), (1, 6), (2, 6),
                               (3, 7), (4, 7), (6, 7)]), "plain")
 def test_estimate_searches_only_below_the_triangulation_bound(g, family):
-    r_h = g.analysis.triangulation[2]
+    proven = _proven(g, family)
+    assert proven.ray_start <= g.analysis.triangulation[2] - 2
     (lo, hi), searched = _searched_powers(g, family, budget=10, seed=1)
-    assert lo < hi <= max(r_h - 2 + STEP, STEP)
-    # from the top of the grid down to the lower end, each power below
-    # r(H) - 2 is searched once
-    assert searched == [a for a in reversed(_grid(g.n)) if lo <= a < r_h - 2]
+    assert lo < hi <= max(proven.ray_start + STEP, STEP)
+    # from the top of the grid down to the lower end, each power below the
+    # inner ray is searched once
+    assert searched == [a for a in reversed(_grid(g.n)) if lo <= a < proven.ray_start]
+
+
+def _chorded_cycle(n, a, b):
+    """The n-cycle with the chord a-b."""
+    return Graph.from_edges(n, [*cycle(n).edges, (a, b)])
+
+
+SANDWICH_GRID = [k / 8 for k in range(0, 8 * 8 + 1)]
+
+
+def _theorems(g, family):
+    """The hset_* descriptions whose hypotheses g meets, and the plain
+    sandwich of r (brute force) and r(H)."""
+    found = []
+    if is_chordal(g):
+        found.append(hset_chordal(g, family))
+    if exponents._is_cycle_graph(g):
+        found.append(hset_cycle(g.n, family))
+    if g.n >= 3 and is_connected(g) and bipartition(g) is not None:
+        found.append(hset_bipartite(g, family))
+    lattice = {"plain": "naturals", "odd": "odd", "even": "even"}[family]
+    r, r_h = max_near_complete_order(g), g.analysis.triangulation[2]
+    inner = HSet(lattice=lattice, ray_start=r_h - 2)
+    found.append(inner if r_h == r else HSet.partial(
+        inner=inner, outer=HSet(lattice=lattice, ray_start=r - 2)))
+    return found
+
+
+@settings(max_examples=40, deadline=None)
+@given(st.integers(2, 8).flatmap(lambda n: st.builds(
+    Graph.from_edges, st.just(n),
+    st.sets(st.sampled_from([(i, j) for i in range(1, n + 1) for j in range(i + 1, n + 1)])))),
+    st.sampled_from(["plain", "odd", "even"]))
+@example(cycle(6), "even")
+@example(cycle(7), "odd")
+@example(complete_bipartite(2, 3), "even")
+@example(complete_bipartite(3, 4), "odd")
+@example(_chorded_cycle(8, 1, 4), "even")  # bipartite, not a cycle
+@example(_chorded_cycle(5, 1, 3), "plain")  # the sandwich alone
+def test_expected_hset_is_the_tightest_proven_sandwich(g, family):
+    known = expected_hset(g, family)
+    inner, outer = (known, known) if known.exact else (known.inner, known.outer)
+    for a in SANDWICH_GRID:
+        assert outer.contains(a) or not inner.contains(a), a
+        got = known.classify(a)
+        for source in _theorems(g, family):
+            assert source.classify(a) in ("unknown", got), (a, source)
+    if g.analysis.triangulation[2] == max_near_complete_order(g):
+        assert known.exact
+    # no witness where the inner set proves the power preserving
+    for a in _grid(g.n)[3::4]:
+        if inner.contains(a):
+            assert find_counterexample(g, a, family, budget=20, seed=1) is None, a
 
 
 def test_estimate_past_the_min_fill_work_limit_walks_every_power(monkeypatch):
-    # H = K_n: r(H) - 2 = n - 2 skips nothing, as before the triangulation
-    # existed, so the bracket and the draws are those of the full walk
+    # H = K_n: r(H) - 2 = n - 2 skips nothing on a graph that is neither a
+    # cycle nor bipartite, so the bracket and the draws are those of the
+    # full walk
     monkeypatch.setattr(chordal, "MAX_FILL_WORK", 0)
-    for g, family, bracket in [(cycle(6), "even", (1.25, 1.3125)),
-                               (cycle(7), "plain", (0.9375, 1.0625))]:
+    for g, family, bracket in [(_chorded_cycle(6, 1, 3), "even", (1.25, 1.3125)),
+                               (_chorded_cycle(7, 1, 3), "plain", (0.9375, 1.0625))]:
         assert g.analysis.triangulation[2] == g.n
+        assert _proven(g, family).ray_start == g.n - 2
         got, searched = _searched_powers(g, family, seed=3)
         assert got == bracket
         assert searched == [a for a in reversed(_grid(g.n)) if a >= bracket[0]]
@@ -641,6 +710,21 @@ def test_closed_form_certificate_from_the_pivot_vector(case):
     gap = abs(least) * mp.mpf(2) ** -40 + 16 * noise
     assert _negative_pivot_vector(mp, image, least + gap) is not None
     assert _negative_pivot_vector(mp, image, least - gap) is None
+
+
+@pytest.mark.parametrize("n", [3, 4])
+def test_certified_eigenvalue_next_to_an_integer_has_float_precision(n):
+    # one ulp below n - 2 the image is nearly singular: its starting digits
+    # resolve the least eigenvalue to 10-13 significant digits only, so it
+    # is recomputed at more; the certificate keeps its precision
+    alpha = float(np.nextafter(n - 2, 0))
+    w = find_counterexample(complete(n), alpha, "plain", seed=1)
+    assert w.certificate is not None and w.certificate.digits == 20 + 5 * (n - 2)
+    assert w.verify()
+    mp = MPContext()
+    mp.dps = 60
+    least = float(min(mp.eigsy(mp.matrix(_image_rows(mp, w.certificate.factor, alpha)))[0]))
+    assert abs(w.image_min_eigenvalue - least) <= abs(least) * 2**-52
 
 
 @pytest.mark.parametrize("rows, least", [
