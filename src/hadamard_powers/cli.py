@@ -18,12 +18,11 @@ import inspect
 import json
 import os
 import sys
-from dataclasses import dataclass
 
 import numpy as np
 
 from . import graphs
-from .chordal import NotChordalError, is_chordal
+from .chordal import is_chordal
 from .cones import least_eigenvalue, sample_spectra
 from .exponents import (
     WitnessReport,
@@ -41,15 +40,6 @@ from .graphs import (
 )
 
 SEED_ENV_VAR = "HADAMARD_POWERS_SEED"
-
-
-@dataclass
-class RunConfig:
-    seed: int
-    tol_scale: float
-    witness_scale: float
-    budget: int | None
-    output_format: str
 
 
 class CliError(Exception):
@@ -73,20 +63,24 @@ _FLAG_FOR_PARAM = {"seed": "graph_seed", "attach_degrees": "attach"}
 
 
 def _add_graph_arguments(p):
+    """A graph file, or --family with one flag per distinct parameter of the
+    generators in graphs.FAMILY_GENERATORS. A flag defaults to None, so an
+    unset one leaves the generator's own default in force."""
     p.add_argument("graph_file", nargs="?", default=None,
                    help="edge-list file ('n <count>' header optional) or .json graph")
     p.add_argument("--family",
                    choices=sorted(name.replace("_", "-") for name in graphs.FAMILY_GENERATORS),
                    help="generate a named family member instead of reading a file")
-    p.add_argument("--n", type=int)
-    p.add_argument("--d", type=int)
-    p.add_argument("--a", type=int)
-    p.add_argument("--b", type=int)
-    p.add_argument("--clique-size", type=int, dest="clique_size")
-    p.add_argument("--independent-size", type=int, dest="independent_size")
-    p.add_argument("--attach", type=int, help="attachment degree for split graphs")
-    p.add_argument("--density", type=float, default=0.5)
-    p.add_argument("--graph-seed", type=int, default=0, dest="graph_seed")
+    params = {}
+    for family, gen in graphs.FAMILY_GENERATORS.items():
+        for param in inspect.signature(gen).parameters.values():
+            params.setdefault(param.name, (param, []))[1].append(family.replace("_", "-"))
+    for name, (param, families) in params.items():
+        dest = _FLAG_FOR_PARAM.get(name, name)
+        default = "" if param.default is param.empty else f" (default {param.default})"
+        p.add_argument(f"--{dest.replace('_', '-')}", dest=dest, default=None,
+                       type=float if isinstance(param.default, float) else int,
+                       help=f"{name} of {', '.join(families)}{default}")
 
 
 def _add_run_arguments(p, needs_powers=True):
@@ -104,20 +98,17 @@ def _add_run_arguments(p, needs_powers=True):
 
 
 def _resolve_config(args):
-    seed = args.seed
-    if seed is None:
+    """Check the run flags and settle args.seed: --seed, else (unless
+    --strict) the HADAMARD_POWERS_SEED environment variable, else 0."""
+    if args.seed is None:
         if args.strict:
             raise CliError("--strict requires an explicit --seed")
         env = os.environ.get(SEED_ENV_VAR)
-        seed = int(env) if env else 0
-    tol = args.tol_scale
-    wit = args.witness_scale
-    if not (0 < tol < np.inf and 0 < wit < np.inf):
+        args.seed = int(env) if env else 0
+    if not (0 < args.tol_scale < np.inf and 0 < args.witness_scale < np.inf):
         raise CliError("tolerances must be positive and finite")
     if args.budget is not None and args.budget < 1:
         raise CliError("--budget must be >= 1")
-    return RunConfig(seed=seed, tol_scale=tol, witness_scale=wit,
-                     budget=args.budget, output_format=args.output_format)
 
 
 def _load_graph(args):
@@ -159,29 +150,24 @@ def _load_graph(args):
 
 
 def _cmd_ce(args):
-    cfg = _resolve_config(args)
     g = _load_graph(args)
     if g.n < 2:
         raise CliError("critical exponents are defined for graphs with >= 2 vertices")
     r = max_near_complete_order_fast(g)
     out = {"n": g.n, "edge_count": len(g.edges), "r": r, "chordal": is_chordal(g)}
     if out["chordal"]:
-        ce_formula = critical_exponent_clique_formula(g)
-        if ce_formula != r - 2:
-            raise AssertionError(
-                f"clique formula {ce_formula} disagrees with r - 2 = {r - 2}")
-        out["ce"] = ce_formula
+        out["ce"] = r - 2
         out["method"] = "exact"
-        text = f"chordal graph: CE = {ce_formula} (r = {r}; both exact routes agree)"
+        text = f"chordal graph: CE = {r - 2} (exact: r - 2 with r = {r})"
     else:
         lower, upper = estimate_ce_numeric(
-            g, args.powers, budget=cfg.budget, seed=cfg.seed,
-            witness_scale=cfg.witness_scale)
+            g, args.powers, budget=args.budget, seed=args.seed,
+            witness_scale=args.witness_scale)
         out.update({"bracket_lower": lower, "bracket_upper": upper,
                     "conjectured_ce": r - 2, "method": "heuristic"})
         text = (f"non-chordal graph: numeric CE bracket [{_sig6(lower)}, {_sig6(upper)}]"
                 f" (heuristic; r - 2 = {r - 2})")
-    if cfg.output_format == "json":
+    if args.output_format == "json":
         print(_json_dump(out))
     else:
         print(text)
@@ -189,12 +175,11 @@ def _cmd_ce(args):
 
 
 def _cmd_hset(args):
-    cfg = _resolve_config(args)
     g = _load_graph(args)
     if g.n < 2:
         raise CliError("power sets are defined for graphs with >= 2 vertices")
     hs = expected_hset(g, args.powers)
-    if cfg.output_format == "json":
+    if args.output_format == "json":
         print(_json_dump({"powers": args.powers, "hset": hs.to_json()}))
     else:
         kind = "exact" if hs.exact else "partial"
@@ -204,22 +189,21 @@ def _cmd_hset(args):
 
 
 def _cmd_witness(args):
-    cfg = _resolve_config(args)
     if args.verify is not None:
         try:
             with open(args.verify, "r", encoding="utf-8") as fh:
                 report = WitnessReport.from_json(json.load(fh))
         except (OSError, ValueError, KeyError, json.JSONDecodeError) as exc:
             raise CliError(f"cannot load witness report: {exc}") from None
-        ok = report.verify(cfg.tol_scale, cfg.witness_scale)
+        ok = report.verify(args.tol_scale, args.witness_scale)
         print("witness verified" if ok else "witness FAILED re-verification")
         return 0 if ok else 1
     if args.alpha is None:
         raise CliError("witness needs --alpha (or --verify FILE)")
     g = _load_graph(args)
     report = find_counterexample(
-        g, args.alpha, args.powers, budget=cfg.budget, seed=cfg.seed,
-        tol_scale=cfg.tol_scale, witness_scale=cfg.witness_scale)
+        g, args.alpha, args.powers, budget=args.budget, seed=args.seed,
+        tol_scale=args.tol_scale, witness_scale=args.witness_scale)
     if report is None:
         print("none found in budget", file=sys.stderr)
         return 1
@@ -238,8 +222,9 @@ def _cmd_witness(args):
 
 
 def _cmd_verify(args):
-    cfg = _resolve_config(args)
     g = _load_graph(args)
+    if g.n < 1:
+        raise CliError("graph must have at least one vertex")
     try:
         alphas = [float(tok) for tok in args.alphas.split(",") if tok.strip()]
     except ValueError:
@@ -249,7 +234,7 @@ def _cmd_verify(args):
     if args.samples < 1:
         raise CliError(f"--samples must be >= 1, got {args.samples}")
     expected = expected_hset(g, args.powers)
-    rng = np.random.default_rng(cfg.seed)
+    rng = np.random.default_rng(args.seed)
     rows = []
     violation = False
     for alpha in alphas:
@@ -258,7 +243,7 @@ def _cmd_verify(args):
         worst = np.inf
         preserved = True
         for *_, images in sample_spectra(g, [1] * args.samples, alpha, args.powers, rng):
-            lam, tol = least_eigenvalue(images, cfg.tol_scale)
+            lam, tol = least_eigenvalue(images, args.tol_scale)
             worst = min(worst, float(lam.min(initial=np.inf)))
             preserved = preserved and bool((lam >= -tol).all())
         row = {"alpha": alpha, "samples": args.samples,
@@ -277,7 +262,7 @@ def _cmd_verify(args):
         else:
             row["status"] = "no reference known"
         rows.append(row)
-    if cfg.output_format == "json":
+    if args.output_format == "json":
         print(_json_dump({"powers": args.powers, "rows": rows}))
     else:
         for row in rows:
@@ -314,17 +299,16 @@ def _families_rows(max_n, seed):
 
 
 def _cmd_families(args):
-    cfg = _resolve_config(args)
     mismatches = 0
     out_rows = []
-    for name, params, g, expected in _families_rows(args.max_n, cfg.seed):
+    for name, params, g, expected in _families_rows(args.max_n, args.seed):
         computed = critical_exponent_clique_formula(g)
         ok = computed == expected
         mismatches += not ok
         out_rows.append({"family": name, "params": params,
                          "computed_ce": computed, "expected_ce": expected,
                          "match": ok})
-    if cfg.output_format == "json":
+    if args.output_format == "json":
         print(_json_dump({"rows": out_rows, "mismatches": mismatches}))
     else:
         for row in out_rows:
@@ -337,7 +321,6 @@ def _cmd_families(args):
 
 
 def _cmd_scan(args):
-    cfg = _resolve_config(args)
     if not (np.isfinite(args.grid_step) and args.grid_step > 0):
         raise CliError(f"--grid-step must be positive and finite, got {args.grid_step}")
     try:
@@ -353,7 +336,7 @@ def _cmd_scan(args):
         except GraphParseError as exc:
             print(f"block {k}: {exc}", file=sys.stderr)
     report = conjecture_scan(graphs_in, args.powers, grid_step=args.grid_step,
-                             budget=cfg.budget, seed=cfg.seed)
+                             budget=args.budget, seed=args.seed)
     for rec in report["records"]:
         print(_json_dump(rec))
     print(_json_dump({"summary": report["summary"]}))
@@ -422,11 +405,9 @@ def main(argv=None):
     parser = build_parser()
     args = parser.parse_args(argv)
     try:
+        _resolve_config(args)
         return args.func(args)
-    except CliError as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return 2
-    except (NotChordalError, ValueError, np.linalg.LinAlgError) as exc:
+    except (CliError, ValueError, np.linalg.LinAlgError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2
 

@@ -285,18 +285,18 @@ def _as_zero_based(indices, n):
     return np.array([i - 1 for i in idx], dtype=int)
 
 
-def _check_block_conditioning(block, what, cond_limit):
+def _check_block_conditioning(block, what):
     if block.size == 0:
         return
     eigs = np.abs(np.linalg.eigvalsh(block))
-    if eigs[-1] == 0.0 or eigs[0] == 0.0 or eigs[-1] / eigs[0] > cond_limit:
+    if eigs[-1] == 0.0 or eigs[0] == 0.0 or eigs[-1] / eigs[0] > COND_LIMIT:
         cond = np.inf if eigs[0] == 0.0 else eigs[-1] / eigs[0]
         raise np.linalg.LinAlgError(
             f"{what} is singular or ill conditioned (condition estimate {cond:.3e}, "
-            f"limit {cond_limit:.1e})")
+            f"limit {COND_LIMIT:.1e})")
 
 
-def schur_complement(m, block, *, cond_limit=COND_LIMIT):
+def schur_complement(m, block):
     """Restrict to `block` (1-based labels) and subtract the cross terms
     through the inverse of the complementary principal block."""
     m = as_symmetric(m)
@@ -308,7 +308,7 @@ def schur_complement(m, block, *, cond_limit=COND_LIMIT):
     if drop.size == 0:
         return m.copy()
     c_block = m[np.ix_(drop, drop)]
-    _check_block_conditioning(c_block, "complementary block", cond_limit)
+    _check_block_conditioning(c_block, "complementary block")
     cross = m[np.ix_(keep, drop)]
     return symmetrize(m[np.ix_(keep, keep)] - cross @ np.linalg.solve(c_block, cross.T))
 
@@ -323,7 +323,7 @@ def _decomposition_indices(m, d):
     return ia, ic, ib
 
 
-def split_by_decomposition(m, d, *, cond_limit=COND_LIMIT):
+def split_by_decomposition(m, d):
     """Split m = m1 + m2 along a decomposition (A, C, B).
 
     m1 carries the A and A-C blocks plus the completion term
@@ -338,7 +338,7 @@ def split_by_decomposition(m, d, *, cond_limit=COND_LIMIT):
         raise ValueError("matrix couples the two separated sides; it does not "
                          "conform to a pattern admitting this decomposition")
     a_block = m[np.ix_(ia, ia)]
-    _check_block_conditioning(a_block, "side-A corner block", cond_limit)
+    _check_block_conditioning(a_block, "side-A corner block")
     cross = m[np.ix_(ia, ic)]
     solved = np.linalg.solve(a_block, cross)
     m1 = np.zeros_like(m)
@@ -372,7 +372,7 @@ class ThreeFactorForm:
         return symmetrize(r[np.ix_(inv, inv)])
 
 
-def three_factor_form(m, d, *, cond_limit=COND_LIMIT):
+def three_factor_form(m, d):
     """Bordered factorization of m along a decomposition (A, C, B).
 
     Both corner blocks M_AA and M_BB must be invertible; the middle factor
@@ -386,8 +386,8 @@ def three_factor_form(m, d, *, cond_limit=COND_LIMIT):
                          "conform to a pattern admitting this decomposition")
     a_block = m[np.ix_(ia, ia)]
     b_block = m[np.ix_(ib, ib)]
-    _check_block_conditioning(a_block, "side-A corner block", cond_limit)
-    _check_block_conditioning(b_block, "side-B corner block", cond_limit)
+    _check_block_conditioning(a_block, "side-A corner block")
+    _check_block_conditioning(b_block, "side-B corner block")
     ac = m[np.ix_(ia, ic)]
     cb = m[np.ix_(ic, ib)]
     cc = m[np.ix_(ic, ic)]

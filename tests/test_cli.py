@@ -1,5 +1,6 @@
 """Command line surface: flags, exit codes, determinism, and wire formats."""
 
+import argparse
 import json
 from pathlib import Path
 
@@ -8,7 +9,7 @@ import pytest
 from hadamard_powers import cli
 from hadamard_powers.cli import SEED_ENV_VAR, main
 from hadamard_powers.exponents import WitnessReport
-from hadamard_powers.graphs import cycle, to_edge_list
+from hadamard_powers.graphs import FAMILY_GENERATORS, cycle, to_edge_list
 
 FIXTURES = Path(__file__).resolve().parent / "fixtures"
 
@@ -320,9 +321,8 @@ def test_main_calls_share_no_parsed_state(capsys, monkeypatch):
     resolve = cli._resolve_config
 
     def record(args):
-        cfg = resolve(args)
-        seeds.append(cfg.seed)
-        return cfg
+        resolve(args)
+        seeds.append(args.seed)
 
     monkeypatch.setattr(cli, "_resolve_config", record)
     monkeypatch.delenv(SEED_ENV_VAR, raising=False)
@@ -362,6 +362,76 @@ def test_missing_family_params_exit_two(capsys):
     code, _, err = run(capsys, ["ce", "--family", "band", "--n", "5"])
     assert code == 2
     assert "--d" in err
+
+
+# per generator: (required parameters, parameters with a default), with
+# values that build another graph than the defaults do
+GENERATOR_ARGS = {
+    "complete": ({"n": 5}, {}),
+    "near_complete": ({"n": 5}, {}),
+    "cycle": ({"n": 6}, {}),
+    "path": ({"n": 4}, {}),
+    "tree": ({"n": 9}, {"seed": 3}),
+    "complete_bipartite": ({"a": 2, "b": 3}, {}),
+    "band": ({"n": 8, "d": 3}, {}),
+    "split": ({"clique_size": 4, "independent_size": 3, "attach_degrees": 2}, {"seed": 1}),
+    "apollonian": ({"n": 9}, {"seed": 2}),
+    "max_outerplanar": ({"n": 7}, {}),
+    "random_chordal": ({"n": 12}, {"density": 0.3, "seed": 4}),
+}
+FLAG_FOR_PARAM = {"n": "--n", "a": "--a", "b": "--b", "d": "--d",
+                  "clique_size": "--clique-size", "independent_size": "--independent-size",
+                  "attach_degrees": "--attach", "density": "--density", "seed": "--graph-seed"}
+
+
+def _family_graph(family, params):
+    argv = ["ce", "--family", family.replace("_", "-")]
+    for name, value in params.items():
+        argv += [FLAG_FOR_PARAM[name], str(value)]
+    return cli._load_graph(cli.build_parser().parse_args(argv))
+
+
+@pytest.mark.parametrize("family", sorted(GENERATOR_ARGS))
+def test_family_flags_build_the_generators_graph(family):
+    assert set(GENERATOR_ARGS) == set(FAMILY_GENERATORS)
+    gen = FAMILY_GENERATORS[family]
+    required, optional = GENERATOR_ARGS[family]
+    everything = {**required, **optional}
+    assert _family_graph(family, everything) == gen(**everything)
+    assert _family_graph(family, required) == gen(**required)
+    if optional:
+        # a dropped --graph-seed or --density would show here
+        assert gen(**everything) != gen(**required)
+
+
+_GRAPH_OPTIONS = ["--a", "--attach", "--b", "--clique-size", "--d", "--density", "--family",
+                  "--graph-seed", "--independent-size", "--n"]
+_RUN_OPTIONS = ["--budget", "--format", "--help", "--seed", "--strict", "--tol-scale",
+                "--witness-scale", "-h"]
+
+
+def test_subcommand_option_strings_are_pinned():
+    parser = cli.build_parser()
+    sub = next(a for a in parser._actions if isinstance(a, argparse._SubParsersAction))
+    got = {name: sorted(s for a in p._actions for s in a.option_strings)
+           for name, p in sub.choices.items()}
+    graph_run = _GRAPH_OPTIONS + _RUN_OPTIONS + ["--powers"]
+    assert got == {
+        "ce": sorted(graph_run),
+        "hset": sorted(graph_run),
+        "witness": sorted(graph_run + ["--alpha", "--output", "--verify", "-o"]),
+        "verify": sorted(graph_run + ["--alphas", "--samples"]),
+        "families": sorted(_RUN_OPTIONS + ["--max-n"]),
+        "scan": sorted(_RUN_OPTIONS + ["--grid-step", "--powers"]),
+    }
+
+
+def test_verify_rejects_a_graph_without_vertices(capsys, tmp_path):
+    p = tmp_path / "z.edges"
+    p.write_text("n 0\n")
+    code, out, err = run(capsys, ["verify", str(p), "--alphas", "1"])
+    assert code == 2 and out == ""
+    assert "graph must have at least one vertex" in err
 
 
 def test_ce_on_cycle_past_twenty_vertices(capsys):

@@ -274,6 +274,20 @@ def test_expected_hset_dispatch():
     assert expected_hset(Graph.from_edges(1, [])) is None
 
 
+def test_expected_hset_inner_bound_is_the_sandwich_when_it_beats_a_theorem():
+    # a 6-cycle with a pendant vertex: bipartite, not a cycle, r = 3 and
+    # r(H) = 4. In the odd family the sandwich's inner (2N-1) ∪ [2, ∞)
+    # holds hset_bipartite's (2N-1) ∪ [3, ∞), so the union is the sandwich's
+    g = Graph.from_edges(7, [(1, 2), (2, 3), (3, 4), (4, 5), (5, 6), (1, 6), (6, 7)])
+    assert (g.analysis.near_complete_order, g.analysis.triangulation[2]) == (3, 4)
+    theorem = hset_bipartite(g, "odd").inner
+    assert (theorem.lattice, theorem.ray_start) == ("odd", 3.0)
+    h = expected_hset(g, "odd")
+    assert h.describe() == "contains (2N-1) ∪ [2, ∞), contained in [1, ∞)"
+    assert (h.inner.lattice, h.inner.ray_start) == ("odd", 2.0)
+    assert h.inner != theorem
+
+
 # --- witnesses -----------------------------------------------------------------
 
 
