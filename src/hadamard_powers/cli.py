@@ -62,6 +62,17 @@ def _sig6(x):
 _FLAG_FOR_PARAM = {"seed": "graph_seed", "attach_degrees": "attach"}
 
 
+@functools.cache
+def _graph_params():
+    """{parameter name: (its first inspect.Parameter, the families taking
+    it)} over the generators in graphs.FAMILY_GENERATORS."""
+    params = {}
+    for family, gen in graphs.FAMILY_GENERATORS.items():
+        for param in inspect.signature(gen).parameters.values():
+            params.setdefault(param.name, (param, []))[1].append(family.replace("_", "-"))
+    return params
+
+
 def _add_graph_arguments(p):
     """A graph file, or --family with one flag per distinct parameter of the
     generators in graphs.FAMILY_GENERATORS. A flag defaults to None, so an
@@ -71,11 +82,7 @@ def _add_graph_arguments(p):
     p.add_argument("--family",
                    choices=sorted(name.replace("_", "-") for name in graphs.FAMILY_GENERATORS),
                    help="generate a named family member instead of reading a file")
-    params = {}
-    for family, gen in graphs.FAMILY_GENERATORS.items():
-        for param in inspect.signature(gen).parameters.values():
-            params.setdefault(param.name, (param, []))[1].append(family.replace("_", "-"))
-    for name, (param, families) in params.items():
+    for name, (param, families) in _graph_params().items():
         dest = _FLAG_FOR_PARAM.get(name, name)
         default = "" if param.default is param.empty else f" (default {param.default})"
         p.add_argument(f"--{dest.replace('_', '-')}", dest=dest, default=None,
@@ -129,10 +136,16 @@ def _load_graph(args):
     if args.family is None:
         raise CliError("need a graph file or --family")
     # the generator's parameters come from the flags of the same name; a
-    # parameter without a default needs its flag
+    # parameter without a default needs its flag, and a flag the generator
+    # does not take is an error
     gen = graphs.FAMILY_GENERATORS[args.family.replace("-", "_")]
+    taken = inspect.signature(gen).parameters
+    for name in _graph_params():
+        attr = _FLAG_FOR_PARAM.get(name, name)
+        if name not in taken and getattr(args, attr) is not None:
+            raise CliError(f"family {args.family} takes no --{attr.replace('_', '-')}")
     params = {}
-    for param in inspect.signature(gen).parameters.values():
+    for param in taken.values():
         attr = _FLAG_FOR_PARAM.get(param.name, param.name)
         value = getattr(args, attr)
         if value is not None:

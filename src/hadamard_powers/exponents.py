@@ -18,7 +18,6 @@ from dataclasses import dataclass
 
 import numpy as np
 from mpmath.ctx_iv import MPIntervalContext
-from mpmath.ctx_mp import MPContext
 
 from .chordal import NotChordalError, find_chordless_cycle, is_chordal
 from .cones import (
@@ -45,6 +44,7 @@ from .graphs import (
     connected_components,
     graph_from_json,
     graph_to_json,
+    induced_subgraph,
     max_near_complete_order_fast,
 )
 
@@ -318,6 +318,34 @@ def _intersection(a, b):
     return max(a, b, key=lambda h: h.ray_start)
 
 
+def _inner_intersection(a, b):
+    """a intersect b when one holds the other (a on a tie); otherwise a
+    proven part of it: the larger ray, under the largest lattice whose
+    powers below that ray lie in both."""
+    if _subset(a, b):
+        return a
+    if _subset(b, a):
+        return b
+    ray = max(a.ray_start, b.ray_start)
+    for lattice in ("naturals", "odd", "even"):
+        if all(a.contains(k) and b.contains(k) for k in range(1, math.ceil(ray))
+               if _lattice_contains(lattice, k)):
+            return HSet(lattice=lattice, ray_start=ray)
+    return HSet(lattice="none", ray_start=ray)
+
+
+def _combine(sources, inner_op, outer_op):
+    """One description from several: inner bounds joined by inner_op, outer
+    bounds by outer_op, exclusions together; exact when the outer bound
+    lies inside the inner one."""
+    inner = functools.reduce(inner_op, (h if h.exact else h.inner for h in sources))
+    outer = functools.reduce(outer_op, (h if h.exact else h.outer for h in sources))
+    if _subset(outer, inner):
+        return inner
+    return HSet.partial(inner=inner, outer=outer,
+                        exclusions=sorted({x for h in sources for x in h.exclusions}))
+
+
 def expected_hset(g, family="plain"):
     """The tightest proven description of a pattern's power set; None for
     fewer than 2 vertices.
@@ -330,7 +358,9 @@ def expected_hset(g, family="plain"):
     exact when r(H) = r, as for every chordal G (it is then hset_chordal).
     Otherwise the cycle and connected bipartite theorems (hset_cycle,
     hset_bipartite) join it where they apply: inner bounds by union, outer
-    bounds by intersection, exclusions together.
+    bounds by intersection, exclusions together. So does, on a disconnected
+    pattern, the intersection of its components' descriptions, since its
+    set is the intersection of theirs.
     """
     _check_family(family)
     if g.n < 2:
@@ -341,18 +371,18 @@ def expected_hset(g, family="plain"):
     if r_h == r:
         return sandwich
     sources = []
+    components = connected_components(g)
+    if len(components) > 1:
+        parts = [expected_hset(induced_subgraph(g, c)[0], family) for c in components]
+        sources.append(_combine([h for h in parts if h is not None],
+                                _inner_intersection, _intersection))
     if _is_cycle_graph(g):
         sources.append(hset_cycle(g.n, family))
-    if g.n >= 3 and len(connected_components(g)) == 1 and bipartition(g) is not None:
+    if g.n >= 3 and len(components) == 1 and bipartition(g) is not None:
         sources.append(hset_bipartite(g, family))
     sources.append(HSet.partial(inner=sandwich,
                                 outer=HSet(lattice=lattice, ray_start=float(r - 2))))
-    inner = functools.reduce(_union, (h if h.exact else h.inner for h in sources))
-    outer = functools.reduce(_intersection, (h if h.exact else h.outer for h in sources))
-    if _subset(outer, inner):
-        return inner
-    return HSet.partial(inner=inner, outer=outer,
-                        exclusions=sorted({x for h in sources for x in h.exclusions}))
+    return _combine(sources, _union, _intersection)
 
 
 # ---------------------------------------------------------------------------
@@ -382,6 +412,21 @@ def _image_rows(ctx, f, alpha):
     return out
 
 
+def _interval_image(f, alpha, digits):
+    """(iv, the image of F as mpmath.iv intervals at `digits` digits)."""
+    iv = MPIntervalContext()
+    iv.dps = digits
+    return iv, _image_rows(iv, f, alpha)
+
+
+def _form_upper(iv, image, strings):
+    """Upper end of the enclosure of x^T image x, x parsed from the decimal
+    strings (at iv's precision)."""
+    x = [iv.mpf(v) for v in strings]
+    terms = (image[i][j] * x[i] * x[j] for i in range(len(x)) for j in range(len(x)))
+    return sum(terms, iv.mpf(0)).b
+
+
 @dataclass(frozen=True, eq=False)
 class IntervalCertificate:
     """Proof that the Gram matrix of a float factor F is a witness.
@@ -402,13 +447,9 @@ class IntervalCertificate:
 
     def upper_bound(self, alpha):
         """Upper end of the enclosure of x^T (F F^T)^{∘alpha} x."""
-        iv = MPIntervalContext()
-        iv.dps = self.digits
         rows = np.flatnonzero(self.factor.any(axis=1))
-        image = _image_rows(iv, self.factor[rows], alpha)
-        x = [iv.mpf(self.test_vector[r]) for r in rows]
-        terms = (image[i][j] * x[i] * x[j] for i in range(len(x)) for j in range(len(x)))
-        return sum(terms, iv.mpf(0)).b
+        iv, image = _interval_image(self.factor[rows], alpha, self.digits)
+        return _form_upper(iv, image, [self.test_vector[r] for r in rows])
 
     def proves(self, g, matrix, alpha, family):
         """The stored matrix is the float Gram of F bit for bit; each column
@@ -621,7 +662,7 @@ def _rayleigh_iteration(ctx, b, x, floor):
         x = [v / top for v in y]
         step, rho = rho, _rayleigh_quotient(ctx, b, x)
         best = min(best, (rho, x), key=lambda t: t[0])
-        if abs(rho - step) <= abs(rho) * RQI_TOL + floor:
+        if abs(rho - step) <= abs(rho) * ctx.mpf(RQI_TOL) + floor:
             break
     return best
 
@@ -645,58 +686,102 @@ def _least_eigenvalue(ctx, b, x):
     floor = _noise_floor(ctx, b)
     for _ in range(len(b) + 1):
         rho, x = _rayleigh_iteration(ctx, b, x, floor)
-        found = _negative_pivot_vector(ctx, b, rho - abs(rho) * CONFIRM_SHARE - floor)
+        found = _negative_pivot_vector(ctx, b, rho - abs(rho) * ctx.mpf(CONFIRM_SHARE) - floor)
         if found is None:
             return rho
         x = found[0]
     return None
 
 
+class _DecimalContext:
+    """The point arithmetic of the certificate search: stdlib decimal
+    numbers at dps significant digits, with the members of an mpmath
+    context that the point routines use. Decimal operators round to the
+    thread's context, so the routines run inside `with ctx.local():`."""
+
+    def __init__(self, dps):
+        import decimal  # libmpdec; only certificate searches load it
+
+        self.dps = dps
+        self.context = decimal.Context(prec=dps)
+        self.local = functools.partial(decimal.localcontext, self.context)
+        self.zero = decimal.Decimal(0)
+        self.one = decimal.Decimal(1)
+        self.eps = self.one.scaleb(1 - dps)
+
+    def mpf(self, x):
+        return self.context.create_decimal(x)
+
+    def nstr(self, x, n):
+        return format(x, f".{n}g")
+
+
+def _point_image(ctx, image):
+    """The lower ends (-1)^sign man 2^exp of the entries of an mpmath.iv
+    image, each rounded once to the digits of the _DecimalContext ctx."""
+    def lower(v):
+        sign, man, exp, _ = v._mpi_[0]
+        if exp >= 0:
+            x = ctx.mpf(man << exp)
+        else:  # man 2^exp = man 5^-exp 10^exp
+            x = ctx.mpf(man * 5 ** -exp).scaleb(exp, ctx.context)
+        return x.copy_negate() if sign else x
+
+    return [[lower(v) for v in row] for row in image]
+
+
 def _interval_certificate(factor, alpha, digits):
     """(certificate, least image eigenvalue) proving F F^T a witness at
     alpha, doubling the precision from `digits`; None past the limit.
 
-    The test vector is the negative-pivot vector of a diagonally pivoted
-    L D L^T of the image on F's rows at the working precision; the
-    eigenvalue comes from Rayleigh-quotient iteration seeded with it and
-    confirmed least by an inertia count. Where the noise floor of that
-    precision exceeds 2^-53 of the eigenvalue (a power next to an integer,
-    whose image is nearly singular), only the eigenvalue is recomputed, at
-    doubled precision up to CERTIFICATE_MAX_DIGITS, so that it is resolved
-    to float precision.
+    Each precision builds one interval image on F's rows; the point
+    arithmetic runs on its lower ends in a _DecimalContext. The test vector
+    is the negative-pivot vector of a diagonally pivoted L D L^T of that
+    point image, and it is bounded against the same interval image as
+    IntervalCertificate.upper_bound bounds it. The eigenvalue comes from
+    Rayleigh-quotient iteration seeded with it and confirmed least by an
+    inertia count. Where the noise floor of that precision exceeds 2^-53 of
+    the eigenvalue (a power next to an integer, whose image is nearly
+    singular), only the eigenvalue is recomputed, at doubled precision up
+    to CERTIFICATE_MAX_DIGITS, so that it is resolved to float precision.
     """
     rows = np.flatnonzero(factor.any(axis=1))
     while digits <= CERTIFICATE_MAX_DIGITS:
-        mp = MPContext()
-        mp.dps = digits
-        image = _image_rows(mp, factor[rows], alpha)
-        found = _negative_pivot_vector(mp, image)
-        if found is not None:
-            x = ["0"] * factor.shape[0]
-            for r, v in zip(rows, found[0]):
-                x[r] = mp.nstr(v, digits)
-            cert = IntervalCertificate(factor=factor, test_vector=tuple(x), digits=digits)
-            if cert.upper_bound(alpha) < 0:
-                lam = _least_eigenvalue(mp, image, found[0])
-                if lam is not None:
-                    return cert, _resolved_eigenvalue(factor[rows], alpha, mp, image,
-                                                      found[0], lam)
+        iv, image = _interval_image(factor[rows], alpha, digits)
+        ctx = _DecimalContext(digits)
+        with ctx.local():
+            point = _point_image(ctx, image)
+            found = _negative_pivot_vector(ctx, point)
+            if found is not None:
+                strings = [ctx.nstr(v, digits) for v in found[0]]
+                if _form_upper(iv, image, strings) < 0:
+                    lam = _least_eigenvalue(ctx, point, found[0])
+                    if lam is not None:
+                        x = ["0"] * factor.shape[0]
+                        for r, v in zip(rows, strings):
+                            x[r] = v
+                        cert = IntervalCertificate(factor=factor, test_vector=tuple(x),
+                                                   digits=digits)
+                        return cert, _resolved_eigenvalue(factor[rows], alpha, ctx, point,
+                                                          found[0], lam)
         digits *= 2
     return None
 
 
 def _resolved_eigenvalue(f, alpha, ctx, image, x, lam):
-    """lam, the least eigenvalue of image = (F F^T)^{∘alpha} at ctx's
-    precision, as a float. While the noise floor exceeds 2^-53 |lam| and
-    the precision stays within CERTIFICATE_MAX_DIGITS, Rayleigh-quotient
-    iteration from x recomputes it at doubled precision."""
-    while (_noise_floor(ctx, image) > abs(lam) * 2.0 ** -53
-           and 2 * ctx.dps <= CERTIFICATE_MAX_DIGITS):
-        digits = 2 * ctx.dps
-        ctx = MPContext()
-        ctx.dps = digits
-        image = _image_rows(ctx, f, alpha)
-        finer = _least_eigenvalue(ctx, image, [ctx.mpf(v) for v in x])
+    """lam, the least eigenvalue of the point image = (F F^T)^{∘alpha} at
+    ctx's precision, as a float. While the noise floor exceeds 2^-53 |lam|
+    and the precision stays within CERTIFICATE_MAX_DIGITS, Rayleigh-quotient
+    iteration from x recomputes it on the point image at doubled
+    precision."""
+    while 2 * ctx.dps <= CERTIFICATE_MAX_DIGITS:
+        with ctx.local():
+            if _noise_floor(ctx, image) <= abs(lam) * ctx.mpf(2.0 ** -53):
+                break
+        ctx = _DecimalContext(2 * ctx.dps)
+        with ctx.local():
+            image = _point_image(ctx, _interval_image(f, alpha, ctx.dps)[1])
+            finer = _least_eigenvalue(ctx, image, [ctx.mpf(v) for v in x])
         if finer is None:
             break
         lam = finer

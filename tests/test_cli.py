@@ -8,8 +8,8 @@ import pytest
 
 from hadamard_powers import cli
 from hadamard_powers.cli import SEED_ENV_VAR, main
-from hadamard_powers.exponents import WitnessReport
-from hadamard_powers.graphs import FAMILY_GENERATORS, cycle, to_edge_list
+from hadamard_powers.exponents import WitnessReport, find_counterexample
+from hadamard_powers.graphs import FAMILY_GENERATORS, cycle, near_complete, to_edge_list
 
 FIXTURES = Path(__file__).resolve().parent / "fixtures"
 
@@ -197,6 +197,17 @@ def test_witness_malformed_certificate_is_a_load_error(capsys, tmp_path, field, 
     assert code == 2 and "cannot load witness report" in err
 
 
+def test_witness_report_with_an_mpmath_test_vector_still_verifies(capsys):
+    # written while the search's point arithmetic ran on mpmath: its test
+    # vector differs from today's in the trailing digits
+    path = FIXTURES / "witness_mpmath_test_vector.json"
+    stored = json.loads(path.read_text())["certificate"]["test_vector"]
+    found = find_counterexample(near_complete(9), 6.5, "plain", seed=1)
+    assert list(found.certificate.test_vector) != stored
+    code, out, _ = run(capsys, ["witness", "--verify", str(path)])
+    assert code == 0 and "verified" in out
+
+
 def test_witness_tampered_report_fails(capsys, tmp_path):
     out_file = tmp_path / "w.json"
     run(capsys, ["witness", "--family", "complete", "--n", "4",
@@ -362,6 +373,15 @@ def test_missing_family_params_exit_two(capsys):
     code, _, err = run(capsys, ["ce", "--family", "band", "--n", "5"])
     assert code == 2
     assert "--d" in err
+
+
+@pytest.mark.parametrize("flags, unused", [(["--a", "3"], "--a"),
+                                           (["--density", "0.1"], "--density"),
+                                           (["--graph-seed", "5"], "--graph-seed")])
+def test_family_flag_the_generator_does_not_take_exits_two(capsys, flags, unused):
+    code, out, err = run(capsys, ["ce", "--family", "band", "--n", "7", "--d", "3", *flags])
+    assert code == 2 and not out
+    assert f"family band takes no {unused}" in err
 
 
 # per generator: (required parameters, parameters with a default), with

@@ -6,6 +6,7 @@ import math
 import os
 import subprocess
 import sys
+from decimal import Decimal
 from fractions import Fraction
 from pathlib import Path
 
@@ -21,12 +22,14 @@ from hadamard_powers.cones import bordered_factor
 from hadamard_powers.exponents import (
     BORDER_SCALE,
     HSet,
+    IntervalCertificate,
     WitnessReport,
     _bordered_search,
     _image_rows,
     _interval_certificate,
     _least_eigenvalue,
     _negative_pivot_vector,
+    _noise_floor,
     _rayleigh_iteration,
     bipartition,
     conjecture_scan,
@@ -288,6 +291,37 @@ def test_expected_hset_inner_bound_is_the_sandwich_when_it_beats_a_theorem():
     assert h.inner != theorem
 
 
+C5_AND_C4 = Graph.from_edges(9, [(1, 2), (2, 3), (3, 4), (4, 5), (1, 5),
+                                 (6, 7), (7, 8), (8, 9), (6, 9)])
+
+
+@pytest.mark.parametrize("family, ray", [("plain", 1.0), ("odd", 1.0), ("even", 2.0)])
+def test_expected_hset_intersects_the_components_sets(family, ray):
+    # the power set of a disjoint union is the intersection of its parts';
+    # the two cycle theorems make it exact
+    assert expected_hset(C5_AND_C4, family) == HSet(lattice="none", ray_start=ray)
+
+
+def test_estimate_on_a_disjoint_union_of_cycles_skips_one_to_two():
+    (lo, hi), searched = _searched_powers(C5_AND_C4, "plain", budget=10, seed=1)
+    assert not [a for a in searched if 1 < a < 2]
+    assert lo < hi <= 1 + STEP
+
+
+EXACT_SETS = st.builds(HSet, st.sampled_from(["naturals", "odd", "even", "none"]),
+                       st.integers(0, 24).map(lambda k: k / 4))
+
+
+@settings(max_examples=200, deadline=None)
+@given(EXACT_SETS, EXACT_SETS)
+def test_inner_intersection_is_a_proven_part_of_the_intersection(a, b):
+    got = exponents._inner_intersection(a, b)
+    for x in GRID:
+        assert not got.contains(x) or (a.contains(x) and b.contains(x)), x
+    if exponents._subset(a, b) or exponents._subset(b, a):
+        assert all(got.contains(x) == (a.contains(x) and b.contains(x)) for x in GRID)
+
+
 # --- witnesses -----------------------------------------------------------------
 
 
@@ -519,6 +553,7 @@ def _theorems(g, family):
 @example(complete_bipartite(3, 4), "odd")
 @example(_chorded_cycle(8, 1, 4), "even")  # bipartite, not a cycle
 @example(_chorded_cycle(5, 1, 3), "plain")  # the sandwich alone
+@example(C5_AND_C4, "even")  # two components: their sets intersected
 def test_expected_hset_is_the_tightest_proven_sandwich(g, family):
     known = expected_hset(g, family)
     inner, outer = (known, known) if known.exact else (known.inner, known.outer)
@@ -694,11 +729,15 @@ def _exact_form(b, x):
                for i, row in enumerate(b) for j, bij in enumerate(row))
 
 
-@settings(max_examples=40, deadline=None)
-@given(st.integers(1, 12).flatmap(lambda m: st.tuples(
+# (m, alpha) with alpha in (m - 1, m): the closed form at alpha uses m
+CLOSED_FORM_POWERS = st.integers(1, 12).flatmap(lambda m: st.tuples(
     st.just(m),
     st.one_of(st.floats(m - 1, m, exclude_min=True, exclude_max=True),
-              st.sampled_from([m - 1 + 1 / 16, m - 1 / 16, m - 1e-4])))))
+              st.sampled_from([m - 1 + 1 / 16, m - 1 / 16, m - 1e-4]))))
+
+
+@settings(max_examples=40, deadline=None)
+@given(CLOSED_FORM_POWERS)
 def test_closed_form_certificate_from_the_pivot_vector(case):
     m, alpha = case
     assume(not float(alpha).is_integer())
@@ -724,6 +763,88 @@ def test_closed_form_certificate_from_the_pivot_vector(case):
     gap = abs(least) * mp.mpf(2) ** -40 + 16 * noise
     assert _negative_pivot_vector(mp, image, least + gap) is not None
     assert _negative_pivot_vector(mp, image, least - gap) is None
+
+
+def _mpmath_point_route(factor, alpha, digits):
+    """The certificate search with its point arithmetic on mpmath, on the
+    point image of mpmath numbers: (digits, test vector, least eigenvalue at
+    that precision, whether its noise floor resolves it to float
+    precision)."""
+    while digits <= exponents.CERTIFICATE_MAX_DIGITS:
+        mp = MPContext()
+        mp.dps = digits
+        image = _image_rows(mp, factor, alpha)
+        found = _negative_pivot_vector(mp, image)
+        if found is not None:
+            x = tuple(mp.nstr(v, digits) for v in found[0])
+            if IntervalCertificate(factor, x, digits).upper_bound(alpha) < 0:
+                lam = _least_eigenvalue(mp, image, found[0])
+                if lam is not None:
+                    return digits, x, lam, _noise_floor(mp, image) <= abs(lam) * 2.0**-53
+        digits *= 2
+    return None
+
+
+@settings(max_examples=40, deadline=None)
+@given(CLOSED_FORM_POWERS)
+def test_decimal_point_route_agrees_with_the_mpmath_one(case):
+    m, alpha = case
+    assume(not float(alpha).is_integer())
+    factor = bordered_factor(np.ones(m), BORDER_SCALE * np.linspace(1.0, 2.0, m))
+    cert, lam = _interval_certificate(factor, alpha, 20 + 5 * m)
+    digits, x, least, resolved = _mpmath_point_route(factor, alpha, 20 + 5 * m)
+    assert cert.digits == digits
+    assert cert.upper_bound(alpha) < 0
+    assert IntervalCertificate(factor, x, digits).upper_bound(alpha) < 0
+    if resolved:
+        assert abs(lam - float(least)) <= abs(least) * 2**-52
+
+
+@pytest.mark.parametrize("digits", [25, 55, 210])
+def test_decimal_context_eps_is_the_gap_above_one(digits):
+    # as mpmath's eps: the gap between 1 and the next number at the
+    # working precision, which the context's arithmetic rounds to
+    ctx = exponents._DecimalContext(digits)
+    with ctx.local():
+        assert ctx.one + ctx.eps > ctx.one
+        assert ctx.one + ctx.eps / 4 == ctx.one
+
+
+@pytest.mark.parametrize("m, alpha", [(5, 4.5), (7, 6.5), (12, 11.5)])
+def test_point_image_is_the_rounded_lower_end_of_the_interval_image(m, alpha):
+    digits = 20 + 5 * m
+    factor = bordered_factor(np.ones(m), BORDER_SCALE * np.linspace(1.0, 2.0, m))
+    _, image = exponents._interval_image(factor, alpha, digits)
+    ctx = exponents._DecimalContext(digits)
+    mp = MPContext()
+
+    def rounded(end):
+        x = _exact(mp.make_mpf(end))
+        return ctx.context.divide(Decimal(x.numerator), Decimal(x.denominator))
+
+    lower = [[rounded(v._mpi_[0]) for v in row] for row in image]
+    assert exponents._point_image(ctx, image) == lower
+    # the ends round apart somewhere, so the choice of end shows
+    assert any(rounded(v._mpi_[1]) != low
+               for row, lows in zip(image, lower) for v, low in zip(row, lows))
+
+
+def test_search_builds_one_image_per_precision(monkeypatch):
+    # one ulp below 2 the image is nearly singular: the certificate holds
+    # at 30 digits and the eigenvalue is resolved at 60 and more; each
+    # precision builds its interval image once, and the point image and the
+    # bound of the test vector share it
+    precisions = []
+
+    def image_rows(ctx, f, alpha):
+        precisions.append(ctx.dps)
+        return _image_rows(ctx, f, alpha)
+
+    monkeypatch.setattr(exponents, "_image_rows", image_rows)
+    w = find_counterexample(complete(4), float(np.nextafter(2, 0)), "plain", seed=1)
+    assert w.certificate.digits == 30
+    assert len(precisions) >= 2
+    assert precisions == [30 * 2**k for k in range(len(precisions))]
 
 
 @pytest.mark.parametrize("n", [3, 4])
@@ -823,3 +944,16 @@ def test_import_does_not_load_scipy():
     subprocess.run([sys.executable, "-c",
                     "import hadamard_powers, sys; assert 'scipy' not in sys.modules"],
                    check=True, env=env)
+
+
+def test_exact_routes_do_not_load_decimal():
+    # only the interval certificate's point arithmetic needs it
+    src = str(Path(__file__).resolve().parents[1] / "src")
+    env = dict(os.environ, PYTHONPATH=os.pathsep.join(
+        filter(None, [src, os.environ.get("PYTHONPATH")])))
+    subprocess.run([sys.executable, "-c",
+                    "import sys; from hadamard_powers.cli import main; "
+                    "assert main(['ce', '--family', 'random-chordal', '--n', '200']) == 0; "
+                    "assert main(['families', '--max-n', '6']) == 0; "
+                    "assert 'decimal' not in sys.modules"],
+                   check=True, env=env, stdout=subprocess.DEVNULL)
