@@ -118,10 +118,19 @@ def _resolve_config(args):
         raise CliError("--budget must be >= 1")
 
 
+def _reject_unused_graph_flags(args, taken, source):
+    """CliError for a graph flag whose parameter is not in `taken`."""
+    for name in _graph_params():
+        attr = _FLAG_FOR_PARAM.get(name, name)
+        if name not in taken and getattr(args, attr) is not None:
+            raise CliError(f"{source} takes no --{attr.replace('_', '-')}")
+
+
 def _load_graph(args):
     if args.graph_file is not None and args.family is not None:
         raise CliError("give either a graph file or --family flags, not both")
     if args.graph_file is not None:
+        _reject_unused_graph_flags(args, {}, "a graph file")
         try:
             with open(args.graph_file, "r", encoding="utf-8") as fh:
                 text = fh.read()
@@ -140,10 +149,7 @@ def _load_graph(args):
     # does not take is an error
     gen = graphs.FAMILY_GENERATORS[args.family.replace("-", "_")]
     taken = inspect.signature(gen).parameters
-    for name in _graph_params():
-        attr = _FLAG_FOR_PARAM.get(name, name)
-        if name not in taken and getattr(args, attr) is not None:
-            raise CliError(f"family {args.family} takes no --{attr.replace('_', '-')}")
+    _reject_unused_graph_flags(args, taken, f"family {args.family}")
     params = {}
     for param in taken.values():
         attr = _FLAG_FOR_PARAM.get(param.name, param.name)

@@ -13,11 +13,21 @@ from __future__ import annotations
 import functools
 import itertools
 import math
+import re
 from collections import deque
 from dataclasses import dataclass
 
 import numpy as np
-from mpmath.ctx_iv import MPIntervalContext
+from mpmath.libmp import (
+    dps_to_prec,
+    from_float,
+    mpf_add,
+    mpf_exp,
+    mpf_log,
+    mpf_mul,
+    round_ceiling,
+    round_floor,
+)
 
 from .chordal import NotChordalError, find_chordless_cycle, is_chordal
 from .cones import (
@@ -397,48 +407,122 @@ BORDER_SCALE = 0.56
 CERTIFICATE_MAX_DIGITS = 480
 
 
-def _image_rows(ctx, f, alpha):
-    """(F F^T)^{∘alpha} as nested lists of the mpmath context ctx (point or
-    interval) numbers; entries with no nonzero product stay exactly zero."""
-    a = ctx.mpf(float(alpha))
-    vals = [[ctx.mpf(float(x)) for x in row] for row in f]
+#: image ends are read as exact decimals, whose length grows with their
+#: binary exponent; an end past 2^(+-IMAGE_EXPONENT_LIMIT) is replaced by its
+#: trivial bound, 0 below and infinity above
+IMAGE_EXPONENT_LIMIT = 2**16
+
+_OTHER_WAY = {round_floor: round_ceiling, round_ceiling: round_floor}
+
+#: a test vector entry: a plain decimal literal in ASCII digits, with no
+#: NaN, infinity, underscores or surrounding spaces
+_DECIMAL_LITERAL = re.compile(r"[+-]?([0-9]+\.?[0-9]*|\.[0-9]+)([eE][+-]?[0-9]+)?")
+
+
+def _gram(f):
+    """The entries of F F^T on and above the diagonal that some column
+    makes nonzero, {(i, j): mpf value}; float products and sums at mpmath
+    precision 0 are exact."""
+    vals = [[from_float(float(x)) for x in row] for row in f]
     n, k = f.shape
-    out = [[ctx.mpf(0)] * n for _ in range(n)]
+    out = {}
     for i in range(n):
         for j in range(i, n):
-            terms = [vals[i][c] * vals[j][c] for c in range(k) if f[i, c] and f[j, c]]
+            terms = [mpf_mul(vals[i][c], vals[j][c]) for c in range(k) if f[i, c] and f[j, c]]
             if terms:
-                out[i][j] = out[j][i] = sum(terms, ctx.mpf(0)) ** a
+                out[i, j] = functools.reduce(mpf_add, terms)
     return out
 
 
-def _interval_image(f, alpha, digits):
-    """(iv, the image of F as mpmath.iv intervals at `digits` digits)."""
-    iv = MPIntervalContext()
-    iv.dps = digits
-    return iv, _image_rows(iv, f, alpha)
+def _power_end(s, alpha, prec, rnd):
+    """s^alpha for mpf values s > 0 and alpha, rounded at prec bits toward
+    rnd (round_floor or round_ceiling): the end on that side of mpmath.iv's
+    s ** alpha at a power other than an integer or 1/2, by the same calls at
+    the same working precisions. The logarithm rounds the other way when
+    alpha < 0."""
+    wp = prec + 20
+    log_rnd = _OTHER_WAY[rnd] if alpha[0] else rnd
+    return mpf_exp(mpf_mul(mpf_log(s, wp, log_rnd), alpha, wp, rnd), prec, rnd)
 
 
-def _form_upper(iv, image, strings):
-    """Upper end of the enclosure of x^T image x, x parsed from the decimal
-    strings (at iv's precision)."""
-    x = [iv.mpf(v) for v in strings]
-    terms = (image[i][j] * x[i] * x[j] for i in range(len(x)) for j in range(len(x)))
-    return sum(terms, iv.mpf(0)).b
+@functools.cache
+def _exact_context():
+    import decimal  # libmpdec; only certificates load it
+
+    return decimal.Context(prec=decimal.MAX_PREC, Emax=decimal.MAX_EMAX, Emin=decimal.MIN_EMIN)
+
+
+def _image_end(s, alpha, digits, rnd):
+    """_power_end at the binary precision of `digits` decimal digits, as an
+    exact decimal (or its trivial bound past IMAGE_EXPONENT_LIMIT)."""
+    exact = _exact_context()
+    _, man, exp, bc = _power_end(s, from_float(float(alpha)), dps_to_prec(digits), rnd)
+    if abs(exp + bc) > IMAGE_EXPONENT_LIMIT:
+        return exact.create_decimal(0 if rnd == round_floor else "Infinity")
+    if exp >= 0:
+        return exact.create_decimal(man << exp)
+    # man 2^exp = man 5^-exp 10^exp
+    return exact.scaleb(exact.create_decimal(man * 5**-exp), exp)
+
+
+def _lower_ends(gram, alpha, digits):
+    return {ij: _image_end(s, alpha, digits, round_floor) for ij, s in gram.items()}
+
+
+def _test_vector_entry(text):
+    """A test vector entry as an exact decimal; ValueError unless it is a
+    plain decimal literal."""
+    if not _DECIMAL_LITERAL.fullmatch(text):
+        raise ValueError(f"test vector entry {text!r} is not a decimal number")
+    return _exact_context().create_decimal(text)
+
+
+def _form_upper(gram, alpha, digits, x, lower=None):
+    """Upper bound on x^T (F F^T)^{∘alpha} x, gram the entries of F F^T
+    (_gram) and x exact decimals.
+
+    Every image entry is positive, so the term of the pair i <= j,
+    c = x_i x_j (doubled off the diagonal) times the entry, is at most c
+    times the entry's upper end when c > 0 and its lower end when c < 0;
+    only that end is computed (`lower`, the lower ends at this precision,
+    when the caller has them). Every operation rounds up, at 2 digits + 1
+    digits, so c is exact for x of `digits` digits and the sum is an upper
+    bound.
+    """
+    import decimal
+
+    ctx = decimal.Context(prec=2 * digits + 1, rounding=decimal.ROUND_CEILING,
+                          Emax=decimal.MAX_EMAX, Emin=decimal.MIN_EMIN)
+    total = ctx.create_decimal(0)
+    for (i, j), s in gram.items():
+        c = ctx.multiply(x[i], x[j])
+        if i != j:
+            c = ctx.add(c, c)
+        if c > 0:
+            end = _image_end(s, alpha, digits, round_ceiling)
+        elif c < 0:
+            end = lower[i, j] if lower is not None else _image_end(s, alpha, digits, round_floor)
+        else:
+            continue
+        total = ctx.add(total, ctx.multiply(c, end))
+    return total
 
 
 @dataclass(frozen=True, eq=False)
 class IntervalCertificate:
     """Proof that the Gram matrix of a float factor F is a witness.
 
-    F F^T is PSD exactly. The proof is an interval-arithmetic enclosure,
-    at `digits` decimal digits, of x^T (F F^T)^{∘alpha} x whose upper end
-    is negative (Rump 2010, Acta Numerica 19). The test vector x is the
-    negative-pivot vector L^{-T} e_k of a diagonally pivoted L D L^T of the
-    image at that precision, so the form is, up to rounding, the negative
-    diagonal entry of the Schur complement where the factorization stops.
-    It is kept as decimal strings: rounding it to floats can move the form
-    by more than the margin.
+    F F^T is PSD exactly. The proof is an upper bound on
+    x^T (F F^T)^{∘alpha} x that is negative (a verification method: Rump
+    2010, Acta Numerica 19). It is summed in decimal from the exact
+    x_i x_j and, per image entry, one end rounded at the binary precision
+    of `digits` decimal digits in the direction the sign of x_i x_j calls
+    for (_form_upper). The test vector x is the negative-pivot vector
+    L^{-T} e_k of a diagonally pivoted L D L^T of the image at that
+    precision, so the form is, up to rounding, the negative diagonal entry
+    of the Schur complement where the factorization stops. It is kept as
+    decimal strings: rounding it to floats can move the form by more than
+    the margin.
     """
 
     factor: np.ndarray
@@ -446,10 +530,11 @@ class IntervalCertificate:
     digits: int
 
     def upper_bound(self, alpha):
-        """Upper end of the enclosure of x^T (F F^T)^{∘alpha} x."""
+        """Upper bound on x^T (F F^T)^{∘alpha} x, a decimal; ValueError
+        when a test vector entry is not a plain decimal number."""
+        x = [_test_vector_entry(v) for v in self.test_vector]
         rows = np.flatnonzero(self.factor.any(axis=1))
-        iv, image = _interval_image(self.factor[rows], alpha, self.digits)
-        return _form_upper(iv, image, [self.test_vector[r] for r in rows])
+        return _form_upper(_gram(self.factor[rows]), alpha, self.digits, [x[r] for r in rows])
 
     def proves(self, g, matrix, alpha, family):
         """The stored matrix is the float Gram of F bit for bit; each column
@@ -472,7 +557,7 @@ class IntervalCertificate:
             return False
         try:
             return self.upper_bound(alpha) < 0
-        except ValueError:  # a test vector entry that is not a number
+        except (ValueError, ArithmeticError):  # not a number, or out of decimal range
             return False
 
     def to_json(self):
@@ -716,45 +801,44 @@ class _DecimalContext:
         return format(x, f".{n}g")
 
 
-def _point_image(ctx, image):
-    """The lower ends (-1)^sign man 2^exp of the entries of an mpmath.iv
-    image, each rounded once to the digits of the _DecimalContext ctx."""
-    def lower(v):
-        sign, man, exp, _ = v._mpi_[0]
-        if exp >= 0:
-            x = ctx.mpf(man << exp)
-        else:  # man 2^exp = man 5^-exp 10^exp
-            x = ctx.mpf(man * 5 ** -exp).scaleb(exp, ctx.context)
-        return x.copy_negate() if sign else x
-
-    return [[lower(v) for v in row] for row in image]
+def _point_image(ctx, lower, k):
+    """The k x k image with the lower ends `lower` (_lower_ends), each
+    rounded once to the digits of the _DecimalContext ctx; zero where
+    F F^T is."""
+    image = [[ctx.zero] * k for _ in range(k)]
+    for (i, j), v in lower.items():
+        image[i][j] = image[j][i] = ctx.mpf(v)
+    return image
 
 
 def _interval_certificate(factor, alpha, digits):
     """(certificate, least image eigenvalue) proving F F^T a witness at
     alpha, doubling the precision from `digits`; None past the limit.
 
-    Each precision builds one interval image on F's rows; the point
-    arithmetic runs on its lower ends in a _DecimalContext. The test vector
-    is the negative-pivot vector of a diagonally pivoted L D L^T of that
-    point image, and it is bounded against the same interval image as
-    IntervalCertificate.upper_bound bounds it. The eigenvalue comes from
-    Rayleigh-quotient iteration seeded with it and confirmed least by an
-    inertia count. Where the noise floor of that precision exceeds 2^-53 of
-    the eigenvalue (a power next to an integer, whose image is nearly
-    singular), only the eigenvalue is recomputed, at doubled precision up
-    to CERTIFICATE_MAX_DIGITS, so that it is resolved to float precision.
+    Each precision rounds every image entry on F's rows down once; the
+    point arithmetic runs on those lower ends in a _DecimalContext. The
+    test vector is the negative-pivot vector of a diagonally pivoted
+    L D L^T of that point image, and _form_upper bounds it as
+    IntervalCertificate.upper_bound does, reusing the lower ends. The
+    eigenvalue comes from Rayleigh-quotient iteration seeded with it and
+    confirmed least by an inertia count. Where the noise floor of that
+    precision exceeds 2^-53 of the eigenvalue (a power next to an integer,
+    whose image is nearly singular), only the eigenvalue is recomputed, at
+    doubled precision up to CERTIFICATE_MAX_DIGITS, so that it is resolved
+    to float precision.
     """
     rows = np.flatnonzero(factor.any(axis=1))
+    gram = _gram(factor[rows])
     while digits <= CERTIFICATE_MAX_DIGITS:
-        iv, image = _interval_image(factor[rows], alpha, digits)
+        lower = _lower_ends(gram, alpha, digits)
         ctx = _DecimalContext(digits)
         with ctx.local():
-            point = _point_image(ctx, image)
+            point = _point_image(ctx, lower, len(rows))
             found = _negative_pivot_vector(ctx, point)
             if found is not None:
                 strings = [ctx.nstr(v, digits) for v in found[0]]
-                if _form_upper(iv, image, strings) < 0:
+                exact = [_test_vector_entry(v) for v in strings]
+                if _form_upper(gram, alpha, digits, exact, lower) < 0:
                     lam = _least_eigenvalue(ctx, point, found[0])
                     if lam is not None:
                         x = ["0"] * factor.shape[0]
@@ -762,13 +846,13 @@ def _interval_certificate(factor, alpha, digits):
                             x[r] = v
                         cert = IntervalCertificate(factor=factor, test_vector=tuple(x),
                                                    digits=digits)
-                        return cert, _resolved_eigenvalue(factor[rows], alpha, ctx, point,
+                        return cert, _resolved_eigenvalue(gram, alpha, ctx, point,
                                                           found[0], lam)
         digits *= 2
     return None
 
 
-def _resolved_eigenvalue(f, alpha, ctx, image, x, lam):
+def _resolved_eigenvalue(gram, alpha, ctx, image, x, lam):
     """lam, the least eigenvalue of the point image = (F F^T)^{∘alpha} at
     ctx's precision, as a float. While the noise floor exceeds 2^-53 |lam|
     and the precision stays within CERTIFICATE_MAX_DIGITS, Rayleigh-quotient
@@ -780,7 +864,7 @@ def _resolved_eigenvalue(f, alpha, ctx, image, x, lam):
                 break
         ctx = _DecimalContext(2 * ctx.dps)
         with ctx.local():
-            image = _point_image(ctx, _interval_image(f, alpha, ctx.dps)[1])
+            image = _point_image(ctx, _lower_ends(gram, alpha, ctx.dps), len(image))
             finer = _least_eigenvalue(ctx, image, [ctx.mpf(v) for v in x])
         if finer is None:
             break
@@ -968,8 +1052,9 @@ def estimate_ce_numeric(g, family="plain", grid_step=1 / 16, budget=None, seed=0
     capped by n - 2. Powers that expected_hset proves in the set (its exact
     set, or the inner bound of a partial one) count as tested with no
     witness and are not searched, so an upper end there is proven. Every
-    other upper end only means the search found no witness. Returns
-    (lower, upper).
+    other upper end only means the search found no witness. A power it
+    proves outside the set counts as refuted, as a witnessed one does, and
+    is not searched either. Returns (lower, upper).
     """
     _check_family(family)
     _check_scale("witness_scale", witness_scale)
@@ -994,12 +1079,10 @@ def estimate_ce_numeric(g, family="plain", grid_step=1 / 16, budget=None, seed=0
     point_budget = budget if budget is not None else 120
     prev_above = None
     for a in reversed(grid):
-        if known.classify(a) != "in":
-            report = find_counterexample(g, a, family, point_budget, seed=rng,
-                                         witness_scale=witness_scale)
-            if report is not None:
-                upper = prev_above if prev_above is not None else hi
-                return a, upper
+        proof = known.classify(a)
+        if proof == "out" or (proof == "unknown" and find_counterexample(
+                g, a, family, point_budget, seed=rng, witness_scale=witness_scale) is not None):
+            return a, prev_above if prev_above is not None else hi
         prev_above = a
     return 0.0, grid[0]
 

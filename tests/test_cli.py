@@ -384,6 +384,16 @@ def test_family_flag_the_generator_does_not_take_exits_two(capsys, flags, unused
     assert f"family band takes no {unused}" in err
 
 
+@pytest.mark.parametrize("flags, unused", [(["--n", "50", "--d", "3"], "--n"),
+                                           (["--d", "3"], "--d"),
+                                           (["--graph-seed", "5"], "--graph-seed"),
+                                           (["--attach", "2"], "--attach")])
+def test_graph_flag_next_to_a_graph_file_exits_two(capsys, c4_file, flags, unused):
+    code, out, err = run(capsys, ["ce", str(c4_file), *flags])
+    assert code == 2 and not out
+    assert f"a graph file takes no {unused}" in err
+
+
 # per generator: (required parameters, parameters with a default), with
 # values that build another graph than the defaults do
 GENERATOR_ARGS = {

@@ -14,7 +14,9 @@ import numpy as np
 import pytest
 from hypothesis import assume, example, given, settings
 from hypothesis import strategies as st
+from mpmath.ctx_iv import MPIntervalContext
 from mpmath.ctx_mp import MPContext
+from mpmath.libmp import from_float, mpf_mul, round_ceiling, round_floor
 
 from hadamard_powers import chordal, exponents
 from hadamard_powers.chordal import NotChordalError, is_chordal
@@ -25,7 +27,6 @@ from hadamard_powers.exponents import (
     IntervalCertificate,
     WitnessReport,
     _bordered_search,
-    _image_rows,
     _interval_certificate,
     _least_eigenvalue,
     _negative_pivot_vector,
@@ -512,8 +513,11 @@ def test_estimate_searches_only_below_the_triangulation_bound(g, family):
     (lo, hi), searched = _searched_powers(g, family, budget=10, seed=1)
     assert lo < hi <= max(proven.ray_start + STEP, STEP)
     # from the top of the grid down to the lower end, each power below the
-    # inner ray is searched once
-    assert searched == [a for a in reversed(_grid(g.n)) if lo <= a < proven.ray_start]
+    # inner ray is searched once, unless expected_hset proves it out: that
+    # power ends the walk unsearched
+    known = expected_hset(g, family)
+    assert searched == [a for a in reversed(_grid(g.n))
+                        if lo <= a < proven.ray_start and known.classify(a) == "unknown"]
 
 
 def _chorded_cycle(n, a, b):
@@ -581,7 +585,9 @@ def test_estimate_past_the_min_fill_work_limit_walks_every_power(monkeypatch):
         assert _proven(g, family).ray_start == g.n - 2
         got, searched = _searched_powers(g, family, seed=3)
         assert got == bracket
-        assert searched == [a for a in reversed(_grid(g.n)) if a >= bracket[0]]
+        known = expected_hset(g, family)
+        assert searched == [a for a in reversed(_grid(g.n))
+                            if a >= bracket[0] and known.classify(a) == "unknown"]
 
 
 BAD_SCALES = [-1.0, 0.0, float("nan"), float("inf")]
@@ -666,6 +672,27 @@ def test_budget_below_one_is_rejected():
 # --- closed-form bordered witnesses and their certificates ----------------------
 
 FIXTURES = Path(__file__).resolve().parent / "fixtures"
+
+
+def _image_rows(ctx, f, alpha):
+    """(F F^T)^{∘alpha} as nested lists of the mpmath context ctx (point or
+    interval) numbers; entries with no nonzero product stay exactly zero."""
+    a = ctx.mpf(float(alpha))
+    vals = [[ctx.mpf(float(x)) for x in row] for row in f]
+    n, k = f.shape
+    out = [[ctx.mpf(0)] * n for _ in range(n)]
+    for i in range(n):
+        for j in range(i, n):
+            terms = [vals[i][c] * vals[j][c] for c in range(k) if f[i, c] and f[j, c]]
+            if terms:
+                out[i][j] = out[j][i] = sum(terms, ctx.mpf(0)) ** a
+    return out
+
+
+def _iv(digits):
+    iv = MPIntervalContext()
+    iv.dps = digits
+    return iv
 
 
 @settings(max_examples=60, deadline=None)
@@ -810,11 +837,78 @@ def test_decimal_context_eps_is_the_gap_above_one(digits):
         assert ctx.one + ctx.eps / 4 == ctx.one
 
 
+# the ends of mpmath.iv's s ** alpha at a power that is not an integer or
+# 1/2: the interval power runs log, multiply and exp; a Gram entry is a sum
+# of products of floats, so it can carry up to 106 bits and more
+GRAM_ENTRIES = st.one_of(
+    st.floats(1e-3, 1 - 2**-40),  # s < 1
+    st.just(1.0),
+    st.floats(1 + 2**-40, 50.0),  # s > 1
+    st.tuples(st.floats(0.05, 4.0), st.floats(0.05, 4.0)))
+
+
+@settings(max_examples=80, deadline=None)
+@given(st.floats(-12.0, 12.0).filter(lambda a: not a.is_integer() and a != 0.5),
+       GRAM_ENTRIES, st.sampled_from([20, 55, 110, 480]))
+@example(-0.75, 0.5, 480)
+@example(2.25, 1.0, 20)
+@example(6.5, (0.56, 1.12), 55)
+@example(-10.222663396470264, 7.715256353760618, 20)  # the log's rounding shows
+@example(-11.565768392628678, 10.04344971902653, 110)  # its 20 guard bits show
+def test_power_end_is_the_matching_iv_end_bit_for_bit(alpha, s, digits):
+    s = mpf_mul(from_float(s[0]), from_float(s[1])) if isinstance(s, tuple) else from_float(s)
+    iv = _iv(digits)
+    want = (iv.make_mpf((s, s)) ** iv.mpf(alpha))._mpi_
+    a = from_float(alpha)
+    got = (exponents._power_end(s, a, iv.prec, round_floor),
+           exponents._power_end(s, a, iv.prec, round_ceiling))
+    assert got == want
+
+
+def _random_test_vector(rng, n, digits):
+    return tuple(format(Decimal(int(rng.integers(-10**9, 10**9))).scaleb(-9) *
+                        Decimal(int(rng.integers(1, 10**9))), f".{digits}g")
+                 for _ in range(n))
+
+
+@settings(max_examples=30, deadline=None)
+@given(CLOSED_FORM_POWERS, st.integers(0, 2**32 - 1))
+@example((7, 6.5), 0)
+def test_upper_bound_never_lies_below_the_iv_enclosure(case, seed):
+    # for the certificate's own test vector and for random ones of both
+    # signs (so both ends of the entries are read): the bound is at least
+    # the lower end of a finer iv enclosure of the form, and no looser than
+    # the iv enclosure at the certificate's precision, up to the rounding of
+    # its own sum at 2 digits + 1 digits
+    m, alpha = case
+    assume(not float(alpha).is_integer())
+    factor = bordered_factor(np.ones(m), BORDER_SCALE * np.linspace(1.0, 2.0, m))
+    cert, _ = _interval_certificate(factor, alpha, 20 + 5 * m)
+    rng = np.random.default_rng(seed)
+    for x in [cert.test_vector, _random_test_vector(rng, m + 2, cert.digits)]:
+        bound = IntervalCertificate(factor, x, cert.digits).upper_bound(alpha)
+        for digits in (cert.digits, 4 * cert.digits):
+            iv = _iv(digits)
+            image = _image_rows(iv, factor, alpha)
+            xs = [iv.mpf(v) for v in x]
+            form = sum((image[i][j] * xs[i] * xs[j] for i in range(m + 2) for j in range(m + 2)),
+                       iv.mpf(0))
+            low, high = (_exact(MPContext().make_mpf(end)) for end in form._mpi_)
+            assert Fraction(bound) >= low
+            if digits == cert.digits:
+                size = sum(abs(_exact(MPContext().make_mpf(image[i][j]._mpi_[1])) *
+                               Fraction(Decimal(x[i])) * Fraction(Decimal(x[j])))
+                           for i in range(m + 2) for j in range(m + 2))
+                assert Fraction(bound) <= high + size * Fraction(1, 10 ** (2 * digits))
+
+
 @pytest.mark.parametrize("m, alpha", [(5, 4.5), (7, 6.5), (12, 11.5)])
 def test_point_image_is_the_rounded_lower_end_of_the_interval_image(m, alpha):
+    # the iv image of F as the oracle: its Gram entries are exact for these
+    # factors, and its power ends are those of _power_end
     digits = 20 + 5 * m
     factor = bordered_factor(np.ones(m), BORDER_SCALE * np.linspace(1.0, 2.0, m))
-    _, image = exponents._interval_image(factor, alpha, digits)
+    image = _image_rows(_iv(digits), factor, alpha)
     ctx = exponents._DecimalContext(digits)
     mp = MPContext()
 
@@ -823,28 +917,33 @@ def test_point_image_is_the_rounded_lower_end_of_the_interval_image(m, alpha):
         return ctx.context.divide(Decimal(x.numerator), Decimal(x.denominator))
 
     lower = [[rounded(v._mpi_[0]) for v in row] for row in image]
-    assert exponents._point_image(ctx, image) == lower
+    gram = exponents._gram(factor)
+    assert exponents._point_image(ctx, exponents._lower_ends(gram, alpha, digits),
+                                  m + 2) == lower
     # the ends round apart somewhere, so the choice of end shows
     assert any(rounded(v._mpi_[1]) != low
                for row, lows in zip(image, lower) for v, low in zip(row, lows))
 
 
-def test_search_builds_one_image_per_precision(monkeypatch):
+def test_search_computes_at_most_two_power_ends_per_gram_entry_per_precision(monkeypatch):
     # one ulp below 2 the image is nearly singular: the certificate holds
     # at 30 digits and the eigenvalue is resolved at 60 and more; each
-    # precision builds its interval image once, and the point image and the
-    # bound of the test vector share it
-    precisions = []
+    # precision rounds every Gram entry's power down once for the point
+    # image and the lower ends of the bound, and up at most once
+    ends = {}
+    power_end = exponents._power_end
 
-    def image_rows(ctx, f, alpha):
-        precisions.append(ctx.dps)
-        return _image_rows(ctx, f, alpha)
+    def counted(s, alpha, prec, rnd):
+        ends[prec] = ends.get(prec, 0) + 1
+        return power_end(s, alpha, prec, rnd)
 
-    monkeypatch.setattr(exponents, "_image_rows", image_rows)
+    monkeypatch.setattr(exponents, "_power_end", counted)
     w = find_counterexample(complete(4), float(np.nextafter(2, 0)), "plain", seed=1)
     assert w.certificate.digits == 30
-    assert len(precisions) >= 2
-    assert precisions == [30 * 2**k for k in range(len(precisions))]
+    entries = len(exponents._gram(w.certificate.factor))
+    assert len(ends) >= 2
+    assert list(ends) == [exponents.dps_to_prec(30 * 2**k) for k in range(len(ends))]
+    assert all(count <= 2 * entries for count in ends.values())
 
 
 @pytest.mark.parametrize("n", [3, 4])
@@ -927,6 +1026,54 @@ def _too_many_digits(data):
 def test_tampered_interval_certificate_fails(tamper):
     data = _interval_report()
     tamper(data)
+    assert not WitnessReport.from_json(data).verify()
+
+
+@pytest.mark.parametrize("entry", ["abc", "nan", "inf", "-Infinity", "1_0", " 1 ", "0x10",
+                                   "", "1/3", "1e999999"])
+def test_junk_test_vector_entries_fail_verification(entry):
+    # Decimal itself accepts some of these (NaN, infinity, underscores,
+    # spaces); the entry sits on a row of F, so the bound reads it
+    data = _interval_report()
+    data["certificate"]["test_vector"][1] = entry
+    assert not WitnessReport.from_json(data).verify()
+
+
+def test_a_test_vector_entry_in_other_digits_fails_verification():
+    # Decimal reads fullwidth digits as the same number, so only the plain
+    # decimal-literal check turns the report down
+    data = _interval_report()
+    x = data["certificate"]["test_vector"]
+    x[1] = x[1].translate(str.maketrans("0123456789", "０１２３４５６７８９"))
+    assert Decimal(x[1]) == Decimal(_interval_report()["certificate"]["test_vector"][1])
+    assert not WitnessReport.from_json(data).verify()
+
+
+@settings(max_examples=60, deadline=None)
+@given(st.lists(st.decimals(-10, 10, allow_nan=False, places=30), min_size=2, max_size=2),
+       st.decimals(-10, 10, allow_nan=False, places=30), st.integers(1, 6),
+       st.floats(-3.0, 3.0))
+@example([Decimal("1.00000000000000000001"), Decimal(-1)], Decimal(0), 5, 0.5)
+def test_upper_bound_rounds_up_past_its_precision(pair, last, digits, alpha):
+    # every Gram entry of F = [[1, 0], [1, 0], [0, 1]] is 1, so both ends of
+    # every image entry are exactly 1 and the form is (x_0 + x_1)^2 + x_2^2;
+    # x has more digits than the sum keeps, so only rounding up bounds it
+    factor = np.array([[1.0, 0.0], [1.0, 0.0], [0.0, 1.0]])
+    x = [*pair, last]
+    bound = IntervalCertificate(factor, tuple(str(v) for v in x), digits).upper_bound(alpha)
+    exact = (Fraction(x[0]) + Fraction(x[1])) ** 2 + Fraction(x[2]) ** 2
+    assert Fraction(bound) >= exact
+
+
+@pytest.mark.parametrize("alpha", [1e300, -1e300])
+def test_image_ends_past_the_exponent_limit_take_their_trivial_bounds(alpha):
+    # 1.5^alpha has a binary exponent of about 0.58 alpha: read exactly as a
+    # decimal it would have that many digits, so its ends are 0 and infinity
+    s = from_float(1.5)
+    assert exponents._image_end(s, alpha, 20, round_floor) == 0
+    assert exponents._image_end(s, alpha, 20, round_ceiling) == Decimal("Infinity")
+    data = _interval_report()
+    data["alpha"] = alpha
     assert not WitnessReport.from_json(data).verify()
 
 
