@@ -163,7 +163,8 @@ def sample_spectra(g, ranks, alpha, family, rng):
     Yields (first, state, samples, images) per stack: the index in ranks of
     its first sample, the generator state before its draw, the samples and
     their power images. A non-finite image ends the stack before it, and
-    the loop raises ValueError once that stack is read. Each reader reduces
+    the loop raises ValueError once that stack is read; the witness search
+    stops reading there instead, with no witness. Each reader reduces
     the images its own way: `verify` takes every least eigenvalue
     (least_eigenvalue), the witness search first tries to clear the whole
     stack with one Cholesky factorization (_cholesky_clears).

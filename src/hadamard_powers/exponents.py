@@ -411,6 +411,9 @@ CERTIFICATE_MAX_DIGITS = 480
 #: binary exponent; an end past 2^(+-IMAGE_EXPONENT_LIMIT) is replaced by its
 #: trivial bound, 0 below and infinity above
 IMAGE_EXPONENT_LIMIT = 2**16
+#: most image ends the process keeps (_image_end); a witness workload pass
+#: of 18 searches and re-verifications reads 243 distinct ones
+IMAGE_END_MEMO = 4096
 
 _OTHER_WAY = {round_floor: round_ceiling, round_ceiling: round_floor}
 
@@ -452,9 +455,16 @@ def _exact_context():
     return decimal.Context(prec=decimal.MAX_PREC, Emax=decimal.MAX_EMAX, Emin=decimal.MIN_EMIN)
 
 
+@functools.lru_cache(maxsize=IMAGE_END_MEMO)
 def _image_end(s, alpha, digits, rnd):
     """_power_end at the binary precision of `digits` decimal digits, as an
-    exact decimal (or its trivial bound past IMAGE_EXPONENT_LIMIT)."""
+    exact decimal (or its trivial bound past IMAGE_EXPONENT_LIMIT).
+
+    Memoized per process on the exact Gram value, alpha, digits and
+    direction, so the search's lower and upper ends, the bound that
+    IntervalCertificate.upper_bound recomputes, and the plain, odd and even
+    searches at one alpha, which certify one image, compute each end once.
+    A memoized end is the decimal the arithmetic returns."""
     exact = _exact_context()
     _, man, exp, bc = _power_end(s, from_float(float(alpha)), dps_to_prec(digits), rnd)
     if abs(exp + bc) > IMAGE_EXPONENT_LIMIT:
@@ -635,16 +645,27 @@ class WitnessReport:
 
     @classmethod
     def from_json(cls, data):
-        cert = data.get("certificate")
-        return cls(
-            graph=graph_from_json(data["graph"]),
-            alpha=float(data["alpha"]),
-            family=str(data["family"]),
-            matrix=matrix_from_json(data["matrix"]),
-            image_min_eigenvalue=float(data["image_min_eigenvalue"]),
-            construction=str(data["construction"]),
-            certificate=IntervalCertificate.from_json(cert) if cert is not None else None,
-        )
+        """The report of to_json; ValueError when data is not an object with
+        every field, or alpha or image_min_eigenvalue is not a number."""
+        if not isinstance(data, dict):
+            raise ValueError(f"bad witness JSON: expected an object, got {type(data).__name__}")
+        for key in ("alpha", "image_min_eigenvalue"):
+            value = data.get(key)
+            if isinstance(value, bool) or not isinstance(value, (int, float)):
+                raise ValueError(f"bad witness JSON: {key} must be a number, got {value!r}")
+        try:
+            cert = data.get("certificate")
+            return cls(
+                graph=graph_from_json(data["graph"]),
+                alpha=float(data["alpha"]),
+                family=str(data["family"]),
+                matrix=matrix_from_json(data["matrix"]),
+                image_min_eigenvalue=float(data["image_min_eigenvalue"]),
+                construction=str(data["construction"]),
+                certificate=IntervalCertificate.from_json(cert) if cert is not None else None,
+            )
+        except (KeyError, TypeError) as exc:
+            raise ValueError(f"bad witness JSON: {type(exc).__name__}: {exc}") from None
 
 
 def _embed_bordered(g, support, u, v):
@@ -909,7 +930,7 @@ def _bordered_search(g, alpha, family, budget, rng, witness_scale):
     largest near-complete subgraph's certificate: the closed-form pair at
     non-integer powers, random signed pairs whose super-additivity defect
     fails on the separator clique at integer powers off the family's
-    lattice."""
+    lattice. rng() returns the generator; only the signed pairs call it."""
     r, v1, s, v2 = g.analysis.near_complete
     s_max = r - 2
     if s_max < 1:
@@ -928,9 +949,10 @@ def _bordered_search(g, alpha, family, budget, rng, witness_scale):
     support = (v1, s[:m], v2)
     if not is_integer:
         return _closed_form_witness(g, alpha, family, support, witness_scale)
+    gen = rng()
     for _ in range(budget):
-        u = rng.standard_normal(m)
-        v = rng.standard_normal(m)
+        u = gen.standard_normal(m)
+        v = gen.standard_normal(m)
         if _small_bordered_image_fails(u, v, alpha, family, witness_scale):
             matrix = factor_gram(_embed_bordered(g, support, u, v))
             lam = certify_not_psd(entrywise_power(matrix, alpha, family), witness_scale)
@@ -980,6 +1002,21 @@ def _signed_cycle_witness(g, alpha, witness_scale):
                          image_min_eigenvalue=lam, construction="signed_cycle")
 
 
+class _LazyGenerator:
+    """np.random.default_rng(seed), built on the first call: a search that
+    draws nothing does not load numpy.random. Searches handed the same
+    handle read one stream."""
+
+    def __init__(self, seed):
+        self._seed = seed
+        self._gen = None
+
+    def __call__(self):
+        if self._gen is None:
+            self._gen = np.random.default_rng(self._seed)
+        return self._gen
+
+
 def find_counterexample(g, alpha, family="plain", budget=None, seed=0, *,
                         tol_scale=1e-9, witness_scale=1e-6):
     """Search for a PSD matrix in the pattern cone whose entrywise power
@@ -991,8 +1028,14 @@ def find_counterexample(g, alpha, family="plain", budget=None, seed=0, *,
     family, and random clique-sum samples. `budget` (>= 1) caps both the
     signed-pair draws and the samples; None means 200 draws and 500
     samples. Returns the first strictly certified witness, or None once the
-    budget is exhausted (absence of a witness is evidence, not proof).
-    A witness_scale that is not positive and finite raises ValueError.
+    budget is exhausted or a sample's image overflows (absence of a witness
+    is evidence, not proof). A witness_scale that is not positive and
+    finite raises ValueError.
+
+    The generator np.random.default_rng(seed) is built at the first draw,
+    by the signed pairs or the samples, which read it in that order. A
+    search settled by the closed form or a signed cycle builds none, so it
+    leaves a Generator passed as seed untouched.
     """
     _check_family(family)
     _check_scale("witness_scale", witness_scale)
@@ -1002,7 +1045,7 @@ def find_counterexample(g, alpha, family="plain", budget=None, seed=0, *,
         raise ValueError("graph must have at least one vertex")
     if budget is not None and budget < 1:
         raise ValueError(f"budget must be >= 1, got {budget}")
-    rng = np.random.default_rng(seed)
+    rng = seed if isinstance(seed, _LazyGenerator) else _LazyGenerator(seed)
     if g.n >= 2:
         report = _bordered_search(g, alpha, family, budget or 200, rng, witness_scale)
         if report is not None:
@@ -1011,7 +1054,7 @@ def find_counterexample(g, alpha, family="plain", budget=None, seed=0, *,
         report = _signed_cycle_witness(g, alpha, witness_scale)
         if report is not None:
             return report
-    return _sample_search(g, alpha, family, budget or 500, rng, tol_scale, witness_scale)
+    return _sample_search(g, alpha, family, budget or 500, rng(), tol_scale, witness_scale)
 
 
 def _sample_search(g, alpha, family, n_samples, rng, tol_scale, witness_scale):
@@ -1020,21 +1063,26 @@ def _sample_search(g, alpha, family, n_samples, rng, tol_scale, witness_scale):
     witness; any other is eigensolved whole. The witness is the first
     sample, in draw order, whose image clears the witness threshold and
     which is PSD within tol_scale; the generator is left where drawing the
-    samples one at a time up to that one would leave it.
+    samples one at a time up to that one would leave it. A sample whose
+    image overflows ends the search: its image proves nothing, and
+    sample_spectra reads no further.
     """
     ranks = [2 if k % 5 == 4 else 1 for k in range(n_samples)]
-    for first, state, stack, images in sample_spectra(g, ranks, alpha, family, rng):
-        if _cholesky_clears(images, witness_scale):
-            continue
-        lam, tol = least_eigenvalue(images, witness_scale)
-        for b in np.flatnonzero(lam < -tol):
-            matrix = stack[b].copy()
-            if is_psd(matrix, tol_scale).is_psd:
-                rng.bit_generator.state = state
-                _clique_sample_stack(g, ranks[first:first + b + 1], rng, family == "plain")
-                return WitnessReport(graph=g, alpha=alpha, family=family, matrix=matrix,
-                                     image_min_eigenvalue=float(lam[b]),
-                                     construction="random_sample")
+    with np.errstate(over="ignore"):
+        for first, state, stack, images in sample_spectra(g, ranks, alpha, family, rng):
+            if not _cholesky_clears(images, witness_scale):
+                lam, tol = least_eigenvalue(images, witness_scale)
+                for b in np.flatnonzero(lam < -tol):
+                    matrix = stack[b].copy()
+                    if is_psd(matrix, tol_scale).is_psd:
+                        rng.bit_generator.state = state
+                        _clique_sample_stack(g, ranks[first:first + b + 1], rng,
+                                             family == "plain")
+                        return WitnessReport(graph=g, alpha=alpha, family=family,
+                                             matrix=matrix, image_min_eigenvalue=float(lam[b]),
+                                             construction="random_sample")
+            if len(images) < len(stack):  # sample_spectra stops at this overflow
+                return None
     return None
 
 
@@ -1054,7 +1102,9 @@ def estimate_ce_numeric(g, family="plain", grid_step=1 / 16, budget=None, seed=0
     witness and are not searched, so an upper end there is proven. Every
     other upper end only means the search found no witness. A power it
     proves outside the set counts as refuted, as a witnessed one does, and
-    is not searched either. Returns (lower, upper).
+    is not searched either. The searches read one generator,
+    np.random.default_rng(seed), built at their first draw. Returns
+    (lower, upper).
     """
     _check_family(family)
     _check_scale("witness_scale", witness_scale)
@@ -1075,7 +1125,7 @@ def estimate_ce_numeric(g, family="plain", grid_step=1 / 16, budget=None, seed=0
     if not grid:
         return 0.0, 0.0
     known = expected_hset(g, family)
-    rng = np.random.default_rng(seed)
+    rng = _LazyGenerator(seed)
     point_budget = budget if budget is not None else 120
     prev_above = None
     for a in reversed(grid):

@@ -197,6 +197,40 @@ def test_witness_malformed_certificate_is_a_load_error(capsys, tmp_path, field, 
     assert code == 2 and "cannot load witness report" in err
 
 
+def _witness_report_with(tmp_path, edit):
+    # a float-route report, so each case reaches only the field it breaks
+    out_file = tmp_path / "w.json"
+    assert main(["witness", "--family", "complete", "--n", "4", "--alpha", "1.5",
+                 "--seed", "1", "-o", str(out_file)]) == 0
+    out_file.write_text(json.dumps(edit(json.loads(out_file.read_text()))))
+    return str(out_file)
+
+
+def _set(key, value):
+    def edit(data):
+        data[key] = value
+        return data
+    return edit
+
+
+@pytest.mark.parametrize("edit, message", [
+    (lambda data: [data], "expected an object, got list"),
+    (lambda data: 4.5, "expected an object, got float"),
+    (_set("alpha", [1]), "alpha must be a number, got [1]"),
+    (_set("alpha", "1.5"), "alpha must be a number, got '1.5'"),
+    (_set("image_min_eigenvalue", None), "image_min_eigenvalue must be a number"),
+    (_set("image_min_eigenvalue", True), "image_min_eigenvalue must be a number"),
+], ids=["list", "number", "alpha-list", "alpha-string", "eigenvalue-null", "eigenvalue-bool"])
+def test_witness_malformed_report_is_a_load_error(capsys, tmp_path, edit, message):
+    # a report that does not load is a usage error (2), not a failed proof (1)
+    path = _witness_report_with(tmp_path, edit)
+    capsys.readouterr()
+    code, out, err = run(capsys, ["witness", "--verify", path])
+    assert code == 2 and out == ""
+    assert err.startswith("error: cannot load witness report: bad witness JSON: ")
+    assert message in err
+
+
 def test_witness_report_with_an_mpmath_test_vector_still_verifies(capsys):
     # written while the search's point arithmetic ran on mpmath: its test
     # vector differs from today's in the trailing digits

@@ -706,12 +706,13 @@ def test_closed_form_witness_verifies(case):
     m, alpha, family, near = case
     assume(not float(alpha).is_integer())
     g = near_complete(m + 3) if near else complete(m + 2)
-    rng = np.random.default_rng(0)
-    state = rng.bit_generator.state
-    w = _bordered_search(g, alpha, family, 1, rng, 1e-6)
+
+    def no_generator():
+        raise AssertionError("the closed form draws nothing")
+
+    w = _bordered_search(g, alpha, family, 1, no_generator, 1e-6)
     assert w is not None and w.construction == "rank_one_bordered"
     assert w.image_min_eigenvalue < 0
-    assert rng.bit_generator.state == state  # the closed form draws nothing
     assert WitnessReport.from_json(json.loads(json.dumps(w.to_json()))).verify()
 
 
@@ -743,6 +744,83 @@ def test_witness_workload_reports_are_pinned():
                 hashlib.sha256(json.dumps(rows).encode()).hexdigest()) == (
             rec["image_min_eigenvalue"], rec["digits"], rec["construction"],
             rec["matrix_sha256"]), rec
+
+
+def test_a_witness_workload_pass_computes_each_power_end_once(monkeypatch):
+    # the three families share one image, and re-verification reads the
+    # search's ends: 243 distinct ends today, against 1,497 unmemoized calls
+    calls = {}
+    power_end = exponents._power_end
+
+    def counted(s, alpha, prec, rnd):
+        calls[s, alpha, prec, rnd] = calls.get((s, alpha, prec, rnd), 0) + 1
+        return power_end(s, alpha, prec, rnd)
+
+    monkeypatch.setattr(exponents, "_power_end", counted)
+    exponents._image_end.cache_clear()
+    for g, alphas in WITNESS_WORKLOAD:
+        for alpha in alphas:
+            for family in ("plain", "odd", "even"):
+                w = find_counterexample(g, alpha, family, seed=1)
+                assert WitnessReport.from_json(json.loads(json.dumps(w.to_json()))).verify()
+    assert calls and set(calls.values()) == {1}
+    assert len(calls) <= exponents.IMAGE_END_MEMO
+
+
+def test_memoized_ends_do_not_change_a_verdict():
+    # verify() and the bound itself read the same with a cold memo and with
+    # one the search has just filled; a tampered test vector still fails
+    exponents._image_end.cache_clear()
+    data = json.loads(json.dumps(_interval_report()))  # the search fills the memo
+    warm = WitnessReport.from_json(data)
+    warm_bound = warm.certificate.upper_bound(warm.alpha)
+    assert warm.verify()
+    bad = json.loads(json.dumps(data))
+    x = bad["certificate"]["test_vector"]
+    x[0] = x[0][1:] if x[0].startswith("-") else "-" + x[0]
+    assert not WitnessReport.from_json(bad).verify()
+    _unit_test_vector(bad)
+    assert not WitnessReport.from_json(bad).verify()
+    exponents._image_end.cache_clear()
+    cold = WitnessReport.from_json(data)
+    assert cold.certificate.upper_bound(cold.alpha) == warm_bound < 0
+    assert cold.verify()
+    exponents._image_end.cache_clear()
+    assert not WitnessReport.from_json(bad).verify()
+
+
+def test_image_end_memo_stays_within_its_bound():
+    exponents._image_end.cache_clear()
+    bound = exponents.IMAGE_END_MEMO
+    for k in range(bound + 10):
+        exponents._image_end(from_float(1 + k / 2**20), 2.5, 20, round_floor)
+    info = exponents._image_end.cache_info()
+    assert info.maxsize == bound and info.currsize == bound
+    exponents._image_end.cache_clear()
+
+
+# sha256 of the canonical to_json() bytes (sorted keys, no spaces), recorded
+# before the generator was built lazily: the signed pairs and the samples
+# still read np.random.default_rng(seed) in the same order
+RNG_STREAM_PINS = [
+    (complete(6), 2.0, "odd", None, 3, "rank_one_bordered",
+     "6e0eb98b4cd043818acbf792b803851f970c5405442b2c868eaac8dad9f1a7d1"),
+    (complete(6), 3.0, "even", None, 3, "rank_one_bordered",
+     "0f15d75acb870217c4bf6e8957118b02e4afda70a0c2348cfce48a42bfca06a0"),
+    # ten signed pairs miss, then the clique-sum samples hit
+    (complete(7), 4.0, "odd", 10, 4, "random_sample",
+     "6722e4497b59ee32ddb41ef5786698589f69727791dda9513ab6f67a05fe049c"),
+]
+
+
+@pytest.mark.parametrize("g, alpha, family, budget, seed, construction, sha256", RNG_STREAM_PINS,
+                         ids=["pairs-odd", "pairs-even", "pairs-then-samples"])
+def test_seeded_draws_read_the_pinned_stream(g, alpha, family, budget, seed, construction,
+                                             sha256):
+    w = find_counterexample(g, alpha, family, budget=budget, seed=seed)
+    payload = json.dumps(w.to_json(), sort_keys=True, separators=(",", ":")).encode()
+    assert w.construction == construction
+    assert hashlib.sha256(payload).hexdigest() == sha256
 
 
 def _exact(x):
@@ -938,6 +1016,7 @@ def test_search_computes_at_most_two_power_ends_per_gram_entry_per_precision(mon
         return power_end(s, alpha, prec, rnd)
 
     monkeypatch.setattr(exponents, "_power_end", counted)
+    exponents._image_end.cache_clear()  # ends memoized by earlier tests are not counted
     w = find_counterexample(complete(4), float(np.nextafter(2, 0)), "plain", seed=1)
     assert w.certificate.digits == 30
     entries = len(exponents._gram(w.certificate.factor))
@@ -1091,6 +1170,20 @@ def test_import_does_not_load_scipy():
     subprocess.run([sys.executable, "-c",
                     "import hadamard_powers, sys; assert 'scipy' not in sys.modules"],
                    check=True, env=env)
+
+
+def test_searches_that_draw_nothing_do_not_load_numpy_random():
+    # the closed form and a walk over proven powers build no generator
+    src = str(Path(__file__).resolve().parents[1] / "src")
+    env = dict(os.environ, PYTHONPATH=os.pathsep.join(
+        filter(None, [src, os.environ.get("PYTHONPATH")])))
+    subprocess.run([sys.executable, "-c",
+                    "import sys; from hadamard_powers.cli import main; "
+                    "assert main(['witness', '--family', 'near-complete', '--n', '9', "
+                    "'--alpha', '6.5']) == 0; "
+                    "assert main(['ce', '--family', 'cycle', '--n', '20']) == 0; "
+                    "assert 'numpy.random' not in sys.modules"],
+                   check=True, env=env, stdout=subprocess.DEVNULL)
 
 
 def test_exact_routes_do_not_load_decimal():

@@ -15,7 +15,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from hadamard_powers import cones
+from hadamard_powers import cones, exponents
 from hadamard_powers.cli import main
 from hadamard_powers.cones import (
     FAMILIES,
@@ -129,12 +129,46 @@ def test_sample_phase_matches_one_at_a_time(monkeypatch, g, alpha, family,
 @pytest.mark.filterwarnings("ignore:overflow encountered in power")
 def test_sample_phase_stops_at_a_non_finite_image():
     # entries above 1 overflow at this power; the one-at-a-time search
-    # raises on the first such image, and so does the batched one
+    # raises on the first such image, while the batched one ends there
+    # without a witness: an image it cannot read proves nothing
     with pytest.raises(ValueError, match="non-finite"):
         _reference_sample_search(complete(3), 2000.5, "plain", 20,
                                  np.random.default_rng(0))
-    with pytest.raises(ValueError, match="non-finite"):
-        find_counterexample(complete(3), 2000.5, "plain", budget=20, seed=0)
+    assert find_counterexample(complete(3), 2000.5, "plain", budget=20, seed=0) is None
+
+
+@pytest.mark.filterwarnings("error")
+@pytest.mark.parametrize("g, alpha, family", [(complete(5), -1e6, "plain"),
+                                              (complete(3), 2000.5, "odd")])
+def test_overflowing_sample_search_finds_nothing_quietly(g, alpha, family):
+    # the first overflow ends the search with no warning, where the
+    # sampling check of the same images still raises
+    assert find_counterexample(g, alpha, family, seed=1) is None
+    ranks = [1] * 5
+    with pytest.raises(ValueError, match="non-finite"), np.errstate(over="ignore"):
+        for _ in sample_spectra(g, ranks, alpha, family, np.random.default_rng(1)):
+            pass
+
+
+def test_sample_search_ends_at_the_first_overflow_after_an_earlier_witness(monkeypatch):
+    # from the second stack on every image overflows: a witness of the first
+    # stack still stands, and a search without one reads no third stack
+    spectra, read = cones.sample_spectra, []
+
+    def overflow_from_the_second_stack(*args):
+        for first, state, stack, images in spectra(*args):
+            read.append(first)
+            yield first, state, stack, images[:0] if first else images
+
+    g = complete(4)
+    monkeypatch.setattr(cones, "SAMPLE_CHUNK_FLOATS", 5 * g.n * g.n)
+    monkeypatch.setattr(exponents, "sample_spectra", overflow_from_the_second_stack)
+    expected = _reference_sample_search(g, 1.5, "plain", 30, np.random.default_rng(3))
+    report = _sample_search(g, 1.5, "plain", 30, np.random.default_rng(3), 1e-9, 1e-6)
+    assert report.matrix.tobytes() == expected[0].tobytes() and read == [0]
+    read.clear()
+    assert _sample_search(g, 2.5, "plain", 30, np.random.default_rng(3), 1e-9, 1e-6) is None
+    assert read == [0, 5]
 
 
 def test_verify_rows_match_one_sample_at_a_time(capsys):
