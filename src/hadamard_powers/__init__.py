@@ -9,14 +9,10 @@ from .chordal import (
     NotChordalError,
     check_decomposition,
     check_perfect_ordering,
-    clique_number,
     decompose,
-    elimination_order,
     find_chordless_cycle,
     is_chordal,
     is_perfect_elimination_order,
-    maximal_cliques_chordal,
-    maximal_cliques_general,
     perfect_ordering,
 )
 from .cones import (
@@ -42,12 +38,10 @@ from .exponents import (
     HSet,
     WitnessReport,
     conjecture_scan,
-    critical_exponent_clique_formula,
     estimate_ce_numeric,
     expected_hset,
     find_counterexample,
     hset_bipartite,
-    hset_chordal,
     hset_complete,
     hset_cycle,
     superadditive_powers,
@@ -60,8 +54,6 @@ from .graphs import (
     graph_from_json,
     graph_to_json,
     induced_subgraph,
-    max_near_complete_order,
-    max_near_complete_order_fast,
     parse_edge_list,
     to_edge_list,
 )

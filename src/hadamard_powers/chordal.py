@@ -33,12 +33,6 @@ class NotChordalError(ValueError):
         super().__init__(message)
 
 
-def elimination_order(g):
-    """Elimination ordering: the reversed Lex-BFS visit order, which is a
-    perfect elimination ordering iff the graph is chordal."""
-    return list(g.analysis.order)
-
-
 def is_perfect_elimination_order(g, order):
     """Check that each vertex's later neighbors form a clique.
 
@@ -106,21 +100,6 @@ def _shortest_path_avoiding(g, source, target, blocked):
 def _require_chordal(g):
     if not is_chordal(g):
         raise NotChordalError(find_chordless_cycle(g))
-
-
-def maximal_cliques_chordal(g):
-    """Maximal cliques of a chordal graph (at most n of them), sorted."""
-    _require_chordal(g)
-    return list(g.analysis.maximal_cliques)
-
-
-def maximal_cliques_general(g):
-    """All maximal cliques of any graph, sorted; see GraphAnalysis."""
-    return list(g.analysis.maximal_cliques)
-
-
-def clique_number(g):
-    return g.analysis.clique_number
 
 
 # ---------------------------------------------------------------------------

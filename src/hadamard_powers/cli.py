@@ -17,6 +17,7 @@ import functools
 import inspect
 import json
 import os
+import re
 import sys
 
 import numpy as np
@@ -27,17 +28,11 @@ from .cones import least_eigenvalue, sample_spectra
 from .exponents import (
     WitnessReport,
     conjecture_scan,
-    critical_exponent_clique_formula,
     estimate_ce_numeric,
     expected_hset,
     find_counterexample,
 )
-from .graphs import (
-    GraphParseError,
-    graph_from_json,
-    max_near_complete_order_fast,
-    parse_edge_list,
-)
+from .graphs import GraphParseError, graph_from_json, parse_edge_list
 
 SEED_ENV_VAR = "HADAMARD_POWERS_SEED"
 
@@ -90,31 +85,37 @@ def _add_graph_arguments(p):
                        help=f"{name} of {', '.join(families)}{default}")
 
 
-def _add_run_arguments(p, needs_powers=True):
-    if needs_powers:
-        p.add_argument("--powers", choices=("plain", "odd", "even"), default="plain",
-                       help="power family: plain x^a, odd sgn(x)|x|^a, even |x|^a")
-    p.add_argument("--seed", type=int, default=None)
-    p.add_argument("--strict", action="store_true",
-                   help="require an explicit --seed (for reproducible CI runs)")
-    p.add_argument("--tol-scale", type=float, default=1e-9, dest="tol_scale")
-    p.add_argument("--witness-scale", type=float, default=1e-6, dest="witness_scale")
-    p.add_argument("--budget", type=int, default=None)
-    p.add_argument("--format", choices=("text", "json"), default="text",
-                   dest="output_format")
+#: the run flags and their add_argument keywords; a subcommand takes those it reads
+_RUN_FLAGS = {
+    "--powers": {"choices": ("plain", "odd", "even"), "default": "plain",
+                 "help": "power family: plain x^a, odd sgn(x)|x|^a, even |x|^a"},
+    "--seed": {"type": int, "default": None},
+    "--strict": {"action": "store_true",
+                 "help": "require an explicit --seed (for reproducible CI runs)"},
+    "--tol-scale": {"type": float, "default": 1e-9},
+    "--witness-scale": {"type": float, "default": 1e-6},
+    "--budget": {"type": int, "default": None},
+    "--format": {"choices": ("text", "json"), "default": "text", "dest": "output_format"},
+}
+
+
+def _add_run_arguments(p, flags):
+    for flag in flags:
+        p.add_argument(flag, **_RUN_FLAGS[flag])
 
 
 def _resolve_config(args):
-    """Check the run flags and settle args.seed: --seed, else (unless
+    """Check the run flags present and settle args.seed: --seed, else (unless
     --strict) the HADAMARD_POWERS_SEED environment variable, else 0."""
-    if args.seed is None:
+    if "seed" in args and args.seed is None:
         if args.strict:
             raise CliError("--strict requires an explicit --seed")
         env = os.environ.get(SEED_ENV_VAR)
         args.seed = int(env) if env else 0
-    if not (0 < args.tol_scale < np.inf and 0 < args.witness_scale < np.inf):
-        raise CliError("tolerances must be positive and finite")
-    if args.budget is not None and args.budget < 1:
+    for name in ("tol_scale", "witness_scale"):
+        if name in args and not 0 < getattr(args, name) < np.inf:
+            raise CliError("tolerances must be positive and finite")
+    if "budget" in args and args.budget is not None and args.budget < 1:
         raise CliError("--budget must be >= 1")
 
 
@@ -172,7 +173,7 @@ def _cmd_ce(args):
     g = _load_graph(args)
     if g.n < 2:
         raise CliError("critical exponents are defined for graphs with >= 2 vertices")
-    r = max_near_complete_order_fast(g)
+    r = g.analysis.near_complete_order
     out = {"n": g.n, "edge_count": len(g.edges), "r": r, "chordal": is_chordal(g)}
     if out["chordal"]:
         out["ce"] = r - 2
@@ -321,7 +322,7 @@ def _cmd_families(args):
     mismatches = 0
     out_rows = []
     for name, params, g, expected in _families_rows(args.max_n, args.seed):
-        computed = critical_exponent_clique_formula(g)
+        computed = g.analysis.near_complete_order - 2
         ok = computed == expected
         mismatches += not ok
         out_rows.append({"family": name, "params": params,
@@ -363,11 +364,20 @@ def _cmd_scan(args):
     return 1 if summary["flagged"] or summary["errors"] else 0
 
 
+class _Parser(argparse.ArgumentParser):
+    """Reads an argument starting -<digit> or -.<digit> (-1e6, -0.5,1) as a
+    value, not only -N and -N.M; no option starts so. Subparsers share it."""
+
+    def __init__(self, *args, **kwargs):
+        super().__init__(*args, **kwargs)
+        self._negative_number_matcher = re.compile(r"-\.?\d")
+
+
 @functools.cache
 def build_parser():
     """The argument parser, built once per process: parse_args returns a
     fresh namespace each call, and no argument has a mutable default."""
-    parser = argparse.ArgumentParser(
+    parser = _Parser(
         prog="hadamard-powers",
         description="Entrywise powers preserving positive semidefiniteness "
                     "on graph-structured cones.")
@@ -376,12 +386,13 @@ def build_parser():
     p = sub.add_parser("ce", help="critical exponent (exact for chordal graphs, "
                                   "numeric bracket otherwise)")
     _add_graph_arguments(p)
-    _add_run_arguments(p)
+    _add_run_arguments(p, ["--powers", "--seed", "--strict", "--witness-scale", "--budget",
+                           "--format"])
     p.set_defaults(func=_cmd_ce)
 
     p = sub.add_parser("hset", help="symbolic set of positivity-preserving powers")
     _add_graph_arguments(p)
-    _add_run_arguments(p)
+    _add_run_arguments(p, ["--powers", "--format"])
     p.set_defaults(func=_cmd_hset)
 
     p = sub.add_parser(
@@ -392,7 +403,8 @@ def build_parser():
                "(decimal strings), digits (working precision)}. Without a certificate "
                "the proof is the float least eigenvalue of the power image.")
     _add_graph_arguments(p)
-    _add_run_arguments(p)
+    _add_run_arguments(p, ["--powers", "--seed", "--strict", "--tol-scale", "--witness-scale",
+                           "--budget"])
     p.add_argument("--alpha", type=float, default=None)
     p.add_argument("--verify", metavar="FILE", default=None,
                    help="re-verify a stored witness report instead of searching")
@@ -401,20 +413,20 @@ def build_parser():
 
     p = sub.add_parser("verify", help="sampling check of power preservation on a grid")
     _add_graph_arguments(p)
-    _add_run_arguments(p)
+    _add_run_arguments(p, ["--powers", "--seed", "--strict", "--tol-scale", "--format"])
     p.add_argument("--alphas", required=True, help="comma-separated powers, e.g. 1,1.5,2.5")
     p.add_argument("--samples", type=int, default=200)
     p.set_defaults(func=_cmd_verify)
 
     p = sub.add_parser("families", help="closed-form critical exponents of the "
                                         "named chordal families")
-    _add_run_arguments(p, needs_powers=False)
+    _add_run_arguments(p, ["--seed", "--strict", "--format"])
     p.add_argument("--max-n", type=int, default=10, dest="max_n")
     p.set_defaults(func=_cmd_families)
 
     p = sub.add_parser("scan", help="CE = r - 2 consistency scan over edge-list blocks")
     p.add_argument("stream_file", help="file of edge lists, blocks separated by blank lines")
-    _add_run_arguments(p)
+    _add_run_arguments(p, ["--powers", "--seed", "--strict", "--budget"])
     p.add_argument("--grid-step", type=float, default=1 / 16, dest="grid_step")
     p.set_defaults(func=_cmd_scan)
     return parser

@@ -29,7 +29,7 @@ from mpmath.libmp import (
     round_floor,
 )
 
-from .chordal import NotChordalError, find_chordless_cycle, is_chordal
+from .chordal import is_chordal
 from .cones import (
     FAMILIES,
     _check_family,
@@ -55,7 +55,6 @@ from .graphs import (
     graph_from_json,
     graph_to_json,
     induced_subgraph,
-    max_near_complete_order_fast,
 )
 
 LATTICES = ("naturals", "odd", "even", "none")
@@ -188,36 +187,6 @@ def superadditive_powers(n, family="plain"):
     if n < 1:
         raise ValueError(f"need n >= 1, got {n}")
     return HSet(lattice=_LATTICE_FOR_FAMILY[family], ray_start=float(n))
-
-
-def hset_chordal(g, family="plain"):
-    """Exact power set for a chordal pattern: lattice union [r - 2, oo),
-    where r is the largest order of a near-complete subgraph. This is
-    expected_hset, which is exact on every chordal graph (r(H) = r)."""
-    _check_family(family)
-    if g.n < 2:
-        raise ValueError(f"need at least 2 vertices, got {g.n}")
-    if not is_chordal(g):
-        raise NotChordalError(find_chordless_cycle(g),
-                              hint="use estimate_ce_numeric for a numeric bracket")
-    return expected_hset(g, family)
-
-
-def critical_exponent_clique_formula(g):
-    """Critical exponent of a chordal pattern from its clique structure.
-
-    max(clique number - 2, largest separator of a clique tree). This is the
-    largest entry of M^T M - 2 I over the vertex-by-maximal-clique incidence
-    matrix M: the diagonal gives clique sizes minus two, the off-diagonal
-    pairwise clique overlaps, and in a chordal graph two maximal cliques
-    meet inside every separator on the clique-tree path between them, while
-    each separator is the overlap of a clique and one before it. Cliques in
-    different components meet in the empty separator.
-    """
-    if g.n < 2:
-        raise ValueError(f"need at least 2 vertices, got {g.n}")
-    cliques, separators = g.analysis.clique_tree
-    return max(max(map(len, cliques)) - 2, max(map(len, separators)))
 
 
 def hset_cycle(n, family="plain"):
@@ -365,7 +334,7 @@ def expected_hset(g, family="plain"):
     near-complete subgraph (r, GraphAnalysis.near_complete) inside G's, and
     G's inside that of the chordal supergraph H (r(H),
     GraphAnalysis.triangulation), so their chordal sets bound G's. It is
-    exact when r(H) = r, as for every chordal G (it is then hset_chordal).
+    exact when r(H) = r, as for every chordal G (H = G).
     Otherwise the cycle and connected bipartite theorems (hset_cycle,
     hset_bipartite) join it where they apply: inner bounds by union, outer
     bounds by intersection, exclusions together. So does, on a disconnected
@@ -1140,10 +1109,9 @@ def estimate_ce_numeric(g, family="plain", grid_step=1 / 16, budget=None, seed=0
 def conjecture_scan(graphs, family="plain", *, grid_step=1 / 16, budget=None, seed=0):
     """Check CE = r - 2 numerically over a stream of graphs.
 
-    Per graph: r from the near-complete subgraph search, the numeric
-    bracket, and for chordal inputs the clique formula (formula_ce). A
-    graph is flagged when its bracket excludes r - 2. Per-graph errors are
-    recorded without aborting.
+    Per graph: r (GraphAnalysis.near_complete_order), chordality and the
+    numeric bracket. A graph is flagged when its bracket excludes r - 2.
+    Per-graph errors are recorded without aborting.
     """
     _check_family(family)
     records = []
@@ -1151,13 +1119,11 @@ def conjecture_scan(graphs, family="plain", *, grid_step=1 / 16, budget=None, se
     for idx, g in enumerate(graphs):
         rec = {"index": idx, "n": g.n, "edge_count": len(g.edges)}
         try:
-            r = max_near_complete_order_fast(g)
+            r = g.analysis.near_complete_order
             conjectured = r - 2
             rec["r"] = r
             rec["conjectured_ce"] = conjectured
             rec["chordal"] = is_chordal(g)
-            if rec["chordal"]:
-                rec["formula_ce"] = critical_exponent_clique_formula(g)
             lower, upper = estimate_ce_numeric(
                 g, family, grid_step=grid_step, budget=budget, seed=seed + idx)
             rec["bracket_lower"] = lower

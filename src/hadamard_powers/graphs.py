@@ -1,8 +1,8 @@
 """Simple undirected graphs with 1-based vertex labels.
 
-Provides the edge-list / JSON codecs, the named graph generators used by the
-critical-exponent machinery, and the search for the largest "one edge short
-of complete" subgraph, which controls the power threshold on chordal graphs.
+Provides the edge-list / JSON codecs and the named graph generators used by
+the critical-exponent machinery. Derived clique facts (chordality, maximal
+cliques, the largest near-complete subgraph) live on `Graph.analysis`.
 """
 
 from __future__ import annotations
@@ -367,46 +367,3 @@ def generate(family, **params):
         known = ", ".join(sorted(FAMILY_GENERATORS))
         raise ValueError(f"unknown family {family!r}; known: {known}") from None
     return gen(**params)
-
-
-# ---------------------------------------------------------------------------
-# largest near-complete subgraph
-
-
-def _adjacency_masks(g):
-    masks = [0] * (g.n + 1)
-    for i, j in g.edges:
-        masks[i] |= 1 << j
-        masks[j] |= 1 << i
-    return masks
-
-
-def max_near_complete_order(g):
-    """Largest r such that some r vertices span at least C(r,2) - 1 edges.
-
-    Exhaustive over vertex subsets, so only feasible for small n; this is
-    the oracle the fast variant is checked against. By convention the empty
-    graph on two vertices counts, so r >= 2 whenever n >= 2.
-    """
-    if g.n < 2:
-        raise ValueError(f"need at least 2 vertices, got {g.n}")
-    masks = _adjacency_masks(g)
-    for r in range(g.n, 1, -1):
-        need = r * (r - 1) // 2 - 1
-        for subset in itertools.combinations(range(1, g.n + 1), r):
-            picked = 0
-            count = 0
-            for v in subset:
-                count += (masks[v] & picked).bit_count()
-                picked |= 1 << v
-            if count >= need:
-                return r
-    return 2
-
-
-def max_near_complete_order_fast(g):
-    """Same value as max_near_complete_order: GraphAnalysis.near_complete_order,
-    read off the clique tree of the graph's one Lex-BFS pass in O(n + m) for
-    a chordal graph, and from the maximal cliques and a walk over the
-    non-adjacent pairs at distance two otherwise."""
-    return g.analysis.near_complete_order

@@ -1,0 +1,52 @@
+"""Test oracles for r, the largest near-complete subgraph order, and the
+critical exponent r - 2 of a chordal graph, each computed by a route that
+shares no code with GraphAnalysis.near_complete."""
+
+import itertools
+
+from hadamard_powers.chordal import _bron_kerbosch
+
+
+def _adjacency_masks(g):
+    masks = [0] * (g.n + 1)
+    for i, j in g.edges:
+        masks[i] |= 1 << j
+        masks[j] |= 1 << i
+    return masks
+
+
+def max_near_complete_order(g):
+    """Largest r such that some r vertices span at least C(r,2) - 1 edges.
+
+    Exhaustive over vertex subsets, so only feasible for small n. By
+    convention the empty graph on two vertices counts, so r >= 2 whenever
+    n >= 2.
+    """
+    if g.n < 2:
+        raise ValueError(f"need at least 2 vertices, got {g.n}")
+    masks = _adjacency_masks(g)
+    for r in range(g.n, 1, -1):
+        need = r * (r - 1) // 2 - 1
+        for subset in itertools.combinations(range(1, g.n + 1), r):
+            picked = 0
+            count = 0
+            for v in subset:
+                count += (masks[v] & picked).bit_count()
+                picked |= 1 << v
+            if count >= need:
+                return r
+    return 2
+
+
+def clique_formula(g):
+    """Critical exponent of a chordal pattern from its maximal cliques:
+    max(clique number - 2, largest overlap of two maximal cliques), the
+    overlap 0 when there are no two cliques.
+
+    In a chordal graph two maximal cliques meet inside every separator on
+    the clique-tree path between them, and each separator is the overlap
+    of two cliques, so the largest overlap is the largest separator.
+    """
+    cliques = _bron_kerbosch(g)
+    overlap = max((len(a & b) for a, b in itertools.combinations(cliques, 2)), default=0)
+    return max(max(map(len, cliques)) - 2, overlap)

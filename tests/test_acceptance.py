@@ -20,7 +20,6 @@ from hadamard_powers.cones import (
 )
 from hadamard_powers.exponents import (
     conjecture_scan,
-    critical_exponent_clique_formula,
     find_counterexample,
     hset_complete,
     superadditive_powers,
@@ -31,14 +30,14 @@ from hadamard_powers.graphs import (
     complete,
     complete_bipartite,
     cycle,
-    max_near_complete_order,
-    max_near_complete_order_fast,
     max_outerplanar,
     near_complete,
     random_chordal,
     random_tree,
     split_graph,
 )
+
+from oracles import clique_formula, max_near_complete_order
 
 SEED = 20260808
 RANDOM_CHORDAL_SEEDS = (1, 2, 3, 4, 5)
@@ -107,8 +106,10 @@ def test_criterion_1_exact_formula_triple_agreement():
     for s in range(500):
         graphs.append(random_chordal(2 + s % 8, density=0.3 + 0.07 * (s % 10), seed=s))
     for g in graphs:
-        ce = critical_exponent_clique_formula(g)
-        fast = max_near_complete_order_fast(g) - 2
+        # three routes sharing no code: the clique formula over Bron-Kerbosch
+        # cliques, the library's near-complete search, the subset brute force
+        ce = clique_formula(g)
+        fast = g.analysis.near_complete_order - 2
         brute = max_near_complete_order(g) - 2
         assert ce == fast == brute, (g, ce, fast, brute)
     elapsed = time.time() - t0
@@ -129,7 +130,7 @@ def test_criterion_3_positivity_at_and_above_threshold():
     t0 = time.time()
     checked = 0
     for name, g in criterion3_graphs():
-        ce = critical_exponent_clique_formula(g)
+        ce = g.analysis.near_complete_order - 2
         rng = np.random.default_rng(SEED)
         samples = [random_psd_for_graph(g, rng=rng) for _ in range(200)]
         for alpha in (ce, ce + 0.25, ce + 0.5, ce + 1.0):
@@ -146,7 +147,7 @@ def test_criterion_3_positivity_at_and_above_threshold():
 def test_criterion_4_sharpness_below_threshold():
     found = []
     for name, g in criterion3_graphs():
-        ce = critical_exponent_clique_formula(g)
+        ce = g.analysis.near_complete_order - 2
         if ce < 1:
             continue
         alpha = ce - 0.5

@@ -8,7 +8,6 @@ import time
 import weakref
 from pathlib import Path
 
-import numpy as np
 import pytest
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
@@ -24,17 +23,12 @@ from hadamard_powers.chordal import (
     _lex_bfs,
     check_decomposition,
     check_perfect_ordering,
-    clique_number,
     decompose,
-    elimination_order,
     find_chordless_cycle,
     is_chordal,
     is_perfect_elimination_order,
-    maximal_cliques_chordal,
-    maximal_cliques_general,
     perfect_ordering,
 )
-from hadamard_powers.exponents import critical_exponent_clique_formula
 from hadamard_powers.graphs import (
     Graph,
     apollonian,
@@ -44,7 +38,6 @@ from hadamard_powers.graphs import (
     cycle,
     generate,
     induced_subgraph,
-    max_near_complete_order,
     max_outerplanar,
     near_complete,
     path,
@@ -53,6 +46,8 @@ from hadamard_powers.graphs import (
     random_tree,
     split_graph,
 )
+
+from oracles import clique_formula, max_near_complete_order
 
 FIXTURES = Path(__file__).resolve().parent / "fixtures"
 
@@ -104,12 +99,12 @@ def is_lex_bfs_order(g, visit):
 def test_elimination_order_is_peo_on_chordal_samples():
     for g in [complete(5), path(3), random_tree(8, seed=1), band(6, 2),
               near_complete(5), random_chordal(9, 0.5, seed=3)]:
-        assert is_perfect_elimination_order(g, elimination_order(g))
+        assert is_perfect_elimination_order(g, g.analysis.order)
 
 
 def test_no_ordering_of_c4_is_a_peo():
     g = cycle(4)
-    assert not is_perfect_elimination_order(g, elimination_order(g))
+    assert not is_perfect_elimination_order(g, g.analysis.order)
     for order in itertools.permutations(range(1, 5)):
         assert not is_perfect_elimination_order(g, list(order))
 
@@ -170,25 +165,26 @@ def test_chordless_cycle_certificate():
 
 
 def test_maximal_cliques_chordal_examples():
-    assert maximal_cliques_chordal(complete(5)) == [frozenset(range(1, 6))]
-    assert maximal_cliques_chordal(path(3)) == [frozenset({1, 2}), frozenset({2, 3})]
-    assert maximal_cliques_chordal(band(5, 2)) == [
-        frozenset({1, 2, 3}), frozenset({2, 3, 4}), frozenset({3, 4, 5})]
+    assert complete(5).analysis.maximal_cliques == (frozenset(range(1, 6)),)
+    assert path(3).analysis.maximal_cliques == (frozenset({1, 2}), frozenset({2, 3}))
+    assert band(5, 2).analysis.maximal_cliques == (
+        frozenset({1, 2, 3}), frozenset({2, 3, 4}), frozenset({3, 4, 5}))
 
 
 def test_maximal_cliques_chordal_rejects_non_chordal():
+    # the clique tree, the chordal route to the cliques, names a chordless cycle
     with pytest.raises(NotChordalError) as err:
-        maximal_cliques_chordal(cycle(5))
+        cycle(5).analysis.clique_tree
     assert err.value.cycle is not None and len(err.value.cycle) >= 4
 
 
 def test_maximal_cliques_general_examples():
-    assert maximal_cliques_general(cycle(4)) == [
-        frozenset({1, 2}), frozenset({1, 4}), frozenset({2, 3}), frozenset({3, 4})]
-    assert maximal_cliques_general(complete(5)) == [frozenset(range(1, 6))]
-    assert maximal_cliques_general(complete_bipartite(2, 2)) == [
-        frozenset({1, 3}), frozenset({1, 4}), frozenset({2, 3}), frozenset({2, 4})]
-    assert maximal_cliques_general(complete(25)) == [frozenset(range(1, 26))]
+    assert cycle(4).analysis.maximal_cliques == (
+        frozenset({1, 2}), frozenset({1, 4}), frozenset({2, 3}), frozenset({3, 4}))
+    assert complete(5).analysis.maximal_cliques == (frozenset(range(1, 6)),)
+    assert complete_bipartite(2, 2).analysis.maximal_cliques == (
+        frozenset({1, 3}), frozenset({1, 4}), frozenset({2, 3}), frozenset({2, 4}))
+    assert complete(25).analysis.maximal_cliques == (frozenset(range(1, 26)),)
 
 
 def test_general_enumeration_stops_at_the_work_limit():
@@ -197,7 +193,7 @@ def test_general_enumeration_stops_at_the_work_limit():
                               if (i - 1) // 3 != (j - 1) // 3])
     start = time.perf_counter()
     with pytest.raises(ValueError, match=f"work limit of {MAX_CLIQUE_EXPANSIONS}"):
-        maximal_cliques_general(g)
+        g.analysis.maximal_cliques
     assert time.perf_counter() - start < 1.0
 
 
@@ -205,14 +201,14 @@ def test_maximal_cliques_match_bruteforce():
     for n in range(1, 8):
         for s in range(5):
             g = random_graph(n, 0.45, seed=10 * n + s)
-            assert maximal_cliques_general(g) == brute_force_maximal_cliques(g)
+            assert list(g.analysis.maximal_cliques) == brute_force_maximal_cliques(g)
 
 
 def test_chordal_and_general_enumeration_agree():
     count = 0
     for seed in range(300):
         g = random_chordal(2 + seed % 8, density=0.3 + 0.07 * (seed % 10), seed=seed)
-        assert maximal_cliques_chordal(g) == list(_bron_kerbosch(g))
+        assert sorted(g.analysis.clique_tree[0], key=sorted) == list(_bron_kerbosch(g))
         count += 1
     assert count == 300
 
@@ -280,9 +276,9 @@ def test_near_complete_certificate_is_stable():
 
 
 def test_clique_number():
-    assert clique_number(complete(6)) == 6
-    assert clique_number(cycle(5)) == 2
-    assert clique_number(Graph.from_edges(3, [])) == 1
+    assert complete(6).analysis.clique_number == 6
+    assert cycle(5).analysis.clique_number == 2
+    assert Graph.from_edges(3, []).analysis.clique_number == 1
 
 
 def test_perfect_ordering_examples():
@@ -357,7 +353,7 @@ def test_decompose_output_passes_checker():
         g = random_chordal(4 + seed % 6, density=0.5, seed=seed + 100)
         d = decompose(g)
         if d is None:
-            assert clique_number(g) == g.n
+            assert g.analysis.clique_number == g.n
             continue
         assert check_decomposition(g, d)
         assert d.vertices() == frozenset(g.vertices)
@@ -418,16 +414,6 @@ def test_clique_ordering_is_hashable_value():
     assert a == b and hash(a) == hash(b)
 
 
-def clique_gram_max(g):
-    """Largest entry of M^T M - 2 I over the vertex-by-maximal-clique
-    incidence matrix M of a chordal graph."""
-    cliques = _bron_kerbosch(g)
-    inc = np.zeros((g.n, len(cliques)), dtype=np.int64)
-    for j, c in enumerate(cliques):
-        inc[np.array(sorted(c)) - 1, j] = 1
-    return int((inc.T @ inc - 2 * np.eye(len(cliques), dtype=np.int64)).max())
-
-
 CHORDAL_PARTS = st.one_of(
     st.builds(lambda n, density, seed: random_chordal(n, density=density / 10, seed=seed),
               st.integers(1, 14), st.integers(0, 10), st.integers(0, 2**16)),
@@ -457,18 +443,18 @@ def chordal_graphs(draw):
 @settings(max_examples=300, deadline=None)
 @given(chordal_graphs())
 def test_one_search_gives_the_clique_tree(g):
-    assert elimination_order(g) == _lex_bfs(g)[0][::-1]
-    assert pairwise_is_peo(g, elimination_order(g))
+    assert list(g.analysis.order) == _lex_bfs(g)[0][::-1]
+    assert pairwise_is_peo(g, g.analysis.order)
     cliques, separators = g.analysis.clique_tree
     po = perfect_ordering(g)
     assert po.cliques == cliques
     assert check_perfect_ordering(g, po.cliques)
     assert po.separators == separators
     assert sorted(cliques, key=sorted) == list(_bron_kerbosch(g))
-    assert maximal_cliques_chordal(g) == list(_bron_kerbosch(g))
+    assert g.analysis.maximal_cliques == _bron_kerbosch(g)
     if g.n >= 2:
-        ce = critical_exponent_clique_formula(g)
-        assert ce == clique_gram_max(g)
+        ce = g.analysis.near_complete_order - 2
+        assert ce == clique_formula(g)
         if g.n <= 9:
             assert ce == max_near_complete_order(g) - 2
 
@@ -477,7 +463,7 @@ def test_clique_tree_rejects_non_chordal():
     with pytest.raises(NotChordalError):
         cycle(5).analysis.clique_tree
     with pytest.raises(NotChordalError):
-        critical_exponent_clique_formula(cycle(4))
+        perfect_ordering(cycle(4))
 
 
 @settings(max_examples=300, deadline=None)

@@ -114,17 +114,68 @@ def test_budget_below_one_exits_two(capsys, tmp_path, command, budget):
     assert "--budget must be >= 1" in err
 
 
+_CE = ["ce", "--family", "cycle", "--n", "5"]
+_VERIFY = ["verify", "--family", "cycle", "--n", "5", "--alphas", "0.5,1.5", "--samples", "50"]
+_WITNESS = ["witness", "--family", "complete", "--n", "4", "--alpha", "1.5"]
 
-@pytest.mark.parametrize("command", [
-    ["ce", "--family", "cycle", "--n", "5"],
-    ["verify", "--family", "cycle", "--n", "5", "--alphas", "0.5,1.5", "--samples", "50"],
-], ids=["ce", "verify"])
-@pytest.mark.parametrize("flag", ["--tol-scale", "--witness-scale"])
+
+# every tolerance flag of every subcommand that takes one
+@pytest.mark.parametrize("command, flag", [
+    (_CE, "--witness-scale"), (_VERIFY, "--tol-scale"),
+    (_WITNESS, "--tol-scale"), (_WITNESS, "--witness-scale"),
+], ids=["--witness-scale-ce", "--tol-scale-verify", "--tol-scale-witness",
+        "--witness-scale-witness"])
 @pytest.mark.parametrize("value", ["nan", "inf"])
 def test_non_finite_tolerance_exits_two(capsys, command, flag, value):
     code, out, err = run(capsys, command + ["--seed", "1", flag, value])
     assert code == 2 and out == ""
     assert "tolerances must be positive and finite" in err
+
+
+# each subcommand takes only the run flags it reads; these it once accepted
+# and ignored
+_REMOVED_FLAGS = {
+    "ce": ["--tol-scale"],
+    "hset": ["--seed", "--strict", "--tol-scale", "--witness-scale", "--budget"],
+    "witness": ["--format"],
+    "verify": ["--witness-scale", "--budget"],
+    "families": ["--tol-scale", "--witness-scale", "--budget"],
+    "scan": ["--tol-scale", "--witness-scale", "--format"],
+}
+_FLAG_VALUE = {"--seed": "3", "--tol-scale": "1e300", "--witness-scale": "1e-3",
+               "--budget": "7", "--format": "json", "--strict": None}
+
+
+@pytest.mark.parametrize("command, flag", [(c, f) for c, flags in _REMOVED_FLAGS.items()
+                                           for f in flags])
+def test_removed_run_flag_exits_two(capsys, tmp_path, command, flag):
+    stream = tmp_path / "c5.edges"
+    stream.write_text("1 2\n2 3\n3 4\n4 5\n1 5\n")
+    argv = {"ce": _CE, "hset": ["hset", "--family", "cycle", "--n", "5"], "witness": _WITNESS,
+            "verify": _VERIFY, "families": ["families", "--max-n", "4"],
+            "scan": ["scan", str(stream)]}[command]
+    value = _FLAG_VALUE[flag]
+    with pytest.raises(SystemExit) as exc:
+        main(argv + ([flag] if value is None else [flag, value]))
+    captured = capsys.readouterr()
+    assert exc.value.code == 2 and captured.out == ""
+    assert f"unrecognized arguments: {flag}" in captured.err
+
+
+@pytest.mark.parametrize("argv, code", [
+    (["witness", "--family", "complete", "--n", "5", "--alpha", "-1e6", "--seed", "1"], 1),
+    (["verify", "--family", "cycle", "--n", "5", "--alphas", "-0.5,1.5", "--seed", "1"], 0),
+    (["verify", "--family", "cycle", "--n", "5", "--alphas", "-.5,1", "--samples", "20",
+      "--seed", "1"], 0),
+], ids=["witness-alpha", "verify-list", "verify-leading-point"])
+def test_negative_power_is_a_value_not_an_option(capsys, argv, code):
+    # argparse before Python 3.13 reads -1e6 or -0.5,1.5 as an option and
+    # exits 2 with "expected one argument"
+    got, out, err = run(capsys, argv)
+    assert got == code, err
+    if argv[0] == "verify":
+        assert out.startswith("alpha=-0.5: ")
+
 
 def test_hset_complete_odd(capsys):
     code, out, _ = run(capsys, ["hset", "--family", "complete", "--n", "4",
@@ -470,8 +521,6 @@ def test_family_flags_build_the_generators_graph(family):
 
 _GRAPH_OPTIONS = ["--a", "--attach", "--b", "--clique-size", "--d", "--density", "--family",
                   "--graph-seed", "--independent-size", "--n"]
-_RUN_OPTIONS = ["--budget", "--format", "--help", "--seed", "--strict", "--tol-scale",
-                "--witness-scale", "-h"]
 
 
 def test_subcommand_option_strings_are_pinned():
@@ -479,14 +528,18 @@ def test_subcommand_option_strings_are_pinned():
     sub = next(a for a in parser._actions if isinstance(a, argparse._SubParsersAction))
     got = {name: sorted(s for a in p._actions for s in a.option_strings)
            for name, p in sub.choices.items()}
-    graph_run = _GRAPH_OPTIONS + _RUN_OPTIONS + ["--powers"]
+    seeded = ["--help", "-h", "--seed", "--strict"]
     assert got == {
-        "ce": sorted(graph_run),
-        "hset": sorted(graph_run),
-        "witness": sorted(graph_run + ["--alpha", "--output", "--verify", "-o"]),
-        "verify": sorted(graph_run + ["--alphas", "--samples"]),
-        "families": sorted(_RUN_OPTIONS + ["--max-n"]),
-        "scan": sorted(_RUN_OPTIONS + ["--grid-step", "--powers"]),
+        "ce": sorted(_GRAPH_OPTIONS + seeded + ["--powers", "--witness-scale", "--budget",
+                                                "--format"]),
+        "hset": sorted(_GRAPH_OPTIONS + ["--help", "-h", "--powers", "--format"]),
+        "witness": sorted(_GRAPH_OPTIONS + seeded + ["--powers", "--tol-scale",
+                                                     "--witness-scale", "--budget", "--alpha",
+                                                     "--output", "--verify", "-o"]),
+        "verify": sorted(_GRAPH_OPTIONS + seeded + ["--powers", "--tol-scale", "--format",
+                                                    "--alphas", "--samples"]),
+        "families": sorted(seeded + ["--format", "--max-n"]),
+        "scan": sorted(seeded + ["--powers", "--budget", "--grid-step"]),
     }
 
 

@@ -19,7 +19,7 @@ from mpmath.ctx_mp import MPContext
 from mpmath.libmp import from_float, mpf_mul, round_ceiling, round_floor
 
 from hadamard_powers import chordal, exponents
-from hadamard_powers.chordal import NotChordalError, is_chordal
+from hadamard_powers.chordal import is_chordal
 from hadamard_powers.cones import bordered_factor
 from hadamard_powers.exponents import (
     BORDER_SCALE,
@@ -34,12 +34,10 @@ from hadamard_powers.exponents import (
     _rayleigh_iteration,
     bipartition,
     conjecture_scan,
-    critical_exponent_clique_formula,
     estimate_ce_numeric,
     expected_hset,
     find_counterexample,
     hset_bipartite,
-    hset_chordal,
     hset_complete,
     hset_cycle,
     superadditive_powers,
@@ -52,8 +50,6 @@ from hadamard_powers.graphs import (
     cycle,
     generate,
     is_connected,
-    max_near_complete_order,
-    max_near_complete_order_fast,
     max_outerplanar,
     near_complete,
     path,
@@ -62,7 +58,10 @@ from hadamard_powers.graphs import (
     split_graph,
 )
 
+from oracles import clique_formula, max_near_complete_order
+
 GRID = [k / 4 for k in range(1, 33)]  # rational grid for set comparisons
+LATTICE_FOR_FAMILY = {"plain": "naturals", "odd": "odd", "even": "even"}
 
 
 def classifications_consistent(exact, partial, grid=GRID):
@@ -165,32 +164,41 @@ def test_superadditive_powers_examples():
         superadditive_powers(0, "plain")
 
 
+def chordal_theorem(g, family="plain"):
+    """The chordal theorem, stated apart from the library: the family
+    lattice union [CE, oo), CE from the clique formula."""
+    return HSet(lattice=LATTICE_FOR_FAMILY[family], ray_start=float(clique_formula(g)))
+
+
 def test_hset_chordal_examples():
     for seed in range(3):
-        assert hset_chordal(random_tree(7, seed=seed)).ray_start == 1.0
+        h = expected_hset(random_tree(7, seed=seed))
+        assert h.exact and h.ray_start == 1.0
     for n in range(2, 8):
-        assert hset_chordal(complete(n)) == hset_complete(n)
+        assert expected_hset(complete(n)) == hset_complete(n)
     for n, d in [(6, 2), (7, 3), (9, 4)]:
-        assert hset_chordal(band(n, d)).ray_start == float(d)
-    with pytest.raises(NotChordalError, match="estimate_ce_numeric"):
-        hset_chordal(cycle(4))
+        assert expected_hset(band(n, d)) == HSet(lattice="naturals", ray_start=float(d))
+    for family in ("plain", "odd", "even"):
+        g = random_chordal(9, 0.6, seed=2)
+        assert expected_hset(g, family) == chordal_theorem(g, family)
 
 
 def test_clique_formula_examples():
-    assert critical_exponent_clique_formula(path(3)) == 1
-    assert critical_exponent_clique_formula(complete(4)) == 2
-    assert critical_exponent_clique_formula(near_complete(4)) == 2
-    assert critical_exponent_clique_formula(Graph.from_edges(2, [])) == 0
+    for g, ce in [(path(3), 1), (complete(4), 2), (near_complete(4), 2),
+                  (Graph.from_edges(2, []), 0)]:
+        assert clique_formula(g) == ce == g.analysis.near_complete_order - 2
 
 
 def test_triple_agreement_sample():
+    # three routes sharing no code: the clique formula over Bron-Kerbosch
+    # cliques, the library's near-complete search, the subset brute force
     graphs = [complete(5), near_complete(6), band(7, 3), random_tree(7, seed=1),
               max_outerplanar(7), generate("apollonian", n=7, seed=3),
               split_graph(4, 3, 2, seed=2)]
     graphs += [random_chordal(3 + s % 5, density=0.55, seed=s) for s in range(60)]
     for g in graphs:
-        ce = critical_exponent_clique_formula(g)
-        assert ce == max_near_complete_order_fast(g) - 2
+        ce = clique_formula(g)
+        assert ce == g.analysis.near_complete_order - 2
         assert ce == max_near_complete_order(g) - 2
 
 
@@ -244,7 +252,7 @@ def test_chordal_and_bipartite_sets_never_conflict():
     # trees and paths are both chordal and bipartite
     for g in [path(4), random_tree(8, seed=5), complete_bipartite(1, 5)]:
         for family in ("plain", "odd", "even"):
-            exact = hset_chordal(g, family)
+            exact = chordal_theorem(g, family)
             bi = hset_bipartite(g, family)
             if bi.exact:
                 assert all(exact.contains(a) == bi.contains(a) for a in GRID)
@@ -430,7 +438,7 @@ def test_estimate_lower_end_is_sound_on_chordal_graphs():
     # exceed the exact exponent
     for g in [random_tree(6, seed=1), band(6, 2), complete(5)]:
         lo, hi = estimate_ce_numeric(g, seed=0)
-        ce = critical_exponent_clique_formula(g)
+        ce = clique_formula(g)
         assert lo <= ce <= hi
 
 
@@ -529,16 +537,17 @@ SANDWICH_GRID = [k / 8 for k in range(0, 8 * 8 + 1)]
 
 
 def _theorems(g, family):
-    """The hset_* descriptions whose hypotheses g meets, and the plain
-    sandwich of r (brute force) and r(H)."""
+    """The theorems whose hypotheses g meets (chordal_theorem and the
+    hset_* descriptions), and the plain sandwich of r (brute force) and
+    r(H)."""
     found = []
     if is_chordal(g):
-        found.append(hset_chordal(g, family))
+        found.append(chordal_theorem(g, family))
     if exponents._is_cycle_graph(g):
         found.append(hset_cycle(g.n, family))
     if g.n >= 3 and is_connected(g) and bipartition(g) is not None:
         found.append(hset_bipartite(g, family))
-    lattice = {"plain": "naturals", "odd": "odd", "even": "even"}[family]
+    lattice = LATTICE_FOR_FAMILY[family]
     r, r_h = max_near_complete_order(g), g.analysis.triangulation[2]
     inner = HSet(lattice=lattice, ray_start=r_h - 2)
     found.append(inner if r_h == r else HSet.partial(
@@ -632,7 +641,8 @@ def test_conjecture_scan_small_set():
     assert report["summary"]["flagged"] == 0
     assert report["summary"]["errors"] == 0
     recs = report["records"]
-    assert recs[0]["formula_ce"] == 1 and recs[0]["chordal"]
+    assert recs[0]["conjectured_ce"] == 1 and recs[0]["chordal"]
+    assert "formula_ce" not in recs[0]
     assert not recs[1]["chordal"]
 
 

@@ -1,4 +1,5 @@
-"""Graph parsing, generators, and the near-complete subgraph search."""
+"""Graph parsing, generators, and the near-complete subgraph order against
+the subset brute force."""
 
 import itertools
 
@@ -16,8 +17,6 @@ from hadamard_powers.graphs import (
     graph_from_json,
     graph_to_json,
     induced_subgraph,
-    max_near_complete_order,
-    max_near_complete_order_fast,
     max_outerplanar,
     near_complete,
     parse_edge_list,
@@ -28,6 +27,8 @@ from hadamard_powers.graphs import (
     split_graph,
     to_edge_list,
 )
+
+from oracles import max_near_complete_order
 
 
 def test_parse_basic_path():
@@ -132,22 +133,27 @@ def test_induced_subgraph():
         induced_subgraph(complete(3), {0, 1})
 
 
+def _orders(g):
+    """r by the library route and by the brute force."""
+    return g.analysis.near_complete_order, max_near_complete_order(g)
+
+
 def test_near_complete_order_examples():
     for n in range(2, 7):
-        assert max_near_complete_order(complete(n)) == n
+        assert _orders(complete(n)) == (n, n)
     for seed in range(4):
-        assert max_near_complete_order(random_tree(6, seed=seed)) == 3
-    assert max_near_complete_order(Graph.from_edges(2, [])) == 2
-    assert max_near_complete_order(cycle(4)) == 3
-    assert max_near_complete_order(complete_bipartite(2, 3)) == 3
-    assert max_near_complete_order(near_complete(6)) == 6
+        assert _orders(random_tree(6, seed=seed)) == (3, 3)
+    assert _orders(Graph.from_edges(2, [])) == (2, 2)
+    assert _orders(cycle(4)) == (3, 3)
+    assert _orders(complete_bipartite(2, 3)) == (3, 3)
+    assert _orders(near_complete(6)) == (6, 6)
 
 
 def test_near_complete_order_rejects_single_vertex():
     with pytest.raises(ValueError):
         max_near_complete_order(Graph.from_edges(1, []))
     with pytest.raises(ValueError):
-        max_near_complete_order_fast(Graph.from_edges(1, []))
+        Graph.from_edges(1, []).analysis.near_complete_order
 
 
 def test_fast_matches_bruteforce_on_random_graphs():
@@ -155,7 +161,7 @@ def test_fast_matches_bruteforce_on_random_graphs():
     for n in range(2, 10):
         for seed in range(64):
             g = random_graph(n, 0.15 + 0.07 * (seed % 10), seed=seed)
-            assert max_near_complete_order_fast(g) == max_near_complete_order(g)
+            assert g.analysis.near_complete_order == max_near_complete_order(g)
             checked += 1
     assert checked >= 500
 
@@ -167,7 +173,7 @@ def test_fast_matches_bruteforce_on_families():
                       generate("apollonian", n=7, seed=2), max_outerplanar(7),
                       random_chordal(8, 0.6, seed=4)]
     for g in family_members:
-        assert max_near_complete_order_fast(g) == max_near_complete_order(g)
+        assert g.analysis.near_complete_order == max_near_complete_order(g)
 
 
 def test_adding_an_edge_never_decreases_order():
