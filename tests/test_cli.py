@@ -119,17 +119,28 @@ _VERIFY = ["verify", "--family", "cycle", "--n", "5", "--alphas", "0.5,1.5", "--
 _WITNESS = ["witness", "--family", "complete", "--n", "4", "--alpha", "1.5"]
 
 
-# every tolerance flag of every subcommand that takes one
-@pytest.mark.parametrize("command, flag", [
-    (_CE, "--witness-scale"), (_VERIFY, "--tol-scale"),
-    (_WITNESS, "--tol-scale"), (_WITNESS, "--witness-scale"),
-], ids=["--witness-scale-ce", "--tol-scale-verify", "--tol-scale-witness",
-        "--witness-scale-witness"])
+_NON_FINITE = "tolerances must be positive and finite"
+
+
+# both tolerance flags on ce, verify and witness: a subcommand that takes the
+# flag rejects the value, one that does not (it never read it) rejects the flag
+@pytest.mark.parametrize("command, flag, message", [
+    (_CE, "--tol-scale", "unrecognized arguments: --tol-scale"),
+    (_CE, "--witness-scale", _NON_FINITE),
+    (_VERIFY, "--tol-scale", _NON_FINITE),
+    (_VERIFY, "--witness-scale", "unrecognized arguments: --witness-scale"),
+    (_WITNESS, "--tol-scale", _NON_FINITE), (_WITNESS, "--witness-scale", _NON_FINITE),
+], ids=["--tol-scale-ce", "--witness-scale-ce", "--tol-scale-verify", "--witness-scale-verify",
+        "--tol-scale-witness", "--witness-scale-witness"])
 @pytest.mark.parametrize("value", ["nan", "inf"])
-def test_non_finite_tolerance_exits_two(capsys, command, flag, value):
-    code, out, err = run(capsys, command + ["--seed", "1", flag, value])
-    assert code == 2 and out == ""
-    assert "tolerances must be positive and finite" in err
+def test_non_finite_tolerance_exits_two(capsys, command, flag, value, message):
+    try:
+        code = main(command + ["--seed", "1", flag, value])
+    except SystemExit as exc:
+        code = exc.code
+    captured = capsys.readouterr()
+    assert code == 2 and captured.out == ""
+    assert message in captured.err
 
 
 # each subcommand takes only the run flags it reads; these it once accepted
