@@ -24,13 +24,10 @@ class NotChordalError(ValueError):
     Carries a chordless cycle (length >= 4) certifying the failure.
     """
 
-    def __init__(self, cycle, hint=None):
+    def __init__(self, cycle):
         self.cycle = list(cycle) if cycle else None
         detail = f"chordless cycle {self.cycle}" if self.cycle else "no chordless cycle recorded"
-        message = f"graph is not chordal ({detail})"
-        if hint:
-            message += f"; {hint}"
-        super().__init__(message)
+        super().__init__(f"graph is not chordal ({detail})")
 
 
 def is_perfect_elimination_order(g, order):
@@ -304,24 +301,11 @@ class GraphAnalysis:
 
     @cached_property
     def even_cycle(self):
-        """A shortest even cycle as an ordered vertex list, or None.
-
-        4-cycles come from common-neighborhood pairs; longer even lengths,
-        up to 12, from bounded depth-first search (the cycle need not be
-        induced).
-        """
-        g = self.graph
-        best4 = None
-        for a, b in itertools.combinations(g.vertices, 2):
-            common = sorted(g.neighbors(a) & g.neighbors(b))
-            if len(common) >= 2:
-                cand = [a, common[0], b, common[1]]
-                if best4 is None or cand < best4:
-                    best4 = cand
-        if best4 is not None:
-            return best4
-        for length in range(6, 13, 2):
-            cyc = _simple_cycle_of_length(g, length)
+        """A shortest even cycle as an ordered vertex list, or None, by one
+        bounded depth-first search per even length 4-12, shortest first
+        (_simple_cycle_of_length); the cycle need not be induced."""
+        for length in range(4, 13, 2):
+            cyc = _simple_cycle_of_length(self.graph, length)
             if cyc is not None:
                 return cyc
         return None
@@ -512,9 +496,9 @@ def _bron_kerbosch(g):
 
 
 def _simple_cycle_of_length(g, length):
-    """A cycle of `length` distinct vertices as an ordered list, its
-    smallest label first, or None; None also once the search has taken
-    MAX_CYCLE_SEARCH_STEPS steps."""
+    """The lexicographically least cycle of `length` distinct vertices, as
+    an ordered list from its smallest label, or None; None also once the
+    search has taken MAX_CYCLE_SEARCH_STEPS steps."""
     steps = 0
     for start in g.vertices:
         stack = [(start, [start])]

@@ -107,6 +107,8 @@ def _add_run_arguments(p, flags):
 def _resolve_config(args):
     """Check the run flags present and settle args.seed: --seed, else (unless
     --strict) the HADAMARD_POWERS_SEED environment variable, else 0."""
+    if getattr(args, "verify", None) is not None:
+        _reject_search_flags(args)
     if "seed" in args and args.seed is None:
         if args.strict:
             raise CliError("--strict requires an explicit --seed")
@@ -125,6 +127,18 @@ def _reject_unused_graph_flags(args, taken, source):
         attr = _FLAG_FOR_PARAM.get(name, name)
         if name not in taken and getattr(args, attr) is not None:
             raise CliError(f"{source} takes no --{attr.replace('_', '-')}")
+
+
+def _reject_search_flags(args):
+    """CliError for a search flag next to witness --verify, whose re-check
+    reads only the report and the tolerance flags."""
+    given = {"graph file": args.graph_file, "--family": args.family, "--alpha": args.alpha,
+             "--powers": args.powers, "--seed": args.seed, "--strict": args.strict or None,
+             "--budget": args.budget, "-o": args.output}
+    for flag, value in given.items():
+        if value is not None:
+            raise CliError(f"witness --verify takes no {flag}")
+    _reject_unused_graph_flags(args, {}, "witness --verify")
 
 
 def _load_graph(args):
@@ -222,7 +236,7 @@ def _cmd_witness(args):
         raise CliError("witness needs --alpha (or --verify FILE)")
     g = _load_graph(args)
     report = find_counterexample(
-        g, args.alpha, args.powers, budget=args.budget, seed=args.seed,
+        g, args.alpha, args.powers or "plain", budget=args.budget, seed=args.seed,
         tol_scale=args.tol_scale, witness_scale=args.witness_scale)
     if report is None:
         print("none found in budget", file=sys.stderr)
@@ -407,9 +421,11 @@ def build_parser():
                            "--budget"])
     p.add_argument("--alpha", type=float, default=None)
     p.add_argument("--verify", metavar="FILE", default=None,
-                   help="re-verify a stored witness report instead of searching")
+                   help="re-verify a stored witness report instead of searching; "
+                        "takes only --tol-scale and --witness-scale")
     p.add_argument("-o", "--output", default=None, help="write the report JSON here")
-    p.set_defaults(func=_cmd_witness)
+    # an unset --powers searches plain powers; --verify rejects a set one
+    p.set_defaults(func=_cmd_witness, powers=None)
 
     p = sub.add_parser("verify", help="sampling check of power preservation on a grid")
     _add_graph_arguments(p)

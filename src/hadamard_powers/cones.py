@@ -127,7 +127,7 @@ def conforms_to_pattern(m, g):
 
 
 def random_psd_for_graph(g, rank_per_clique=1, seed=None, *, eps_diag=0.0,
-                         rng=None, nonnegative=False):
+                         nonnegative=False):
     """Random PSD matrix supported exactly on the graph's pattern.
 
     Sum over the maximal cliques of `rank_per_clique` Gram terms x x^T with
@@ -135,14 +135,13 @@ def random_psd_for_graph(g, rank_per_clique=1, seed=None, *, eps_diag=0.0,
     pattern are exactly 0.0 by construction. `eps_diag` adds a multiple of
     the identity for conditioning studies; `nonnegative` folds the Gram
     vectors to their absolute values, sampling the entrywise-nonnegative
-    part of the cone (needed for plain powers). The sample is a one-matrix
-    read of `_clique_sample_stack`, the sampler every search shares.
+    part of the cone (needed for plain powers). `seed` may be a Generator,
+    which the draw advances. The sample is a one-matrix read of
+    `_clique_sample_stack`, the sampler every search shares.
     """
     if rank_per_clique < 1:
         raise ValueError(f"rank_per_clique must be >= 1, got {rank_per_clique}")
-    if rng is None:
-        rng = np.random.default_rng(seed)
-    m = _clique_sample_stack(g, [rank_per_clique], rng, nonnegative)[0]
+    m = _clique_sample_stack(g, [rank_per_clique], np.random.default_rng(seed), nonnegative)[0]
     if eps_diag:
         m[np.diag_indices(g.n)] += eps_diag
     return m

@@ -444,10 +444,6 @@ def _image_end(s, alpha, digits, rnd):
     return exact.scaleb(exact.create_decimal(man * 5**-exp), exp)
 
 
-def _lower_ends(gram, alpha, digits):
-    return {ij: _image_end(s, alpha, digits, round_floor) for ij, s in gram.items()}
-
-
 def _test_vector_entry(text):
     """A test vector entry as an exact decimal; ValueError unless it is a
     plain decimal literal."""
@@ -456,17 +452,16 @@ def _test_vector_entry(text):
     return _exact_context().create_decimal(text)
 
 
-def _form_upper(gram, alpha, digits, x, lower=None):
+def _form_upper(gram, alpha, digits, x):
     """Upper bound on x^T (F F^T)^{∘alpha} x, gram the entries of F F^T
     (_gram) and x exact decimals.
 
     Every image entry is positive, so the term of the pair i <= j,
     c = x_i x_j (doubled off the diagonal) times the entry, is at most c
     times the entry's upper end when c > 0 and its lower end when c < 0;
-    only that end is computed (`lower`, the lower ends at this precision,
-    when the caller has them). Every operation rounds up, at 2 digits + 1
-    digits, so c is exact for x of `digits` digits and the sum is an upper
-    bound.
+    only that end is read (_image_end). Every operation rounds up, at
+    2 digits + 1 digits, so c is exact for x of `digits` digits and the sum
+    is an upper bound.
     """
     import decimal
 
@@ -477,13 +472,9 @@ def _form_upper(gram, alpha, digits, x, lower=None):
         c = ctx.multiply(x[i], x[j])
         if i != j:
             c = ctx.add(c, c)
-        if c > 0:
-            end = _image_end(s, alpha, digits, round_ceiling)
-        elif c < 0:
-            end = lower[i, j] if lower is not None else _image_end(s, alpha, digits, round_floor)
-        else:
-            continue
-        total = ctx.add(total, ctx.multiply(c, end))
+        if c:
+            end = _image_end(s, alpha, digits, round_ceiling if c > 0 else round_floor)
+            total = ctx.add(total, ctx.multiply(c, end))
     return total
 
 
@@ -787,29 +778,28 @@ class _DecimalContext:
     def mpf(self, x):
         return self.context.create_decimal(x)
 
-    def nstr(self, x, n):
-        return format(x, f".{n}g")
 
-
-def _point_image(ctx, lower, k):
-    """The k x k image with the lower ends `lower` (_lower_ends), each
-    rounded once to the digits of the _DecimalContext ctx; zero where
-    F F^T is."""
+def _point_image(gram, alpha, digits, k):
+    """(ctx, image): the _DecimalContext of `digits` digits and the k x k
+    image, each entry the lower end of (F F^T)^{∘alpha} (_image_end on
+    gram, from _gram) rounded once to those digits; zero where F F^T is."""
+    ctx = _DecimalContext(digits)
     image = [[ctx.zero] * k for _ in range(k)]
-    for (i, j), v in lower.items():
-        image[i][j] = image[j][i] = ctx.mpf(v)
-    return image
+    for (i, j), s in gram.items():
+        image[i][j] = image[j][i] = ctx.mpf(_image_end(s, alpha, digits, round_floor))
+    return ctx, image
 
 
 def _interval_certificate(factor, alpha, digits):
     """(certificate, least image eigenvalue) proving F F^T a witness at
     alpha, doubling the precision from `digits`; None past the limit.
 
-    Each precision rounds every image entry on F's rows down once; the
-    point arithmetic runs on those lower ends in a _DecimalContext. The
-    test vector is the negative-pivot vector of a diagonally pivoted
-    L D L^T of that point image, and _form_upper bounds it as
-    IntervalCertificate.upper_bound does, reusing the lower ends. The
+    Each precision rounds every image entry on F's rows down once
+    (_point_image); the point arithmetic runs on those lower ends in a
+    _DecimalContext. The test vector is the negative-pivot vector of a
+    diagonally pivoted L D L^T of that point image, and _form_upper bounds
+    it as IntervalCertificate.upper_bound does, from the same memoized
+    ends (_image_end). The
     eigenvalue comes from Rayleigh-quotient iteration seeded with it and
     confirmed least by an inertia count. Where the noise floor of that
     precision exceeds 2^-53 of the eigenvalue (a power next to an integer,
@@ -820,15 +810,13 @@ def _interval_certificate(factor, alpha, digits):
     rows = np.flatnonzero(factor.any(axis=1))
     gram = _gram(factor[rows])
     while digits <= CERTIFICATE_MAX_DIGITS:
-        lower = _lower_ends(gram, alpha, digits)
-        ctx = _DecimalContext(digits)
+        ctx, point = _point_image(gram, alpha, digits, len(rows))
         with ctx.local():
-            point = _point_image(ctx, lower, len(rows))
             found = _negative_pivot_vector(ctx, point)
             if found is not None:
-                strings = [ctx.nstr(v, digits) for v in found[0]]
+                strings = [format(v, f".{digits}g") for v in found[0]]
                 exact = [_test_vector_entry(v) for v in strings]
-                if _form_upper(gram, alpha, digits, exact, lower) < 0:
+                if _form_upper(gram, alpha, digits, exact) < 0:
                     lam = _least_eigenvalue(ctx, point, found[0])
                     if lam is not None:
                         x = ["0"] * factor.shape[0]
@@ -852,9 +840,8 @@ def _resolved_eigenvalue(gram, alpha, ctx, image, x, lam):
         with ctx.local():
             if _noise_floor(ctx, image) <= abs(lam) * ctx.mpf(2.0 ** -53):
                 break
-        ctx = _DecimalContext(2 * ctx.dps)
+        ctx, image = _point_image(gram, alpha, 2 * ctx.dps, len(image))
         with ctx.local():
-            image = _point_image(ctx, _lower_ends(gram, alpha, ctx.dps), len(image))
             finer = _least_eigenvalue(ctx, image, [ctx.mpf(v) for v in x])
         if finer is None:
             break

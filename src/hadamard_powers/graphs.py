@@ -134,12 +134,17 @@ def graph_to_json(g):
 
 
 def graph_from_json(data):
+    """The graph of graph_to_json, {"n": count, "edges": [[i, j], ...]}, the
+    count and every label a JSON integer (no bool, float or string);
+    ValueError("bad graph JSON: ...") for anything else."""
     try:
-        n = int(data["n"])
-        edges = data["edges"]
+        n, edges = data["n"], [(i, j) for i, j in data["edges"]]
     except (KeyError, TypeError, ValueError) as exc:
         raise ValueError(f"bad graph JSON: {exc}") from None
-    return Graph.from_edges(n, [(int(i), int(j)) for i, j in edges])
+    for x in [n, *(v for edge in edges for v in edge)]:
+        if isinstance(x, bool) or not isinstance(x, int):
+            raise ValueError(f"bad graph JSON: expected an integer, got {x!r}")
+    return Graph.from_edges(n, edges)
 
 
 def connected_components(g):

@@ -1,6 +1,7 @@
 """Test oracles for r, the largest near-complete subgraph order, and the
 critical exponent r - 2 of a chordal graph, each computed by a route that
-shares no code with GraphAnalysis.near_complete."""
+shares no code with GraphAnalysis.near_complete; and for the 4-cycle of
+GraphAnalysis.even_cycle, by a scan that shares none with its search."""
 
 import itertools
 
@@ -50,3 +51,17 @@ def clique_formula(g):
     cliques = _bron_kerbosch(g)
     overlap = max((len(a & b) for a, b in itertools.combinations(cliques, 2)), default=0)
     return max(max(map(len, cliques)) - 2, overlap)
+
+
+def least_four_cycle(g):
+    """[a, c, b, d], lexicographically least over the vertex pairs a < b
+    with two common neighbors, c < d the two least of them; None when no
+    pair has two. Over all vertex pairs, so quadratic in n."""
+    best = None
+    for a, b in itertools.combinations(g.vertices, 2):
+        common = sorted(g.neighbors(a) & g.neighbors(b))
+        if len(common) >= 2:
+            cand = [a, common[0], b, common[1]]
+            if best is None or cand < best:
+                best = cand
+    return best

@@ -87,7 +87,7 @@ def decomposed_instances():
         d = decompose(g)
         if d is None:
             continue
-        m = random_psd_for_graph(g, rank_per_clique=3, rng=rng, eps_diag=0.5)
+        m = random_psd_for_graph(g, rank_per_clique=3, seed=rng, eps_diag=0.5)
         ia = [i - 1 for i in sorted(d.side_a)]
         ib = [i - 1 for i in sorted(d.side_b)]
         conds = []
@@ -132,7 +132,7 @@ def test_criterion_3_positivity_at_and_above_threshold():
     for name, g in criterion3_graphs():
         ce = g.analysis.near_complete_order - 2
         rng = np.random.default_rng(SEED)
-        samples = [random_psd_for_graph(g, rng=rng) for _ in range(200)]
+        samples = [random_psd_for_graph(g, seed=rng) for _ in range(200)]
         for alpha in (ce, ce + 0.25, ce + 0.5, ce + 1.0):
             for family in ("odd", "even"):
                 for m in samples:
@@ -188,7 +188,7 @@ def test_criterion_6_three_factor_reconstruction(decomposed_instances):
 def _all_samples_preserved(g, alpha, family, n_samples, seed):
     rng = np.random.default_rng(seed)
     for _ in range(n_samples):
-        m = random_psd_for_graph(g, rng=rng, nonnegative=(family == "plain"))
+        m = random_psd_for_graph(g, seed=rng, nonnegative=(family == "plain"))
         if not is_psd(entrywise_power(m, alpha, family), tol_scale=1e-9).is_psd:
             return False
     return True

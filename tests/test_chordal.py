@@ -47,7 +47,7 @@ from hadamard_powers.graphs import (
     split_graph,
 )
 
-from oracles import clique_formula, max_near_complete_order
+from oracles import clique_formula, least_four_cycle, max_near_complete_order
 
 FIXTURES = Path(__file__).resolve().parent / "fixtures"
 
@@ -260,6 +260,27 @@ def test_even_cycle_is_a_shortest_even_cycle(g):
         assert found is None
     else:
         assert is_cycle_of(g, found) and len(found) == length
+
+
+@settings(max_examples=200, deadline=None)
+@given(st.integers(4, 12), st.floats(0.1, 0.7), st.integers(0, 2**32 - 1), st.data())
+def test_even_cycle_is_the_least_four_cycle(n, p, seed, data):
+    # signed-cycle witnesses embed into these vertices, so a different
+    # 4-cycle of the same length would change their matrices
+    labels = data.draw(st.permutations(range(1, n + 1)))
+    g = Graph.from_edges(n, [(labels[i - 1], labels[j - 1])
+                             for i, j in random_graph(n, p, seed=seed).edges])
+    four = least_four_cycle(g)
+    if four is not None:
+        assert g.analysis.even_cycle == four
+
+
+def test_not_chordal_error_takes_only_the_cycle():
+    message = "graph is not chordal (chordless cycle [1, 2, 3, 4])"
+    assert str(NotChordalError([1, 2, 3, 4])) == message
+    with pytest.raises(TypeError):
+        NotChordalError([1, 2, 3, 4], hint="triangulate first")
+
 
 def test_near_complete_certificate_is_stable():
     # seeded witness reports embed into these vertices, so the choice is

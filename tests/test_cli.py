@@ -21,6 +21,10 @@ def c4_file(tmp_path):
     return str(p)
 
 
+_GRAPH_OPTIONS = ["--a", "--attach", "--b", "--clique-size", "--d", "--density", "--family",
+                  "--graph-seed", "--independent-size", "--n"]
+
+
 def run(capsys, argv):
     code = main(argv)
     captured = capsys.readouterr()
@@ -293,6 +297,44 @@ def test_witness_malformed_report_is_a_load_error(capsys, tmp_path, edit, messag
     assert message in err
 
 
+_GRAPH_FLAG_VALUE = {"--density": "0.5", "--family": "cycle"}
+_SEARCH_FLAGS = [
+    (["GRAPH"], "graph file"),
+    *[([flag, _GRAPH_FLAG_VALUE.get(flag, "3")], flag) for flag in _GRAPH_OPTIONS],
+    (["--alpha", "9"], "--alpha"), (["--powers", "odd"], "--powers"),
+    (["--powers", "plain"], "--powers"), (["--seed", "3"], "--seed"),
+    (["--strict"], "--strict"), (["--budget", "7"], "--budget"),
+    (["-o", "OUT"], "-o"), (["--output", "OUT"], "-o"),
+    (["--powers", "odd", "--seed", "3", "--budget", "7", "--alpha", "9", "--family", "cycle",
+      "--n", "5"], "--family"),
+]
+
+
+@pytest.mark.parametrize("flags, named", _SEARCH_FLAGS,
+                         ids=[" ".join(flags) for flags, _ in _SEARCH_FLAGS])
+def test_witness_verify_rejects_a_search_flag(capsys, tmp_path, c4_file, flags, named):
+    # the re-check reads only the report and the tolerances, so a search
+    # flag next to --verify is a usage error, and -o writes nothing
+    path = _witness_report_with(tmp_path, lambda data: data)
+    out_file = tmp_path / "x.json"
+    flags = [{"GRAPH": c4_file, "OUT": str(out_file)}.get(f, f) for f in flags]
+    capsys.readouterr()
+    code, out, err = run(capsys, ["witness", "--verify", path, *flags])
+    assert code == 2 and out == ""
+    assert err == f"error: witness --verify takes no {named}\n"
+    assert not out_file.exists()
+
+
+@pytest.mark.parametrize("flags", [[], ["--tol-scale", "1e-9"], ["--witness-scale", "1e-6"],
+                                   ["--tol-scale", "1e-9", "--witness-scale", "1e-6"]])
+def test_witness_verify_takes_the_tolerances(capsys, monkeypatch, tmp_path, flags):
+    path = _witness_report_with(tmp_path, lambda data: data)
+    monkeypatch.setenv(SEED_ENV_VAR, "3")  # not a flag, so not an error
+    capsys.readouterr()
+    code, out, _ = run(capsys, ["witness", "--verify", path, *flags])
+    assert code == 0 and out == "witness verified\n"
+
+
 def test_witness_report_with_an_mpmath_test_vector_still_verifies(capsys):
     # written while the search's point arithmetic ran on mpmath: its test
     # vector differs from today's in the trailing digits
@@ -448,6 +490,33 @@ def test_json_graph_input(capsys, tmp_path):
     assert code == 0 and "CE = 1" in out
 
 
+@pytest.mark.parametrize("data, message", [
+    ({"n": 3, "edges": 5}, "'int' object is not iterable"),
+    ({"n": 3, "edges": [[1, None]]}, "expected an integer, got None"),
+    ({"n": 2, "edges": [[1, 2.7]]}, "expected an integer, got 2.7"),
+    ({"n": "3", "edges": []}, "expected an integer, got '3'"),
+])
+def test_json_graph_labels_must_be_integers(capsys, tmp_path, data, message):
+    p = tmp_path / "g.json"
+    p.write_text(json.dumps(data))
+    code, out, err = run(capsys, ["hset", str(p)])
+    assert code == 2 and out == ""
+    assert err == f"error: {p}: bad graph JSON: {message}\n"
+
+
+def test_witness_report_with_a_bad_graph_label_is_a_load_error(capsys, tmp_path):
+    def fractional_label(data):
+        data["graph"]["edges"][0][1] = 2.5
+        return data
+
+    path = _witness_report_with(tmp_path, fractional_label)
+    capsys.readouterr()
+    code, out, err = run(capsys, ["witness", "--verify", path])
+    assert code == 2 and out == ""
+    assert err == ("error: cannot load witness report: "
+                   "bad graph JSON: expected an integer, got 2.5\n")
+
+
 def test_scan_skips_malformed_blocks(capsys, tmp_path):
     stream = tmp_path / "graphs.txt"
     stream.write_text("1 2\n2 3\n\nnot a graph\n")
@@ -528,10 +597,6 @@ def test_family_flags_build_the_generators_graph(family):
     if optional:
         # a dropped --graph-seed or --density would show here
         assert gen(**everything) != gen(**required)
-
-
-_GRAPH_OPTIONS = ["--a", "--attach", "--b", "--clique-size", "--d", "--density", "--family",
-                  "--graph-seed", "--independent-size", "--n"]
 
 
 def test_subcommand_option_strings_are_pinned():

@@ -40,7 +40,7 @@ def sample_decomposed(seed, n=None):
         if d is None:
             seed += 1000
             continue
-        m = random_psd_for_graph(g, rank_per_clique=3, rng=rng, eps_diag=0.5)
+        m = random_psd_for_graph(g, rank_per_clique=3, seed=rng, eps_diag=0.5)
         return g, d, m
 
 
@@ -92,7 +92,7 @@ def test_entrywise_power_preserves_pattern():
     rng = np.random.default_rng(5)
     for seed in range(10):
         g = random_chordal(6, density=0.5, seed=seed)
-        m = random_psd_for_graph(g, rng=rng)
+        m = random_psd_for_graph(g, seed=rng)
         for alpha in (0.5, 2.0, 3.7):
             for family in ("odd", "even"):
                 assert conforms_to_pattern(entrywise_power(m, alpha, family), g)
@@ -202,6 +202,15 @@ def test_random_psd_seed_and_options():
     assert (d >= 0).all() and is_psd(d).is_psd
     with pytest.raises(ValueError):
         random_psd_for_graph(g, rank_per_clique=0)
+
+
+def test_random_psd_takes_a_generator_as_seed():
+    g = cycle(5)
+    rng = np.random.default_rng(42)
+    assert np.array_equal(random_psd_for_graph(g, seed=rng), random_psd_for_graph(g, seed=42))
+    assert not np.array_equal(random_psd_for_graph(g, seed=rng), random_psd_for_graph(g, seed=42))
+    with pytest.raises(TypeError):
+        random_psd_for_graph(g, rng=np.random.default_rng(42))
 
 
 def test_schur_product_smoke():

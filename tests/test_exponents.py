@@ -1006,8 +1006,8 @@ def test_point_image_is_the_rounded_lower_end_of_the_interval_image(m, alpha):
 
     lower = [[rounded(v._mpi_[0]) for v in row] for row in image]
     gram = exponents._gram(factor)
-    assert exponents._point_image(ctx, exponents._lower_ends(gram, alpha, digits),
-                                  m + 2) == lower
+    point_ctx, point = exponents._point_image(gram, alpha, digits, m + 2)
+    assert point_ctx.dps == digits and point == lower
     # the ends round apart somewhere, so the choice of end shows
     assert any(rounded(v._mpi_[1]) != low
                for row, lows in zip(image, lower) for v, low in zip(row, lows))

@@ -75,6 +75,17 @@ def test_serialize_roundtrip():
         assert graph_from_json(graph_to_json(g)) == g
 
 
+@pytest.mark.parametrize("data", [
+    {"n": 3, "edges": 5}, {"n": 3, "edges": [[1, None]]}, {"n": 2, "edges": [[1, 2.7]]},
+    {"n": 2, "edges": [[1, 2.0]]}, {"n": 2, "edges": [[1, "2"]]}, {"n": 2, "edges": [[True, 2]]},
+    {"n": 2.0, "edges": []}, {"n": True, "edges": []}, {"n": "2", "edges": []},
+    {"n": 3, "edges": [[1, 2, 3]]}, {"n": 3, "edges": [5]}, {"n": 3}, {"edges": []}, [3, []],
+])
+def test_graph_json_takes_only_integer_labels(data):
+    with pytest.raises(ValueError, match="^bad graph JSON: "):
+        graph_from_json(data)
+
+
 def test_generate_examples():
     assert len(generate("complete", n=3).edges) == 3
     assert len(generate("near_complete", n=4).edges) == 5

@@ -74,7 +74,7 @@ def test_stack_equals_samples_drawn_one_at_a_time(n_edges, ranks, nonnegative, s
     rng_stack, rng_ref, rng_one = (np.random.default_rng(seed) for _ in range(3))
     stack = _clique_sample_stack(g, ranks, rng_stack, nonnegative)
     ref = np.array([_reference_sample(g, r, rng_ref, nonnegative) for r in ranks])
-    one = np.array([random_psd_for_graph(g, r, rng=rng_one, nonnegative=nonnegative)
+    one = np.array([random_psd_for_graph(g, r, seed=rng_one, nonnegative=nonnegative)
                     for r in ranks])
     assert stack.shape == (len(ranks), n, n)
     assert stack.tobytes() == ref.reshape(stack.shape).tobytes()
