@@ -31,26 +31,32 @@ class NotChordalError(ValueError):
 
 
 def is_perfect_elimination_order(g, order):
-    """Check that each vertex's later neighbors form a clique.
-
-    In O(n + m) by the parent test (Tarjan-Yannakakis 1984, SIAM J. Comput.
-    13(3)): for each v with later neighbors, p the earliest of them, the
-    others must all be neighbors of p. By induction from the back of the
-    order, that makes every later neighborhood a clique.
-    """
+    """Check that each vertex's later neighbors form a clique, by the
+    parent test (_parent_test) on the neighbors each vertex has later in
+    `order`, listed from the back of the order."""
     if sorted(order) != list(g.vertices):
         raise ValueError("order must be a permutation of the vertices")
-    pos = [0] * (g.n + 1)
-    for k, v in enumerate(order):
-        pos[v] = k
-    for v in order:
-        later = [u for u in g.neighbors(v) if pos[u] > pos[v]]
-        if later:
-            p = min(later, key=pos.__getitem__)
-            near = g.neighbors(p)
-            if any(u != p and u not in near for u in later):
-                return False
-    return True
+    later = [[] for _ in range(g.n + 1)]
+    done = [False] * (g.n + 1)
+    for v in reversed(order):
+        done[v] = True
+        for w in g.neighbors(v):
+            if not done[w]:
+                later[w].append(v)
+    return _parent_test(g, later)
+
+
+def _parent_test(g, later):
+    """True iff each later[v], v's neighbors after it in an elimination
+    order, listed from the back of the order, is a clique.
+
+    In O(n + m) by the parent test (Tarjan-Yannakakis 1984, SIAM J. Comput.
+    13(3)): for each v with later neighbors, p the earliest of them (the
+    last listed), the others must all be neighbors of p. By induction from
+    the back of the order, that makes every later neighborhood a clique.
+    """
+    nbrs = g.neighbors
+    return all(nbrs(ws[-1]).issuperset(ws[:-1]) for ws in later if ws)
 
 
 def is_chordal(g):
@@ -152,11 +158,11 @@ class GraphAnalysis:
 
     @cached_property
     def _lex_bfs_pass(self):
-        """The one search of the graph: the visit order and positions of
-        _lex_bfs, and the chains of _lex_bfs_chains."""
-        visit, pos, earlier, parent = _lex_bfs(self.graph)
-        starts, extends = _lex_bfs_chains(visit, earlier, parent)
-        return visit, pos, starts, extends
+        """The one search of the graph: the visit order and earlier
+        neighbors of _lex_bfs, and the chains of _lex_bfs_chains."""
+        visit, before = _lex_bfs(self.graph)
+        starts, extends = _lex_bfs_chains(visit, before)
+        return visit, before, starts, extends
 
     @cached_property
     def order(self):
@@ -165,7 +171,9 @@ class GraphAnalysis:
 
     @cached_property
     def is_chordal(self):
-        return is_perfect_elimination_order(self.graph, self.order)
+        """The parent test on the elimination order: the neighbors visited
+        before v are its later neighbors, the last of them its parent."""
+        return _parent_test(self.graph, self._lex_bfs_pass[1])
 
     @cached_property
     def clique_tree(self):
@@ -176,15 +184,14 @@ class GraphAnalysis:
 
         Raises NotChordalError for any other graph.
         """
-        g = self.graph
-        _require_chordal(g)
-        _, pos, starts, extends = self._lex_bfs_pass
+        _require_chordal(self.graph)
+        _, before, starts, extends = self._lex_bfs_pass
         cliques, seps = [], []
         for h in starts:
-            seps.append(frozenset(_visited_before(g, pos, h)))
+            seps.append(frozenset(before[h]))
             while extends[h]:
                 h = extends[h]
-            cliques.append(frozenset([h, *_visited_before(g, pos, h)]))
+            cliques.append(frozenset([h, *before[h]]))
         return tuple(cliques), tuple(seps)
 
     @cached_property
@@ -325,23 +332,22 @@ def _lex_bfs(g):
     """One lexicographic breadth-first search (Rose-Tarjan-Lueker 1976,
     SIAM J. Comput. 5(2)) by partition refinement, in O(n + m).
 
-    Returns (visit, pos, earlier, parent): the visit order, each vertex's
-    place in it, and per vertex v the count of neighbors visited before it
-    (E(v), the later neighbors in the reversed order) and the last of
-    them (0 for none). The unvisited vertices sit in `visit` as
-    contiguous cells; visiting v moves each unvisited neighbor to the
-    front of its cell, into the cell split off just before it in this
-    round, so the next vertex is always the next slot and no cell is
-    searched. Flat lists only: start[c] is where cell c begins, split[c]
-    the cell last split off c and made[d] the round that made cell d.
+    Returns (visit, before): the visit order, and per vertex v the list of
+    its neighbors visited before it, in visit order (E(v), the later
+    neighbors in the reversed order; the last of them is v's parent). The
+    unvisited vertices sit in `visit` as contiguous cells; visiting v
+    moves each unvisited neighbor to the front of its cell, into the cell
+    split off just before it in this round, so the next vertex is always
+    the next slot and no cell is searched. Flat lists only: pos[v] is v's
+    slot, start[c] is where cell c begins, split[c] the cell last split off
+    c and made[d] the round that made cell d.
     """
     nbrs = g.neighbors
     n = g.n
     visit = list(g.vertices)
     pos = list(range(-1, n))
     cell = [0] * (n + 1)
-    earlier = [0] * (n + 1)
-    parent = [0] * (n + 1)
+    before = [[] for _ in range(n + 1)]
     start, made, split = [0], [-1], [0]
     for i in range(n):
         v = visit[i]
@@ -350,8 +356,7 @@ def _lex_bfs(g):
             j = pos[w]
             if j <= i:
                 continue
-            earlier[w] += 1
-            parent[w] = v
+            before[w].append(v)
             c = cell[w]
             d = split[c]
             if made[d] != i:
@@ -366,10 +371,10 @@ def _lex_bfs(g):
             pos[w], pos[u] = k, j
             start[c] = k + 1
             cell[w] = d
-    return visit, pos, earlier, parent
+    return visit, before
 
 
-def _lex_bfs_chains(visit, earlier, parent):
+def _lex_bfs_chains(visit, before):
     """(starts, extends): the Lex-BFS clique tree as chains of vertices.
 
     v extends the clique of its parent p when E(v) = p + E(p) and no
@@ -379,19 +384,17 @@ def _lex_bfs_chains(visit, earlier, parent):
     its separator (Blair-Peyton 1993, An introduction to chordal graphs
     and clique trees, section 4).
     """
-    extends = [0] * len(parent)
+    extends = [0] * len(before)
     starts = []
     for v in visit:
-        p = parent[v]
-        if p and not extends[p] and earlier[v] == earlier[p] + 1:
-            extends[p] = v
-        else:
-            starts.append(v)
+        earlier = before[v]
+        if earlier:
+            p = earlier[-1]
+            if not extends[p] and len(earlier) == len(before[p]) + 1:
+                extends[p] = v
+                continue
+        starts.append(v)
     return starts, extends
-
-
-def _visited_before(g, pos, v):
-    return [u for u in g.neighbors(v) if pos[u] < pos[v]]
 
 
 def _first_open_pair(g, s):

@@ -9,6 +9,7 @@ from __future__ import annotations
 
 import bisect
 import itertools
+import operator
 from dataclasses import dataclass
 from functools import cached_property
 
@@ -32,25 +33,33 @@ class Graph:
 
     @classmethod
     def from_edges(cls, n, edges):
+        """The graph on 1..n with the given (i, j) edges, in either order and
+        repeated or not. n and every label must be integers (Python or numpy,
+        not bool); ValueError otherwise, or for a self-loop or a label
+        outside 1..n."""
+        n = _integer(n)
         if n < 0:
             raise ValueError(f"vertex count must be nonnegative, got {n}")
         canon = set()
         for i, j in edges:
-            i, j = int(i), int(j)
+            if type(i) is not int or type(j) is not int:
+                i, j = _integer(i), _integer(j)
             if i == j:
                 raise ValueError(f"self-loop at vertex {i}")
             if not (1 <= i <= n and 1 <= j <= n):
                 raise ValueError(f"edge ({i}, {j}) out of range 1..{n}")
-            canon.add((min(i, j), max(i, j)))
+            canon.add((i, j) if i < j else (j, i))
         return cls(n=n, edges=frozenset(canon))
 
     @cached_property
     def _adjacency(self):
-        adj = {v: set() for v in range(1, self.n + 1)}
+        """{v: frozenset of its neighbors} for v in 1..n, from one pass over
+        the edges."""
+        near = [[] for _ in range(self.n + 1)]
         for i, j in self.edges:
-            adj[i].add(j)
-            adj[j].add(i)
-        return {v: frozenset(nb) for v, nb in adj.items()}
+            near[i].append(j)
+            near[j].append(i)
+        return dict(zip(self.vertices, map(frozenset, near[1:])))
 
     @cached_property
     def analysis(self):
@@ -77,25 +86,49 @@ class Graph:
         return sorted(self.edges)
 
 
+def _integer(x):
+    """x as an int, for a Python or numpy integer other than a bool;
+    ValueError for anything else (a float, a string, None)."""
+    if not isinstance(x, bool):
+        try:
+            return operator.index(x)
+        except TypeError:
+            pass
+    raise ValueError(f"expected an integer, got {x!r}")
+
+
+def _read_integer(token):
+    """int(token) for an optional sign and ASCII digits; ValueError for the
+    other tokens int() reads too, with underscores ("1_0") or non-ASCII
+    digits (an Arabic-Indic three)."""
+    if not token.isascii() or "_" in token:
+        raise ValueError(f"not an integer: {token!r}")
+    return int(token)
+
+
 def parse_edge_list(text):
     """Parse "i j" lines into a Graph.
 
     Blank lines and '#' comments are skipped. An optional first line
     "n <count>" fixes the vertex count; otherwise n is the largest label.
+    Labels and the count are an optional sign and ASCII digits. A line
+    with a label above the declared count is reported only when no line
+    has any other error.
     """
-    pairs = []
+    edges = set()
     n_declared = None
+    over = None  # the first line with a label above n_declared
     first_data_line = True
     for lineno, raw in enumerate(text.splitlines(), start=1):
-        line = raw.split("#", 1)[0].strip()
-        if not line:
+        content = raw.split("#", 1)[0]
+        tokens = content.split()
+        if not tokens:
             continue
-        tokens = line.split()
         if first_data_line and tokens[0] == "n":
             if len(tokens) != 2:
                 raise GraphParseError(f"line {lineno}: header must be 'n <count>'")
             try:
-                n_declared = int(tokens[1])
+                n_declared = _read_integer(tokens[1])
             except ValueError:
                 raise GraphParseError(f"line {lineno}: bad vertex count {tokens[1]!r}") from None
             if n_declared < 0:
@@ -104,22 +137,25 @@ def parse_edge_list(text):
             continue
         first_data_line = False
         if len(tokens) != 2:
-            raise GraphParseError(f"line {lineno}: expected 'i j', got {line!r}")
+            raise GraphParseError(f"line {lineno}: expected 'i j', got {content.strip()!r}")
         try:
-            i, j = int(tokens[0]), int(tokens[1])
+            i, j = _read_integer(tokens[0]), _read_integer(tokens[1])
         except ValueError:
-            raise GraphParseError(f"line {lineno}: non-integer vertex label in {line!r}") from None
-        if i <= 0 or j <= 0:
+            raise GraphParseError(
+                f"line {lineno}: non-integer vertex label in {content.strip()!r}") from None
+        if i > j:
+            i, j = j, i
+        if i <= 0:
             raise GraphParseError(f"line {lineno}: vertex labels must be positive")
         if i == j:
             raise GraphParseError(f"line {lineno}: self-loop at vertex {i}")
-        pairs.append((lineno, i, j))
-
-    n = n_declared if n_declared is not None else max((max(i, j) for _, i, j in pairs), default=0)
-    for lineno, i, j in pairs:
-        if i > n or j > n:
-            raise GraphParseError(f"line {lineno}: label exceeds declared vertex count {n}")
-    return Graph.from_edges(n, [(i, j) for _, i, j in pairs])
+        if n_declared is not None and j > n_declared and over is None:
+            over = lineno
+        edges.add((i, j))
+    if over is not None:
+        raise GraphParseError(f"line {over}: label exceeds declared vertex count {n_declared}")
+    n = n_declared if n_declared is not None else max((j for _, j in edges), default=0)
+    return Graph(n=n, edges=frozenset(edges))
 
 
 def to_edge_list(g):
@@ -138,13 +174,9 @@ def graph_from_json(data):
     count and every label a JSON integer (no bool, float or string);
     ValueError("bad graph JSON: ...") for anything else."""
     try:
-        n, edges = data["n"], [(i, j) for i, j in data["edges"]]
+        return Graph.from_edges(data["n"], [(i, j) for i, j in data["edges"]])
     except (KeyError, TypeError, ValueError) as exc:
         raise ValueError(f"bad graph JSON: {exc}") from None
-    for x in [n, *(v for edge in edges for v in edge)]:
-        if isinstance(x, bool) or not isinstance(x, int):
-            raise ValueError(f"bad graph JSON: expected an integer, got {x!r}")
-    return Graph.from_edges(n, edges)
 
 
 def connected_components(g):

@@ -1,11 +1,16 @@
 """Test oracles for r, the largest near-complete subgraph order, and the
 critical exponent r - 2 of a chordal graph, each computed by a route that
-shares no code with GraphAnalysis.near_complete; and for the 4-cycle of
-GraphAnalysis.even_cycle, by a scan that shares none with its search."""
+shares no code with GraphAnalysis.near_complete; for the 4-cycle of
+GraphAnalysis.even_cycle, by a scan that shares none with its search; for
+chordality, by a subset search that shares none with Lex-BFS; for the clique
+tree, by rescanning neighbor sets in place of the Lex-BFS lists; and for the
+edge-list parser, by the earlier two-pass parser."""
 
 import itertools
+import re
 
-from hadamard_powers.chordal import _bron_kerbosch
+from hadamard_powers.chordal import _bron_kerbosch, _lex_bfs
+from hadamard_powers.graphs import Graph, GraphParseError
 
 
 def _adjacency_masks(g):
@@ -65,3 +70,113 @@ def least_four_cycle(g):
             if best is None or cand < best:
                 best = cand
     return best
+
+
+def is_chordal_by_subsets(g):
+    """True iff no vertex subset of size >= 4 induces a cycle: each of its
+    vertices has two neighbors in it, and it is connected. Over all
+    subsets, so only feasible for small n."""
+    masks = _adjacency_masks(g)
+    for k in range(4, g.n + 1):
+        for subset in itertools.combinations(range(1, g.n + 1), k):
+            inside = sum(1 << v for v in subset)
+            if any((masks[v] & inside).bit_count() != 2 for v in subset):
+                continue
+            reached = frontier = 1 << subset[0]
+            while frontier:
+                grown = 0
+                for v in subset:
+                    if frontier >> v & 1:
+                        grown |= masks[v] & inside
+                frontier = grown & ~reached
+                reached |= grown
+            if reached == inside:
+                return False
+    return True
+
+
+def clique_tree_by_neighbor_scans(g):
+    """GraphAnalysis.clique_tree of a chordal graph, from the Lex-BFS visit
+    order alone: each vertex's count of neighbors visited before it and the
+    last of them come from scanning its neighbor set, as does each clique
+    and separator."""
+    visit = _lex_bfs(g)[0]
+    pos = {v: k for k, v in enumerate(visit)}
+
+    def visited_before(v):
+        return [u for u in g.neighbors(v) if pos[u] < pos[v]]
+
+    earlier, parent = {}, {}
+    for v in visit:
+        seen = visited_before(v)
+        earlier[v] = len(seen)
+        parent[v] = max(seen, key=pos.__getitem__, default=0)
+    extends = dict.fromkeys(visit, 0)
+    starts = []
+    for v in visit:
+        p = parent[v]
+        if p and not extends[p] and earlier[v] == earlier[p] + 1:
+            extends[p] = v
+        else:
+            starts.append(v)
+    cliques, seps = [], []
+    for h in starts:
+        seps.append(frozenset(visited_before(h)))
+        while extends[h]:
+            h = extends[h]
+        cliques.append(frozenset([h, *visited_before(h)]))
+    return tuple(cliques), tuple(seps)
+
+
+_INTEGER = re.compile(r"[+-]?[0-9]+")
+
+
+def _strict_int(token):
+    if not _INTEGER.fullmatch(token):
+        raise ValueError(token)
+    return int(token)
+
+
+def parse_edge_list(text):
+    """graphs.parse_edge_list as it was before it became one pass: collect
+    the pairs with their line numbers, check them against the vertex count
+    in a second loop, and build the graph by Graph.from_edges. Labels and
+    the count are read by a regular expression, an optional sign and ASCII
+    digits."""
+    pairs = []
+    n_declared = None
+    first_data_line = True
+    for lineno, raw in enumerate(text.splitlines(), start=1):
+        line = raw.split("#", 1)[0].strip()
+        if not line:
+            continue
+        tokens = line.split()
+        if first_data_line and tokens[0] == "n":
+            if len(tokens) != 2:
+                raise GraphParseError(f"line {lineno}: header must be 'n <count>'")
+            try:
+                n_declared = _strict_int(tokens[1])
+            except ValueError:
+                raise GraphParseError(f"line {lineno}: bad vertex count {tokens[1]!r}") from None
+            if n_declared < 0:
+                raise GraphParseError(f"line {lineno}: negative vertex count")
+            first_data_line = False
+            continue
+        first_data_line = False
+        if len(tokens) != 2:
+            raise GraphParseError(f"line {lineno}: expected 'i j', got {line!r}")
+        try:
+            i, j = _strict_int(tokens[0]), _strict_int(tokens[1])
+        except ValueError:
+            raise GraphParseError(f"line {lineno}: non-integer vertex label in {line!r}") from None
+        if i <= 0 or j <= 0:
+            raise GraphParseError(f"line {lineno}: vertex labels must be positive")
+        if i == j:
+            raise GraphParseError(f"line {lineno}: self-loop at vertex {i}")
+        pairs.append((lineno, i, j))
+
+    n = n_declared if n_declared is not None else max((max(i, j) for _, i, j in pairs), default=0)
+    for lineno, i, j in pairs:
+        if i > n or j > n:
+            raise GraphParseError(f"line {lineno}: label exceeds declared vertex count {n}")
+    return Graph.from_edges(n, [(i, j) for _, i, j in pairs])

@@ -37,7 +37,6 @@ from hadamard_powers.graphs import (
     complete_bipartite,
     cycle,
     generate,
-    induced_subgraph,
     max_outerplanar,
     near_complete,
     path,
@@ -47,22 +46,15 @@ from hadamard_powers.graphs import (
     split_graph,
 )
 
-from oracles import clique_formula, least_four_cycle, max_near_complete_order
+from oracles import (
+    clique_formula,
+    clique_tree_by_neighbor_scans,
+    is_chordal_by_subsets,
+    least_four_cycle,
+    max_near_complete_order,
+)
 
 FIXTURES = Path(__file__).resolve().parent / "fixtures"
-
-
-def brute_force_is_chordal(g):
-    """No vertex subset of size >= 4 induces a cycle."""
-    for k in range(4, g.n + 1):
-        for subset in itertools.combinations(range(1, g.n + 1), k):
-            sub, _ = induced_subgraph(g, subset)
-            if len(sub.edges) == k and all(sub.degree(v) == 2 for v in sub.vertices):
-                # connected 2-regular on k vertices with k edges is a k-cycle
-                from hadamard_powers.graphs import connected_components
-                if len(connected_components(sub)) == 1:
-                    return False
-    return True
 
 
 def brute_force_maximal_cliques(g):
@@ -146,7 +138,36 @@ def test_is_chordal_matches_bruteforce():
                generate("split", clique_size=4, independent_size=3,
                         attach_degrees=2, seed=1)]
     for g in graphs:
-        assert is_chordal(g) == brute_force_is_chordal(g)
+        assert is_chordal(g) == is_chordal_by_subsets(g)
+
+
+@st.composite
+def small_graphs(draw):
+    """Graphs on at most 9 vertices, relabelled: a random graph or a random
+    chordal graph, with one to six vertex pairs toggled, so chordal and
+    non-chordal graphs both come up often."""
+    n = draw(st.integers(1, 9) | st.integers(6, 9))
+    seed = draw(st.integers(0, 2**16))
+    if draw(st.booleans()):
+        g = random_graph(n, draw(st.integers(1, 9)) / 10, seed=seed)
+    else:
+        g = random_chordal(n, draw(st.integers(0, 10)) / 10, seed=seed)
+    edges = set(g.edges)
+    if n > 1:
+        pairs = list(itertools.combinations(range(1, n + 1), 2))
+        edges ^= set(draw(st.lists(st.sampled_from(pairs), min_size=1, max_size=6)))
+    perm = draw(st.permutations(range(1, n + 1)))
+    return Graph.from_edges(n, [(perm[a - 1], perm[b - 1]) for a, b in edges])
+
+
+@settings(max_examples=400, deadline=None)
+@given(small_graphs())
+@example(cycle(4))
+@example(complete_bipartite(2, 3))
+def test_parent_test_on_the_lex_bfs_lists_matches_the_subset_search(g):
+    assert g.analysis.is_chordal == is_chordal_by_subsets(g)
+    if g.analysis.is_chordal:
+        assert g.analysis.clique_tree == clique_tree_by_neighbor_scans(g)
 
 
 def test_chordless_cycle_certificate():

@@ -3,9 +3,13 @@ the subset brute force."""
 
 import itertools
 
+import numpy as np
 import pytest
+from hypothesis import example, given, settings
+from hypothesis import strategies as st
 
 from hadamard_powers.graphs import (
+    FAMILY_GENERATORS,
     Graph,
     GraphParseError,
     band,
@@ -28,6 +32,7 @@ from hadamard_powers.graphs import (
     to_edge_list,
 )
 
+import oracles
 from oracles import max_near_complete_order
 
 
@@ -61,10 +66,83 @@ def test_parse_comments_blanks_and_duplicates():
     ("0 2", "positive"),
     ("2 2", "self-loop"),
     ("n 2\n1 3", "exceeds"),
+    # labels and the count are an optional sign and ASCII digits only
+    ("1 2\n1_0 2", "line 2: non-integer vertex label in '1_0 2'"),
+    ("\u0663 1", "line 1: non-integer vertex label"),
+    ("1 \u00b2", "line 1: non-integer vertex label"),
+    ("n 1_0\n1 2", "line 1: bad vertex count '1_0'"),
+    ("n \u0663", "line 1: bad vertex count"),
+    # a syntax error anywhere comes before a label over the declared count
+    ("n 2\n1 3\n1 x", "line 3: non-integer"),
+    ("n 2\n1 3\n2 2", "line 3: self-loop"),
 ])
 def test_parse_errors_carry_line_numbers(text, fragment):
     with pytest.raises(GraphParseError, match=fragment):
         parse_edge_list(text)
+
+
+def test_signed_ascii_labels_parse():
+    assert parse_edge_list("n +3\n+1 003\n2\t1\r\n") == Graph.from_edges(3, [(1, 3), (1, 2)])
+
+
+_LABELS = st.sampled_from(["1", "2", "3", "4", "7", "12", "0", "-1", "+2", "02", "x",
+                           "1_0", "\u0663", "2.0", "n"])
+_LINES = st.one_of(
+    st.sampled_from([f"{i} {j}" for i in range(1, 6) for j in range(1, 6) if i != j]),
+    st.builds("{} {}".format, _LABELS, _LABELS),
+    st.sampled_from(["", "   ", "# comment", "1 2 # trailing", "\t3  4\t", "1 2 3", "n",
+                     "n 3 4", "5", "n 3"]),
+)
+_HEADERS = st.sampled_from([[], ["n 0"], ["n 4"], ["n 5"], ["n 12"], ["# n 3", "n 4"],
+                            ["n -1"], ["n x"], ["n 1_0"], ["n +5"]])
+
+
+@settings(max_examples=500, deadline=None)
+@given(_HEADERS, st.lists(_LINES, max_size=10), st.sampled_from(["\n", "\r\n"]),
+       st.booleans())
+@example(["n 3"], ["1 5", "1 x"], "\n", False)  # an over-count label, then a syntax error
+@example(["n 3"], ["3 1", "1 3", "2 3"], "\r\n", True)
+def test_parser_matches_the_two_pass_reference(header, lines, newline, trailing):
+    """Headers, comments, blank lines, duplicates, reversed pairs, CRLF and
+    malformed lines give the reference parser's graph or its error."""
+    text = newline.join(header + lines) + (newline if trailing else "")
+    try:
+        expected = oracles.parse_edge_list(text)
+    except GraphParseError as exc:
+        with pytest.raises(GraphParseError) as got:
+            parse_edge_list(text)
+        assert str(got.value) == str(exc)
+    else:
+        assert parse_edge_list(text) == expected
+
+
+def test_neighbors_outside_the_vertices_raise_key_error():
+    for g in (parse_edge_list("n 4\n1 2"), cycle(5), Graph.from_edges(0, [])):
+        for v in (0, g.n + 1):
+            with pytest.raises(KeyError):
+                g.neighbors(v)
+
+
+@pytest.mark.parametrize("n, edges", [
+    (3, [(1, 2.7)]), (3, [(1, "3")]), (3, [(True, 2)]), (3, [(1, np.float64(2))]),
+    (3, [(1, np.True_)]), (3.0, []), (True, []), ("3", []), (None, []),
+])
+def test_from_edges_takes_only_integers(n, edges):
+    with pytest.raises(ValueError, match="expected an integer"):
+        Graph.from_edges(n, edges)
+
+
+def test_from_edges_takes_numpy_integers():
+    g = Graph.from_edges(np.int64(3), [(np.int32(2), np.int64(1)), (2, np.uint8(3))])
+    assert g == path(3)
+    assert type(g.n) is int and all(type(v) is int for e in g.edges for v in e)
+
+
+def test_every_generator_builds_its_graph():
+    args = {"complete_bipartite": (2, 4), "band": (6, 2), "split": (4, 2, 2)}
+    for family, gen in FAMILY_GENERATORS.items():
+        g = gen(*args.get(family, (6,)))
+        assert g.n == 6 and all(type(v) is int for e in g.edges for v in e)
 
 
 def test_serialize_roundtrip():
