@@ -17,6 +17,8 @@ from .chordal import (
 )
 from .cones import (
     FAMILIES,
+    PSD_TOL,
+    WITNESS_TOL,
     PsdVerdict,
     ThreeFactorForm,
     certify_not_psd,
@@ -24,7 +26,6 @@ from .cones import (
     entrywise_power,
     is_psd,
     matrix_from_json,
-    matrix_to_csv,
     matrix_to_json,
     random_psd_for_graph,
     schur_complement,

@@ -6,8 +6,8 @@ power grid), families (closed-form table for the named chordal families),
 and scan (CE = r - 2 consistency over a stream of edge lists).
 
 Exit codes: 0 success, 1 not-found / mismatch / flags / scan records with
-errors, 2 usage or domain errors. With a fixed --seed the JSON output is
-byte-identical across runs.
+errors, 2 usage or domain errors. Output is a function of the arguments
+alone (an unset --seed is 0), byte-identical across runs.
 """
 
 from __future__ import annotations
@@ -16,7 +16,6 @@ import argparse
 import functools
 import inspect
 import json
-import os
 import re
 import sys
 
@@ -24,7 +23,7 @@ import numpy as np
 
 from . import graphs
 from .chordal import is_chordal
-from .cones import least_eigenvalue, sample_spectra
+from .cones import PSD_TOL, least_eigenvalue, sample_spectra
 from .exponents import (
     WitnessReport,
     conjecture_scan,
@@ -33,8 +32,6 @@ from .exponents import (
     find_counterexample,
 )
 from .graphs import GraphParseError, graph_from_json, parse_edge_list
-
-SEED_ENV_VAR = "HADAMARD_POWERS_SEED"
 
 
 class CliError(Exception):
@@ -89,11 +86,7 @@ def _add_graph_arguments(p):
 _RUN_FLAGS = {
     "--powers": {"choices": ("plain", "odd", "even"), "default": "plain",
                  "help": "power family: plain x^a, odd sgn(x)|x|^a, even |x|^a"},
-    "--seed": {"type": int, "default": None},
-    "--strict": {"action": "store_true",
-                 "help": "require an explicit --seed (for reproducible CI runs)"},
-    "--tol-scale": {"type": float, "default": 1e-9},
-    "--witness-scale": {"type": float, "default": 1e-6},
+    "--seed": {"type": int, "default": None, "help": "random seed (default 0)"},
     "--budget": {"type": int, "default": None},
     "--format": {"choices": ("text", "json"), "default": "text", "dest": "output_format"},
 }
@@ -105,18 +98,11 @@ def _add_run_arguments(p, flags):
 
 
 def _resolve_config(args):
-    """Check the run flags present and settle args.seed: --seed, else (unless
-    --strict) the HADAMARD_POWERS_SEED environment variable, else 0."""
+    """Check the run flags present and set an unset --seed to 0."""
     if getattr(args, "verify", None) is not None:
         _reject_search_flags(args)
     if "seed" in args and args.seed is None:
-        if args.strict:
-            raise CliError("--strict requires an explicit --seed")
-        env = os.environ.get(SEED_ENV_VAR)
-        args.seed = int(env) if env else 0
-    for name in ("tol_scale", "witness_scale"):
-        if name in args and not 0 < getattr(args, name) < np.inf:
-            raise CliError("tolerances must be positive and finite")
+        args.seed = 0
     if "budget" in args and args.budget is not None and args.budget < 1:
         raise CliError("--budget must be >= 1")
 
@@ -131,10 +117,10 @@ def _reject_unused_graph_flags(args, taken, source):
 
 def _reject_search_flags(args):
     """CliError for a search flag next to witness --verify, whose re-check
-    reads only the report and the tolerance flags."""
+    reads only the report."""
     given = {"graph file": args.graph_file, "--family": args.family, "--alpha": args.alpha,
-             "--powers": args.powers, "--seed": args.seed, "--strict": args.strict or None,
-             "--budget": args.budget, "-o": args.output}
+             "--powers": args.powers, "--seed": args.seed, "--budget": args.budget,
+             "-o": args.output}
     for flag, value in given.items():
         if value is not None:
             raise CliError(f"witness --verify takes no {flag}")
@@ -195,8 +181,7 @@ def _cmd_ce(args):
         text = f"chordal graph: CE = {r - 2} (exact: r - 2 with r = {r})"
     else:
         lower, upper = estimate_ce_numeric(
-            g, args.powers, budget=args.budget, seed=args.seed,
-            witness_scale=args.witness_scale)
+            g, args.powers, budget=args.budget, seed=args.seed)
         out.update({"bracket_lower": lower, "bracket_upper": upper,
                     "conjectured_ce": r - 2, "method": "heuristic"})
         text = (f"non-chordal graph: numeric CE bracket [{_sig6(lower)}, {_sig6(upper)}]"
@@ -229,15 +214,14 @@ def _cmd_witness(args):
                 report = WitnessReport.from_json(json.load(fh))
         except (OSError, ValueError, KeyError, json.JSONDecodeError) as exc:
             raise CliError(f"cannot load witness report: {exc}") from None
-        ok = report.verify(args.tol_scale, args.witness_scale)
+        ok = report.verify()
         print("witness verified" if ok else "witness FAILED re-verification")
         return 0 if ok else 1
     if args.alpha is None:
         raise CliError("witness needs --alpha (or --verify FILE)")
     g = _load_graph(args)
     report = find_counterexample(
-        g, args.alpha, args.powers or "plain", budget=args.budget, seed=args.seed,
-        tol_scale=args.tol_scale, witness_scale=args.witness_scale)
+        g, args.alpha, args.powers or "plain", budget=args.budget, seed=args.seed)
     if report is None:
         print("none found in budget", file=sys.stderr)
         return 1
@@ -277,7 +261,7 @@ def _cmd_verify(args):
         worst = np.inf
         preserved = True
         for *_, images in sample_spectra(g, [1] * args.samples, alpha, args.powers, rng):
-            lam, tol = least_eigenvalue(images, args.tol_scale)
+            lam, tol = least_eigenvalue(images, PSD_TOL)
             worst = min(worst, float(lam.min(initial=np.inf)))
             preserved = preserved and bool((lam >= -tol).all())
         row = {"alpha": alpha, "samples": args.samples,
@@ -333,6 +317,8 @@ def _families_rows(max_n, seed):
 
 
 def _cmd_families(args):
+    if args.max_n < 2:
+        raise CliError(f"--max-n must be >= 2, got {args.max_n}")
     mismatches = 0
     out_rows = []
     for name, params, g, expected in _families_rows(args.max_n, args.seed):
@@ -400,8 +386,7 @@ def build_parser():
     p = sub.add_parser("ce", help="critical exponent (exact for chordal graphs, "
                                   "numeric bracket otherwise)")
     _add_graph_arguments(p)
-    _add_run_arguments(p, ["--powers", "--seed", "--strict", "--witness-scale", "--budget",
-                           "--format"])
+    _add_run_arguments(p, ["--powers", "--seed", "--budget", "--format"])
     p.set_defaults(func=_cmd_ce)
 
     p = sub.add_parser("hset", help="symbolic set of positivity-preserving powers")
@@ -417,32 +402,31 @@ def build_parser():
                "(decimal strings), digits (working precision)}. Without a certificate "
                "the proof is the float least eigenvalue of the power image.")
     _add_graph_arguments(p)
-    _add_run_arguments(p, ["--powers", "--seed", "--strict", "--tol-scale", "--witness-scale",
-                           "--budget"])
+    _add_run_arguments(p, ["--powers", "--seed", "--budget"])
     p.add_argument("--alpha", type=float, default=None)
     p.add_argument("--verify", metavar="FILE", default=None,
                    help="re-verify a stored witness report instead of searching; "
-                        "takes only --tol-scale and --witness-scale")
+                        "takes no other flag")
     p.add_argument("-o", "--output", default=None, help="write the report JSON here")
     # an unset --powers searches plain powers; --verify rejects a set one
     p.set_defaults(func=_cmd_witness, powers=None)
 
     p = sub.add_parser("verify", help="sampling check of power preservation on a grid")
     _add_graph_arguments(p)
-    _add_run_arguments(p, ["--powers", "--seed", "--strict", "--tol-scale", "--format"])
+    _add_run_arguments(p, ["--powers", "--seed", "--format"])
     p.add_argument("--alphas", required=True, help="comma-separated powers, e.g. 1,1.5,2.5")
     p.add_argument("--samples", type=int, default=200)
     p.set_defaults(func=_cmd_verify)
 
     p = sub.add_parser("families", help="closed-form critical exponents of the "
                                         "named chordal families")
-    _add_run_arguments(p, ["--seed", "--strict", "--format"])
+    _add_run_arguments(p, ["--seed", "--format"])
     p.add_argument("--max-n", type=int, default=10, dest="max_n")
     p.set_defaults(func=_cmd_families)
 
     p = sub.add_parser("scan", help="CE = r - 2 consistency scan over edge-list blocks")
     p.add_argument("stream_file", help="file of edge lists, blocks separated by blank lines")
-    _add_run_arguments(p, ["--powers", "--seed", "--strict", "--budget"])
+    _add_run_arguments(p, ["--powers", "--seed", "--budget"])
     p.add_argument("--grid-step", type=float, default=1 / 16, dest="grid_step")
     p.set_defaults(func=_cmd_scan)
     return parser

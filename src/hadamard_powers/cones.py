@@ -20,6 +20,15 @@ FAMILIES = ("plain", "odd", "even")
 #: as singular rather than regularized.
 COND_LIMIT = 1e12
 
+#: relative PSD tolerance: is_psd accepts a least eigenvalue down to
+#: -PSD_TOL * max(1, spectral radius).
+PSD_TOL = 1e-9
+
+#: relative witness threshold: certify_not_psd and every search certify a
+#: power image only when its least eigenvalue is below
+#: -WITNESS_TOL * max(1, spectral radius), far past eigensolver noise.
+WITNESS_TOL = 1e-6
+
 
 def _check_family(family):
     if family not in FAMILIES:
@@ -81,36 +90,26 @@ def least_eigenvalue(m, scale):
     return lam_min, scale * np.maximum(1.0, spectral)
 
 
-def _check_scale(name, scale):
-    """Raise ValueError unless a relative tolerance is positive and finite."""
-    if not 0 < scale < np.inf:
-        raise ValueError(f"{name} must be positive and finite, got {scale}")
-
-
-def is_psd(m, tol_scale=1e-9):
+def is_psd(m):
     """PSD test by full symmetric eigendecomposition.
 
-    The tolerance is relative: tol_scale * max(1, spectral radius), since
+    The tolerance is relative: PSD_TOL * max(1, spectral radius), since
     clique-sum samples vary over orders of magnitude in scale.
     """
-    _check_scale("tol_scale", tol_scale)
     m = as_symmetric(m)
-    lam_min, tol = map(float, least_eigenvalue(m, tol_scale))
+    lam_min, tol = map(float, least_eigenvalue(m, PSD_TOL))
     return PsdVerdict(is_psd=lam_min >= -tol, min_eigenvalue=lam_min, tolerance_used=tol)
 
 
-def certify_not_psd(m, threshold_scale=1e-6):
+def certify_not_psd(m):
     """Strict non-PSD certificate: the least eigenvalue if it clears
-    -threshold_scale * max(1, spectral radius), else None.
+    -WITNESS_TOL * max(1, spectral radius), else None.
 
     Deliberately stricter than the is_psd tolerance so numerical noise is
-    never promoted to a counterexample. A threshold_scale that is not
-    positive and finite raises ValueError: it would certify PSD matrices,
-    or nothing.
+    never promoted to a counterexample.
     """
-    _check_scale("threshold_scale", threshold_scale)
     m = as_symmetric(m)
-    lam_min, tol = map(float, least_eigenvalue(m, threshold_scale))
+    lam_min, tol = map(float, least_eigenvalue(m, WITNESS_TOL))
     return lam_min if lam_min < -tol else None
 
 
@@ -461,7 +460,7 @@ def witness_matrix(u, v, mid):
     return w
 
 
-def superadditive_defect(a_mat, b_mat, alpha, family="plain", tol_scale=1e-9):
+def superadditive_defect(a_mat, b_mat, alpha, family="plain"):
     """Verdict on f[A + B] - f[A] - f[B] for the given power map."""
     a_mat = as_symmetric(a_mat)
     b_mat = as_symmetric(b_mat)
@@ -470,7 +469,7 @@ def superadditive_defect(a_mat, b_mat, alpha, family="plain", tol_scale=1e-9):
     defect = (entrywise_power(a_mat + b_mat, alpha, family)
               - entrywise_power(a_mat, alpha, family)
               - entrywise_power(b_mat, alpha, family))
-    return is_psd(symmetrize(defect), tol_scale)
+    return is_psd(symmetrize(defect))
 
 
 # ---------------------------------------------------------------------------
@@ -492,8 +491,3 @@ def matrix_from_json(data):
     if m.shape != (n, n):
         raise ValueError(f"matrix JSON declares n={n} but rows have shape {m.shape}")
     return as_symmetric(m)
-
-
-def matrix_to_csv(m):
-    m = as_symmetric(m)
-    return "\n".join(",".join(repr(float(x)) for x in row) for row in m) + "\n"

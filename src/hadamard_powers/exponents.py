@@ -32,8 +32,8 @@ from mpmath.libmp import (
 from .chordal import is_chordal
 from .cones import (
     FAMILIES,
+    WITNESS_TOL,
     _check_family,
-    _check_scale,
     _cholesky_clears,
     _clique_sample_stack,
     _power,
@@ -569,10 +569,8 @@ class WitnessReport:
     construction: str
     certificate: IntervalCertificate | None = None
 
-    def verify(self, tol_scale=1e-9, witness_scale=1e-6):
+    def verify(self):
         try:
-            _check_scale("tol_scale", tol_scale)
-            _check_scale("witness_scale", witness_scale)
             m = as_symmetric(self.matrix)
         except ValueError:
             return False
@@ -582,13 +580,13 @@ class WitnessReport:
             return self.certificate.proves(self.graph, m, self.alpha, self.family)
         if not conforms_to_pattern(m, self.graph):
             return False
-        if not is_psd(m, tol_scale).is_psd:
+        if not is_psd(m).is_psd:
             return False
         try:
             image = entrywise_power(m, self.alpha, self.family)
         except ValueError:
             return False
-        return certify_not_psd(image, witness_scale) is not None
+        return certify_not_psd(image) is not None
 
     def to_json(self):
         out = {
@@ -635,9 +633,9 @@ def _embed_bordered(g, support, u, v):
     return bordered_factor(u, v, g.n, [v1 - 1, *(x - 1 for x in s), v2 - 1])
 
 
-def _small_bordered_image_fails(u, v, alpha, family, witness_scale):
+def _small_bordered_image_fails(u, v, alpha, family):
     image = entrywise_power(factor_gram(bordered_factor(u, v)), alpha, family)
-    return certify_not_psd(image, witness_scale) is not None
+    return certify_not_psd(image) is not None
 
 
 def _negative_pivot_vector(ctx, b, shift=0):
@@ -849,7 +847,7 @@ def _resolved_eigenvalue(gram, alpha, ctx, image, x, lam):
     return float(lam)
 
 
-def _closed_form_witness(g, alpha, family, support, witness_scale):
+def _closed_form_witness(g, alpha, family, support):
     """Bordered witness at a non-integer alpha with u = 1 and
     v = BORDER_SCALE * linspace(1, 2, m), m = |S| = floor(alpha) + 1.
 
@@ -869,7 +867,7 @@ def _closed_form_witness(g, alpha, family, support, witness_scale):
     matrix = factor_gram(factor)
     with np.errstate(over="ignore"):
         image = _power(matrix, alpha, family)
-    lam = certify_not_psd(image, witness_scale) if np.isfinite(image).all() else None
+    lam = certify_not_psd(image) if np.isfinite(image).all() else None
     cert = None
     if lam is None:
         proved = _interval_certificate(factor, alpha, 20 + 5 * m)
@@ -881,7 +879,7 @@ def _closed_form_witness(g, alpha, family, support, witness_scale):
                          certificate=cert)
 
 
-def _bordered_search(g, alpha, family, budget, rng, witness_scale):
+def _bordered_search(g, alpha, family, budget, rng):
     """Rank-one bordered strategy on (v1, S[:m], v2), S the clique of the
     largest near-complete subgraph's certificate: the closed-form pair at
     non-integer powers, random signed pairs whose super-additivity defect
@@ -904,14 +902,14 @@ def _bordered_search(g, alpha, family, budget, rng, witness_scale):
         m = max(1, int(math.floor(alpha)) + 1)
     support = (v1, s[:m], v2)
     if not is_integer:
-        return _closed_form_witness(g, alpha, family, support, witness_scale)
+        return _closed_form_witness(g, alpha, family, support)
     gen = rng()
     for _ in range(budget):
         u = gen.standard_normal(m)
         v = gen.standard_normal(m)
-        if _small_bordered_image_fails(u, v, alpha, family, witness_scale):
+        if _small_bordered_image_fails(u, v, alpha, family):
             matrix = factor_gram(_embed_bordered(g, support, u, v))
-            lam = certify_not_psd(entrywise_power(matrix, alpha, family), witness_scale)
+            lam = certify_not_psd(entrywise_power(matrix, alpha, family))
             if lam is not None:
                 return WitnessReport(graph=g, alpha=alpha, family=family, matrix=matrix,
                                      image_min_eigenvalue=lam,
@@ -922,7 +920,7 @@ def _bordered_search(g, alpha, family, budget, rng, witness_scale):
 # --- signed even cycles (even-power family only) ---------------------------
 
 
-def _signed_cycle_witness(g, alpha, witness_scale):
+def _signed_cycle_witness(g, alpha):
     """Even-cycle matrix with one negated edge: PSD further out than its
     entrywise absolute value, so even powers below the threshold fail.
 
@@ -951,7 +949,7 @@ def _signed_cycle_witness(g, alpha, witness_scale):
         matrix[a, b] = val
         matrix[b, a] = val
     image = entrywise_power(matrix, alpha, "even")
-    lam = certify_not_psd(image, witness_scale)
+    lam = certify_not_psd(image)
     if lam is None:
         return None
     return WitnessReport(graph=g, alpha=alpha, family="even", matrix=matrix,
@@ -973,8 +971,7 @@ class _LazyGenerator:
         return self._gen
 
 
-def find_counterexample(g, alpha, family="plain", budget=None, seed=0, *,
-                        tol_scale=1e-9, witness_scale=1e-6):
+def find_counterexample(g, alpha, family="plain", budget=None, seed=0):
     """Search for a PSD matrix in the pattern cone whose entrywise power
     fails PSD-ness at the given alpha.
 
@@ -985,8 +982,7 @@ def find_counterexample(g, alpha, family="plain", budget=None, seed=0, *,
     signed-pair draws and the samples; None means 200 draws and 500
     samples. Returns the first strictly certified witness, or None once the
     budget is exhausted or a sample's image overflows (absence of a witness
-    is evidence, not proof). A witness_scale that is not positive and
-    finite raises ValueError.
+    is evidence, not proof).
 
     The generator np.random.default_rng(seed) is built at the first draw,
     by the signed pairs or the samples, which read it in that order. A
@@ -994,7 +990,6 @@ def find_counterexample(g, alpha, family="plain", budget=None, seed=0, *,
     leaves a Generator passed as seed untouched.
     """
     _check_family(family)
-    _check_scale("witness_scale", witness_scale)
     if not np.isfinite(alpha):
         raise ValueError(f"power must be finite, got {alpha}")
     if g.n < 1:
@@ -1003,22 +998,22 @@ def find_counterexample(g, alpha, family="plain", budget=None, seed=0, *,
         raise ValueError(f"budget must be >= 1, got {budget}")
     rng = seed if isinstance(seed, _LazyGenerator) else _LazyGenerator(seed)
     if g.n >= 2:
-        report = _bordered_search(g, alpha, family, budget or 200, rng, witness_scale)
+        report = _bordered_search(g, alpha, family, budget or 200, rng)
         if report is not None:
             return report
     if family == "even":
-        report = _signed_cycle_witness(g, alpha, witness_scale)
+        report = _signed_cycle_witness(g, alpha)
         if report is not None:
             return report
-    return _sample_search(g, alpha, family, budget or 500, rng(), tol_scale, witness_scale)
+    return _sample_search(g, alpha, family, budget or 500, rng())
 
 
-def _sample_search(g, alpha, family, n_samples, rng, tol_scale, witness_scale):
+def _sample_search(g, alpha, family, n_samples, rng):
     """Random clique-sum samples (every fifth of rank two), drawn a stack at
     a time. A stack that one Cholesky factorization clears holds no
     witness; any other is eigensolved whole. The witness is the first
     sample, in draw order, whose image clears the witness threshold and
-    which is PSD within tol_scale; the generator is left where drawing the
+    which is_psd accepts; the generator is left where drawing the
     samples one at a time up to that one would leave it. A sample whose
     image overflows ends the search: its image proves nothing, and
     sample_spectra reads no further.
@@ -1026,11 +1021,11 @@ def _sample_search(g, alpha, family, n_samples, rng, tol_scale, witness_scale):
     ranks = [2 if k % 5 == 4 else 1 for k in range(n_samples)]
     with np.errstate(over="ignore"):
         for first, state, stack, images in sample_spectra(g, ranks, alpha, family, rng):
-            if not _cholesky_clears(images, witness_scale):
-                lam, tol = least_eigenvalue(images, witness_scale)
+            if not _cholesky_clears(images, WITNESS_TOL):
+                lam, tol = least_eigenvalue(images, WITNESS_TOL)
                 for b in np.flatnonzero(lam < -tol):
                     matrix = stack[b].copy()
-                    if is_psd(matrix, tol_scale).is_psd:
+                    if is_psd(matrix).is_psd:
                         rng.bit_generator.state = state
                         _clique_sample_stack(g, ranks[first:first + b + 1], rng,
                                              family == "plain")
@@ -1046,8 +1041,7 @@ def _sample_search(g, alpha, family, n_samples, rng, tol_scale, witness_scale):
 # numeric bracketing and the conjecture scan
 
 
-def estimate_ce_numeric(g, family="plain", grid_step=1 / 16, budget=None, seed=0, *,
-                        witness_scale=1e-6):
+def estimate_ce_numeric(g, family="plain", grid_step=1 / 16, budget=None, seed=0):
     """Bracket the critical exponent by scanning non-integer powers.
 
     Walks a grid over (0, n - 2] top-down; a verified witness at alpha
@@ -1063,7 +1057,6 @@ def estimate_ce_numeric(g, family="plain", grid_step=1 / 16, budget=None, seed=0
     (lower, upper).
     """
     _check_family(family)
-    _check_scale("witness_scale", witness_scale)
     if g.n < 2:
         raise ValueError(f"need at least 2 vertices, got {g.n}")
     if not (math.isfinite(grid_step) and grid_step > 0):
@@ -1087,7 +1080,7 @@ def estimate_ce_numeric(g, family="plain", grid_step=1 / 16, budget=None, seed=0
     for a in reversed(grid):
         proof = known.classify(a)
         if proof == "out" or (proof == "unknown" and find_counterexample(
-                g, a, family, point_budget, seed=rng, witness_scale=witness_scale) is not None):
+                g, a, family, point_budget, seed=rng) is not None):
             return a, prev_above if prev_above is not None else hi
         prev_above = a
     return 0.0, grid[0]

@@ -7,7 +7,7 @@ from pathlib import Path
 import pytest
 
 from hadamard_powers import cli
-from hadamard_powers.cli import SEED_ENV_VAR, main
+from hadamard_powers.cli import main
 from hadamard_powers.exponents import WitnessReport, find_counterexample
 from hadamard_powers.graphs import FAMILY_GENERATORS, cycle, near_complete, to_edge_list
 
@@ -123,39 +123,50 @@ _VERIFY = ["verify", "--family", "cycle", "--n", "5", "--alphas", "0.5,1.5", "--
 _WITNESS = ["witness", "--family", "complete", "--n", "4", "--alpha", "1.5"]
 
 
-_NON_FINITE = "tolerances must be positive and finite"
-
-
-# both tolerance flags on ce, verify and witness: a subcommand that takes the
-# flag rejects the value, one that does not (it never read it) rejects the flag
-@pytest.mark.parametrize("command, flag, message", [
-    (_CE, "--tol-scale", "unrecognized arguments: --tol-scale"),
-    (_CE, "--witness-scale", _NON_FINITE),
-    (_VERIFY, "--tol-scale", _NON_FINITE),
-    (_VERIFY, "--witness-scale", "unrecognized arguments: --witness-scale"),
-    (_WITNESS, "--tol-scale", _NON_FINITE), (_WITNESS, "--witness-scale", _NON_FINITE),
+# both tolerance flags on ce, verify and witness: the tolerances are the
+# constants cones.PSD_TOL and cones.WITNESS_TOL, so no subcommand takes a flag
+# that could set one to a value certifying a PSD image or nothing at all
+@pytest.mark.parametrize("command, flag", [
+    (_CE, "--tol-scale"), (_CE, "--witness-scale"),
+    (_VERIFY, "--tol-scale"), (_VERIFY, "--witness-scale"),
+    (_WITNESS, "--tol-scale"), (_WITNESS, "--witness-scale"),
 ], ids=["--tol-scale-ce", "--witness-scale-ce", "--tol-scale-verify", "--witness-scale-verify",
         "--tol-scale-witness", "--witness-scale-witness"])
 @pytest.mark.parametrize("value", ["nan", "inf"])
-def test_non_finite_tolerance_exits_two(capsys, command, flag, value, message):
-    try:
-        code = main(command + ["--seed", "1", flag, value])
-    except SystemExit as exc:
-        code = exc.code
+def test_non_finite_tolerance_exits_two(capsys, command, flag, value):
+    with pytest.raises(SystemExit) as exc:
+        main(command + ["--seed", "1", flag, value])
     captured = capsys.readouterr()
-    assert code == 2 and captured.out == ""
-    assert message in captured.err
+    assert exc.value.code == 2 and captured.out == ""
+    assert f"unrecognized arguments: {flag}" in captured.err
+
+
+def test_a_power_of_the_schur_product_theorem_has_no_witness(capsys, tmp_path):
+    # every integer power keeps P_G, so no tolerance may turn the eigensolver
+    # noise of a cube image (about -1.8e-17 here) into a witness or a violation
+    witness = ["witness", "--family", "complete", "--n", "4", "--alpha", "3", "--seed", "1"]
+    code, out, err = run(capsys, witness)
+    assert code == 1 and out == "" and "none found" in err
+    out_file = tmp_path / "w.json"
+    with pytest.raises(SystemExit) as exc:
+        main([*witness, "--witness-scale", "1e-300", "-o", str(out_file)])
+    assert exc.value.code == 2 and not out_file.exists()
+    assert "unrecognized arguments: --witness-scale" in capsys.readouterr().err
+    code, out, _ = run(capsys, ["verify", "--family", "complete", "--n", "4", "--alphas", "3",
+                                "--samples", "50", "--seed", "1"])
+    assert code == 0 and out.endswith("-> ok\n")
 
 
 # each subcommand takes only the run flags it reads; these it once accepted
-# and ignored
+# and ignored, or read before the tolerances became constants and --seed the
+# only seed source
 _REMOVED_FLAGS = {
-    "ce": ["--tol-scale"],
+    "ce": ["--tol-scale", "--witness-scale", "--strict"],
     "hset": ["--seed", "--strict", "--tol-scale", "--witness-scale", "--budget"],
-    "witness": ["--format"],
-    "verify": ["--witness-scale", "--budget"],
-    "families": ["--tol-scale", "--witness-scale", "--budget"],
-    "scan": ["--tol-scale", "--witness-scale", "--format"],
+    "witness": ["--format", "--tol-scale", "--witness-scale", "--strict"],
+    "verify": ["--witness-scale", "--budget", "--tol-scale", "--strict"],
+    "families": ["--tol-scale", "--witness-scale", "--budget", "--strict"],
+    "scan": ["--tol-scale", "--witness-scale", "--format", "--strict"],
 }
 _FLAG_VALUE = {"--seed": "3", "--tol-scale": "1e300", "--witness-scale": "1e-3",
                "--budget": "7", "--format": "json", "--strict": None}
@@ -303,7 +314,7 @@ _SEARCH_FLAGS = [
     *[([flag, _GRAPH_FLAG_VALUE.get(flag, "3")], flag) for flag in _GRAPH_OPTIONS],
     (["--alpha", "9"], "--alpha"), (["--powers", "odd"], "--powers"),
     (["--powers", "plain"], "--powers"), (["--seed", "3"], "--seed"),
-    (["--strict"], "--strict"), (["--budget", "7"], "--budget"),
+    (["--budget", "7"], "--budget"),
     (["-o", "OUT"], "-o"), (["--output", "OUT"], "-o"),
     (["--powers", "odd", "--seed", "3", "--budget", "7", "--alpha", "9", "--family", "cycle",
       "--n", "5"], "--family"),
@@ -313,8 +324,8 @@ _SEARCH_FLAGS = [
 @pytest.mark.parametrize("flags, named", _SEARCH_FLAGS,
                          ids=[" ".join(flags) for flags, _ in _SEARCH_FLAGS])
 def test_witness_verify_rejects_a_search_flag(capsys, tmp_path, c4_file, flags, named):
-    # the re-check reads only the report and the tolerances, so a search
-    # flag next to --verify is a usage error, and -o writes nothing
+    # the re-check reads only the report, so a search flag next to --verify
+    # is a usage error, and -o writes nothing
     path = _witness_report_with(tmp_path, lambda data: data)
     out_file = tmp_path / "x.json"
     flags = [{"GRAPH": c4_file, "OUT": str(out_file)}.get(f, f) for f in flags]
@@ -323,16 +334,6 @@ def test_witness_verify_rejects_a_search_flag(capsys, tmp_path, c4_file, flags, 
     assert code == 2 and out == ""
     assert err == f"error: witness --verify takes no {named}\n"
     assert not out_file.exists()
-
-
-@pytest.mark.parametrize("flags", [[], ["--tol-scale", "1e-9"], ["--witness-scale", "1e-6"],
-                                   ["--tol-scale", "1e-9", "--witness-scale", "1e-6"]])
-def test_witness_verify_takes_the_tolerances(capsys, monkeypatch, tmp_path, flags):
-    path = _witness_report_with(tmp_path, lambda data: data)
-    monkeypatch.setenv(SEED_ENV_VAR, "3")  # not a flag, so not an error
-    capsys.readouterr()
-    code, out, _ = run(capsys, ["witness", "--verify", path, *flags])
-    assert code == 0 and out == "witness verified\n"
 
 
 def test_witness_report_with_an_mpmath_test_vector_still_verifies(capsys):
@@ -395,6 +396,16 @@ def test_families_closed_forms(capsys):
     assert "0 mismatches" in out
 
 
+@pytest.mark.parametrize("max_n", ["1", "0", "-4"])
+def test_families_below_two_vertices_exits_two(capsys, max_n):
+    # the table starts at complete(2); below it there is nothing to check
+    code, out, err = run(capsys, ["families", "--max-n", max_n])
+    assert code == 2 and out == ""
+    assert err == f"error: --max-n must be >= 2, got {max_n}\n"
+    code, out, _ = run(capsys, ["families", "--max-n", "2"])
+    assert code == 0 and out.endswith("1 rows, 0 mismatches\n")
+
+
 def test_scan_stream(capsys, tmp_path):
     stream = tmp_path / "graphs.txt"
     stream.write_text("1 2\n2 3\n3 4\n1 4\n\n1 2\n2 3\n1 3\n")
@@ -441,30 +452,21 @@ def test_graph_input_precedence_is_an_error(capsys, c4_file):
     assert "not both" in err
 
 
-def test_strict_mode_requires_seed(capsys):
-    code, _, err = run(capsys, ["witness", "--family", "complete", "--n", "4",
-                                "--alpha", "1.5", "--strict"])
-    assert code == 2
-    assert "--seed" in err
-
-
-def test_env_seed_honored_outside_strict(capsys, monkeypatch, tmp_path):
-    monkeypatch.setenv(SEED_ENV_VAR, "11")
-    out_file = tmp_path / "w.json"
-    code, _, _ = run(capsys, ["witness", "--family", "complete", "--n", "5",
-                              "--alpha", "2.5", "-o", str(out_file)])
+def test_the_seed_environment_variable_is_not_read(capsys, monkeypatch):
+    # --seed is the only seed source: the variable once read in its place
+    # leaves the output of an unseeded call that of --seed 0
+    argv = ["verify", "--family", "band", "--n", "40", "--d", "3", "--alphas", "1.5",
+            "--samples", "300", "--format", "json"]
+    code, seeded, _ = run(capsys, [*argv, "--seed", "0"])
     assert code == 0
-    with_env = out_file.read_text()
-    monkeypatch.delenv(SEED_ENV_VAR)
-    code, _, _ = run(capsys, ["witness", "--family", "complete", "--n", "5",
-                              "--alpha", "2.5", "--seed", "11", "-o", str(out_file)])
-    assert code == 0
-    assert out_file.read_text() == with_env
+    monkeypatch.setenv("HADAMARD_POWERS_SEED", "5")
+    assert run(capsys, argv) == (0, seeded, "")
+    assert run(capsys, [*argv, "--seed", "5"])[1] != seeded
 
 
 def test_main_calls_share_no_parsed_state(capsys, monkeypatch):
     # the parser is built once per process; each call still parses afresh,
-    # so neither --seed nor --strict carries over to the next call
+    # so a --seed does not carry over to the next call
     assert cli.build_parser() is cli.build_parser()
     seeds = []
     resolve = cli._resolve_config
@@ -474,12 +476,10 @@ def test_main_calls_share_no_parsed_state(capsys, monkeypatch):
         seeds.append(args.seed)
 
     monkeypatch.setattr(cli, "_resolve_config", record)
-    monkeypatch.delenv(SEED_ENV_VAR, raising=False)
     argv = ["ce", "--family", "complete", "--n", "4"]
-    assert run(capsys, [*argv, "--seed", "5", "--strict"])[0] == 0
+    assert run(capsys, [*argv, "--seed", "5"])[0] == 0
     assert run(capsys, argv)[0] == 0
-    monkeypatch.setenv(SEED_ENV_VAR, "7")
-    assert run(capsys, argv)[0] == 0
+    assert run(capsys, [*argv, "--seed", "7"])[0] == 0
     assert seeds == [5, 0, 7]
 
 
@@ -604,16 +604,14 @@ def test_subcommand_option_strings_are_pinned():
     sub = next(a for a in parser._actions if isinstance(a, argparse._SubParsersAction))
     got = {name: sorted(s for a in p._actions for s in a.option_strings)
            for name, p in sub.choices.items()}
-    seeded = ["--help", "-h", "--seed", "--strict"]
+    seeded = ["--help", "-h", "--seed"]
     assert got == {
-        "ce": sorted(_GRAPH_OPTIONS + seeded + ["--powers", "--witness-scale", "--budget",
-                                                "--format"]),
+        "ce": sorted(_GRAPH_OPTIONS + seeded + ["--powers", "--budget", "--format"]),
         "hset": sorted(_GRAPH_OPTIONS + ["--help", "-h", "--powers", "--format"]),
-        "witness": sorted(_GRAPH_OPTIONS + seeded + ["--powers", "--tol-scale",
-                                                     "--witness-scale", "--budget", "--alpha",
+        "witness": sorted(_GRAPH_OPTIONS + seeded + ["--powers", "--budget", "--alpha",
                                                      "--output", "--verify", "-o"]),
-        "verify": sorted(_GRAPH_OPTIONS + seeded + ["--powers", "--tol-scale", "--format",
-                                                    "--alphas", "--samples"]),
+        "verify": sorted(_GRAPH_OPTIONS + seeded + ["--powers", "--format", "--alphas",
+                                                    "--samples"]),
         "families": sorted(seeded + ["--format", "--max-n"]),
         "scan": sorted(seeded + ["--powers", "--budget", "--grid-step"]),
     }

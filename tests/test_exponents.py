@@ -599,42 +599,6 @@ def test_estimate_past_the_min_fill_work_limit_walks_every_power(monkeypatch):
                             if a >= bracket[0] and known.classify(a) == "unknown"]
 
 
-BAD_SCALES = [-1.0, 0.0, float("nan"), float("inf")]
-
-
-@pytest.mark.parametrize("scale", BAD_SCALES)
-def test_searches_reject_a_bad_witness_scale(scale):
-    # a non-positive scale would pass PSD images off as witnesses, and a NaN
-    # or infinite one would certify nothing
-    with pytest.raises(ValueError, match="witness_scale must be positive and finite"):
-        find_counterexample(cycle(5), 1.5, "plain", seed=1, witness_scale=scale)
-    with pytest.raises(ValueError, match="witness_scale must be positive and finite"):
-        estimate_ce_numeric(cycle(5), seed=1, witness_scale=scale)
-    with pytest.raises(ValueError, match="witness_scale must be positive and finite"):
-        estimate_ce_numeric(complete(4), seed=1, witness_scale=scale)
-
-
-@pytest.mark.parametrize("scale", BAD_SCALES)
-def test_verify_fails_at_a_bad_witness_scale(scale):
-    float_route = find_counterexample(complete(4), 1.5, "plain", seed=7)
-    interval_route = find_counterexample(near_complete(9), 6.5, "plain", seed=1)
-    assert interval_route.certificate is not None and float_route.certificate is None
-    for report in (float_route, interval_route):
-        assert report.verify()
-        assert not report.verify(witness_scale=scale)
-
-
-@pytest.mark.parametrize("scale", BAD_SCALES)
-def test_verify_fails_at_a_bad_tol_scale(scale):
-    # both routes refuse the scale instead of one raising and one ignoring it
-    float_route = find_counterexample(complete(4), 1.5, "plain", seed=7)
-    interval_route = find_counterexample(near_complete(9), 6.5, "plain", seed=1)
-    assert interval_route.certificate is not None and float_route.certificate is None
-    for report in (float_route, interval_route):
-        assert report.verify()
-        assert not report.verify(tol_scale=scale)
-
-
 def test_conjecture_scan_small_set():
     report = conjecture_scan([path(3), cycle(4), complete(4)], seed=3)
     assert report["summary"]["graphs"] == 3
@@ -720,7 +684,7 @@ def test_closed_form_witness_verifies(case):
     def no_generator():
         raise AssertionError("the closed form draws nothing")
 
-    w = _bordered_search(g, alpha, family, 1, no_generator, 1e-6)
+    w = _bordered_search(g, alpha, family, 1, no_generator)
     assert w is not None and w.construction == "rank_one_bordered"
     assert w.image_min_eigenvalue < 0
     assert WitnessReport.from_json(json.loads(json.dumps(w.to_json()))).verify()

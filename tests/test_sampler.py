@@ -46,13 +46,12 @@ def _reference_sample(g, rank, rng, nonnegative):
     return m
 
 
-def _reference_sample_search(g, alpha, family, n_samples, rng, tol_scale=1e-9,
-                             witness_scale=1e-6):
+def _reference_sample_search(g, alpha, family, n_samples, rng):
     """The sample phase of the witness search, one sample at a time."""
     for k in range(n_samples):
         m = _reference_sample(g, 2 if k % 5 == 4 else 1, rng, family == "plain")
-        lam = certify_not_psd(entrywise_power(m, alpha, family), witness_scale)
-        if lam is not None and is_psd(m, tol_scale).is_psd:
+        lam = certify_not_psd(entrywise_power(m, alpha, family))
+        if lam is not None and is_psd(m).is_psd:
             return m, lam
     return None
 
@@ -114,7 +113,7 @@ def test_sample_phase_matches_one_at_a_time(monkeypatch, g, alpha, family,
         # small chunks put the first hit of the K4 case in the third chunk
         monkeypatch.setattr(cones, "SAMPLE_CHUNK_FLOATS", samples_per_chunk * g.n * g.n)
     rng, rng_ref = np.random.default_rng(3), np.random.default_rng(3)
-    report = _sample_search(g, alpha, family, 30, rng, 1e-9, 1e-6)
+    report = _sample_search(g, alpha, family, 30, rng)
     expected = _reference_sample_search(g, alpha, family, 30, rng_ref)
     if expected is None:
         assert report is None
@@ -164,10 +163,10 @@ def test_sample_search_ends_at_the_first_overflow_after_an_earlier_witness(monke
     monkeypatch.setattr(cones, "SAMPLE_CHUNK_FLOATS", 5 * g.n * g.n)
     monkeypatch.setattr(exponents, "sample_spectra", overflow_from_the_second_stack)
     expected = _reference_sample_search(g, 1.5, "plain", 30, np.random.default_rng(3))
-    report = _sample_search(g, 1.5, "plain", 30, np.random.default_rng(3), 1e-9, 1e-6)
+    report = _sample_search(g, 1.5, "plain", 30, np.random.default_rng(3))
     assert report.matrix.tobytes() == expected[0].tobytes() and read == [0]
     read.clear()
-    assert _sample_search(g, 2.5, "plain", 30, np.random.default_rng(3), 1e-9, 1e-6) is None
+    assert _sample_search(g, 2.5, "plain", 30, np.random.default_rng(3)) is None
     assert read == [0, 5]
 
 
