@@ -23,7 +23,7 @@ import numpy as np
 
 from . import graphs
 from .chordal import is_chordal
-from .cones import PSD_TOL, least_eigenvalue, sample_spectra
+from .cones import FAMILIES, PSD_TOL, least_eigenvalue, sample_spectra
 from .exponents import (
     WitnessReport,
     conjecture_scan,
@@ -84,7 +84,7 @@ def _add_graph_arguments(p):
 
 #: the run flags and their add_argument keywords; a subcommand takes those it reads
 _RUN_FLAGS = {
-    "--powers": {"choices": ("plain", "odd", "even"), "default": "plain",
+    "--powers": {"choices": FAMILIES, "default": "plain",
                  "help": "power family: plain x^a, odd sgn(x)|x|^a, even |x|^a"},
     "--seed": {"type": int, "default": None, "help": "random seed (default 0)"},
     "--budget": {"type": int, "default": None},
@@ -341,22 +341,20 @@ def _cmd_families(args):
 
 
 def _cmd_scan(args):
-    if not (np.isfinite(args.grid_step) and args.grid_step > 0):
-        raise CliError(f"--grid-step must be positive and finite, got {args.grid_step}")
     try:
         with open(args.stream_file, "r", encoding="utf-8") as fh:
             text = fh.read()
     except OSError as exc:
         raise CliError(f"cannot read {args.stream_file}: {exc}") from None
-    blocks = [b for b in text.split("\n\n") if b.strip()]
+    # parse_edge_list skips a line of only whitespace, so such a line ends a block
+    blocks = [b for b in re.split(r"\n\s*\n", text) if b.strip()]
     graphs_in = []
     for k, block in enumerate(blocks):
         try:
             graphs_in.append(parse_edge_list(block))
         except GraphParseError as exc:
             print(f"block {k}: {exc}", file=sys.stderr)
-    report = conjecture_scan(graphs_in, args.powers, grid_step=args.grid_step,
-                             budget=args.budget, seed=args.seed)
+    report = conjecture_scan(graphs_in, args.powers, budget=args.budget, seed=args.seed)
     for rec in report["records"]:
         print(_json_dump(rec))
     print(_json_dump({"summary": report["summary"]}))
@@ -427,7 +425,6 @@ def build_parser():
     p = sub.add_parser("scan", help="CE = r - 2 consistency scan over edge-list blocks")
     p.add_argument("stream_file", help="file of edge lists, blocks separated by blank lines")
     _add_run_arguments(p, ["--powers", "--seed", "--budget"])
-    p.add_argument("--grid-step", type=float, default=1 / 16, dest="grid_step")
     p.set_defaults(func=_cmd_scan)
     return parser
 

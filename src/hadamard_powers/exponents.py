@@ -269,57 +269,20 @@ def _is_cycle_graph(g):
             and len(connected_components(g)) == 1)
 
 
-def _subset(a, b):
-    """Whether the exact set a lies inside the exact set b: a's ray lies
-    in b's, and so does each lattice power of a below b's ray."""
-    return a.ray_start >= b.ray_start and all(
-        b.contains(k) for k in range(1, math.ceil(b.ray_start))
-        if _lattice_contains(a.lattice, k))
+def _combine(sources, inner_end):
+    """One description from several descriptions of one family f.
 
-
-def _union(a, b):
-    """a union b when one holds the other (a on a tie); otherwise the one
-    with the smaller ray, a proven part of the union."""
-    if _subset(b, a):
-        return a
-    if _subset(a, b):
-        return b
-    return min(a, b, key=lambda h: h.ray_start)
-
-
-def _intersection(a, b):
-    """a intersect b when one holds the other (a on a tie); otherwise the
-    one with the larger ray, which holds the intersection."""
-    if _subset(a, b):
-        return a
-    if _subset(b, a):
-        return b
-    return max(a, b, key=lambda h: h.ray_start)
-
-
-def _inner_intersection(a, b):
-    """a intersect b when one holds the other (a on a tie); otherwise a
-    proven part of it: the larger ray, under the largest lattice whose
-    powers below that ray lie in both."""
-    if _subset(a, b):
-        return a
-    if _subset(b, a):
-        return b
-    ray = max(a.ray_start, b.ray_start)
-    for lattice in ("naturals", "odd", "even"):
-        if all(a.contains(k) and b.contains(k) for k in range(1, math.ceil(ray))
-               if _lattice_contains(lattice, k)):
-            return HSet(lattice=lattice, ray_start=ray)
-    return HSet(lattice="none", ray_start=ray)
-
-
-def _combine(sources, inner_op, outer_op):
-    """One description from several: inner bounds joined by inner_op, outer
-    bounds by outer_op, exclusions together; exact when the outer bound
-    lies inside the inner one."""
-    inner = functools.reduce(inner_op, (h if h.exact else h.inner for h in sources))
-    outer = functools.reduce(outer_op, (h if h.exact else h.outer for h in sources))
-    if _subset(outer, inner):
+    Each source, and each of its bounds, is L_f union [ray, oo) as a set,
+    for the family lattice L_f: a bound with lattice "none" has its ray at
+    or below L_f's least power. So a larger ray is a smaller set, and
+    inclusion is ray order. The inner bound is the one inner_end picks by
+    ray (min for a union, max for an intersection), the outer bound the one
+    of largest ray, and the exclusions come together; exact when the outer
+    bound lies inside the inner one. min and max keep the first on a tie.
+    """
+    inner = inner_end((h if h.exact else h.inner for h in sources), key=lambda h: h.ray_start)
+    outer = max((h if h.exact else h.outer for h in sources), key=lambda h: h.ray_start)
+    if outer.ray_start >= inner.ray_start:
         return inner
     return HSet.partial(inner=inner, outer=outer,
                         exclusions=sorted({x for h in sources for x in h.exclusions}))
@@ -353,15 +316,14 @@ def expected_hset(g, family="plain"):
     components = connected_components(g)
     if len(components) > 1:
         parts = [expected_hset(induced_subgraph(g, c)[0], family) for c in components]
-        sources.append(_combine([h for h in parts if h is not None],
-                                _inner_intersection, _intersection))
+        sources.append(_combine([h for h in parts if h is not None], max))
     if _is_cycle_graph(g):
         sources.append(hset_cycle(g.n, family))
     if g.n >= 3 and len(components) == 1 and bipartition(g) is not None:
         sources.append(hset_bipartite(g, family))
     sources.append(HSet.partial(inner=sandwich,
                                 outer=HSet(lattice=lattice, ray_start=float(r - 2))))
-    return _combine(sources, _union, _intersection)
+    return _combine(sources, min)
 
 
 # ---------------------------------------------------------------------------
@@ -1041,33 +1003,35 @@ def _sample_search(g, alpha, family, n_samples, rng):
 # numeric bracketing and the conjecture scan
 
 
-def estimate_ce_numeric(g, family="plain", grid_step=1 / 16, budget=None, seed=0):
+#: spacing of the power grid that estimate_ce_numeric walks
+GRID_STEP = 1 / 16
+
+
+def estimate_ce_numeric(g, family="plain", budget=None, seed=0):
     """Bracket the critical exponent by scanning non-integer powers.
 
-    Walks a grid over (0, n - 2] top-down; a verified witness at alpha
-    proves alpha is outside the power set (so CE > alpha), giving the lower
-    end. The upper end is the smallest grid power above it with no witness,
-    capped by n - 2. Powers that expected_hset proves in the set (its exact
-    set, or the inner bound of a partial one) count as tested with no
-    witness and are not searched, so an upper end there is proven. Every
-    other upper end only means the search found no witness. A power it
-    proves outside the set counts as refuted, as a witnessed one does, and
-    is not searched either. The searches read one generator,
-    np.random.default_rng(seed), built at their first draw. Returns
-    (lower, upper).
+    Walks the non-integer multiples of GRID_STEP in (0, n - 2] top-down; a
+    verified witness at alpha proves alpha is outside the power set (so
+    CE > alpha), giving the lower end. The upper end is the smallest grid
+    power above it with no witness, capped by n - 2. Powers that
+    expected_hset proves in the set (its exact set, or the inner bound of a
+    partial one) count as tested with no witness and are not searched, so
+    an upper end there is proven. Every other upper end only means the
+    search found no witness. A power it proves outside the set counts as
+    refuted, as a witnessed one does, and is not searched either. The
+    searches read one generator, np.random.default_rng(seed), built at
+    their first draw. Returns (lower, upper).
     """
     _check_family(family)
     if g.n < 2:
         raise ValueError(f"need at least 2 vertices, got {g.n}")
-    if not (math.isfinite(grid_step) and grid_step > 0):
-        raise ValueError(f"grid_step must be positive and finite, got {grid_step}")
     if budget is not None and budget < 1:  # checked here too: the walk may search nothing
         raise ValueError(f"budget must be >= 1, got {budget}")
     hi = float(g.n - 2)
     grid = []
     k = 1
-    while k * grid_step <= hi + 1e-12:
-        a = k * grid_step
+    while k * GRID_STEP <= hi + 1e-12:
+        a = k * GRID_STEP
         if abs(a - round(a)) > 1e-9:
             grid.append(a)
         k += 1
@@ -1086,7 +1050,7 @@ def estimate_ce_numeric(g, family="plain", grid_step=1 / 16, budget=None, seed=0
     return 0.0, grid[0]
 
 
-def conjecture_scan(graphs, family="plain", *, grid_step=1 / 16, budget=None, seed=0):
+def conjecture_scan(graphs, family="plain", *, budget=None, seed=0):
     """Check CE = r - 2 numerically over a stream of graphs.
 
     Per graph: r (GraphAnalysis.near_complete_order), chordality and the
@@ -1104,8 +1068,7 @@ def conjecture_scan(graphs, family="plain", *, grid_step=1 / 16, budget=None, se
             rec["r"] = r
             rec["conjectured_ce"] = conjectured
             rec["chordal"] = is_chordal(g)
-            lower, upper = estimate_ce_numeric(
-                g, family, grid_step=grid_step, budget=budget, seed=seed + idx)
+            lower, upper = estimate_ce_numeric(g, family, budget=budget, seed=seed + idx)
             rec["bracket_lower"] = lower
             rec["bracket_upper"] = upper
             rec["flagged"] = conjectured < lower - 1e-9 or conjectured > upper + 1e-9

@@ -84,6 +84,21 @@ def test_ce_brackets_are_pinned(capsys, case):
     assert json.loads(out) == case["output"]
 
 
+# `hset --format json` output of an earlier version, byte for byte, for 49
+# graphs in the three families: chordal sandwiches, cycles and the even
+# 6-cycle's excluded 1, bipartite patterns with their partial odd sets,
+# non-chordal sandwiches, and exact and partial disjoint unions.
+@pytest.mark.parametrize("case", json.loads((FIXTURES / "expected_hsets.json").read_text()),
+                         ids=lambda case: case["graph"])
+def test_hset_outputs_are_pinned(capsys, tmp_path, case):
+    graph = tmp_path / "g.edges"
+    graph.write_text(case["edges"])
+    for family, want in case["outputs"].items():
+        code, out, _ = run(capsys, ["hset", str(graph), "--powers", family, "--format", "json"])
+        assert code == 0
+        assert out == want, family
+
+
 # `verify --format json` records of an earlier version of the sampler: band(40,
 # 3) plain (the CI case, 300 samples over 8 stacks), band(12, 3) odd and
 # cycle(6) even. Every field must match exactly except the worst eigenvalue,
@@ -158,18 +173,18 @@ def test_a_power_of_the_schur_product_theorem_has_no_witness(capsys, tmp_path):
 
 
 # each subcommand takes only the run flags it reads; these it once accepted
-# and ignored, or read before the tolerances became constants and --seed the
-# only seed source
+# and ignored, or read before the tolerances and the scan's grid step became
+# constants and --seed the only seed source
 _REMOVED_FLAGS = {
     "ce": ["--tol-scale", "--witness-scale", "--strict"],
     "hset": ["--seed", "--strict", "--tol-scale", "--witness-scale", "--budget"],
     "witness": ["--format", "--tol-scale", "--witness-scale", "--strict"],
     "verify": ["--witness-scale", "--budget", "--tol-scale", "--strict"],
     "families": ["--tol-scale", "--witness-scale", "--budget", "--strict"],
-    "scan": ["--tol-scale", "--witness-scale", "--format", "--strict"],
+    "scan": ["--tol-scale", "--witness-scale", "--format", "--strict", "--grid-step"],
 }
 _FLAG_VALUE = {"--seed": "3", "--tol-scale": "1e300", "--witness-scale": "1e-3",
-               "--budget": "7", "--format": "json", "--strict": None}
+               "--budget": "7", "--format": "json", "--strict": None, "--grid-step": "0.125"}
 
 
 @pytest.mark.parametrize("command, flag", [(c, f) for c, flags in _REMOVED_FLAGS.items()
@@ -417,13 +432,18 @@ def test_scan_stream(capsys, tmp_path):
     assert all(not rec["flagged"] for rec in lines[:-1])
 
 
-@pytest.mark.parametrize("step", ["0", "-1", "nan", "inf"])
-def test_scan_rejects_bad_grid_step(capsys, tmp_path, step):
-    stream = tmp_path / "c5.edges"
-    stream.write_text("1 2\n2 3\n3 4\n4 5\n1 5\n")
-    code, out, err = run(capsys, ["scan", str(stream), "--grid-step", step, "--seed", "1"])
-    assert code == 2 and out == ""
-    assert "--grid-step must be positive and finite" in err
+@pytest.mark.parametrize("separator", [" ", "\t"], ids=["space", "tab"])
+def test_scan_splits_blocks_at_a_whitespace_only_line(capsys, tmp_path, separator):
+    # the edge-list parser skips such a line, so a split on empty lines
+    # alone read K_3 and C_4 as one graph
+    stream = tmp_path / "graphs.txt"
+    stream.write_text(f"1 2\n2 3\n1 3\n{separator}\n1 2\n2 3\n3 4\n1 4\n")
+    code, out, _ = run(capsys, ["scan", str(stream), "--seed", "1"])
+    assert code == 0
+    *records, summary = [json.loads(line) for line in out.splitlines()]
+    assert [(rec["n"], rec["edge_count"], rec["chordal"]) for rec in records] == [
+        (3, 3, True), (4, 4, False)]
+    assert summary["summary"]["graphs"] == 2
 
 
 def test_scan_record_error_exits_one(capsys, tmp_path):
@@ -613,7 +633,7 @@ def test_subcommand_option_strings_are_pinned():
         "verify": sorted(_GRAPH_OPTIONS + seeded + ["--powers", "--format", "--alphas",
                                                     "--samples"]),
         "families": sorted(seeded + ["--format", "--max-n"]),
-        "scan": sorted(seeded + ["--powers", "--budget", "--grid-step"]),
+        "scan": sorted(seeded + ["--powers", "--budget"]),
     }
 
 
