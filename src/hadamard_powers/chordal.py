@@ -207,68 +207,64 @@ class GraphAnalysis:
 
     @cached_property
     def clique_number(self):
-        return max((len(c) for c in self.maximal_cliques), default=0)
+        """omega, the size of a largest clique; a chordal graph reads it off
+        the clique tree, without sorting the cliques."""
+        cliques = self.clique_tree[0] if self.is_chordal else self.maximal_cliques
+        return max(map(len, cliques), default=0)
 
     @cached_property
     def near_complete(self):
         """(r, v1, S, v2): r is the largest number of vertices spanning at
         least C(r,2) - 1 edges, and the certificate has S an (r-2)-clique and
         v1 != v2 outside S, joined to all of S (the v1-v2 edge is irrelevant:
-        the bordered witness puts a zero there either way).
+        the bordered witness puts a zero there either way). Any m-subset of S
+        certifies m + 2 the same way.
 
-        The certificate splits the first largest maximal clique, unless a
-        non-adjacent pair does better: then it is the first such pair in
-        label order reaching the best r, with S the first largest clique in
-        its common neighborhood (a largest intersection of it with a maximal
-        clique). Any m-subset of S certifies m + 2 the same way.
-
-        A chordal graph reads r off the clique tree in O(n + m); any other
-        graph walks the open pairs (_near_complete_walk).
+        S + v1 is a clique, so r <= omega + 1, and r = omega + 1 exactly
+        when some face, an (omega - 1)-set K, lies in two maximum cliques
+        K + x and K + y. The vertices joined to a face are its members, and
+        no two of them are adjacent, or they would close an
+        (omega + 1)-clique. On a chordal graph the faces are the clique
+        tree's separators of size omega - 1 (two cliques meet inside every
+        separator on the tree path between them), else the
+        (omega - 1)-subsets of the maximum cliques. The pair (v1, v2) is the
+        least, over the faces, of a face's two least members: the first
+        non-adjacent pair in label order reaching omega + 1. S is the first
+        largest intersection of their common neighborhood with a maximal
+        clique; on a chordal graph that neighborhood is a clique (two
+        non-adjacent common neighbors would close a chordless 4-cycle), the
+        face itself. With no face of two members r = max(omega, 2), and the
+        certificate splits the first largest maximal clique.
         """
-        if self.graph.n < 2:
-            raise ValueError(f"need at least 2 vertices, got {self.graph.n}")
+        g = self.graph
+        if g.n < 2:
+            raise ValueError(f"need at least 2 vertices, got {g.n}")
+        omega, nbrs = self.clique_number, g.neighbors
         if self.is_chordal:
-            return self._near_complete_chordal()
-        return self._near_complete_walk()
-
-    def _near_complete_chordal(self):
-        """near_complete of a chordal graph: r = max(omega, 2 + k), k the
-        largest separator of the clique tree.
-
-        The common neighborhood of a non-adjacent pair is a clique (two
-        non-adjacent common neighbors would close a chordless 4-cycle) and
-        lies in every minimal separator of the pair, and the minimal
-        separators are the tree's separators. So the pairs reaching 2 + k
-        are the non-adjacent pairs joined to all of some size-k separator S,
-        with common neighborhood S, and the walk's first pair is the first
-        of them over all such S.
-        """
-        cliques, separators = self.clique_tree
-        k = max(map(len, separators))
-        omega = max(map(len, cliques))
-        if k + 2 <= max(omega, 2):
+            cliques, separators = self.clique_tree
+            k = omega - 1
+            # an edgeless graph's empty face is left to the split, which
+            # gives the same certificate (2, 1, (), 2)
+            faces = {s for s in separators if len(s) == k and s}
+            members = [frozenset.intersection(*map(nbrs, s)) for s in faces]
+        else:
+            cliques, faces = self.maximal_cliques, {}
+            for c in cliques:
+                if len(c) == omega:
+                    for x in c:
+                        faces.setdefault(c - {x}, []).append(x)
+            members = faces.values()
+        pair = min((sorted(m)[:2] for m in members if len(m) > 1), default=None)
+        if pair is None:
             verts = min(sorted(c) for c in cliques if len(c) == omega)
             if len(verts) < 2:
                 verts = [1, 2]
             return len(verts), verts[0], tuple(verts[1:-1]), verts[-1]
-        seps = {s for s in separators if len(s) == k}
-        (v1, v2), s = min((_first_open_pair(self.graph, s), s) for s in seps)
-        return k + 2, v1, tuple(sorted(s)), v2
-
-    def _near_complete_walk(self):
-        """near_complete by walking every open pair: the route of a
-        non-chordal graph, and the oracle of the chordal one."""
-        g = self.graph
-        verts = sorted(max(self.maximal_cliques, key=len))
-        if len(verts) < 2:
-            verts = [1, 2]
-        best = (len(verts), verts[0], tuple(verts[1:-1]), verts[-1])
-        for v1, v2, common in self._open_pairs():
-            if len(common) + 2 > best[0]:
-                s = max((c & common for c in self.maximal_cliques), key=len)
-                if len(s) + 2 > best[0]:
-                    best = (len(s) + 2, v1, tuple(sorted(s)), v2)
-        return best
+        v1, v2 = pair
+        common = nbrs(v1) & nbrs(v2)
+        if not self.is_chordal:
+            common = max((c & common for c in cliques), key=len)
+        return omega + 1, v1, tuple(sorted(common)), v2
 
     @property
     def near_complete_order(self):
@@ -316,16 +312,6 @@ class GraphAnalysis:
             if cyc is not None:
                 return cyc
         return None
-
-    def _open_pairs(self):
-        """Non-adjacent pairs (u, v), u < v, with a common neighbor, in label
-        order, each with its common neighborhood."""
-        g = self.graph
-        for u in g.vertices:
-            near = g.neighbors(u)
-            second = set().union(*(g.neighbors(w) for w in near)) - near
-            for v in sorted(x for x in second if x > u):
-                yield u, v, near & g.neighbors(v)
 
 
 def _lex_bfs(g):
@@ -395,18 +381,6 @@ def _lex_bfs_chains(visit, before):
                 continue
         starts.append(v)
     return starts, extends
-
-
-def _first_open_pair(g, s):
-    """The first non-adjacent pair (u, v), u < v, in label order, of the
-    vertices outside the nonempty clique s joined to all of it."""
-    joined = sorted(frozenset.intersection(*map(g.neighbors, s)))
-    rank = {x: i for i, x in enumerate(joined)}
-    for i, u in enumerate(joined):
-        near = g.neighbors(u)
-        if sum(rank.get(x, -1) > i for x in near) < len(joined) - 1 - i:
-            return u, next(x for x in joined[i + 1:] if x not in near)
-    raise AssertionError(f"no open pair around the separator {sorted(s)}")
 
 
 def _min_fill(g):

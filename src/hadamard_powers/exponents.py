@@ -16,6 +16,7 @@ import math
 import re
 from collections import deque
 from dataclasses import dataclass
+from types import MappingProxyType
 
 import numpy as np
 from mpmath.libmp import (
@@ -345,6 +346,9 @@ IMAGE_EXPONENT_LIMIT = 2**16
 #: most image ends the process keeps (_image_end); a witness workload pass
 #: of 18 searches and re-verifications reads 243 distinct ones
 IMAGE_END_MEMO = 4096
+#: most factor Grams the process keeps (_gram); a witness workload pass
+#: certifies 4 distinct factors
+GRAM_MEMO = 64
 
 _OTHER_WAY = {round_floor: round_ceiling, round_ceiling: round_floor}
 
@@ -356,7 +360,18 @@ _DECIMAL_LITERAL = re.compile(r"[+-]?([0-9]+\.?[0-9]*|\.[0-9]+)([eE][+-]?[0-9]+)
 def _gram(f):
     """The entries of F F^T on and above the diagonal that some column
     makes nonzero, {(i, j): mpf value}; float products and sums at mpmath
-    precision 0 are exact."""
+    precision 0 are exact.
+
+    Memoized per process on F's shape and bytes (_exact_gram), so the
+    plain, odd and even searches at one alpha, which certify one factor,
+    and each re-verification build it once; the mapping is read-only."""
+    f = np.ascontiguousarray(f, dtype=np.float64)
+    return _exact_gram(f.shape, f.tobytes())
+
+
+@functools.lru_cache(maxsize=GRAM_MEMO)
+def _exact_gram(shape, data):
+    f = np.frombuffer(data).reshape(shape)
     vals = [[from_float(float(x)) for x in row] for row in f]
     n, k = f.shape
     out = {}
@@ -365,7 +380,7 @@ def _gram(f):
             terms = [mpf_mul(vals[i][c], vals[j][c]) for c in range(k) if f[i, c] and f[j, c]]
             if terms:
                 out[i, j] = functools.reduce(mpf_add, terms)
-    return out
+    return MappingProxyType(out)
 
 
 def _power_end(s, alpha, prec, rnd):

@@ -1,6 +1,7 @@
-"""Test oracles for r, the largest near-complete subgraph order, and the
-critical exponent r - 2 of a chordal graph, each computed by a route that
-shares no code with GraphAnalysis.near_complete; for the 4-cycle of
+"""Test oracles for r, the largest near-complete subgraph order, its
+certificate, and the critical exponent r - 2 of a chordal graph, each
+computed by a route that shares no code with GraphAnalysis.near_complete;
+for the 4-cycle of
 GraphAnalysis.even_cycle, by a scan that shares none with its search; for
 chordality, by a subset search that shares none with Lex-BFS; for the clique
 tree, by rescanning neighbor sets in place of the Lex-BFS lists; and for the
@@ -56,6 +57,32 @@ def clique_formula(g):
     cliques = _bron_kerbosch(g)
     overlap = max((len(a & b) for a, b in itertools.combinations(cliques, 2)), default=0)
     return max(max(map(len, cliques)) - 2, overlap)
+
+
+def near_complete_by_pair_walk(g):
+    """GraphAnalysis.near_complete by walking every non-adjacent pair with a
+    common neighbor, u < v in label order, each rescanning the maximal
+    cliques for the largest intersection with the pair's common
+    neighborhood. The first largest clique is split unless a pair reaches a
+    larger r; then it is the first pair reaching the best r, with the first
+    largest such intersection. O(open pairs x maximal cliques)."""
+    if g.n < 2:
+        raise ValueError(f"need at least 2 vertices, got {g.n}")
+    cliques = _bron_kerbosch(g)
+    verts = sorted(max(cliques, key=len))
+    if len(verts) < 2:
+        verts = [1, 2]
+    best = (len(verts), verts[0], tuple(verts[1:-1]), verts[-1])
+    for u in g.vertices:
+        near = g.neighbors(u)
+        second = set().union(*(g.neighbors(w) for w in near)) - near
+        for v in sorted(x for x in second if x > u):
+            common = near & g.neighbors(v)
+            if len(common) + 2 > best[0]:
+                s = max((c & common for c in cliques), key=len)
+                if len(s) + 2 > best[0]:
+                    best = (len(s) + 2, u, tuple(sorted(s)), v)
+    return best
 
 
 def least_four_cycle(g):

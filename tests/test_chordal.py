@@ -17,7 +17,6 @@ from hadamard_powers.chordal import (
     MAX_CLIQUE_EXPANSIONS,
     CliqueOrdering,
     Decomposition,
-    GraphAnalysis,
     NotChordalError,
     _bron_kerbosch,
     _lex_bfs,
@@ -52,6 +51,7 @@ from oracles import (
     is_chordal_by_subsets,
     least_four_cycle,
     max_near_complete_order,
+    near_complete_by_pair_walk,
 )
 
 FIXTURES = Path(__file__).resolve().parent / "fixtures"
@@ -303,15 +303,29 @@ def test_not_chordal_error_takes_only_the_cycle():
         NotChordalError([1, 2, 3, 4], hint="triangulate first")
 
 
+def grid(rows, cols):
+    """The rows x cols grid, labelled row by row from 1."""
+    def label(i, j):
+        return i * cols + j + 1
+
+    edges = [(label(i, j), label(i, j + 1)) for i in range(rows) for j in range(cols - 1)]
+    edges += [(label(i, j), label(i + 1, j)) for i in range(rows - 1) for j in range(cols)]
+    return Graph.from_edges(rows * cols, edges)
+
+
 def test_near_complete_certificate_is_stable():
     # seeded witness reports embed into these vertices, so the choice is
     # part of the output: the first open pair reaching the best r, with the
     # first largest clique of its common neighborhood, else a split clique
+    # (the last three recorded by the open-pair walk)
     expected = {
         random_graph(10, 0.6, seed=7): (6, 2, (5, 6, 7, 8), 9),
         random_graph(11, 0.4, seed=5): (5, 1, (5, 6, 9), 10),
         random_graph(12, 0.7, seed=11): (7, 1, (3, 4, 6, 9, 12), 7),
         complete(5): (5, 1, (2, 3, 4), 5),
+        grid(30, 30): (3, 1, (2,), 3),
+        random_graph(14, 0.3, seed=2): (4, 6, (11, 12), 13),
+        random_graph(16, 0.5, seed=3): (6, 11, (1, 2, 7, 8), 14),
     }
     for g, certificate in expected.items():
         assert g.analysis.near_complete == certificate
@@ -515,7 +529,7 @@ def test_lex_bfs_route_matches_the_open_pair_walk(g, rnd):
     visit = _lex_bfs(g)[0]
     assert pairwise_is_peo(g, visit[::-1])
     if g.n >= 2:
-        assert a.near_complete == a._near_complete_walk()
+        assert a.near_complete == near_complete_by_pair_walk(g)
     # the parent test against the oracle, on perfect and nearly perfect orders
     order = list(visit[::-1])
     if g.n >= 2:
@@ -525,24 +539,44 @@ def test_lex_bfs_route_matches_the_open_pair_walk(g, rnd):
 
 
 def test_near_complete_certificates_are_pinned():
-    # recorded by the open-pair walk before chordal graphs took the Lex-BFS
-    # route; seeded witness reports embed into these vertices
+    # recorded by the open-pair walk, on chordal graphs before they took the
+    # Lex-BFS route (the cycle and complete bipartite rows are not chordal);
+    # seeded witness reports embed into these vertices
     for rec in json.loads((FIXTURES / "near_complete_certificates.json").read_text()):
         g = generate(rec["family"], **rec["params"])
         r, v1, s, v2 = rec["certificate"]
         assert g.analysis.near_complete == (r, v1, tuple(s), v2), rec
 
 
-def test_chordal_near_complete_walks_no_open_pair(monkeypatch):
-    def walk(self):
-        raise AssertionError("open-pair walk on a chordal graph")
+def _relabelled(g, labels):
+    return Graph.from_edges(g.n, [(labels[a - 1], labels[b - 1]) for a, b in g.edges])
 
-    monkeypatch.setattr(GraphAnalysis, "_open_pairs", walk)
-    for g in [band(14, 6), near_complete(9), complete(30), random_chordal(300, seed=4),
-              Graph.from_edges(4, [])]:
-        assert g.analysis.near_complete[0] == g.analysis.near_complete_order
-    with pytest.raises(AssertionError, match="open-pair walk"):
-        cycle(5).analysis.near_complete
+
+@settings(max_examples=300, deadline=None)
+@given(st.one_of(
+    st.builds(random_graph, st.integers(2, 12), st.floats(0, 1), seed=st.integers(0, 2**32 - 1)),
+    st.builds(lambda n, d, seed: random_chordal(n, density=d, seed=seed),
+              st.integers(2, 40), st.floats(0, 1), st.integers(0, 2**32 - 1))), st.data())
+def test_near_complete_is_the_pair_walks_certificate(g, data):
+    g = _relabelled(g, data.draw(st.permutations(range(1, g.n + 1))))
+    assert g.analysis.near_complete == near_complete_by_pair_walk(g)
+
+
+@settings(max_examples=300, deadline=None)
+@given(st.integers(2, 8).flatmap(lambda n: st.builds(
+    Graph.from_edges, st.just(n),
+    st.sets(st.sampled_from(list(itertools.combinations(range(1, n + 1), 2)))))))
+def test_r_exceeds_omega_exactly_when_two_maximum_cliques_share_a_face(g):
+    # S + v1 is a clique, so r <= omega + 1; two maximum cliques K + x and
+    # K + y give r = omega + 1 with x, y non-adjacent
+    cliques = brute_force_maximal_cliques(g)
+    omega = max(map(len, cliques))
+    largest = [c for c in cliques if len(c) == omega]
+    shared = any(len(a & b) == omega - 1 for a, b in itertools.combinations(largest, 2))
+    r = max_near_complete_order(g)
+    assert r <= omega + 1
+    assert (r == omega + 1) == shared
+    assert g.analysis.near_complete_order == r
 
 
 # ---------------------------------------------------------------------------

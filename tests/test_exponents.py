@@ -750,13 +750,32 @@ def test_a_witness_workload_pass_computes_each_power_end_once(monkeypatch):
 
     monkeypatch.setattr(exponents, "_power_end", counted)
     exponents._image_end.cache_clear()
+    _witness_workload_pass()
+    assert calls and set(calls.values()) == {1}
+    assert len(calls) <= exponents.IMAGE_END_MEMO
+
+
+def _witness_workload_pass():
+    """The 18 searches of the witness workload, each re-verified from its
+    JSON."""
     for g, alphas in WITNESS_WORKLOAD:
         for alpha in alphas:
             for family in ("plain", "odd", "even"):
                 w = find_counterexample(g, alpha, family, seed=1)
                 assert WitnessReport.from_json(json.loads(json.dumps(w.to_json()))).verify()
-    assert calls and set(calls.values()) == {1}
-    assert len(calls) <= exponents.IMAGE_END_MEMO
+
+
+def test_a_witness_workload_pass_builds_each_factor_gram_once():
+    # the plain, odd and even searches at one alpha certify one factor, and
+    # each re-verification reads the search's Gram. The 6 graph and alpha
+    # pairs certify 4 distinct factors on their nonzero rows: band(10, 5) at
+    # 4.5 and 4.95 and band(14, 6) at 4.75 share one 7 x 2 closed form. So
+    # 4 builds of 36 reads
+    exponents._exact_gram.cache_clear()
+    _witness_workload_pass()
+    info = exponents._exact_gram.cache_info()
+    assert (info.misses, info.hits) == (4, 32)
+    assert info.maxsize == exponents.GRAM_MEMO
 
 
 def test_memoized_ends_do_not_change_a_verdict():
