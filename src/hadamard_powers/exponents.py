@@ -11,24 +11,17 @@ CE = r - 2 (r the largest near-complete subgraph order).
 from __future__ import annotations
 
 import functools
+import importlib.util
 import itertools
 import math
+import os
 import re
+import sys
 from collections import deque
 from dataclasses import dataclass
 from types import MappingProxyType
 
 import numpy as np
-from mpmath.libmp import (
-    dps_to_prec,
-    from_float,
-    mpf_add,
-    mpf_exp,
-    mpf_log,
-    mpf_mul,
-    round_ceiling,
-    round_floor,
-)
 
 from .chordal import is_chordal
 from .cones import (
@@ -57,6 +50,48 @@ from .graphs import (
     graph_to_json,
     induced_subgraph,
 )
+
+
+def _load_libmp():
+    """mpmath's arithmetic kernel, mpmath.libmp, loaded from mpmath's files
+    on its own as hadamard_powers._libmp, without mpmath/__init__.py, which
+    builds the fp, mp and iv contexts and imports every special function.
+    libmp imports nothing from its parent package. It is not registered as
+    mpmath.libmp, so a later `import mpmath` loads its own copy; the values
+    (mpf tuples, rounding-mode strings) pass between the two unchanged.
+    ImportError if mpmath is not installed or the kernel does not load."""
+    found = importlib.util.find_spec("mpmath")
+    if found is None or not found.submodule_search_locations:
+        raise ImportError("mpmath is not installed")
+    path = os.path.join(found.submodule_search_locations[0], "libmp")
+    name = f"{__package__}._libmp"
+    spec = importlib.util.spec_from_file_location(
+        name, os.path.join(path, "__init__.py"), submodule_search_locations=[path])
+    kernel = importlib.util.module_from_spec(spec)
+    sys.modules[name] = kernel
+    try:
+        spec.loader.exec_module(kernel)
+    except ImportError:
+        for key in [k for k in sys.modules if k == name or k.startswith(name + ".")]:
+            del sys.modules[key]
+        raise
+    return kernel
+
+
+try:
+    _libmp = _load_libmp()
+except ImportError:
+    from mpmath import libmp as _libmp
+
+dps_to_prec = _libmp.dps_to_prec
+from_float = _libmp.from_float
+mpf_add = _libmp.mpf_add
+mpf_exp = _libmp.mpf_exp
+mpf_log = _libmp.mpf_log
+mpf_mul = _libmp.mpf_mul
+round_ceiling = _libmp.round_ceiling
+round_floor = _libmp.round_floor
+
 
 LATTICES = ("naturals", "odd", "even", "none")
 
@@ -304,26 +339,43 @@ def expected_hset(g, family="plain"):
     bounds by intersection, exclusions together. So does, on a disconnected
     pattern, the intersection of its components' descriptions, since its
     set is the intersection of theirs.
+
+    H is built only when r(H) can change the answer. A non-chordal G has
+    an induced k-cycle, k >= 4, and every chordal supergraph of it two
+    triangles on one edge, so r(H) >= 4 and the sandwich's inner ray
+    r(H) - 2 is at least 2. A theorem applies only to a connected
+    triangle-free G on >= 3 vertices, where r = 3: the sandwich is never
+    exact and its outer ray is 1, no theorem's is below. So a theorem with
+    an inner ray <= 2 (every cycle; bipartite plain and even; bipartite
+    odd between K_{2,2} and K_{2,m}) decides the answer alone, winning
+    every tie as the earlier source.
     """
     _check_family(family)
     if g.n < 2:
         return None
     lattice = _LATTICE_FOR_FAMILY[family]
-    r, r_h = g.analysis.near_complete_order, g.analysis.triangulation[2]
+    r = g.analysis.near_complete_order
+    outer = HSet(lattice=lattice, ray_start=float(r - 2))
+    if g.analysis.is_chordal:  # H = G
+        return outer
+    components = connected_components(g)
+    theorems = []
+    if _is_cycle_graph(g):
+        theorems.append(hset_cycle(g.n, family))
+    if g.n >= 3 and len(components) == 1 and bipartition(g) is not None:
+        theorems.append(hset_bipartite(g, family))
+    if any((h if h.exact else h.inner).ray_start <= 2 for h in theorems):
+        return _combine(theorems, min)
+    r_h = g.analysis.triangulation[2]
     sandwich = HSet(lattice=lattice, ray_start=float(r_h - 2))
     if r_h == r:
         return sandwich
     sources = []
-    components = connected_components(g)
     if len(components) > 1:
         parts = [expected_hset(induced_subgraph(g, c)[0], family) for c in components]
         sources.append(_combine([h for h in parts if h is not None], max))
-    if _is_cycle_graph(g):
-        sources.append(hset_cycle(g.n, family))
-    if g.n >= 3 and len(components) == 1 and bipartition(g) is not None:
-        sources.append(hset_bipartite(g, family))
-    sources.append(HSet.partial(inner=sandwich,
-                                outer=HSet(lattice=lattice, ray_start=float(r - 2))))
+    sources += theorems
+    sources.append(HSet.partial(inner=sandwich, outer=outer))
     return _combine(sources, min)
 
 

@@ -1,6 +1,9 @@
 """Symbolic power sets, critical exponents, witnesses, and brackets."""
 
+import ast
+import functools
 import hashlib
+import importlib.util
 import json
 import math
 import os
@@ -312,6 +315,35 @@ def test_expected_hset_intersects_the_components_sets(family, ray):
     # the power set of a disjoint union is the intersection of its parts';
     # the two cycle theorems make it exact
     assert expected_hset(C5_AND_C4, family) == HSet(lattice="none", ray_start=ray)
+
+
+def _grid_graph(k):
+    """The k x k grid graph, vertex (r, c) labelled r k + c + 1."""
+    return Graph.from_edges(k * k, [(r * k + c + 1, r * k + c + 2)
+                                    for r in range(k) for c in range(k - 1)]
+                            + [(r * k + c + 1, r * k + c + k + 1)
+                               for r in range(k - 1) for c in range(k)])
+
+
+def test_expected_hset_builds_no_triangulation_where_a_theorem_decides(monkeypatch):
+    # a theorem with an inner ray <= 2 decides alone, as r(H) - 2 >= 2 on a
+    # non-chordal graph; a bipartite odd set past K_{2,m} still needs H
+    calls = []
+    min_fill = chordal._min_fill
+
+    def counted(g):
+        calls.append(g.n)
+        return min_fill(g)
+
+    monkeypatch.setattr(chordal, "_min_fill", counted)
+    for family in ("plain", "odd", "even"):
+        for g in [*map(cycle, range(4, 21)), *(complete_bipartite(2, b) for b in range(2, 9))]:
+            expected_hset(g, family)
+    for family in ("plain", "even"):
+        expected_hset(_grid_graph(30), family)
+    assert calls == []
+    expected_hset(_grid_graph(4), "odd")
+    assert calls == [16]
 
 
 def test_estimate_on_a_disjoint_union_of_cycles_skips_one_to_two():
@@ -1174,37 +1206,120 @@ def test_float_route_report_without_certificate_still_verifies():
     assert WitnessReport.from_json(data).verify()
 
 
-def test_import_does_not_load_scipy():
+def _python(*args):
+    """Standard output of a fresh interpreter importing from this src/."""
     src = str(Path(__file__).resolve().parents[1] / "src")
     env = dict(os.environ, PYTHONPATH=os.pathsep.join(
         filter(None, [src, os.environ.get("PYTHONPATH")])))
-    subprocess.run([sys.executable, "-c",
-                    "import hadamard_powers, sys; assert 'scipy' not in sys.modules"],
-                   check=True, env=env)
+    return subprocess.run([sys.executable, *args], check=True, env=env,
+                          stdout=subprocess.PIPE, text=True).stdout
+
+
+def test_import_does_not_load_scipy():
+    _python("-c", "import hadamard_powers, sys; assert 'scipy' not in sys.modules")
 
 
 def test_searches_that_draw_nothing_do_not_load_numpy_random():
     # the closed form and a walk over proven powers build no generator
-    src = str(Path(__file__).resolve().parents[1] / "src")
-    env = dict(os.environ, PYTHONPATH=os.pathsep.join(
-        filter(None, [src, os.environ.get("PYTHONPATH")])))
-    subprocess.run([sys.executable, "-c",
-                    "import sys; from hadamard_powers.cli import main; "
-                    "assert main(['witness', '--family', 'near-complete', '--n', '9', "
-                    "'--alpha', '6.5']) == 0; "
-                    "assert main(['ce', '--family', 'cycle', '--n', '20']) == 0; "
-                    "assert 'numpy.random' not in sys.modules"],
-                   check=True, env=env, stdout=subprocess.DEVNULL)
+    _python("-c", "import sys; from hadamard_powers.cli import main; "
+                  "assert main(['witness', '--family', 'near-complete', '--n', '9', "
+                  "'--alpha', '6.5']) == 0; "
+                  "assert main(['ce', '--family', 'cycle', '--n', '20']) == 0; "
+                  "assert 'numpy.random' not in sys.modules")
 
 
 def test_exact_routes_do_not_load_decimal():
     # only the interval certificate's point arithmetic needs it
-    src = str(Path(__file__).resolve().parents[1] / "src")
-    env = dict(os.environ, PYTHONPATH=os.pathsep.join(
-        filter(None, [src, os.environ.get("PYTHONPATH")])))
-    subprocess.run([sys.executable, "-c",
-                    "import sys; from hadamard_powers.cli import main; "
-                    "assert main(['ce', '--family', 'random-chordal', '--n', '200']) == 0; "
-                    "assert main(['families', '--max-n', '6']) == 0; "
-                    "assert 'decimal' not in sys.modules"],
-                   check=True, env=env, stdout=subprocess.DEVNULL)
+    _python("-c", "import sys; from hadamard_powers.cli import main; "
+                  "assert main(['ce', '--family', 'random-chordal', '--n', '200']) == 0; "
+                  "assert main(['families', '--max-n', '6']) == 0; "
+                  "assert 'decimal' not in sys.modules")
+
+
+# --- mpmath's arithmetic kernel, loaded without the mpmath package -------------
+
+
+def test_import_leaves_the_mpmath_package_unloaded():
+    _python("-c", "import hadamard_powers, sys; assert 'mpmath' not in sys.modules; "
+                  "assert 'hadamard_powers._libmp' in sys.modules")
+
+
+# argv[1]: "first" imports mpmath before hadamard_powers, "after" after it,
+# "fallback" blocks a kernel file of the standalone load, so exponents falls
+# back to mpmath.libmp. Prints the power and image ends of a few Gram entries,
+# each checked against mpmath.iv's interval power, and the near_complete(9)
+# witness reports.
+_KERNEL_PROBE = """
+import json, sys
+from fractions import Fraction
+order = sys.argv[1]
+if order == "first":
+    import mpmath
+if order == "fallback":
+    sys.modules["hadamard_powers._libmp.libmpf"] = None
+from hadamard_powers import exponents
+from hadamard_powers.graphs import near_complete
+import mpmath
+from mpmath.libmp import from_float, mpf_mul, round_ceiling, round_floor
+assert (exponents._libmp is mpmath.libmp) == (order == "fallback")
+assert ("hadamard_powers._libmp" in sys.modules) == (order != "fallback")
+ends = []
+for s in (0.25, 1.0, 3.7, (0.56, 1.12)):
+    s = mpf_mul(from_float(s[0]), from_float(s[1])) if isinstance(s, tuple) else from_float(s)
+    for alpha in (6.5, 5.75, -0.75, -10.22):
+        for digits in (20, 110):
+            iv = mpmath.iv
+            iv.dps = digits
+            want = (iv.make_mpf((s, s)) ** iv.mpf(alpha))._mpi_
+            for rnd, end in zip((round_floor, round_ceiling), want):
+                got = exponents._power_end(s, from_float(alpha), iv.prec, rnd)
+                assert got == end, (s, alpha, digits, rnd)
+                image = exponents._image_end(s, alpha, digits, rnd)
+                assert Fraction(image) == Fraction(end[1]) * Fraction(2) ** end[2]
+                ends.append([repr(got), str(image)])
+reports = [exponents.find_counterexample(near_complete(9), alpha, family, seed=1).to_json()
+           for alpha in (6.5, 5.75) for family in ("plain", "odd", "even")]
+print(json.dumps({"ends": ends, "reports": reports}))
+"""
+
+
+@functools.cache
+def _kernel_probe(order):
+    return json.loads(_python("-c", _KERNEL_PROBE, order))
+
+
+@pytest.mark.parametrize("order", ["first", "after", "fallback"])
+def test_kernel_ends_and_reports_are_mpmaths_in_any_import_order(order):
+    got, reference = _kernel_probe(order), _kernel_probe("after")
+    assert got["ends"] == reference["ends"]
+    assert got["reports"] == reference["reports"]
+    pinned = [rec for rec in json.loads((FIXTURES / "witness_certificates.json").read_text())
+              if rec["graph"] == "near_complete(9)"]
+    assert [(rec["alpha"], rec["family"]) for rec in pinned] == [
+        (a, f) for a in (6.5, 5.75) for f in ("plain", "odd", "even")]
+    for rec, report in zip(pinned, got["reports"]):
+        assert (repr(report["image_min_eigenvalue"]), report["certificate"]["digits"],
+                report["construction"],
+                hashlib.sha256(json.dumps(report["matrix"]["rows"]).encode()).hexdigest()) == (
+            rec["image_min_eigenvalue"], rec["digits"], rec["construction"],
+            rec["matrix_sha256"]), rec
+
+
+def test_mpmath_kernel_imports_nothing_outside_its_directory():
+    # exponents loads mpmath/libmp without mpmath/__init__.py, which holds
+    # only while no libmp file imports from the rest of mpmath
+    kernel = Path(importlib.util.find_spec("mpmath").submodule_search_locations[0]) / "libmp"
+    files = sorted(kernel.glob("*.py"))
+    assert kernel / "__init__.py" in files
+    local = {path.stem for path in files}
+    for path in files:
+        for node in ast.walk(ast.parse(path.read_text(encoding="utf-8"))):
+            if isinstance(node, ast.ImportFrom) and node.level:
+                assert node.level == 1, (path.name, node.lineno)
+                assert node.module is None or node.module.split(".")[0] in local, (
+                    path.name, node.lineno)
+            elif isinstance(node, (ast.Import, ast.ImportFrom)):
+                names = [node.module] if isinstance(node, ast.ImportFrom) else [
+                    alias.name for alias in node.names]
+                assert not [name for name in names if name.split(".")[0] == "mpmath"], (
+                    path.name, node.lineno)
