@@ -92,11 +92,6 @@ _RUN_FLAGS = {
 }
 
 
-def _add_run_arguments(p, flags):
-    for flag in flags:
-        p.add_argument(flag, **_RUN_FLAGS[flag])
-
-
 def _resolve_config(args):
     """Check the run flags present and set an unset --seed to 0."""
     if getattr(args, "verify", None) is not None:
@@ -371,66 +366,100 @@ class _Parser(argparse.ArgumentParser):
         self._negative_number_matcher = re.compile(r"-\.?\d")
 
 
+#: the graph input arguments (_add_graph_arguments) in a subcommand's list
+_GRAPH = "graph"
+
+#: the subcommands, in help order: add_parser keywords, the arguments in
+#: order (_GRAPH, a run flag, or option strings and add_argument keywords),
+#: the defaults set and the handler
+_COMMANDS = {
+    "ce": {
+        "parser": {"help": "critical exponent (exact for chordal graphs, "
+                           "numeric bracket otherwise)"},
+        "arguments": (_GRAPH, "--powers", "--seed", "--budget", "--format"),
+        "defaults": {"func": _cmd_ce},
+    },
+    "hset": {
+        "parser": {"help": "symbolic set of positivity-preserving powers"},
+        "arguments": (_GRAPH, "--powers", "--format"),
+        "defaults": {"func": _cmd_hset},
+    },
+    "witness": {
+        "parser": {
+            "help": "search for a power-map counterexample",
+            "epilog": "Report JSON fields: graph, alpha, family, matrix, image_min_eigenvalue, "
+                      "construction, and, for witnesses proved by interval arithmetic, "
+                      "certificate: {factor (the columns of F, matrix = F F^T), test_vector "
+                      "(decimal strings), digits (working precision)}. Without a certificate "
+                      "the proof is the float least eigenvalue of the power image."},
+        "arguments": (
+            _GRAPH, "--powers", "--seed", "--budget",
+            (("--alpha",), {"type": float, "default": None}),
+            (("--verify",), {"metavar": "FILE", "default": None,
+                             "help": "re-verify a stored witness report instead of "
+                                     "searching; takes no other flag"}),
+            (("-o", "--output"), {"default": None, "help": "write the report JSON here"})),
+        # an unset --powers searches plain powers; --verify rejects a set one
+        "defaults": {"func": _cmd_witness, "powers": None},
+    },
+    "verify": {
+        "parser": {"help": "sampling check of power preservation on a grid"},
+        "arguments": (
+            _GRAPH, "--powers", "--seed", "--format",
+            (("--alphas",), {"required": True,
+                             "help": "comma-separated powers, e.g. 1,1.5,2.5"}),
+            (("--samples",), {"type": int, "default": 200})),
+        "defaults": {"func": _cmd_verify},
+    },
+    "families": {
+        "parser": {"help": "closed-form critical exponents of the named chordal families"},
+        "arguments": ("--seed", "--format",
+                      (("--max-n",), {"type": int, "default": 10, "dest": "max_n"})),
+        "defaults": {"func": _cmd_families},
+    },
+    "scan": {
+        "parser": {"help": "CE = r - 2 consistency scan over edge-list blocks"},
+        "arguments": (
+            (("stream_file",), {"help": "file of edge lists, blocks separated by blank lines"}),
+            "--powers", "--seed", "--budget"),
+        "defaults": {"func": _cmd_scan},
+    },
+}
+
+
 @functools.cache
-def build_parser():
-    """The argument parser, built once per process: parse_args returns a
-    fresh namespace each call, and no argument has a mutable default."""
+def build_parser(command=None):
+    """The argument parser, built once per process and argument: with a
+    subcommand name it carries that subcommand alone, with none all six.
+    parse_args returns a fresh namespace each call, and no argument has a
+    mutable default."""
     parser = _Parser(
         prog="hadamard-powers",
         description="Entrywise powers preserving positive semidefiniteness "
                     "on graph-structured cones.")
-    sub = parser.add_subparsers(dest="command", required=True)
-
-    p = sub.add_parser("ce", help="critical exponent (exact for chordal graphs, "
-                                  "numeric bracket otherwise)")
-    _add_graph_arguments(p)
-    _add_run_arguments(p, ["--powers", "--seed", "--budget", "--format"])
-    p.set_defaults(func=_cmd_ce)
-
-    p = sub.add_parser("hset", help="symbolic set of positivity-preserving powers")
-    _add_graph_arguments(p)
-    _add_run_arguments(p, ["--powers", "--format"])
-    p.set_defaults(func=_cmd_hset)
-
-    p = sub.add_parser(
-        "witness", help="search for a power-map counterexample",
-        epilog="Report JSON fields: graph, alpha, family, matrix, image_min_eigenvalue, "
-               "construction, and, for witnesses proved by interval arithmetic, "
-               "certificate: {factor (the columns of F, matrix = F F^T), test_vector "
-               "(decimal strings), digits (working precision)}. Without a certificate "
-               "the proof is the float least eigenvalue of the power image.")
-    _add_graph_arguments(p)
-    _add_run_arguments(p, ["--powers", "--seed", "--budget"])
-    p.add_argument("--alpha", type=float, default=None)
-    p.add_argument("--verify", metavar="FILE", default=None,
-                   help="re-verify a stored witness report instead of searching; "
-                        "takes no other flag")
-    p.add_argument("-o", "--output", default=None, help="write the report JSON here")
-    # an unset --powers searches plain powers; --verify rejects a set one
-    p.set_defaults(func=_cmd_witness, powers=None)
-
-    p = sub.add_parser("verify", help="sampling check of power preservation on a grid")
-    _add_graph_arguments(p)
-    _add_run_arguments(p, ["--powers", "--seed", "--format"])
-    p.add_argument("--alphas", required=True, help="comma-separated powers, e.g. 1,1.5,2.5")
-    p.add_argument("--samples", type=int, default=200)
-    p.set_defaults(func=_cmd_verify)
-
-    p = sub.add_parser("families", help="closed-form critical exponents of the "
-                                        "named chordal families")
-    _add_run_arguments(p, ["--seed", "--format"])
-    p.add_argument("--max-n", type=int, default=10, dest="max_n")
-    p.set_defaults(func=_cmd_families)
-
-    p = sub.add_parser("scan", help="CE = r - 2 consistency scan over edge-list blocks")
-    p.add_argument("stream_file", help="file of edge lists, blocks separated by blank lines")
-    _add_run_arguments(p, ["--powers", "--seed", "--budget"])
-    p.set_defaults(func=_cmd_scan)
+    # one subcommand's parser still prints every name in the top-level usage
+    # line, as on an unrecognized argument; the full parser sets no metavar,
+    # which would rename the command in its own missing and invalid choice
+    # errors
+    metavar = None if command is None else "{" + ",".join(_COMMANDS) + "}"
+    sub = parser.add_subparsers(dest="command", required=True, metavar=metavar)
+    for name in _COMMANDS if command is None else [command]:
+        spec = _COMMANDS[name]
+        p = sub.add_parser(name, **spec["parser"])
+        for arg in spec["arguments"]:
+            if arg == _GRAPH:
+                _add_graph_arguments(p)
+            elif isinstance(arg, str):
+                p.add_argument(arg, **_RUN_FLAGS[arg])
+            else:
+                p.add_argument(*arg[0], **arg[1])
+        p.set_defaults(**spec["defaults"])
     return parser
 
 
 def main(argv=None):
-    parser = build_parser()
+    argv = sys.argv[1:] if argv is None else argv
+    parser = build_parser(argv[0] if argv and argv[0] in _COMMANDS else None)
     args = parser.parse_args(argv)
     try:
         _resolve_config(args)

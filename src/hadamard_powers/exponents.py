@@ -1083,38 +1083,45 @@ def estimate_ce_numeric(g, family="plain", budget=None, seed=0):
     power above it with no witness, capped by n - 2. Powers that
     expected_hset proves in the set (its exact set, or the inner bound of a
     partial one) count as tested with no witness and are not searched, so
-    an upper end there is proven. Every other upper end only means the
-    search found no witness. A power it proves outside the set counts as
-    refuted, as a witnessed one does, and is not searched either. The
-    searches read one generator, np.random.default_rng(seed), built at
-    their first draw. Returns (lower, upper).
+    an upper end there is proven. The walk visits none above the proven
+    range: of the grid powers from its ray up, all in the set, it reads only
+    the least, as the upper end should the next one down be refuted. Every
+    other upper end only means the search found no witness. A power it proves outside the set counts as refuted, as a
+    witnessed one does, and is not searched either. The searches read one
+    generator, np.random.default_rng(seed), built at their first draw.
+    Returns (lower, upper).
     """
     _check_family(family)
     if g.n < 2:
         raise ValueError(f"need at least 2 vertices, got {g.n}")
     if budget is not None and budget < 1:  # checked here too: the walk may search nothing
         raise ValueError(f"budget must be >= 1, got {budget}")
-    hi = float(g.n - 2)
-    grid = []
-    k = 1
-    while k * GRID_STEP <= hi + 1e-12:
-        a = k * GRID_STEP
-        if abs(a - round(a)) > 1e-9:
-            grid.append(a)
-        k += 1
-    if not grid:
+    if g.n == 2:  # no grid power in (0, 0]
         return 0.0, 0.0
+    hi = float(g.n - 2)
+    per_unit = round(1 / GRID_STEP)
+    top = (g.n - 2) * per_unit  # the grid power k * GRID_STEP is n - 2
     known = expected_hset(g, family)
+    # off the integers, a power is "in" from here on: the ray of the exact
+    # set, or the inner ray of a partial one past every exclusion it names
+    start = known.ray_start if known.exact else max(
+        [known.inner.ray_start, *(x + 1e-9 for x in known.exclusions)])
+    lowest = max(math.ceil(start / GRID_STEP), 1) if start <= hi else top + 1
+    if lowest % per_unit == 0:
+        lowest += 1
+    prev_above = lowest * GRID_STEP if lowest <= top else None
     rng = _LazyGenerator(seed)
     point_budget = budget if budget is not None else 120
-    prev_above = None
-    for a in reversed(grid):
+    for k in range(lowest - 1, 0, -1):
+        if k % per_unit == 0:
+            continue
+        a = k * GRID_STEP
         proof = known.classify(a)
         if proof == "out" or (proof == "unknown" and find_counterexample(
                 g, a, family, point_budget, seed=rng) is not None):
             return a, prev_above if prev_above is not None else hi
         prev_above = a
-    return 0.0, grid[0]
+    return 0.0, prev_above
 
 
 def conjecture_scan(graphs, family="plain", *, budget=None, seed=0):

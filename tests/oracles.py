@@ -4,12 +4,14 @@ computed by a route that shares no code with GraphAnalysis.near_complete;
 for the 4-cycle of
 GraphAnalysis.even_cycle, by a scan that shares none with its search; for
 chordality, by a subset search that shares none with Lex-BFS; for the clique
-tree, by rescanning neighbor sets in place of the Lex-BFS lists; and for the
-edge-list parser, by the earlier two-pass parser."""
+tree, by rescanning neighbor sets in place of the Lex-BFS lists; for the
+edge-list parser, by the earlier two-pass parser; and for the numeric CE
+walk, by classifying every power of its grid."""
 
 import itertools
 import re
 
+from hadamard_powers import exponents
 from hadamard_powers.chordal import _bron_kerbosch, _lex_bfs
 from hadamard_powers.graphs import Graph, GraphParseError
 
@@ -207,3 +209,34 @@ def parse_edge_list(text):
         if i > n or j > n:
             raise GraphParseError(f"line {lineno}: label exceeds declared vertex count {n}")
     return Graph.from_edges(n, [(i, j) for _, i, j in pairs])
+
+
+def estimate_ce_by_full_walk(g, family="plain", budget=None, seed=0):
+    """exponents.estimate_ce_numeric by its earlier walk: the list of every
+    non-integer multiple of GRID_STEP in (0, n - 2], each classified from the
+    top down and searched where expected_hset leaves it unknown, the proven
+    powers above the search included. exponents.find_counterexample is read
+    at each call, so a test wrapping it sees this walk's searches too."""
+    if g.n < 2:
+        raise ValueError(f"need at least 2 vertices, got {g.n}")
+    hi = float(g.n - 2)
+    grid = []
+    k = 1
+    while k * exponents.GRID_STEP <= hi + 1e-12:
+        a = k * exponents.GRID_STEP
+        if abs(a - round(a)) > 1e-9:
+            grid.append(a)
+        k += 1
+    if not grid:
+        return 0.0, 0.0
+    known = exponents.expected_hset(g, family)
+    rng = exponents._LazyGenerator(seed)
+    point_budget = budget if budget is not None else 120
+    prev_above = None
+    for a in reversed(grid):
+        proof = known.classify(a)
+        if proof == "out" or (proof == "unknown" and exponents.find_counterexample(
+                g, a, family, point_budget, seed=rng) is not None):
+            return a, prev_above if prev_above is not None else hi
+        prev_above = a
+    return 0.0, grid[0]

@@ -503,6 +503,61 @@ def test_main_calls_share_no_parsed_state(capsys, monkeypatch):
     assert seeds == [5, 0, 7]
 
 
+def _parse(capsys, parser, argv):
+    """(exit code or None, stdout, stderr, namespace or None) of one parse."""
+    try:
+        args, code = parser.parse_args(argv), None
+    except SystemExit as exc:
+        args, code = None, exc.code
+    captured = capsys.readouterr()
+    return code, captured.out, captured.err, args
+
+
+_VALID_CALLS = {
+    "ce": ["ce", "--family", "cycle", "--n", "9", "--seed", "3", "--format", "json"],
+    "hset": ["hset", "g.edges", "--powers", "odd"],
+    "witness": ["witness", "--family", "complete", "--n", "5", "--alpha", "2.5", "-o", "w.json"],
+    "verify": ["verify", "--family", "band", "--n", "6", "--d", "2", "--alphas", "1.5"],
+    "families": ["families", "--max-n", "4", "--format", "json"],
+    "scan": ["scan", "stream.txt", "--powers", "even", "--budget", "3"],
+}
+
+
+@pytest.mark.parametrize("argv, code", [
+    *(([name, "--help"], 0) for name in _VALID_CALLS),
+    *(([*argv, "--bogus"], 2) for argv in _VALID_CALLS.values()),
+    (["verify", "--family", "cycle", "--n", "5"], 2),
+    (["witness", "--verify", "f", "--alpha", "2"], None),  # main rejects it after parsing
+    (["witness", "--alpha", "-1e6"], None),
+    *((argv, None) for argv in _VALID_CALLS.values()),
+], ids=lambda x: " ".join(x) if isinstance(x, list) else str(x))
+def test_one_subcommand_parser_parses_as_the_full_parser(capsys, argv, code):
+    # help, usage lines and errors included: an unrecognized argument is
+    # reported with the top-level usage, which names every subcommand
+    got = _parse(capsys, cli.build_parser(argv[0]), argv)
+    assert got == _parse(capsys, cli.build_parser(), argv)
+    assert got[0] == code
+    if argv[-1] == "--bogus":
+        assert "{ce,hset,witness,verify,families,scan}" in got[2]
+
+
+def test_main_builds_only_the_invoked_subcommands_parser(capsys, monkeypatch):
+    # the top-level parser and one subparser, where the full parser has seven
+    built = []
+    init = cli._Parser.__init__
+
+    def counted(self, *args, **kwargs):
+        built.append(kwargs.get("prog"))
+        init(self, *args, **kwargs)
+
+    cli.build_parser.cache_clear()
+    monkeypatch.setattr(cli._Parser, "__init__", counted)
+    assert run(capsys, ["families", "--max-n", "3"])[0] == 0
+    assert built == ["hadamard-powers", "hadamard-powers families"]
+    assert run(capsys, ["families", "--max-n", "4"])[0] == 0
+    assert len(built) == 2
+
+
 def test_json_graph_input(capsys, tmp_path):
     p = tmp_path / "g.json"
     p.write_text(json.dumps({"n": 4, "edges": [[1, 2], [2, 3], [3, 4], [1, 3]]}))

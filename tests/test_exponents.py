@@ -64,7 +64,7 @@ from hadamard_powers.graphs import (
     split_graph,
 )
 
-from oracles import clique_formula, max_near_complete_order
+from oracles import clique_formula, estimate_ce_by_full_walk, max_near_complete_order
 
 GRID = [k / 4 for k in range(1, 33)]  # rational grid for set comparisons
 LATTICE_FOR_FAMILY = {"plain": "naturals", "odd": "odd", "even": "even"}
@@ -538,8 +538,8 @@ def _grid(n):
     return [k * STEP for k in range(1, 16 * (n - 2) + 1) if k % 16]
 
 
-def _searched_powers(g, *args, **kwargs):
-    """estimate_ce_numeric's bracket and the powers it searched, in order."""
+def _searched_powers(g, *args, walk=estimate_ce_numeric, **kwargs):
+    """The walk's bracket and the powers it searched, in order."""
     searched = []
 
     def search(g, alpha, *search_args, **search_kwargs):
@@ -548,7 +548,7 @@ def _searched_powers(g, *args, **kwargs):
 
     with pytest.MonkeyPatch.context() as mp:
         mp.setattr(exponents, "find_counterexample", search)
-        return estimate_ce_numeric(g, *args, **kwargs), searched
+        return walk(g, *args, **kwargs), searched
 
 
 def _proven(g, family):
@@ -647,6 +647,43 @@ def test_estimate_past_the_min_fill_work_limit_walks_every_power(monkeypatch):
         known = expected_hset(g, family)
         assert searched == [a for a in reversed(_grid(g.n))
                             if a >= bracket[0] and known.classify(a) == "unknown"]
+
+
+BIPARTITE_UP_TO_8 = st.tuples(st.integers(1, 4), st.integers(1, 4)).flatmap(
+    lambda ab: st.builds(Graph.from_edges, st.just(ab[0] + ab[1]), st.sets(st.sampled_from(
+        [(i, ab[0] + j) for i in range(1, ab[0] + 1) for j in range(1, ab[1] + 1)]))))
+
+
+@settings(max_examples=80, deadline=None)
+@given(st.one_of(CHORDAL_UP_TO_8, st.builds(cycle, st.integers(3, 8)), BIPARTITE_UP_TO_8,
+                 GRAPHS_UP_TO_8, st.builds(random_graph, st.integers(2, 8), st.floats(0, 1),
+                                           st.integers(0, 2**16))),
+       st.sampled_from(["plain", "odd", "even"]))
+@example(cycle(8), "even")  # a partial set with the exclusion 1
+@example(complete_bipartite(3, 4), "odd")  # an inner lattice, ray 3
+@example(_chorded_cycle(7, 1, 3), "plain")  # the sandwich: searches below r(H) - 2
+@example(C5_AND_C4, "even")
+@example(Graph.from_edges(2, [(1, 2)]), "plain")
+def test_estimate_walks_as_the_full_grid_walk(g, family):
+    # starting below the proven range drops only powers the full walk
+    # classifies "in": same bracket, same searches in the same order
+    got = _searched_powers(g, family, budget=4, seed=1)
+    assert got == _searched_powers(g, family, budget=4, seed=1, walk=estimate_ce_by_full_walk)
+
+
+def test_estimate_classifies_no_proven_power(monkeypatch):
+    # cycle(2000) is exactly [1, oo): 1.0625 stands for the 29,955 grid
+    # powers above 1, and 0.9375 is proven out
+    calls = []
+    classify = HSet.classify
+
+    def counted(self, alpha):
+        calls.append(alpha)
+        return classify(self, alpha)
+
+    monkeypatch.setattr(HSet, "classify", counted)
+    assert estimate_ce_numeric(cycle(2000), seed=0) == (0.9375, 1.0625)
+    assert len(calls) <= 2
 
 
 def test_conjecture_scan_small_set():
