@@ -170,10 +170,12 @@ def _cmd_ce(args):
         raise CliError("critical exponents are defined for graphs with >= 2 vertices")
     r = g.analysis.near_complete_order
     out = {"n": g.n, "edge_count": len(g.edges), "r": r, "chordal": is_chordal(g)}
-    if out["chordal"]:
-        out["ce"] = r - 2
-        out["method"] = "exact"
-        text = f"chordal graph: CE = {r - 2} (exact: r - 2 with r = {r})"
+    known = expected_hset(g, args.powers)
+    if known.exact:  # CE is the ray start, and there is nothing to search
+        ce = int(known.ray_start) if known.ray_start.is_integer() else known.ray_start
+        out.update({"ce": ce, "method": "exact"})
+        text = (f"chordal graph: CE = {ce} (exact: r - 2 with r = {r})" if out["chordal"] else
+                f"non-chordal graph: CE = {ce} (exact: {known.describe()}; r - 2 = {r - 2})")
     else:
         lower, upper = estimate_ce_numeric(
             g, args.powers, budget=args.budget, seed=args.seed)
@@ -374,7 +376,7 @@ _GRAPH = "graph"
 #: the defaults set and the handler
 _COMMANDS = {
     "ce": {
-        "parser": {"help": "critical exponent (exact for chordal graphs, "
+        "parser": {"help": "critical exponent (exact where the power set is proven, "
                            "numeric bracket otherwise)"},
         "arguments": (_GRAPH, "--powers", "--seed", "--budget", "--format"),
         "defaults": {"func": _cmd_ce},

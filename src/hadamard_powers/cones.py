@@ -118,11 +118,8 @@ def conforms_to_pattern(m, g):
     m = as_symmetric(m)
     if m.shape[0] != g.n:
         raise ValueError(f"matrix is {m.shape[0]}x{m.shape[0]} but graph has {g.n} vertices")
-    for i in range(1, g.n + 1):
-        for j in range(i + 1, g.n + 1):
-            if m[i - 1, j - 1] != 0.0 and not g.has_edge(i, j):
-                return False
-    return True
+    rows, cols = np.nonzero(np.triu(m, 1))
+    return all(g.has_edge(i + 1, j + 1) for i, j in zip(rows.tolist(), cols.tolist()))
 
 
 def random_psd_for_graph(g, rank_per_clique=1, seed=None, *, eps_diag=0.0,

@@ -1086,10 +1086,11 @@ def estimate_ce_numeric(g, family="plain", budget=None, seed=0):
     an upper end there is proven. The walk visits none above the proven
     range: of the grid powers from its ray up, all in the set, it reads only
     the least, as the upper end should the next one down be refuted. Every
-    other upper end only means the search found no witness. A power it proves outside the set counts as refuted, as a
-    witnessed one does, and is not searched either. The searches read one
-    generator, np.random.default_rng(seed), built at their first draw.
-    Returns (lower, upper).
+    other upper end only means the search found no witness. A power it
+    proves outside the set counts as refuted, as a witnessed one does, and
+    is not searched either. The searches read one generator,
+    np.random.default_rng(seed), built at their first draw. Returns
+    (lower, upper).
     """
     _check_family(family)
     if g.n < 2:

@@ -7,7 +7,6 @@ cliques, the largest near-complete subgraph) live on `Graph.analysis`.
 
 from __future__ import annotations
 
-import bisect
 import itertools
 import operator
 from dataclasses import dataclass
@@ -256,21 +255,22 @@ def random_tree(n, seed=0):
     if n <= 2:
         return path(n)
     rng = np.random.default_rng(seed)
-    pruefer = rng.integers(1, n + 1, size=n - 2)
-    degree = {v: 1 for v in range(1, n + 1)}
+    pruefer = rng.integers(1, n + 1, size=n - 2).tolist()
+    degree = [0] + [1] * n
     for v in pruefer:
-        degree[int(v)] += 1
+        degree[v] += 1
+    # each step joins the least leaf: a pointer sweeps the labels upwards,
+    # and a vertex that becomes a leaf below the pointer is the next one
     edges = []
-    leaves = sorted(v for v in range(1, n + 1) if degree[v] == 1)
+    leaf = ptr = degree.index(1)
     for v in pruefer:
-        v = int(v)
-        leaf = leaves.pop(0)
         edges.append((leaf, v))
         degree[v] -= 1
-        if degree[v] == 1:
-            # keep the leaf pool sorted for determinism
-            bisect.insort(leaves, v)
-    edges.append((leaves[0], leaves[1]))
+        if degree[v] == 1 and v < ptr:
+            leaf = v
+        else:
+            leaf = ptr = degree.index(1, ptr + 1)
+    edges.append((leaf, n))
     return Graph.from_edges(n, edges)
 
 

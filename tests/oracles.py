@@ -5,15 +5,21 @@ for the 4-cycle of
 GraphAnalysis.even_cycle, by a scan that shares none with its search; for
 chordality, by a subset search that shares none with Lex-BFS; for the clique
 tree, by rescanning neighbor sets in place of the Lex-BFS lists; for the
-edge-list parser, by the earlier two-pass parser; and for the numeric CE
-walk, by classifying every power of its grid."""
+edge-list parser, by the earlier two-pass parser; for the numeric CE walk,
+by classifying every power of its grid; for the random tree, by the earlier
+Pruefer decoder's sorted leaf list; and for pattern conformance, by a scan of
+every vertex pair."""
 
+import bisect
 import itertools
 import re
 
+import numpy as np
+
 from hadamard_powers import exponents
 from hadamard_powers.chordal import _bron_kerbosch, _lex_bfs
-from hadamard_powers.graphs import Graph, GraphParseError
+from hadamard_powers.cones import as_symmetric
+from hadamard_powers.graphs import Graph, GraphParseError, path
 
 
 def _adjacency_masks(g):
@@ -240,3 +246,37 @@ def estimate_ce_by_full_walk(g, family="plain", budget=None, seed=0):
             return a, prev_above if prev_above is not None else hi
         prev_above = a
     return 0.0, grid[0]
+
+
+def random_tree_by_sorted_leaves(n, seed=0):
+    """graphs.random_tree by its earlier decoder: the leaves kept in a sorted
+    list, the least popped off its front."""
+    if n <= 2:
+        return path(n)
+    rng = np.random.default_rng(seed)
+    pruefer = rng.integers(1, n + 1, size=n - 2)
+    degree = {v: 1 for v in range(1, n + 1)}
+    for v in pruefer:
+        degree[int(v)] += 1
+    edges = []
+    leaves = sorted(v for v in range(1, n + 1) if degree[v] == 1)
+    for v in pruefer:
+        v = int(v)
+        edges.append((leaves.pop(0), v))
+        degree[v] -= 1
+        if degree[v] == 1:
+            bisect.insort(leaves, v)
+    edges.append((leaves[0], leaves[1]))
+    return Graph.from_edges(n, edges)
+
+
+def conforms_by_pair_scan(m, g):
+    """cones.conforms_to_pattern by its earlier loop over every vertex pair."""
+    m = as_symmetric(m)
+    if m.shape[0] != g.n:
+        raise ValueError(f"matrix is {m.shape[0]}x{m.shape[0]} but graph has {g.n} vertices")
+    for i in range(1, g.n + 1):
+        for j in range(i + 1, g.n + 1):
+            if m[i - 1, j - 1] != 0.0 and not g.has_edge(i, j):
+                return False
+    return True

@@ -1,15 +1,33 @@
 """Command line surface: flags, exit codes, determinism, and wire formats."""
 
 import argparse
+import contextlib
+import io
 import json
+import tempfile
 from pathlib import Path
 
 import pytest
+from hypothesis import example, given, settings
+from hypothesis import strategies as st
 
 from hadamard_powers import cli
 from hadamard_powers.cli import main
-from hadamard_powers.exponents import WitnessReport, find_counterexample
-from hadamard_powers.graphs import FAMILY_GENERATORS, cycle, near_complete, to_edge_list
+from hadamard_powers.exponents import (
+    WitnessReport,
+    estimate_ce_numeric,
+    expected_hset,
+    find_counterexample,
+)
+from hadamard_powers.graphs import (
+    FAMILY_GENERATORS,
+    Graph,
+    complete,
+    complete_bipartite,
+    cycle,
+    near_complete,
+    to_edge_list,
+)
 
 FIXTURES = Path(__file__).resolve().parent / "fixtures"
 
@@ -42,17 +60,27 @@ def test_ce_complete_two(capsys):
     assert code == 0 and "CE = 0" in out
 
 
-def test_ce_four_cycle_is_heuristic(capsys, c4_file):
+def _chorded_cycle_file(tmp_path, n, a, b):
+    """An edge-list file of the n-cycle with the chord a-b: neither a cycle
+    nor bipartite, so expected_hset leaves its set partial and ce walks."""
+    p = tmp_path / f"c{n}-{a}-{b}.edges"
+    p.write_text(to_edge_list(Graph.from_edges(n, [*cycle(n).edges, (a, b)])))
+    return str(p)
+
+
+def test_ce_four_cycle_is_exact(capsys, c4_file):
+    # the cycle theorem: exactly [1, oo) for plain powers, [2, oo) for even
     code, out, _ = run(capsys, ["ce", c4_file, "--seed", "1", "--budget", "60"])
     assert code == 0
-    assert "heuristic" in out
-    assert "CE bracket" in out
-    low, high = out.split("[")[1].split("]")[0].split(",")
-    assert float(low) <= 1.0 <= float(high)
+    assert out == "non-chordal graph: CE = 1 (exact: [1, ∞); r - 2 = 1)\n"
+    code, out, _ = run(capsys, ["ce", c4_file, "--powers", "even", "--format", "json"])
+    assert code == 0
+    assert json.loads(out) == {"ce": 2, "chordal": False, "edge_count": 4, "method": "exact",
+                               "n": 4, "r": 3}
 
 
-def test_ce_json_is_deterministic(capsys):
-    argv = ["ce", "--family", "cycle", "--n", "5", "--seed", "7", "--format", "json",
+def test_ce_json_is_deterministic(capsys, tmp_path):
+    argv = ["ce", _chorded_cycle_file(tmp_path, 5, 1, 3), "--seed", "7", "--format", "json",
             "--budget", "40"]
     code1, out1, _ = run(capsys, argv)
     code2, out2, _ = run(capsys, argv)
@@ -63,10 +91,10 @@ def test_ce_json_is_deterministic(capsys):
     assert data["bracket_lower"] <= 1.0 <= data["bracket_upper"]
 
 
-def test_ce_on_cycle_80_searches_only_below_the_triangulation_bound(capsys):
-    # a triangulated cycle has r(H) = 4, so only the powers in (0, 2) are
-    # searched; walking all of (0, 78] took seconds
-    argv = ["ce", "--family", "cycle", "--n", "80", "--seed", "3", "--format", "json"]
+def test_ce_on_cycle_80_searches_only_below_the_triangulation_bound(capsys, tmp_path):
+    # the chorded cycle's triangulation has r(H) = 4, so only the powers in
+    # (0, 2) are searched; walking all of (0, 78] took seconds
+    argv = ["ce", _chorded_cycle_file(tmp_path, 80, 1, 41), "--seed", "3", "--format", "json"]
     code, out, _ = run(capsys, argv)
     assert code == 0
     data = json.loads(out)
@@ -75,13 +103,80 @@ def test_ce_on_cycle_80_searches_only_below_the_triangulation_bound(capsys):
 
 # `ce --format json` records of an earlier version of the search. Brackets are
 # grid values, so they do not depend on the BLAS build; a change to a budget
-# or an RNG stream that moves them shows here.
+# or an RNG stream that moves them shows here. The 8-cycle and K_{2,4} (even
+# powers) have sets expected_hset proves exact, so their records are exact.
 @pytest.mark.parametrize("case", json.loads((FIXTURES / "ce_brackets.json").read_text()),
                          ids=lambda case: " ".join(case["argv"][1:-2]))
 def test_ce_brackets_are_pinned(capsys, case):
     code, out, _ = run(capsys, case["argv"])
     assert code == 0
     assert json.loads(out) == case["output"]
+
+
+CE_GRAPHS = st.one_of(
+    st.integers(2, 8).flatmap(lambda n: st.builds(
+        Graph.from_edges, st.just(n),
+        st.sets(st.sampled_from([(i, j) for i in range(1, n + 1) for j in range(i + 1, n + 1)])))),
+    st.builds(cycle, st.integers(3, 8)),
+    st.builds(complete_bipartite, st.integers(1, 4), st.integers(1, 4)))
+
+
+@settings(max_examples=40, deadline=None)
+@given(CE_GRAPHS, st.sampled_from(["plain", "odd", "even"]), st.integers(0, 2**16))
+@example(cycle(8), "even", 0)  # partial: the cycle theorem's sandwich with 1 excluded
+@example(complete_bipartite(3, 4), "odd", 0)  # partial: an inner lattice, ray 3
+@example(Graph.from_edges(5, [*cycle(5).edges, (1, 3)]), "plain", 0)  # the r/r(H) sandwich
+@example(Graph.from_edges(8, [*cycle(4).edges, (5, 6), (6, 7), (7, 8), (5, 8)]), "even", 0)
+def test_ce_is_exact_exactly_where_expected_hset_is(g, family, seed):
+    with tempfile.TemporaryDirectory() as tmp:
+        path = Path(tmp) / "g.edges"
+        path.write_text(to_edge_list(g))
+        out = io.StringIO()
+        with contextlib.redirect_stdout(out):
+            code = main(["ce", str(path), "--powers", family, "--seed", str(seed),
+                         "--budget", "3", "--format", "json"])
+    assert code == 0
+    data = json.loads(out.getvalue())
+    known = expected_hset(g, family)
+    if known.exact:
+        assert data == {"n": g.n, "edge_count": len(g.edges), "r": g.analysis.near_complete_order,
+                        "chordal": g.analysis.is_chordal, "ce": known.ray_start,
+                        "method": "exact"}
+        assert isinstance(data["ce"], int) == known.ray_start.is_integer()
+    else:
+        assert data["method"] == "heuristic"
+        assert (data["bracket_lower"], data["bracket_upper"]) == estimate_ce_numeric(
+            g, family, budget=3, seed=seed)
+
+
+def test_ce_walks_no_grid_on_a_proven_set(capsys, monkeypatch, tmp_path):
+    # cycles and K_{2,b} by their theorems, K_250 plus a disjoint 4-cycle by
+    # the sandwich (r(H) = r) and the component intersection, and the
+    # bipartite grid: each set is exact, so ce reads CE off its ray
+    calls = []
+
+    def counted(*args, **kwargs):
+        calls.append(args)
+        return estimate_ce_numeric(*args, **kwargs)
+
+    monkeypatch.setattr(cli, "estimate_ce_numeric", counted)
+    k250c4 = tmp_path / "k250c4.edges"
+    k250c4.write_text(to_edge_list(Graph.from_edges(
+        254, [*complete(250).edges, (251, 252), (252, 253), (253, 254), (251, 254)])))
+    grid = tmp_path / "grid30.edges"
+    grid.write_text(to_edge_list(Graph.from_edges(
+        900, [(30 * r + c + 1, 30 * r + c + 2) for r in range(30) for c in range(29)]
+        + [(30 * r + c + 1, 30 * r + c + 31) for r in range(29) for c in range(30)])))
+    cases = [(["--family", "cycle", "--n", str(n)], 1) for n in range(4, 21)]
+    cases += [(["--family", "complete-bipartite", "--a", "2", "--b", str(b), "--powers", family],
+               ce) for b in range(2, 7) for family, ce in (("plain", 1), ("even", 2))]
+    cases += [([str(k250c4)], 248), ([str(grid)], 1)]
+    for argv, ce in cases:
+        code, out, _ = run(capsys, ["ce", *argv, "--seed", "1", "--format", "json"])
+        assert code == 0, argv
+        data = json.loads(out)
+        assert (data["method"], data["ce"]) == ("exact", ce), argv
+    assert calls == []
 
 
 # `hset --format json` output of an earlier version, byte for byte, for 49
@@ -700,9 +795,9 @@ def test_verify_rejects_a_graph_without_vertices(capsys, tmp_path):
     assert "graph must have at least one vertex" in err
 
 
-def test_ce_on_cycle_past_twenty_vertices(capsys):
-    code, out, err = run(capsys, ["ce", "--family", "cycle", "--n", "21", "--budget", "20",
-                                  "--seed", "0", "--format", "json"])
+def test_ce_on_cycle_past_twenty_vertices(capsys, tmp_path):
+    code, out, err = run(capsys, ["ce", _chorded_cycle_file(tmp_path, 21, 1, 11), "--budget",
+                                  "20", "--seed", "0", "--format", "json"])
     assert code == 0, err
     data = json.loads(out)
     assert data["r"] == 3

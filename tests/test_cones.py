@@ -1,9 +1,12 @@
 """Numerical layer: powers, PSD testing, splittings, and factorizations."""
 
+import itertools
 import json
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from hadamard_powers.chordal import Decomposition, decompose
 from hadamard_powers.cones import (
@@ -23,6 +26,8 @@ from hadamard_powers.cones import (
     witness_matrix,
 )
 from hadamard_powers.graphs import Graph, cycle, random_chordal
+
+import oracles
 
 D3 = Decomposition(frozenset({1}), frozenset({2}), frozenset({3}))
 M3 = np.array([[1.0, 1.0, 0.0], [1.0, 2.0, 1.0], [0.0, 1.0, 1.0]])
@@ -56,6 +61,22 @@ def test_conforms_to_pattern_examples():
     assert conforms_to_pattern(m, cycle(4))
     with pytest.raises(ValueError):
         conforms_to_pattern(np.eye(3), cycle(4))
+
+
+@settings(max_examples=200, deadline=None)
+@given(st.integers(2, 8).flatmap(lambda n: st.tuples(
+    st.sets(st.sampled_from(list(itertools.combinations(range(1, n + 1), 2)))),
+    st.dictionaries(st.sampled_from(list(itertools.combinations(range(1, n + 1), 2))),
+                    st.sampled_from([1.0, -2.5, 5e-324, -0.0])),
+    st.just(n))))
+def test_conforms_to_pattern_as_the_pair_scan(case):
+    # every density of pattern and of support; -0.0 is a zero entry
+    edges, support, n = case
+    g = Graph.from_edges(n, edges)
+    m = np.eye(n)
+    for (i, j), x in support.items():
+        m[i - 1, j - 1] = m[j - 1, i - 1] = x
+    assert conforms_to_pattern(m, g) == oracles.conforms_by_pair_scan(m, g)
 
 
 def test_entrywise_power_identity_at_one():

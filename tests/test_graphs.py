@@ -211,6 +211,15 @@ def test_tree_is_a_tree():
         assert len(connected_components(t)) == 1
 
 
+@settings(max_examples=150, deadline=None)
+@given(st.integers(1, 400), st.integers(0, 2**32 - 1))
+@example(3, 0)
+@example(1000, 3)
+def test_random_tree_decodes_as_the_sorted_leaf_list(n, seed):
+    # the pointer sweep joins the least leaf, as the sorted list's front did
+    assert random_tree(n, seed=seed).edges == oracles.random_tree_by_sorted_leaves(n, seed).edges
+
+
 def test_induced_subgraph():
     tri, mapping = induced_subgraph(complete(3), {1, 2})
     assert tri == path(2) and mapping == {1: 1, 2: 2}
