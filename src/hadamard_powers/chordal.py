@@ -32,31 +32,62 @@ class NotChordalError(ValueError):
 
 def is_perfect_elimination_order(g, order):
     """Check that each vertex's later neighbors form a clique, by the
-    parent test (_parent_test) on the neighbors each vertex has later in
-    `order`, listed from the back of the order."""
+    parent test (_parent_test) with the order read from the back, as a
+    Lex-BFS visit order: a vertex's later neighbors are those it meets
+    first, the earliest of them its parent."""
     if sorted(order) != list(g.vertices):
         raise ValueError("order must be a permutation of the vertices")
-    later = [[] for _ in range(g.n + 1)]
-    done = [False] * (g.n + 1)
-    for v in reversed(order):
-        done[v] = True
-        for w in g.neighbors(v):
-            if not done[w]:
-                later[w].append(v)
-    return _parent_test(g, later)
+    near = g._adjacency
+    pos = [-1] * (g.n + 1)
+    for k, v in enumerate(reversed(order)):
+        pos[v] = k
+    parent = [0] * (g.n + 1)
+    count = [0] * (g.n + 1)
+    for v in g.vertices:
+        here, last = pos[v], -1
+        for w in near[v]:
+            k = pos[w]
+            if k < here:
+                count[v] += 1
+                if k > last:
+                    last, parent[v] = k, w
+    return _parent_test(near, pos, parent, count)
 
 
-def _parent_test(g, later):
-    """True iff each later[v], v's neighbors after it in an elimination
-    order, listed from the back of the order, is a clique.
+def _parent_test(near, pos, parent, count):
+    """True iff, in the order of `pos`, each vertex's neighbors placed
+    before it form a clique, given their number count[v] and parent[v], the
+    last of them (0 when there is none).
 
     In O(n + m) by the parent test (Tarjan-Yannakakis 1984, SIAM J. Comput.
-    13(3)): for each v with later neighbors, p the earliest of them (the
-    last listed), the others must all be neighbors of p. By induction from
-    the back of the order, that makes every later neighborhood a clique.
+    13(3)): the other earlier neighbors of each v must all be neighbors of
+    its parent p. By induction along the order, that makes every earlier
+    neighborhood a clique. The children of each parent are grouped, so one
+    marking pass over N(p) serves them all; a child whose parent is its
+    only earlier neighbor has nothing to check.
     """
-    nbrs = g.neighbors
-    return all(nbrs(ws[-1]).issuperset(ws[:-1]) for ws in later if ws)
+    n = len(near) - 1
+    first = [0] * (n + 1)  # a child of p to check, and its next siblings
+    sibling = [0] * (n + 1)
+    for v in range(1, n + 1):
+        if count[v] > 1:
+            p = parent[v]
+            sibling[v] = first[p]
+            first[p] = v
+    mark = [0] * (n + 1)
+    for p in range(1, n + 1):
+        v = first[p]
+        if not v:
+            continue
+        for w in near[p]:
+            mark[w] = p
+        limit = pos[p]
+        while v:
+            for w in near[v]:
+                if pos[w] < limit and mark[w] != p:
+                    return False
+            v = sibling[v]
+    return True
 
 
 def is_chordal(g):
@@ -71,11 +102,11 @@ def find_chordless_cycle(g):
     path avoiding the rest of N[v] closes up with v into a chordless cycle.
     """
     for v in g.vertices:
-        nbrs = sorted(g.neighbors(v))
-        for x, y in itertools.combinations(nbrs, 2):
+        near = g._adjacency[v]
+        for x, y in itertools.combinations(near, 2):
             if g.has_edge(x, y):
                 continue
-            blocked = (g.neighbors(v) | {v}) - {x, y}
+            blocked = {v, *near} - {x, y}
             path = _shortest_path_avoiding(g, x, y, blocked)
             if path is not None:
                 return [v] + path
@@ -93,7 +124,7 @@ def _shortest_path_avoiding(g, source, target, blocked):
                 path.append(u)
                 u = prev[u]
             return path[::-1]
-        for w in sorted(g.neighbors(u)):
+        for w in g._adjacency[u]:
             if w not in prev and w not in blocked:
                 prev[w] = u
                 queue.append(w)
@@ -158,11 +189,12 @@ class GraphAnalysis:
 
     @cached_property
     def _lex_bfs_pass(self):
-        """The one search of the graph: the visit order and earlier
-        neighbors of _lex_bfs, and the chains of _lex_bfs_chains."""
-        visit, before = _lex_bfs(self.graph)
-        starts, extends = _lex_bfs_chains(visit, before)
-        return visit, before, starts, extends
+        """The one search of the graph: the visit order, positions, parents
+        and earlier-neighbor counts of _lex_bfs, and the chains of
+        _lex_bfs_chains."""
+        visit, pos, parent, count = _lex_bfs(self.graph)
+        starts, extends = _lex_bfs_chains(visit, parent, count)
+        return visit, pos, parent, count, starts, extends
 
     @cached_property
     def order(self):
@@ -173,7 +205,8 @@ class GraphAnalysis:
     def is_chordal(self):
         """The parent test on the elimination order: the neighbors visited
         before v are its later neighbors, the last of them its parent."""
-        return _parent_test(self.graph, self._lex_bfs_pass[1])
+        _, pos, parent, count, _, _ = self._lex_bfs_pass
+        return _parent_test(self.graph._adjacency, pos, parent, count)
 
     @cached_property
     def clique_tree(self):
@@ -184,14 +217,16 @@ class GraphAnalysis:
 
         Raises NotChordalError for any other graph.
         """
-        _require_chordal(self.graph)
-        _, before, starts, extends = self._lex_bfs_pass
+        g = self.graph
+        _require_chordal(g)
+        near = g._adjacency
+        _, pos, _, _, starts, extends = self._lex_bfs_pass
         cliques, seps = [], []
         for h in starts:
-            seps.append(frozenset(before[h]))
+            seps.append(frozenset(_visited_before(near, pos, h)))
             while extends[h]:
                 h = extends[h]
-            cliques.append(frozenset([h, *before[h]]))
+            cliques.append(frozenset([h, *_visited_before(near, pos, h)]))
         return tuple(cliques), tuple(seps)
 
     @cached_property
@@ -199,18 +234,20 @@ class GraphAnalysis:
         """All maximal cliques as frozensets, sorted by their sorted labels.
 
         The one place choosing the route: the clique tree of a chordal graph,
-        else Bron-Kerbosch.
+        the edges of a triangle-free one, else Bron-Kerbosch.
         """
-        if not self.is_chordal:
-            return _bron_kerbosch(self.graph)
-        return tuple(sorted(self.clique_tree[0], key=sorted))
+        if self.is_chordal:
+            return tuple(sorted(self.clique_tree[0], key=sorted))
+        return _triangle_free_cliques(self.graph) or _bron_kerbosch(self.graph)
 
     @cached_property
     def clique_number(self):
-        """omega, the size of a largest clique; a chordal graph reads it off
-        the clique tree, without sorting the cliques."""
-        cliques = self.clique_tree[0] if self.is_chordal else self.maximal_cliques
-        return max(map(len, cliques), default=0)
+        """omega, the size of a largest clique; on a chordal graph one more
+        than the most neighbors a vertex has visited before it, with no
+        clique built."""
+        if self.is_chordal:
+            return max(self._lex_bfs_pass[3]) + 1 if self._n else 0
+        return max(map(len, self.maximal_cliques), default=0)
 
     @cached_property
     def near_complete(self):
@@ -226,45 +263,45 @@ class GraphAnalysis:
         no two of them are adjacent, or they would close an
         (omega + 1)-clique. On a chordal graph the faces are the clique
         tree's separators of size omega - 1 (two cliques meet inside every
-        separator on the tree path between them), else the
-        (omega - 1)-subsets of the maximum cliques. The pair (v1, v2) is the
-        least, over the faces, of a face's two least members: the first
-        non-adjacent pair in label order reaching omega + 1. S is the first
-        largest intersection of their common neighborhood with a maximal
-        clique; on a chordal graph that neighborhood is a clique (two
-        non-adjacent common neighbors would close a chordless 4-cycle), the
-        face itself. With no face of two members r = max(omega, 2), and the
-        certificate splits the first largest maximal clique.
+        separator on the tree path between them), read off the Lex-BFS
+        chains with no clique built, else the (omega - 1)-subsets of the
+        maximum cliques. The pair (v1, v2) is the least, over the faces, of
+        a face's two least members: the first non-adjacent pair in label
+        order reaching omega + 1. S is the first largest intersection of
+        their common neighborhood with a maximal clique; on a chordal graph
+        that neighborhood is a clique (two non-adjacent common neighbors
+        would close a chordless 4-cycle), the face itself. With no face of
+        two members r = max(omega, 2), and the certificate splits the first
+        largest maximal clique.
         """
         g = self.graph
         if g.n < 2:
             raise ValueError(f"need at least 2 vertices, got {g.n}")
-        omega, nbrs = self.clique_number, g.neighbors
+        near, omega = g._adjacency, self.clique_number
         if self.is_chordal:
-            cliques, separators = self.clique_tree
-            k = omega - 1
-            # an edgeless graph's empty face is left to the split, which
-            # gives the same certificate (2, 1, (), 2)
-            faces = {s for s in separators if len(s) == k and s}
-            members = [frozenset.intersection(*map(nbrs, s)) for s in faces]
+            _, pos, _, count, starts, _ = self._lex_bfs_pass
+            found = _least_face_pair(near, pos, count, starts, omega - 1)
+            if found is not None:
+                v1, v2, face = found
+                return omega + 1, v1, face, v2
+            verts = min(sorted([v, *_visited_before(near, pos, v)])
+                        for v in g.vertices if count[v] == omega - 1)
         else:
             cliques, faces = self.maximal_cliques, {}
             for c in cliques:
                 if len(c) == omega:
                     for x in c:
                         faces.setdefault(c - {x}, []).append(x)
-            members = faces.values()
-        pair = min((sorted(m)[:2] for m in members if len(m) > 1), default=None)
-        if pair is None:
+            pair = min((sorted(m)[:2] for m in faces.values() if len(m) > 1), default=None)
+            if pair is not None:
+                v1, v2 = pair
+                common = set(near[v1]).intersection(near[v2])
+                common = max((c & common for c in cliques), key=len)
+                return omega + 1, v1, tuple(sorted(common)), v2
             verts = min(sorted(c) for c in cliques if len(c) == omega)
-            if len(verts) < 2:
-                verts = [1, 2]
-            return len(verts), verts[0], tuple(verts[1:-1]), verts[-1]
-        v1, v2 = pair
-        common = nbrs(v1) & nbrs(v2)
-        if not self.is_chordal:
-            common = max((c & common for c in cliques), key=len)
-        return omega + 1, v1, tuple(sorted(common)), v2
+        if len(verts) < 2:
+            verts = [1, 2]
+        return len(verts), verts[0], tuple(verts[1:-1]), verts[-1]
 
     @property
     def near_complete_order(self):
@@ -316,11 +353,14 @@ class GraphAnalysis:
 
 def _lex_bfs(g):
     """One lexicographic breadth-first search (Rose-Tarjan-Lueker 1976,
-    SIAM J. Comput. 5(2)) by partition refinement, in O(n + m).
+    SIAM J. Comput. 5(2)) by partition refinement, in O(n + m), over the
+    neighbor lists in ascending label order, so that equal graphs give
+    equal orders.
 
-    Returns (visit, before): the visit order, and per vertex v the list of
-    its neighbors visited before it, in visit order (E(v), the later
-    neighbors in the reversed order; the last of them is v's parent). The
+    Returns (visit, pos, parent, count): the visit order, each vertex's
+    slot in it, and per vertex v the last of its neighbors visited before
+    it (its parent, 0 if none) and their number. The neighbors visited
+    before v are E(v), its later neighbors in the reversed order. The
     unvisited vertices sit in `visit` as contiguous cells; visiting v
     moves each unvisited neighbor to the front of its cell, into the cell
     split off just before it in this round, so the next vertex is always
@@ -328,21 +368,23 @@ def _lex_bfs(g):
     slot, start[c] is where cell c begins, split[c] the cell last split off
     c and made[d] the round that made cell d.
     """
-    nbrs = g.neighbors
+    near = g._adjacency
     n = g.n
     visit = list(g.vertices)
     pos = list(range(-1, n))
     cell = [0] * (n + 1)
-    before = [[] for _ in range(n + 1)]
+    parent = [0] * (n + 1)
+    count = [0] * (n + 1)
     start, made, split = [0], [-1], [0]
     for i in range(n):
         v = visit[i]
         start[cell[v]] += 1
-        for w in nbrs(v):
+        for w in near[v]:
             j = pos[w]
             if j <= i:
                 continue
-            before[w].append(v)
+            parent[w] = v
+            count[w] += 1
             c = cell[w]
             d = split[c]
             if made[d] != i:
@@ -357,30 +399,89 @@ def _lex_bfs(g):
             pos[w], pos[u] = k, j
             start[c] = k + 1
             cell[w] = d
-    return visit, before
+    return visit, pos, parent, count
 
 
-def _lex_bfs_chains(visit, before):
+def _visited_before(near, pos, v):
+    """E(v): v's neighbors visited before it, in ascending label order."""
+    here = pos[v]
+    return [w for w in near[v] if pos[w] < here]
+
+
+def _lex_bfs_chains(visit, parent, count):
     """(starts, extends): the Lex-BFS clique tree as chains of vertices.
 
-    v extends the clique of its parent p when E(v) = p + E(p) and no
-    vertex visited before v did so (extends[p] = v); otherwise v starts a
-    chain. A chain runs from its start b up to the vertex h nothing
-    extends; h + E(h) is a maximal clique of a chordal graph, and E(b)
-    its separator (Blair-Peyton 1993, An introduction to chordal graphs
-    and clique trees, section 4).
+    v extends the clique of its parent p when E(v) = p + E(p), which on a
+    chordal graph is |E(v)| = |E(p)| + 1, and no vertex visited before v
+    did so (extends[p] = v); otherwise v starts a chain. A chain runs from
+    its start b up to the vertex h nothing extends; h + E(h) is a maximal
+    clique of a chordal graph, and E(b) its separator (Blair-Peyton 1993,
+    An introduction to chordal graphs and clique trees, section 4).
     """
-    extends = [0] * len(before)
+    extends = [0] * len(parent)
     starts = []
     for v in visit:
-        earlier = before[v]
-        if earlier:
-            p = earlier[-1]
-            if not extends[p] and len(earlier) == len(before[p]) + 1:
-                extends[p] = v
-                continue
-        starts.append(v)
+        p = parent[v]
+        if p and not extends[p] and count[v] == count[p] + 1:
+            extends[p] = v
+        else:
+            starts.append(v)
     return starts, extends
+
+
+def _least_face_pair(near, pos, count, starts, k):
+    """(v1, v2, face) for the least pair of members of a face of a chordal
+    graph, over its faces E(b) of size k > 0 for the chain starts b, each
+    taken once; None when no face has two members. A face's members are
+    the common neighbors of its vertices, sorted."""
+    if not k:  # an edgeless graph's empty face: the split certifies it
+        return None
+    seen = set()
+    best = None
+    for b in starts:
+        if count[b] != k:
+            continue
+        face = tuple(_visited_before(near, pos, b))
+        if face in seen:
+            continue
+        seen.add(face)
+        members = near[face[0]] if k == 1 else sorted(
+            set(near[face[0]]).intersection(*(near[s] for s in face[1:])))
+        if len(members) > 1:
+            found = members[0], members[1], face
+            if best is None or found < best:
+                best = found
+    return best
+
+
+def _triangle_free_cliques(g):
+    """The maximal cliques of a triangle-free graph, sorted as
+    _bron_kerbosch sorts them: its edges and its isolated vertices; None
+    when some edge's two ends share a neighbor.
+
+    Each edge points to its end of higher degree (of higher label on a
+    tie), so that no vertex has more than sqrt(2m) out-neighbors, and the
+    out-neighbors of each out-neighbor of u are checked against a mark on
+    those of u: O(m sqrt(m)) in all (Chiba-Nishizeki 1985, SIAM J. Comput.
+    14(1)), O(m) at bounded degree, as on grids.
+    """
+    n, near = g.n, g._adjacency
+    if not n:
+        return (frozenset(),)
+    rank = [0] * (n + 1)
+    for k, v in enumerate(sorted(g.vertices, key=lambda v: len(near[v])), start=1):
+        rank[v] = k
+    up = [[w for w in nb if rank[w] > rank[v]] for v, nb in enumerate(near)]
+    mark = [0] * (n + 1)
+    for u in g.vertices:
+        for w in up[u]:
+            mark[w] = u
+        for v in up[u]:
+            for w in up[v]:
+                if mark[w] == u:
+                    return None
+    alone = [(v,) for v in g.vertices if not near[v]]
+    return tuple(map(frozenset, sorted([*g.edges, *alone])))
 
 
 def _min_fill(g):
@@ -488,7 +589,7 @@ def _simple_cycle_of_length(g, length):
                 if start in g.neighbors(v):
                     return path_
                 continue
-            for u in sorted(g.neighbors(v), reverse=True):
+            for u in reversed(g._adjacency[v]):
                 if u > start and u not in path_:
                     stack.append((u, path_ + [u]))
     return None
@@ -622,7 +723,7 @@ def check_decomposition(g, d):
     queue = deque(sorted(d.side_a))
     while queue:
         v = queue.popleft()
-        for u in g.neighbors(v):
+        for u in g._adjacency[v]:
             if u not in reached and u not in d.separator:
                 reached.add(u)
                 queue.append(u)

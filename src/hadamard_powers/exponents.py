@@ -247,21 +247,22 @@ def hset_cycle(n, family="plain"):
 
 def bipartition(g):
     """(X, Y) two-coloring of a connected bipartite graph, else None."""
-    color = {}
+    near = g._adjacency
+    color = [-1] * (g.n + 1)
     for start in g.vertices:
-        if start in color:
+        if color[start] >= 0:
             continue
         color[start] = 0
         queue = deque([start])
         while queue:
             v = queue.popleft()
-            for u in g.neighbors(v):
-                if u not in color:
+            for u in near[v]:
+                if color[u] < 0:
                     color[u] = 1 - color[v]
                     queue.append(u)
                 elif color[u] == color[v]:
                     return None
-    x = frozenset(v for v, c in color.items() if c == 0)
+    x = frozenset(v for v in g.vertices if color[v] == 0)
     return x, frozenset(g.vertices) - x
 
 
@@ -284,7 +285,7 @@ def hset_bipartite(g, family="plain"):
         raise ValueError("graph is not bipartite (an odd cycle exists)")
     k22_in_k2m = False
     for p, q in (parts, parts[::-1]):
-        if len(p) == 2 and sum(1 for y in q if p <= g.neighbors(y)) >= 2:
+        if len(p) == 2 and sum(1 for y in q if all(g.has_edge(x, y) for x in p)) >= 2:
             k22_in_k2m = True
     if family == "plain":
         return HSet(lattice="none", ray_start=1.0)

@@ -52,13 +52,23 @@ class Graph:
 
     @cached_property
     def _adjacency(self):
-        """{v: frozenset of its neighbors} for v in 1..n, from one pass over
-        the edges."""
+        """[[], N(1), ..., N(n)]: each vertex's neighbors as a list in
+        ascending label order, from one pass over the edges (parse_edge_list
+        fills it while parsing). The graph routines read these lists; the
+        frozensets of `neighbors` are built only for the routes that take
+        set intersections."""
         near = [[] for _ in range(self.n + 1)]
         for i, j in self.edges:
             near[i].append(j)
             near[j].append(i)
-        return dict(zip(self.vertices, map(frozenset, near[1:])))
+        for nb in near:
+            nb.sort()
+        return near
+
+    @cached_property
+    def _neighbor_sets(self):
+        """{v: frozenset of its neighbors} for v in 1..n, on first use."""
+        return dict(zip(self.vertices, map(frozenset, self._adjacency[1:])))
 
     @cached_property
     def analysis(self):
@@ -73,9 +83,11 @@ class Graph:
         return range(1, self.n + 1)
 
     def neighbors(self, v):
-        return self._adjacency[v]
+        return self._neighbor_sets[v]
 
     def degree(self, v):
+        if not 1 <= v <= self.n:
+            raise KeyError(v)
         return len(self._adjacency[v])
 
     def has_edge(self, i, j):
@@ -112,14 +124,16 @@ def parse_edge_list(text):
     "n <count>" fixes the vertex count; otherwise n is the largest label.
     Labels and the count are an optional sign and ASCII digits. A line
     with a label above the declared count is reported only when no line
-    has any other error.
+    has any other error. The graph's neighbor lists are filled in the same
+    pass, each edge once.
     """
     edges = set()
+    near = [[]]  # near[v]: v's neighbors, in the order their lines come
     n_declared = None
     over = None  # the first line with a label above n_declared
     first_data_line = True
     for lineno, raw in enumerate(text.splitlines(), start=1):
-        content = raw.split("#", 1)[0]
+        content = raw.split("#", 1)[0] if "#" in raw else raw
         tokens = content.split()
         if not tokens:
             continue
@@ -132,13 +146,17 @@ def parse_edge_list(text):
                 raise GraphParseError(f"line {lineno}: bad vertex count {tokens[1]!r}") from None
             if n_declared < 0:
                 raise GraphParseError(f"line {lineno}: negative vertex count")
+            near = [[] for _ in range(n_declared + 1)]
             first_data_line = False
             continue
         first_data_line = False
         if len(tokens) != 2:
             raise GraphParseError(f"line {lineno}: expected 'i j', got {content.strip()!r}")
-        try:
-            i, j = _read_integer(tokens[0]), _read_integer(tokens[1])
+        a, b = tokens
+        try:  # _read_integer of each, inlined: this runs once per line
+            if not (a.isascii() and b.isascii()) or "_" in a or "_" in b:
+                raise ValueError
+            i, j = int(a), int(b)
         except ValueError:
             raise GraphParseError(
                 f"line {lineno}: non-integer vertex label in {content.strip()!r}") from None
@@ -148,13 +166,25 @@ def parse_edge_list(text):
             raise GraphParseError(f"line {lineno}: vertex labels must be positive")
         if i == j:
             raise GraphParseError(f"line {lineno}: self-loop at vertex {i}")
-        if n_declared is not None and j > n_declared and over is None:
-            over = lineno
-        edges.add((i, j))
+        if n_declared is None:
+            if j >= len(near):
+                near.extend([] for _ in range(j + 1 - len(near)))
+        elif j > n_declared:
+            if over is None:
+                over = lineno
+            continue
+        edge = (i, j)
+        if edge not in edges:
+            edges.add(edge)
+            near[i].append(j)
+            near[j].append(i)
     if over is not None:
         raise GraphParseError(f"line {over}: label exceeds declared vertex count {n_declared}")
-    n = n_declared if n_declared is not None else max((j for _, j in edges), default=0)
-    return Graph(n=n, edges=frozenset(edges))
+    for nb in near:
+        nb.sort()
+    g = Graph(n=len(near) - 1, edges=frozenset(edges))
+    g.__dict__["_adjacency"] = near
+    return g
 
 
 def to_edge_list(g):
@@ -180,20 +210,19 @@ def graph_from_json(data):
 
 def connected_components(g):
     """Vertex sets of the connected components, each sorted, in label order."""
-    seen = set()
+    near = g._adjacency
+    seen = [False] * (g.n + 1)
     comps = []
     for start in g.vertices:
-        if start in seen:
+        if seen[start]:
             continue
-        comp = {start}
-        stack = [start]
-        while stack:
-            v = stack.pop()
-            for u in g.neighbors(v):
-                if u not in comp:
-                    comp.add(u)
-                    stack.append(u)
-        seen |= comp
+        seen[start] = True
+        comp = [start]
+        for v in comp:  # comp grows as the search reaches new vertices
+            for u in near[v]:
+                if not seen[u]:
+                    seen[u] = True
+                    comp.append(u)
         comps.append(sorted(comp))
     return comps
 

@@ -5,7 +5,10 @@ for the 4-cycle of
 GraphAnalysis.even_cycle, by a scan that shares none with its search; for
 chordality, by a subset search that shares none with Lex-BFS; for the clique
 tree, by rescanning neighbor sets in place of the Lex-BFS lists; for the
-edge-list parser, by the earlier two-pass parser; for the numeric CE walk,
+whole chordal analysis, by the earlier Lex-BFS and parent test over
+per-vertex frozensets; for the edge-list parser, by the earlier two-pass
+parser and the one-pass parser that built no neighbor lists; for the
+numeric CE walk,
 by classifying every power of its grid; for the random tree, by the earlier
 Pruefer decoder's sorted leaf list; and for pattern conformance, by a scan of
 every vertex pair."""
@@ -13,13 +16,14 @@ every vertex pair."""
 import bisect
 import itertools
 import re
+from types import SimpleNamespace
 
 import numpy as np
 
 from hadamard_powers import exponents
 from hadamard_powers.chordal import _bron_kerbosch, _lex_bfs
 from hadamard_powers.cones import as_symmetric
-from hadamard_powers.graphs import Graph, GraphParseError, path
+from hadamard_powers.graphs import Graph, GraphParseError, _read_integer, path
 
 
 def _adjacency_masks(g):
@@ -161,6 +165,156 @@ def clique_tree_by_neighbor_scans(g):
             h = extends[h]
         cliques.append(frozenset([h, *visited_before(h)]))
     return tuple(cliques), tuple(seps)
+
+
+def lex_bfs_by_neighbor_sets(g):
+    """chordal._lex_bfs as it was over the frozensets of g.neighbors: the
+    same partition refinement, returning (visit, before) with before[v] the
+    list of v's neighbors visited before it, in visit order. Ties follow
+    the frozensets' iteration order."""
+    nbrs = g.neighbors
+    n = g.n
+    visit = list(g.vertices)
+    pos = list(range(-1, n))
+    cell = [0] * (n + 1)
+    before = [[] for _ in range(n + 1)]
+    start, made, split = [0], [-1], [0]
+    for i in range(n):
+        v = visit[i]
+        start[cell[v]] += 1
+        for w in nbrs(v):
+            j = pos[w]
+            if j <= i:
+                continue
+            before[w].append(v)
+            c = cell[w]
+            d = split[c]
+            if made[d] != i:
+                d = len(start)
+                start.append(start[c])
+                made.append(i)
+                split.append(0)
+                split[c] = d
+            k = start[c]
+            u = visit[k]
+            visit[k], visit[j] = w, u
+            pos[w], pos[u] = k, j
+            start[c] = k + 1
+            cell[w] = d
+    return visit, before
+
+
+def parent_test_by_neighbor_sets(g, later):
+    """chordal._parent_test as it was: each later[v], listed from the back
+    of the order, is a clique iff all but its last lie in the frozenset of
+    neighbors of the last."""
+    nbrs = g.neighbors
+    return all(nbrs(ws[-1]).issuperset(ws[:-1]) for ws in later if ws)
+
+
+def analysis_by_neighbor_sets(g):
+    """GraphAnalysis's is_chordal, clique_tree, maximal_cliques,
+    clique_number and near_complete (None below 2 vertices) as they were
+    computed from lex_bfs_by_neighbor_sets: the chains, cliques and
+    separators from its lists, the faces' members by intersecting
+    frozensets, and Bron-Kerbosch for every non-chordal graph."""
+    visit, before = lex_bfs_by_neighbor_sets(g)
+    chordal = parent_test_by_neighbor_sets(g, before)
+    tree = None
+    if chordal:
+        extends = [0] * len(before)
+        cliques, seps = [], []
+        for v in visit:
+            earlier = before[v]
+            if earlier:
+                p = earlier[-1]
+                if not extends[p] and len(earlier) == len(before[p]) + 1:
+                    extends[p] = v
+                    continue
+            seps.append(frozenset(earlier))
+            cliques.append(v)
+        for k, h in enumerate(cliques):
+            while extends[h]:
+                h = extends[h]
+            cliques[k] = frozenset([h, *before[h]])
+        tree = tuple(cliques), tuple(seps)
+        cliques = tuple(sorted(cliques, key=sorted))
+    else:
+        cliques = _bron_kerbosch(g)
+    omega = max(map(len, cliques), default=0)
+    near_complete = None
+    if g.n >= 2:
+        nbrs = g.neighbors
+        if chordal:
+            faces = {s for s in tree[1] if len(s) == omega - 1 and s}
+            members = [frozenset.intersection(*map(nbrs, s)) for s in faces]
+        else:
+            faces = {}
+            for c in cliques:
+                if len(c) == omega:
+                    for x in c:
+                        faces.setdefault(c - {x}, []).append(x)
+            members = faces.values()
+        pair = min((sorted(m)[:2] for m in members if len(m) > 1), default=None)
+        if pair is None:
+            verts = min(sorted(c) for c in cliques if len(c) == omega)
+            if len(verts) < 2:
+                verts = [1, 2]
+            near_complete = len(verts), verts[0], tuple(verts[1:-1]), verts[-1]
+        else:
+            v1, v2 = pair
+            common = nbrs(v1) & nbrs(v2)
+            if not chordal:
+                common = max((c & common for c in cliques), key=len)
+            near_complete = omega + 1, v1, tuple(sorted(common)), v2
+    return SimpleNamespace(is_chordal=chordal, clique_tree=tree, maximal_cliques=cliques,
+                           clique_number=omega, near_complete=near_complete)
+
+
+def parse_edge_list_to_edge_set(text):
+    """graphs.parse_edge_list as it was before it filled neighbor lists:
+    one pass collecting the canonical pairs into a set."""
+    edges = set()
+    n_declared = None
+    over = None  # the first line with a label above n_declared
+    first_data_line = True
+    for lineno, raw in enumerate(text.splitlines(), start=1):
+        content = raw.split("#", 1)[0]
+        tokens = content.split()
+        if not tokens:
+            continue
+        if first_data_line and tokens[0] == "n":
+            if len(tokens) != 2:
+                raise GraphParseError(f"line {lineno}: header must be 'n <count>'")
+            try:
+                n_declared = _read_integer(tokens[1])
+            except ValueError:
+                raise GraphParseError(f"line {lineno}: bad vertex count {tokens[1]!r}") from None
+            if n_declared < 0:
+                raise GraphParseError(f"line {lineno}: negative vertex count")
+            first_data_line = False
+            continue
+        first_data_line = False
+        if len(tokens) != 2:
+            raise GraphParseError(f"line {lineno}: expected 'i j', got {content.strip()!r}")
+        try:
+            i, j = _read_integer(tokens[0]), _read_integer(tokens[1])
+        except ValueError:
+            raise GraphParseError(
+                f"line {lineno}: non-integer vertex label in {content.strip()!r}") from None
+        if i > j:
+            i, j = j, i
+        if i <= 0:
+            raise GraphParseError(f"line {lineno}: vertex labels must be positive")
+        if i == j:
+            raise GraphParseError(f"line {lineno}: self-loop at vertex {i}")
+        if n_declared is not None and j > n_declared and over is None:
+            over = lineno
+        edges.add((i, j))
+    if over is not None:
+        raise GraphParseError(f"line {over}: label exceeds declared vertex count {n_declared}")
+    n = n_declared if n_declared is not None else max((j for _, j in edges), default=0)
+    return Graph(n=n, edges=frozenset(edges))
 
 
 _INTEGER = re.compile(r"[+-]?[0-9]+")

@@ -6,6 +6,7 @@ import itertools
 import json
 import time
 import weakref
+from collections import Counter
 from pathlib import Path
 
 import pytest
@@ -20,6 +21,7 @@ from hadamard_powers.chordal import (
     NotChordalError,
     _bron_kerbosch,
     _lex_bfs,
+    _triangle_free_cliques,
     check_decomposition,
     check_perfect_ordering,
     decompose,
@@ -38,6 +40,7 @@ from hadamard_powers.graphs import (
     generate,
     max_outerplanar,
     near_complete,
+    parse_edge_list,
     path,
     random_chordal,
     random_graph,
@@ -46,6 +49,7 @@ from hadamard_powers.graphs import (
 )
 
 from oracles import (
+    analysis_by_neighbor_sets,
     clique_formula,
     clique_tree_by_neighbor_scans,
     is_chordal_by_subsets,
@@ -513,6 +517,106 @@ def test_one_search_gives_the_clique_tree(g):
         assert ce == clique_formula(g)
         if g.n <= 9:
             assert ce == max_near_complete_order(g) - 2
+
+
+@st.composite
+def any_graphs(draw):
+    """A graph on at most 12 vertices with an arbitrary edge set."""
+    n = draw(st.integers(0, 12))
+    pairs = list(itertools.combinations(range(1, n + 1), 2))
+    return Graph.from_edges(n, draw(st.sets(st.sampled_from(pairs))) if pairs else ())
+
+
+@settings(max_examples=300, deadline=None)
+@given(any_graphs() | chordal_graphs())
+@example(Graph.from_edges(0, ()))
+@example(cycle(4))
+@example(complete_bipartite(3, 3))
+def test_analysis_matches_the_neighbor_set_oracle(g):
+    a, o = g.analysis, analysis_by_neighbor_sets(g)
+    assert a.is_chordal == o.is_chordal
+    assert a.clique_number == o.clique_number
+    assert a.maximal_cliques == o.maximal_cliques
+    if g.n >= 2:
+        assert a.near_complete == o.near_complete
+    if a.is_chordal:
+        # the clique tree's order may differ; its cliques and separators may not
+        cliques, separators = a.clique_tree
+        assert set(cliques) == set(o.clique_tree[0]) and len(cliques) == len(o.clique_tree[0])
+        assert Counter(separators) == Counter(o.clique_tree[1])
+    visit = a.order[::-1]
+    if g.n <= 16:
+        assert is_lex_bfs_order(g, visit)
+    assert pairwise_is_peo(g, a.order) == a.is_chordal
+
+
+@settings(max_examples=200, deadline=None)
+@given(any_graphs() | chordal_graphs(), st.randoms())
+def test_equal_edge_sets_give_equal_orders(g, rnd):
+    edges = [(j, i) if rnd.random() < 0.5 else (i, j) for i, j in g.edges]
+    rnd.shuffle(edges)
+    built = Graph.from_edges(g.n, edges)
+    parsed = parse_edge_list(f"n {g.n}\n" + "".join(f"{i} {j}\n" for i, j in edges * 2))
+    assert built.analysis.order == parsed.analysis.order == g.analysis.order
+
+
+def test_equal_edge_sets_give_equal_orders_where_frozensets_iterate_apart():
+    # frozensets of each vertex's neighbors, filled in these two insertion
+    # orders, iterate apart on this graph: the order must not follow them
+    first = [(10, 13), (9, 17), (10, 18), (6, 19), (9, 10), (1, 9), (1, 11), (3, 12), (6, 15)]
+    second = [(6, 15), (6, 19), (3, 12), (1, 11), (9, 17), (10, 13), (1, 9), (9, 10), (10, 18)]
+    g, h = Graph.from_edges(19, first), Graph.from_edges(19, second)
+    assert g.analysis.order == h.analysis.order
+
+
+def _grid(rows, cols):
+    at = lambda r, c: r * cols + c + 1  # noqa: E731
+    edges = [(at(r, c), at(r, c + 1)) for r in range(rows) for c in range(cols - 1)]
+    edges += [(at(r, c), at(r + 1, c)) for r in range(rows - 1) for c in range(cols)]
+    return Graph.from_edges(rows * cols, edges)
+
+
+def _random_bipartite(a, b, p, seed):
+    g = random_graph(a + b, p, seed=seed)
+    return Graph.from_edges(a + b, [(i, j) for i, j in g.edges if (i <= a) != (j <= a)])
+
+
+TRIANGLE_FREE = st.one_of(
+    st.builds(random_tree, st.integers(1, 40), seed=st.integers(0, 2**16)),
+    st.builds(cycle, st.integers(4, 40)),
+    st.builds(complete_bipartite, st.integers(1, 8), st.integers(1, 8)),
+    st.builds(_grid, st.integers(1, 7), st.integers(1, 7)),
+    st.builds(_random_bipartite, st.integers(0, 10), st.integers(0, 10),
+              st.floats(0, 1), st.integers(0, 2**16)),
+)
+
+
+@settings(max_examples=300, deadline=None)
+@given(TRIANGLE_FREE)
+@example(Graph.from_edges(0, ()))
+@example(Graph.from_edges(3, ()))
+def test_triangle_free_cliques_are_bron_kerbosch(g):
+    assert _triangle_free_cliques(g) == _bron_kerbosch(g)
+
+
+@settings(max_examples=200, deadline=None)
+@given(any_graphs())
+def test_triangle_free_cliques_only_without_a_triangle(g):
+    triangle = any(g.has_edge(a, c) and g.has_edge(b, c)
+                   for a, b in g.edges for c in g.vertices)
+    assert (_triangle_free_cliques(g) is None) == triangle
+
+
+def test_a_triangle_free_graph_runs_no_bron_kerbosch(monkeypatch):
+    def bron_kerbosch(g):
+        raise AssertionError("Bron-Kerbosch on a triangle-free graph")
+
+    monkeypatch.setattr(chordal, "_bron_kerbosch", bron_kerbosch)
+    grid = _grid(30, 30)
+    assert grid.analysis.clique_number == 2 and grid.analysis.near_complete[0] == 3
+    assert len(grid.analysis.maximal_cliques) == len(grid.edges)
+    with pytest.raises(AssertionError, match="Bron-Kerbosch"):  # a triangle and a 4-cycle
+        Graph.from_edges(5, [(1, 2), (2, 3), (1, 3), (3, 4), (4, 5), (1, 5)]).analysis.maximal_cliques
 
 
 def test_clique_tree_rejects_non_chordal():

@@ -2,6 +2,7 @@
 
 import argparse
 import contextlib
+import functools
 import io
 import json
 import tempfile
@@ -26,6 +27,8 @@ from hadamard_powers.graphs import (
     complete_bipartite,
     cycle,
     near_complete,
+    random_chordal,
+    random_tree,
     to_edge_list,
 )
 
@@ -177,6 +180,31 @@ def test_ce_walks_no_grid_on_a_proven_set(capsys, monkeypatch, tmp_path):
         data = json.loads(out)
         assert (data["method"], data["ce"]) == ("exact", ce), argv
     assert calls == []
+
+
+def test_exact_routes_build_no_neighbor_sets(capsys, monkeypatch, tmp_path):
+    # chordal graphs, cycles and K_{a,b} are read off the neighbor lists:
+    # none of them needs the per-vertex frozensets of Graph.neighbors
+    built = []
+    plain = Graph._neighbor_sets
+
+    def neighbor_sets(g):
+        built.append(g.n)
+        return plain.func(g)
+
+    counted = functools.cached_property(neighbor_sets)
+    counted.__set_name__(Graph, "_neighbor_sets")
+    monkeypatch.setattr(Graph, "_neighbor_sets", counted)
+    graphs = [random_chordal(300, seed=1), random_tree(200, seed=2), complete(30),
+              cycle(9), cycle(12), complete_bipartite(3, 5), complete_bipartite(2, 7)]
+    for k, g in enumerate(graphs):
+        path = tmp_path / f"g{k}.edges"
+        path.write_text(to_edge_list(g))
+        for command in ("ce", "hset"):
+            code, _, _ = run(capsys, [command, str(path), "--format", "json"])
+            assert code == 0
+    assert built == []
+    assert cycle(5).neighbors(1) == {2, 5} and built == [5]
 
 
 # `hset --format json` output of an earlier version, byte for byte, for 49

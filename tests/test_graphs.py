@@ -116,11 +116,46 @@ def test_parser_matches_the_two_pass_reference(header, lines, newline, trailing)
         assert parse_edge_list(text) == expected
 
 
+def _pairs(text):
+    """The (i, j) pairs of a well-formed edge-list text, as its lines give them."""
+    pairs, first = [], True
+    for raw in text.splitlines():
+        tokens = raw.split("#", 1)[0].split()
+        if tokens and not (first and tokens[0] == "n"):
+            pairs.append((int(tokens[0]), int(tokens[1])))
+        first = first and not tokens
+    return pairs
+
+
+@settings(max_examples=500, deadline=None)
+@given(_HEADERS, st.lists(_LINES, max_size=10), st.sampled_from(["\n", "\r\n"]),
+       st.booleans())
+@example(["n 3"], ["1 5", "1 x"], "\n", False)
+@example([], ["3 1", "# c", "1 3", "", "2 3", "3 2 # again", "4 1"], "\n", True)
+def test_parser_fills_the_neighbor_lists_of_from_edges(header, lines, newline, trailing):
+    """The graph and neighbor lists of Graph.from_edges on the text's pairs,
+    or the error of the parser that filled no lists."""
+    text = newline.join(header + lines) + (newline if trailing else "")
+    try:
+        expected = oracles.parse_edge_list_to_edge_set(text)
+    except GraphParseError as exc:
+        with pytest.raises(GraphParseError) as got:
+            parse_edge_list(text)
+        assert str(got.value) == str(exc)
+    else:
+        g = parse_edge_list(text)
+        built = Graph.from_edges(expected.n, _pairs(text))
+        assert g == expected == built
+        assert g._adjacency == built._adjacency
+
+
 def test_neighbors_outside_the_vertices_raise_key_error():
     for g in (parse_edge_list("n 4\n1 2"), cycle(5), Graph.from_edges(0, [])):
         for v in (0, g.n + 1):
             with pytest.raises(KeyError):
                 g.neighbors(v)
+            with pytest.raises(KeyError):
+                g.degree(v)
 
 
 @pytest.mark.parametrize("n, edges", [
