@@ -139,10 +139,10 @@ def _require_chordal(g):
 # ---------------------------------------------------------------------------
 # per-graph analysis
 
-#: Work limit of general clique enumeration, in Bron-Kerbosch expansions.
-#: Pivoting keeps the count near the number of maximal cliques, at most
-#: 3^(n/3) (Moon-Moser), so sparse graphs of any size pass and dense ones
-#: fail loudly instead of slowly.
+#: Work limit of general clique enumeration, in Bron-Kerbosch expansions
+#: past n + m (pivoting spends about one per vertex and one per maximal
+#: clique): sparse graphs of any size pass, and ones with many more cliques
+#: (up to 3^(n/3), Moon-Moser) fail loudly instead of slowly.
 MAX_CLIQUE_EXPANSIONS = 100_000
 
 #: Work limit of the depth-first search for an even cycle of one length
@@ -234,11 +234,11 @@ class GraphAnalysis:
         """All maximal cliques as frozensets, sorted by their sorted labels.
 
         The one place choosing the route: the clique tree of a chordal graph,
-        the edges of a triangle-free one, else Bron-Kerbosch.
+        else one Bron-Kerbosch search per vertex.
         """
         if self.is_chordal:
             return tuple(sorted(self.clique_tree[0], key=sorted))
-        return _triangle_free_cliques(self.graph) or _bron_kerbosch(self.graph)
+        return _bron_kerbosch_by_vertex(self.graph)
 
     @cached_property
     def clique_number(self):
@@ -279,8 +279,8 @@ class GraphAnalysis:
             raise ValueError(f"need at least 2 vertices, got {g.n}")
         near, omega = g._adjacency, self.clique_number
         if self.is_chordal:
-            _, pos, _, count, starts, _ = self._lex_bfs_pass
-            found = _least_face_pair(near, pos, count, starts, omega - 1)
+            _, pos, parent, count, starts, _ = self._lex_bfs_pass
+            found = _least_face_pair(g, pos, parent, count, starts, omega - 1)
             if found is not None:
                 v1, v2, face = found
                 return omega + 1, v1, face, v2
@@ -429,24 +429,34 @@ def _lex_bfs_chains(visit, parent, count):
     return starts, extends
 
 
-def _least_face_pair(near, pos, count, starts, k):
+def _least_face_pair(g, pos, parent, count, starts, k):
     """(v1, v2, face) for the least pair of members of a face of a chordal
     graph, over its faces E(b) of size k > 0 for the chain starts b, each
     taken once; None when no face has two members. A face's members are
-    the common neighbors of its vertices, sorted."""
+    its vertices' common neighbors: the list of its vertex with the fewest,
+    filtered by edge membership, so no hub's list is read; for k = 1 the
+    face is b's parent, marked once seen, and its members its list."""
     if not k:  # an edgeless graph's empty face: the split certifies it
         return None
-    seen = set()
-    best = None
+    near, edges = g._adjacency, g.edges
+    seen, done, best = set(), [False] * (g.n + 1), None
     for b in starts:
         if count[b] != k:
             continue
-        face = tuple(_visited_before(near, pos, b))
-        if face in seen:
-            continue
-        seen.add(face)
-        members = near[face[0]] if k == 1 else sorted(
-            set(near[face[0]]).intersection(*(near[s] for s in face[1:])))
+        if k == 1:
+            p = parent[b]
+            if done[p]:
+                continue
+            done[p] = True
+            face, members = (p,), near[p]
+        else:
+            face = tuple(_visited_before(near, pos, b))
+            if face in seen:
+                continue
+            seen.add(face)
+            members = near[min(face, key=lambda s: len(near[s]))]
+            for s in face:
+                members = [w for w in members if ((s, w) if s < w else (w, s)) in edges]
         if len(members) > 1:
             found = members[0], members[1], face
             if best is None or found < best:
@@ -454,34 +464,50 @@ def _least_face_pair(near, pos, count, starts, k):
     return best
 
 
-def _triangle_free_cliques(g):
-    """The maximal cliques of a triangle-free graph, sorted as
-    _bron_kerbosch sorts them: its edges and its isolated vertices; None
-    when some edge's two ends share a neighbor.
-
-    Each edge points to its end of higher degree (of higher label on a
-    tie), so that no vertex has more than sqrt(2m) out-neighbors, and the
-    out-neighbors of each out-neighbor of u are checked against a mark on
-    those of u: O(m sqrt(m)) in all (Chiba-Nishizeki 1985, SIAM J. Comput.
-    14(1)), O(m) at bounded degree, as on grids.
-    """
+def _bron_kerbosch_by_vertex(g):
+    """The maximal cliques of any graph, sorted by their sorted labels: one
+    pivoting Bron-Kerbosch search per vertex v (Eppstein-Loeffler-Strash
+    2010, ISAAC), with R = {v}, P = its later and X = its earlier neighbors
+    in the order of degree, then label. No vertex has more than sqrt(2m)
+    later neighbors (Chiba-Nishizeki 1985, SIAM J. Comput. 14(1)), and each
+    search reads only the edges into P, off the later-neighbor lists of
+    N(v): O(m sqrt(m)) in all. X keeps only the vertices joined to P.
+    Raises ValueError after MAX_CLIQUE_EXPANSIONS + n + m expansions."""
     n, near = g.n, g._adjacency
-    if not n:
-        return (frozenset(),)
-    rank = [0] * (n + 1)
-    for k, v in enumerate(sorted(g.vertices, key=lambda v: len(near[v])), start=1):
-        rank[v] = k
+    rank = [(len(nb), v) for v, nb in enumerate(near)]
     up = [[w for w in nb if rank[w] > rank[v]] for v, nb in enumerate(near)]
-    mark = [0] * (n + 1)
-    for u in g.vertices:
-        for w in up[u]:
-            mark[w] = u
-        for v in up[u]:
-            for w in up[v]:
-                if mark[w] == u:
-                    return None
-    alone = [(v,) for v in g.vertices if not near[v]]
-    return tuple(map(frozenset, sorted([*g.edges, *alone])))
+    limit = MAX_CLIQUE_EXPANSIONS + n + len(g.edges)
+    cliques, expansions = [], 0
+    for v in g.vertices:
+        if not up[v]:
+            if not near[v]:
+                cliques.append((v,))
+            continue
+        later = set(up[v])
+        local = {w: set() for w in later}  # N(u) & N(v) for u in P, N(u) & P for u in X
+        for u in near[v]:
+            for w in up[u]:
+                if w in later:
+                    local[w].add(u)
+                    local.setdefault(u, set()).add(w)
+        stack = [((v,), later, local.keys() - later)]
+        while stack:
+            expansions += 1
+            if expansions > limit:
+                raise ValueError(f"general clique enumeration stopped at the work limit of "
+                                 f"{MAX_CLIQUE_EXPANSIONS} + n + m = {limit} Bron-Kerbosch "
+                                 f"expansions (MAX_CLIQUE_EXPANSIONS) on a {n}-vertex graph")
+            r, p, x = stack.pop()
+            if not p:
+                if not x:
+                    cliques.append(tuple(sorted(r)))
+                continue
+            pivot = max(p | x, key=lambda u: len(p & local[u]))
+            for w in p - local[pivot]:
+                stack.append(((*r, w), p & local[w], x & local[w]))
+                p.remove(w)
+                x.add(w)
+    return tuple(map(frozenset, sorted(cliques))) or (frozenset(),)  # n = 0: the empty clique
 
 
 def _min_fill(g):
@@ -544,33 +570,6 @@ def _min_fill(g):
             if c in adj:
                 heapq.heappush(heap, (missing[c], c))
     return tuple(sorted(fill)), tuple(order)
-
-
-def _bron_kerbosch(g):
-    """Maximal cliques of any graph by Bron-Kerbosch with pivoting, sorted.
-
-    Raises ValueError after MAX_CLIQUE_EXPANSIONS expansions.
-    """
-    cliques = []
-    stack = [(frozenset(), frozenset(g.vertices), frozenset())]
-    expansions = 0
-    while stack:
-        expansions += 1
-        if expansions > MAX_CLIQUE_EXPANSIONS:
-            raise ValueError(
-                f"general clique enumeration stopped at the work limit of "
-                f"{MAX_CLIQUE_EXPANSIONS} Bron-Kerbosch expansions "
-                f"(MAX_CLIQUE_EXPANSIONS) on a {g.n}-vertex graph")
-        r, p, x = stack.pop()
-        if not p and not x:
-            cliques.append(r)
-            continue
-        pivot = max(p | x, key=lambda u: len(g.neighbors(u) & p))
-        for v in sorted(p - g.neighbors(pivot)):
-            stack.append((r | {v}, p & g.neighbors(v), x & g.neighbors(v)))
-            p = p - {v}
-            x = x | {v}
-    return tuple(sorted(cliques, key=sorted))
 
 
 def _simple_cycle_of_length(g, length):

@@ -21,7 +21,7 @@ from types import SimpleNamespace
 import numpy as np
 
 from hadamard_powers import exponents
-from hadamard_powers.chordal import _bron_kerbosch, _lex_bfs
+from hadamard_powers.chordal import _lex_bfs, _visited_before
 from hadamard_powers.cones import as_symmetric
 from hadamard_powers.graphs import Graph, GraphParseError, _read_integer, path
 
@@ -32,6 +32,49 @@ def _adjacency_masks(g):
         masks[i] |= 1 << j
         masks[j] |= 1 << i
     return masks
+
+
+def bron_kerbosch(g):
+    """Maximal cliques of any graph by one pivoting Bron-Kerbosch search
+    over the whole graph and its neighbor frozensets, sorted; with no work
+    limit, so only for small graphs."""
+    cliques = []
+    stack = [(frozenset(), frozenset(g.vertices), frozenset())]
+    while stack:
+        r, p, x = stack.pop()
+        if not p and not x:
+            cliques.append(r)
+            continue
+        pivot = max(p | x, key=lambda u: len(g.neighbors(u) & p))
+        for v in sorted(p - g.neighbors(pivot)):
+            stack.append((r | {v}, p & g.neighbors(v), x & g.neighbors(v)))
+            p = p - {v}
+            x = x | {v}
+    return tuple(sorted(cliques, key=sorted))
+
+
+def least_face_pair_by_intersection(near, pos, count, starts, k):
+    """chordal._least_face_pair as it was: each face's members by
+    intersecting the whole neighbor lists of its vertices, and each face a
+    tuple in a set, k = 1 too."""
+    if not k:
+        return None
+    seen = set()
+    best = None
+    for b in starts:
+        if count[b] != k:
+            continue
+        face = tuple(_visited_before(near, pos, b))
+        if face in seen:
+            continue
+        seen.add(face)
+        members = near[face[0]] if k == 1 else sorted(
+            set(near[face[0]]).intersection(*(near[s] for s in face[1:])))
+        if len(members) > 1:
+            found = members[0], members[1], face
+            if best is None or found < best:
+                best = found
+    return best
 
 
 def max_near_complete_order(g):
@@ -66,7 +109,7 @@ def clique_formula(g):
     the clique-tree path between them, and each separator is the overlap
     of two cliques, so the largest overlap is the largest separator.
     """
-    cliques = _bron_kerbosch(g)
+    cliques = bron_kerbosch(g)
     overlap = max((len(a & b) for a, b in itertools.combinations(cliques, 2)), default=0)
     return max(max(map(len, cliques)) - 2, overlap)
 
@@ -80,7 +123,7 @@ def near_complete_by_pair_walk(g):
     largest such intersection. O(open pairs x maximal cliques)."""
     if g.n < 2:
         raise ValueError(f"need at least 2 vertices, got {g.n}")
-    cliques = _bron_kerbosch(g)
+    cliques = bron_kerbosch(g)
     verts = sorted(max(cliques, key=len))
     if len(verts) < 2:
         verts = [1, 2]
@@ -240,7 +283,7 @@ def analysis_by_neighbor_sets(g):
         tree = tuple(cliques), tuple(seps)
         cliques = tuple(sorted(cliques, key=sorted))
     else:
-        cliques = _bron_kerbosch(g)
+        cliques = bron_kerbosch(g)
     omega = max(map(len, cliques), default=0)
     near_complete = None
     if g.n >= 2:

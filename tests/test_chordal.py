@@ -19,9 +19,9 @@ from hadamard_powers.chordal import (
     CliqueOrdering,
     Decomposition,
     NotChordalError,
-    _bron_kerbosch,
+    _bron_kerbosch_by_vertex,
+    _least_face_pair,
     _lex_bfs,
-    _triangle_free_cliques,
     check_decomposition,
     check_perfect_ordering,
     decompose,
@@ -50,9 +50,11 @@ from hadamard_powers.graphs import (
 
 from oracles import (
     analysis_by_neighbor_sets,
+    bron_kerbosch,
     clique_formula,
     clique_tree_by_neighbor_scans,
     is_chordal_by_subsets,
+    least_face_pair_by_intersection,
     least_four_cycle,
     max_near_complete_order,
     near_complete_by_pair_walk,
@@ -233,7 +235,7 @@ def test_chordal_and_general_enumeration_agree():
     count = 0
     for seed in range(300):
         g = random_chordal(2 + seed % 8, density=0.3 + 0.07 * (seed % 10), seed=seed)
-        assert sorted(g.analysis.clique_tree[0], key=sorted) == list(_bron_kerbosch(g))
+        assert sorted(g.analysis.clique_tree[0], key=sorted) == list(bron_kerbosch(g))
         count += 1
     assert count == 300
 
@@ -510,8 +512,8 @@ def test_one_search_gives_the_clique_tree(g):
     assert po.cliques == cliques
     assert check_perfect_ordering(g, po.cliques)
     assert po.separators == separators
-    assert sorted(cliques, key=sorted) == list(_bron_kerbosch(g))
-    assert g.analysis.maximal_cliques == _bron_kerbosch(g)
+    assert sorted(cliques, key=sorted) == list(bron_kerbosch(g))
+    assert g.analysis.maximal_cliques == bron_kerbosch(g)
     if g.n >= 2:
         ce = g.analysis.near_complete_order - 2
         assert ce == clique_formula(g)
@@ -591,32 +593,99 @@ TRIANGLE_FREE = st.one_of(
 )
 
 
+@st.composite
+def relabelled_graphs(draw):
+    """(g, h, perm): a graph on at most 16 vertices with an arbitrary edge
+    set, or a random one of any density, and its copy h with vertex v
+    renamed perm[v - 1]."""
+    n = draw(st.integers(0, 16))
+    pairs = list(itertools.combinations(range(1, n + 1), 2))
+    g = draw(st.builds(Graph.from_edges, st.just(n), st.sets(st.sampled_from(pairs)))
+             | st.builds(random_graph, st.just(n), st.floats(0, 1), seed=st.integers(0, 2**16))
+             if pairs else st.just(Graph.from_edges(n, ())))
+    perm = draw(st.permutations(range(1, n + 1)))
+    return g, Graph.from_edges(n, [(perm[a - 1], perm[b - 1]) for a, b in g.edges]), perm
+
+
+@settings(max_examples=300, deadline=None)
+@given(relabelled_graphs())
+def test_per_vertex_enumeration_is_the_whole_graph_search(case):
+    g, h, perm = case
+    cliques = _bron_kerbosch_by_vertex(g)
+    assert cliques == bron_kerbosch(g)
+    assert _bron_kerbosch_by_vertex(h) == bron_kerbosch(h)
+    assert set(_bron_kerbosch_by_vertex(h)) == {frozenset(perm[v - 1] for v in c) for c in cliques}
+
+
 @settings(max_examples=300, deadline=None)
 @given(TRIANGLE_FREE)
 @example(Graph.from_edges(0, ()))
 @example(Graph.from_edges(3, ()))
-def test_triangle_free_cliques_are_bron_kerbosch(g):
-    assert _triangle_free_cliques(g) == _bron_kerbosch(g)
+def test_per_vertex_enumeration_on_triangle_free_graphs(g):
+    # the maximal cliques are the edges and the isolated vertices
+    cliques = _bron_kerbosch_by_vertex(g)
+    assert cliques == bron_kerbosch(g)
+    if g.n:
+        alone = [(v,) for v in g.vertices if not g.degree(v)]
+        assert cliques == tuple(map(frozenset, sorted([*g.edges, *alone])))
 
 
-@settings(max_examples=200, deadline=None)
-@given(any_graphs())
-def test_triangle_free_cliques_only_without_a_triangle(g):
-    triangle = any(g.has_edge(a, c) and g.has_edge(b, c)
-                   for a, b in g.edges for c in g.vertices)
-    assert (_triangle_free_cliques(g) is None) == triangle
+FACE_PAIR_GRAPHS = (chordal_graphs()
+                    | st.builds(max_outerplanar, st.integers(3, 40))
+                    | st.builds(random_tree, st.integers(1, 40), seed=st.integers(0, 2**16))
+                    | st.builds(complete, st.integers(1, 8))
+                    | st.builds(path, st.integers(1, 20)))
 
 
-def test_a_triangle_free_graph_runs_no_bron_kerbosch(monkeypatch):
-    def bron_kerbosch(g):
-        raise AssertionError("Bron-Kerbosch on a triangle-free graph")
+@settings(max_examples=300, deadline=None)
+@given(FACE_PAIR_GRAPHS)
+@example(max_outerplanar(200))
+@example(Graph.from_edges(1 + 40, [(1, v) for v in range(2, 42)]))  # a star
+def test_face_pairs_match_the_intersection_oracle(g):
+    # every face size, not only omega - 1, the one near_complete asks for
+    _, pos, parent, count, starts, _ = g.analysis._lex_bfs_pass
+    for k in range(max(count, default=0) + 2):
+        assert (_least_face_pair(g, pos, parent, count, starts, k)
+                == least_face_pair_by_intersection(g._adjacency, pos, count, starts, k))
 
-    monkeypatch.setattr(chordal, "_bron_kerbosch", bron_kerbosch)
-    grid = _grid(30, 30)
-    assert grid.analysis.clique_number == 2 and grid.analysis.near_complete[0] == 3
-    assert len(grid.analysis.maximal_cliques) == len(grid.edges)
-    with pytest.raises(AssertionError, match="Bron-Kerbosch"):  # a triangle and a 4-cycle
-        Graph.from_edges(5, [(1, 2), (2, 3), (1, 3), (3, 4), (4, 5), (1, 5)]).analysis.maximal_cliques
+
+def _chorded_cycle(n):
+    return Graph.from_edges(n, [*cycle(n).edges, (1, 3)])
+
+
+def _timed(f):
+    start = time.perf_counter()
+    out = f()
+    return out, time.perf_counter() - start
+
+
+def test_a_60000_cycle_with_one_chord_has_r_3_within_5_seconds():
+    # one triangle: the search per vertex, where the whole-graph search
+    # stopped at its work limit
+    g = _chorded_cycle(60_000)
+    (r, v1, s, v2), seconds = _timed(lambda: g.analysis.near_complete)
+    assert (r, v1, s, v2) == (3, 1, (2,), 3) and seconds < 5
+
+
+def test_the_maximal_cliques_of_a_book_with_50000_pages_within_3_seconds():
+    # K_2 plus 50,000 vertices joined to both, plus a disjoint 4-cycle: each
+    # page's search reads the hub pair, never the hubs' 50,000 neighbors
+    pages = 50_000
+    c = pages + 3
+    edges = [(1, 2), *((h, p) for h in (1, 2) for p in range(3, c))]
+    square = [(c, c + 1), (c, c + 3), (c + 1, c + 2), (c + 2, c + 3)]
+    g = Graph.from_edges(c + 3, [*edges, *square])
+    cliques, seconds = _timed(lambda: g.analysis.maximal_cliques)
+    assert seconds < 3
+    assert len(cliques) == pages + 4 and cliques[0] == frozenset({1, 2, 3})
+    assert cliques[-4:] == tuple(map(frozenset, square))
+
+
+def test_max_outerplanar_100000_has_r_4_within_5_seconds():
+    # a fan: vertex 1 lies in every face, and no face scans its list
+    g = max_outerplanar(100_000)
+    (r, v1, s, v2), seconds = _timed(lambda: g.analysis.near_complete)
+    assert (r, v1, s, v2) == (4, 2, (1, 3), 4) and seconds < 5
 
 
 def test_clique_tree_rejects_non_chordal():
