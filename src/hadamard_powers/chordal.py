@@ -523,7 +523,7 @@ def _min_fill(g):
     """
     import heapq  # on first use: only non-chordal graphs reach here
 
-    adj = {v: set(g.neighbors(v)) for v in g.vertices}
+    adj = dict(zip(g.vertices, map(set, g._adjacency[1:])))
     missing = [0] * (g.n + 1)
     work = 0
     for v, near in adj.items():

@@ -54,9 +54,9 @@ class Graph:
     def _adjacency(self):
         """[[], N(1), ..., N(n)]: each vertex's neighbors as a list in
         ascending label order, from one pass over the edges (parse_edge_list
-        fills it while parsing). The graph routines read these lists; the
-        frozensets of `neighbors` are built only for the routes that take
-        set intersections."""
+        and random_chordal fill it as they build the graph). The graph
+        routines read these lists; the frozensets of `neighbors` are built
+        only for the cycle search."""
         near = [[] for _ in range(self.n + 1)]
         for i, j in self.edges:
             near[i].append(j)
@@ -380,22 +380,39 @@ def random_chordal(n, density=0.5, seed=0):
     Each new vertex attaches to a random subset of a previously recorded
     clique, so the reversed insertion order is a perfect elimination
     ordering by construction. `density` in [0, 1] biases subset sizes.
+    Vertex u's recorded clique is its earlier neighbors and u itself.
+
+    The draws are numpy Generator.integers, .binomial and .choice calls,
+    reproduced from the raw PCG64 stream (_numpy_draws): the numpy stream
+    is read, not redrawn, and `seed` may be a Generator, left where the
+    calls would leave it.
     """
     if n < 1:
         raise ValueError(f"random chordal graph needs n >= 1, got {n}")
     if not (0.0 <= density <= 1.0):
         raise ValueError(f"density must lie in [0, 1], got {density}")
-    rng = np.random.default_rng(seed)
+    from ._numpy_draws import draws_from  # on first use: most processes build no such graph
+
+    draws = draws_from(np.random.default_rng(seed))
+    near = [[], []]  # near[v]: v's earlier neighbors, sorted, then its later ones
+    earlier = [0, 0]  # earlier[v]: their count; v's clique is near[v][:earlier[v]] and v
     edges = []
-    cliques = [(1,)]
-    for v in range(2, n + 1):
-        base = cliques[int(rng.integers(len(cliques)))]
-        k = 1 + int(rng.binomial(len(base) - 1, density)) if len(base) > 1 else 1
-        chosen = rng.choice(len(base), size=k, replace=False)
-        attach = tuple(sorted(base[int(i)] for i in chosen))
-        edges.extend((u, v) for u in attach)
-        cliques.append(attach + (v,))
-    return Graph.from_edges(n, edges)
+    label = list(range(n + 1))  # one int object per vertex, however often it is stored
+    for v in itertools.islice(label, 2, None):
+        u = label[1 + draws.integers(v - 1)]
+        c = earlier[u]
+        k = 1 + draws.binomial(c, density) if c else 1
+        head = near[u]
+        attach = [head[i] if i < c else u for i in draws.choice(c + 1, k)]
+        for a in attach:
+            near[a].append(v)
+        edges.extend(zip(attach, itertools.repeat(v)))
+        near.append(attach)
+        earlier.append(k)
+    draws.sync()
+    g = Graph(n=len(near) - 1, edges=frozenset(edges))
+    g.__dict__["_adjacency"] = near
+    return g
 
 
 def random_graph(n, edge_prob=0.5, seed=0):
@@ -405,8 +422,10 @@ def random_graph(n, edge_prob=0.5, seed=0):
     if not (0.0 <= edge_prob <= 1.0):
         raise ValueError(f"edge probability must lie in [0, 1], got {edge_prob}")
     rng = np.random.default_rng(seed)
-    edges = [(i, j) for i, j in itertools.combinations(range(1, n + 1), 2)
-             if rng.random() < edge_prob]
+    edges = []
+    for i in range(1, n):  # the coins of the pairs (i, j), j > i, in one draw
+        row = rng.random(n - i) < edge_prob
+        edges.extend((i, j) for j in (np.flatnonzero(row) + i + 1).tolist())
     return Graph.from_edges(n, edges)
 
 

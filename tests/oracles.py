@@ -10,8 +10,9 @@ per-vertex frozensets; for the edge-list parser, by the earlier two-pass
 parser and the one-pass parser that built no neighbor lists; for the
 numeric CE walk,
 by classifying every power of its grid; for the random tree, by the earlier
-Pruefer decoder's sorted leaf list; and for pattern conformance, by a scan of
-every vertex pair."""
+Pruefer decoder's sorted leaf list; for the random chordal graph, by one numpy
+call per draw; for the random graph, by one numpy draw per vertex pair; and
+for pattern conformance, by a scan of every vertex pair."""
 
 import bisect
 import itertools
@@ -464,6 +465,32 @@ def random_tree_by_sorted_leaves(n, seed=0):
         if degree[v] == 1:
             bisect.insort(leaves, v)
     edges.append((leaves[0], leaves[1]))
+    return Graph.from_edges(n, edges)
+
+
+def random_chordal_by_numpy_calls(n, density=0.5, seed=0):
+    """graphs.random_chordal as it was: one Generator.integers, .binomial and
+    .choice call per vertex, a clique tuple kept per vertex, and the graph
+    built by Graph.from_edges."""
+    rng = np.random.default_rng(seed)
+    edges = []
+    cliques = [(1,)]
+    for v in range(2, n + 1):
+        base = cliques[int(rng.integers(len(cliques)))]
+        k = 1 + int(rng.binomial(len(base) - 1, density)) if len(base) > 1 else 1
+        chosen = rng.choice(len(base), size=k, replace=False)
+        attach = tuple(sorted(base[int(i)] for i in chosen))
+        edges.extend((u, v) for u in attach)
+        cliques.append(attach + (v,))
+    return Graph.from_edges(n, edges)
+
+
+def random_graph_by_pair_draws(n, edge_prob=0.5, seed=0):
+    """graphs.random_graph as it was: one Generator.random call per vertex
+    pair, the pairs in lexicographic order."""
+    rng = np.random.default_rng(seed)
+    edges = [(i, j) for i, j in itertools.combinations(range(1, n + 1), 2)
+             if rng.random() < edge_prob]
     return Graph.from_edges(n, edges)
 
 

@@ -31,6 +31,7 @@ from hadamard_powers.graphs import (
     split_graph,
     to_edge_list,
 )
+from hadamard_powers._numpy_draws import PCG64Draws
 
 import oracles
 from oracles import max_near_complete_order
@@ -253,6 +254,80 @@ def test_tree_is_a_tree():
 def test_random_tree_decodes_as_the_sorted_leaf_list(n, seed):
     # the pointer sweep joins the least leaf, as the sorted list's front did
     assert random_tree(n, seed=seed).edges == oracles.random_tree_by_sorted_leaves(n, seed).edges
+
+
+_DENSITIES = st.sampled_from([0.0, 1.0]) | st.floats(0, 1)
+
+
+@settings(max_examples=150, deadline=None)
+@given(st.integers(1, 300), _DENSITIES, st.integers(0, 2**32 - 1), st.booleans())
+@example(1, 0.5, 0, False)
+@example(300, 1.0, 5, True)
+@example(300, 0.999, 1, True)  # q = 0.001: inversion of 1 - p, cliques over 100
+def test_random_chordal_reads_the_numpy_stream(n, density, seed, half_kept):
+    ours, theirs = np.random.default_rng(seed), np.random.default_rng(seed)
+    if half_kept:  # a uint32 draw leaves the high half of its word for the next one
+        assert ours.integers(7) == theirs.integers(7)
+    g = random_chordal(n, density, seed=ours)
+    assert g.edges == oracles.random_chordal_by_numpy_calls(n, density, seed=theirs).edges
+    assert g._adjacency == Graph(n=g.n, edges=g.edges)._adjacency
+    # the Generator is left where the numpy calls leave it, kept half included
+    assert ours.integers(2**32, size=3).tolist() == theirs.integers(2**32, size=3).tolist()
+    assert ours.random() == theirs.random()
+    if not half_kept:  # an integer seed gives the graph of its Generator
+        assert random_chordal(n, density, seed=seed).edges == g.edges
+
+
+def test_random_chordal_with_another_bit_generator_makes_the_numpy_calls():
+    ours, theirs = (np.random.Generator(np.random.MT19937(3)) for _ in range(2))
+    g = random_chordal(200, 0.7, seed=ours)
+    assert g.edges == oracles.random_chordal_by_numpy_calls(200, 0.7, seed=theirs).edges
+    assert g._adjacency == Graph(n=g.n, edges=g.edges)._adjacency
+    assert ours.random() == theirs.random()
+
+
+def _numpy_draw(rng, name, *args):
+    if name == "choice":
+        s, k = args
+        return sorted(rng.choice(s, size=k, replace=False).tolist())
+    return int(getattr(rng, name)(*args))
+
+
+_MANY_M = [1, 2, 3, 7, 1000, 2**20, 2**31, 2**31 + 1, 3 * 2**30, 2**32 - 1]
+
+
+@pytest.mark.parametrize("draws", [
+    # uint32 draws around doubles: an inversion binomial leaves the kept half
+    [("integers", m) for m in _MANY_M] + [("binomial", 5, 0.3), ("integers", 9),
+                                         ("binomial", 3, 0.9), ("integers", 2**31 + 1)] * 50,
+    # Lemire's rejection, often taken for m just past 2^31 and never for 2^31
+    [("integers", m) for m in _MANY_M for _ in range(40)],
+    # Floyd's sampling with its shuffle draws, k = 1 and k = s included
+    [("choice", s, k) for s in (1, 2, 5, 40, 10000) for k in {1, s // 2 + 1, s}] * 3,
+    # numpy's own BTPE, tail shuffle and 64-bit range, between emulated draws
+    [("integers", 3), ("binomial", 100, 0.5), ("integers", 5), ("binomial", 1000, 0.99),
+     ("choice", 20000, 500), ("integers", 11), ("choice", 20000, 5), ("binomial", 2, 0.5),
+     ("integers", 2**32), ("integers", 2**40), ("choice", 6, 3)],
+    # binomial corners: t = 0, p = 0 and p = 1 (one double, t returned)
+    [("binomial", 0, 0.5), ("binomial", 4, 0.0), ("binomial", 4, 1.0), ("integers", 6)] * 20,
+])
+@pytest.mark.parametrize("seed", [0, 1, 2**32 - 1])
+def test_pcg64_draws_match_numpy_draw_by_draw(draws, seed):
+    ours, theirs = np.random.default_rng(seed), np.random.default_rng(seed)
+    stream = PCG64Draws(ours)
+    for name, *args in draws:
+        assert getattr(stream, name)(*args) == _numpy_draw(theirs, name, *args), (name, args)
+    stream.sync()
+    assert ours.integers(2**32, size=3).tolist() == theirs.integers(2**32, size=3).tolist()
+    assert ours.random(3).tolist() == theirs.random(3).tolist()
+
+
+@settings(max_examples=100, deadline=None)
+@given(st.integers(0, 300), _DENSITIES, st.integers(0, 2**32 - 1))
+@example(300, 0.01, 1)
+def test_random_graph_draws_the_pair_coins_in_rows(n, edge_prob, seed):
+    assert (random_graph(n, edge_prob, seed).edges
+            == oracles.random_graph_by_pair_draws(n, edge_prob, seed).edges)
 
 
 def test_induced_subgraph():
