@@ -312,13 +312,18 @@ class GraphAnalysis:
     def triangulation(self):
         """(fill, order, r): a chordal supergraph H of the graph, given by
         the edges it adds and a perfect elimination order of H, and r of H,
-        the order of its largest near-complete subgraph (read off H's clique
-        tree). H = G on a chordal graph, with no search.
+        the order of its largest near-complete subgraph. H = G on a chordal
+        graph, with no search.
 
         Zero padding puts the pattern cone of G inside that of H, so every
         power of H's set, lattice union [r(H) - 2, oo), is in G's set too.
-        H comes from greedy min-fill elimination (_min_fill); past
-        MAX_FILL_WORK it is the complete graph: fill None (every missing
+        H comes from greedy min-fill elimination (_min_fill). Each vertex's
+        later neighbors in H are its E(v) in the reversed order, so r(H) is
+        read off their Lex-BFS chains, with no graph built for H:
+        omega(H) = max |E(v)| + 1, and r(H) = omega(H) + 1 exactly when a
+        chain start's separator E(b) has omega(H) - 1 vertices (see
+        near_complete), so r(H) = max(omega(H), max |E(b)| + 2). Past
+        MAX_FILL_WORK H is the complete graph: fill None (every missing
         edge), order 1..n and r = n.
         """
         g = self.graph
@@ -327,9 +332,9 @@ class GraphAnalysis:
         found = _min_fill(g)
         if found is None:
             return None, tuple(g.vertices), g.n
-        fill, order = found
-        h = Graph.from_edges(g.n, [*g.edges, *fill])
-        return fill, order, h.analysis.near_complete_order
+        fill, order, parent, count = found
+        starts, _ = _lex_bfs_chains(reversed(order), parent, count)
+        return fill, order, max(max(count) + 1, 2 + max(count[b] for b in starts))
 
     @cached_property
     def sample_layout(self):
@@ -515,11 +520,13 @@ def _min_fill(g):
     neighbors miss the fewest edges among themselves (the smallest label
     among ties), add those edges, and remove it; repeat.
 
-    Returns (fill, order): the added edges, sorted, and the elimination
-    order, a perfect elimination order of G + fill. None past
-    MAX_FILL_WORK. Each vertex's count of missing neighbor pairs is counted
-    once and then updated as edges are added and vertices removed; a heap
-    with lazy deletion keeps the smallest count.
+    Returns (fill, order, parent, count): the added edges, sorted, the
+    elimination order, a perfect elimination order of H = G + fill, and per
+    vertex v its number of later neighbors in H, the neighbors left when it
+    is eliminated, and parent[v], the first of them eliminated (0 if none).
+    None past MAX_FILL_WORK. Each vertex's count of missing neighbor pairs
+    is counted once and then updated as edges are added and vertices
+    removed; a heap with lazy deletion keeps the smallest count.
     """
     import heapq  # on first use: only non-chordal graphs reach here
 
@@ -536,13 +543,13 @@ def _min_fill(g):
         missing[v] = len(near) * (len(near) - 1) // 2 - links // 2
     heap = [(missing[v], v) for v in g.vertices]
     heapq.heapify(heap)
-    fill, order = [], []
+    fill, order, later = [], [], [()] * (g.n + 1)
     while heap:
         count, v = heapq.heappop(heap)
         if v not in adj or count != missing[v]:
             continue  # eliminated, or a stale count
         order.append(v)
-        near = adj.pop(v)
+        near = later[v] = adj.pop(v)
         changed = set(near)
         for a in sorted(near) if count else ():  # a simplicial v adds nothing
             work += len(near)
@@ -569,7 +576,11 @@ def _min_fill(g):
         for c in changed:
             if c in adj:
                 heapq.heappush(heap, (missing[c], c))
-    return tuple(sorted(fill)), tuple(order)
+    pos = [0] * (g.n + 1)
+    for k, v in enumerate(order):
+        pos[v] = k
+    parent = [min(near, key=pos.__getitem__) if near else 0 for near in later]
+    return tuple(sorted(fill)), tuple(order), parent, [*map(len, later)]
 
 
 def _simple_cycle_of_length(g, length):

@@ -11,12 +11,9 @@ CE = r - 2 (r the largest near-complete subgraph order).
 from __future__ import annotations
 
 import functools
-import importlib.util
 import itertools
 import math
-import os
 import re
-import sys
 from collections import deque
 from dataclasses import dataclass
 from types import MappingProxyType
@@ -50,47 +47,6 @@ from .graphs import (
     graph_to_json,
     induced_subgraph,
 )
-
-
-def _load_libmp():
-    """mpmath's arithmetic kernel, mpmath.libmp, loaded from mpmath's files
-    on its own as hadamard_powers._libmp, without mpmath/__init__.py, which
-    builds the fp, mp and iv contexts and imports every special function.
-    libmp imports nothing from its parent package. It is not registered as
-    mpmath.libmp, so a later `import mpmath` loads its own copy; the values
-    (mpf tuples, rounding-mode strings) pass between the two unchanged.
-    ImportError if mpmath is not installed or the kernel does not load."""
-    found = importlib.util.find_spec("mpmath")
-    if found is None or not found.submodule_search_locations:
-        raise ImportError("mpmath is not installed")
-    path = os.path.join(found.submodule_search_locations[0], "libmp")
-    name = f"{__package__}._libmp"
-    spec = importlib.util.spec_from_file_location(
-        name, os.path.join(path, "__init__.py"), submodule_search_locations=[path])
-    kernel = importlib.util.module_from_spec(spec)
-    sys.modules[name] = kernel
-    try:
-        spec.loader.exec_module(kernel)
-    except ImportError:
-        for key in [k for k in sys.modules if k == name or k.startswith(name + ".")]:
-            del sys.modules[key]
-        raise
-    return kernel
-
-
-try:
-    _libmp = _load_libmp()
-except ImportError:
-    from mpmath import libmp as _libmp
-
-dps_to_prec = _libmp.dps_to_prec
-from_float = _libmp.from_float
-mpf_add = _libmp.mpf_add
-mpf_exp = _libmp.mpf_exp
-mpf_log = _libmp.mpf_log
-mpf_mul = _libmp.mpf_mul
-round_ceiling = _libmp.round_ceiling
-round_floor = _libmp.round_floor
 
 
 LATTICES = ("naturals", "odd", "even", "none")
@@ -392,18 +348,19 @@ BORDER_SCALE = 0.56
 CERTIFICATE_MAX_DIGITS = 480
 
 
-#: image ends are read as exact decimals, whose length grows with their
-#: binary exponent; an end past 2^(+-IMAGE_EXPONENT_LIMIT) is replaced by its
-#: trivial bound, 0 below and infinity above
+#: guard digits of the power ends (_power_ends) past a certificate's digits
+GUARD_DIGITS = 3
+#: an image entry e^y past 2^(+-IMAGE_EXPONENT_LIMIT), |y| > IMAGE_EXPONENT_LIMIT
+#: ln 2, would be read as a decimal of that many digits; its ends are
+#: replaced by their trivial bounds, 0 below and infinity above
 IMAGE_EXPONENT_LIMIT = 2**16
-#: most image ends the process keeps (_image_end); a witness workload pass
-#: of 18 searches and re-verifications reads 243 distinct ones
+#: most pairs of power ends, and most logarithms, the process keeps
+#: (_power_ends, _log); a witness workload pass of 18 searches and
+#: re-verifications reads 155 distinct pairs, from 85 logarithms
 IMAGE_END_MEMO = 4096
 #: most factor Grams the process keeps (_gram); a witness workload pass
 #: certifies 4 distinct factors
 GRAM_MEMO = 64
-
-_OTHER_WAY = {round_floor: round_ceiling, round_ceiling: round_floor}
 
 #: a test vector entry: a plain decimal literal in ASCII digits, with no
 #: NaN, infinity, underscores or surrounding spaces
@@ -412,8 +369,8 @@ _DECIMAL_LITERAL = re.compile(r"[+-]?([0-9]+\.?[0-9]*|\.[0-9]+)([eE][+-]?[0-9]+)
 
 def _gram(f):
     """The entries of F F^T on and above the diagonal that some column
-    makes nonzero, {(i, j): mpf value}; float products and sums at mpmath
-    precision 0 are exact.
+    makes nonzero, {(i, j): exact decimal}; a float converts exactly, and
+    the unbounded context (_exact_context) multiplies and adds exactly.
 
     Memoized per process on F's shape and bytes (_exact_gram), so the
     plain, odd and even searches at one alpha, which certify one factor,
@@ -424,54 +381,83 @@ def _gram(f):
 
 @functools.lru_cache(maxsize=GRAM_MEMO)
 def _exact_gram(shape, data):
+    exact = _exact_context()
     f = np.frombuffer(data).reshape(shape)
-    vals = [[from_float(float(x)) for x in row] for row in f]
+    vals = [[exact.create_decimal_from_float(float(x)) for x in row] for row in f]
     n, k = f.shape
     out = {}
     for i in range(n):
         for j in range(i, n):
-            terms = [mpf_mul(vals[i][c], vals[j][c]) for c in range(k) if f[i, c] and f[j, c]]
+            terms = [exact.multiply(vals[i][c], vals[j][c]) for c in range(k)
+                     if f[i, c] and f[j, c]]
             if terms:
-                out[i, j] = functools.reduce(mpf_add, terms)
+                out[i, j] = functools.reduce(exact.add, terms)
     return MappingProxyType(out)
 
 
-def _power_end(s, alpha, prec, rnd):
-    """s^alpha for mpf values s > 0 and alpha, rounded at prec bits toward
-    rnd (round_floor or round_ceiling): the end on that side of mpmath.iv's
-    s ** alpha at a power other than an integer or 1/2, by the same calls at
-    the same working precisions. The logarithm rounds the other way when
-    alpha < 0."""
-    wp = prec + 20
-    log_rnd = _OTHER_WAY[rnd] if alpha[0] else rnd
-    return mpf_exp(mpf_mul(mpf_log(s, wp, log_rnd), alpha, wp, rnd), prec, rnd)
-
-
 @functools.cache
-def _exact_context():
-    import decimal  # libmpdec; only certificates load it
+def _context(prec, rounding="ROUND_HALF_EVEN"):
+    """The decimal context of prec significant digits and that rounding,
+    with the widest exponent range."""
+    import decimal  # on first use: only certificates need it
 
-    return decimal.Context(prec=decimal.MAX_PREC, Emax=decimal.MAX_EMAX, Emin=decimal.MIN_EMIN)
+    return decimal.Context(prec=prec, rounding=rounding,
+                           Emax=decimal.MAX_EMAX, Emin=decimal.MIN_EMIN)
+
+
+def _exact_context():
+    """The unbounded decimal context: sums and products are exact."""
+    import decimal
+
+    return _context(decimal.MAX_PREC)
 
 
 @functools.lru_cache(maxsize=IMAGE_END_MEMO)
-def _image_end(s, alpha, digits, rnd):
-    """_power_end at the binary precision of `digits` decimal digits, as an
-    exact decimal (or its trivial bound past IMAGE_EXPONENT_LIMIT).
+def _log(s, prec):
+    """ln(s), correctly rounded to prec significant digits."""
+    return _context(prec).ln(s)
 
-    Memoized per process on the exact Gram value, alpha, digits and
-    direction, so the search's lower and upper ends, the bound that
+
+@functools.lru_cache(maxsize=IMAGE_END_MEMO)
+def _power_ends(s, alpha, digits):
+    """(lower, upper): decimals at p = digits + GUARD_DIGITS significant
+    digits enclosing s^alpha, s > 0 an exact decimal (a Gram entry).
+
+    ln, the product with alpha and exp each round to nearest, within a
+    relative u = 10^(1-p) / 2 (decimal's ln and exp are correctly rounded):
+    L = ln(s)(1 + d1), y' = alpha L (1 + d2) and E = exp(y')(1 + d3), with
+    |d_i| <= u. For y = alpha ln s, |y' - y| <= eta = |y| (2u + u^2), so
+    E / s^alpha lies in [e^-eta (1 - u), e^eta (1 + u)]. Let
+    eps = 2 (|y'| + 1) 10^(1-p) = 4 (|y'| + 1) u, rounded up. While
+    eps <= 1/2, |y'| u + u <= 1/8, and with p >= 3 (u <= 0.005),
+    eta <= 2.04 |y'| u <= 0.26. Then
+    e^eta (1 + u) <= (1 + eta + eta^2)(1 + u) <= 1 + 2.58 |y'| u + 1.33 u
+    <= 1 + eps <= 1 / (1 - eps), and
+    e^-eta (1 - u) >= 1 - eta - u >= 1 / (1 + eps). So
+    E (1 - eps) <= s^alpha <= E (1 + eps), and each end rounds outward.
+    y' = 0 (s = 1 or alpha = 0) rounds nothing: both ends are 1. Past
+    eps = 1/2 or the exponent limit (|y'| > IMAGE_EXPONENT_LIMIT ln 2) the
+    ends are the trivial 0 and infinity.
+
+    Memoized per process on the exact Gram value, alpha and digits, so the
+    point image, both ends of the bound, the bound that
     IntervalCertificate.upper_bound recomputes, and the plain, odd and even
-    searches at one alpha, which certify one image, compute each end once.
-    A memoized end is the decimal the arithmetic returns."""
-    exact = _exact_context()
-    _, man, exp, bc = _power_end(s, from_float(float(alpha)), dps_to_prec(digits), rnd)
-    if abs(exp + bc) > IMAGE_EXPONENT_LIMIT:
-        return exact.create_decimal(0 if rnd == round_floor else "Infinity")
-    if exp >= 0:
-        return exact.create_decimal(man << exp)
-    # man 2^exp = man 5^-exp 10^exp
-    return exact.scaleb(exact.create_decimal(man * 5**-exp), exp)
+    searches at one alpha, which certify one image, take one exp; the
+    logarithm is memoized per (s, p) (_log), since neither alpha nor the
+    direction changes it."""
+    p = digits + GUARD_DIGITS
+    near = _context(p)
+    y = near.multiply(_exact_context().create_decimal_from_float(float(alpha)), _log(s, p))
+    if not y:
+        one = near.create_decimal(1)
+        return one, one
+    size = near.abs(y)
+    up, down = _context(p, "ROUND_CEILING"), _context(p, "ROUND_FLOOR")
+    eps = up.multiply(up.add(size, 1), up.scaleb(2, 1 - p))
+    if eps > 0.5 or size > IMAGE_EXPONENT_LIMIT * math.log(2):
+        return near.create_decimal(0), near.create_decimal("Infinity")
+    e = near.exp(y)
+    return down.multiply(e, down.subtract(1, eps)), up.multiply(e, up.add(1, eps))
 
 
 def _test_vector_entry(text):
@@ -489,21 +475,18 @@ def _form_upper(gram, alpha, digits, x):
     Every image entry is positive, so the term of the pair i <= j,
     c = x_i x_j (doubled off the diagonal) times the entry, is at most c
     times the entry's upper end when c > 0 and its lower end when c < 0;
-    only that end is read (_image_end). Every operation rounds up, at
+    only that end is read (_power_ends). Every operation rounds up, at
     2 digits + 1 digits, so c is exact for x of `digits` digits and the sum
     is an upper bound.
     """
-    import decimal
-
-    ctx = decimal.Context(prec=2 * digits + 1, rounding=decimal.ROUND_CEILING,
-                          Emax=decimal.MAX_EMAX, Emin=decimal.MIN_EMIN)
+    ctx = _context(2 * digits + 1, "ROUND_CEILING")
     total = ctx.create_decimal(0)
     for (i, j), s in gram.items():
         c = ctx.multiply(x[i], x[j])
         if i != j:
             c = ctx.add(c, c)
         if c:
-            end = _image_end(s, alpha, digits, round_ceiling if c > 0 else round_floor)
+            end = _power_ends(s, alpha, digits)[c > 0]
             total = ctx.add(total, ctx.multiply(c, end))
     return total
 
@@ -515,9 +498,9 @@ class IntervalCertificate:
     F F^T is PSD exactly. The proof is an upper bound on
     x^T (F F^T)^{∘alpha} x that is negative (a verification method: Rump
     2010, Acta Numerica 19). It is summed in decimal from the exact
-    x_i x_j and, per image entry, one end rounded at the binary precision
-    of `digits` decimal digits in the direction the sign of x_i x_j calls
-    for (_form_upper). The test vector x is the negative-pivot vector
+    x_i x_j and, per image entry, one end of its enclosure at `digits` +
+    GUARD_DIGITS significant digits, the end the sign of x_i x_j calls for
+    (_form_upper). The test vector x is the negative-pivot vector
     L^{-T} e_k of a diagonally pivoted L D L^T of the image at that
     precision, so the form is, up to rounding, the negative diagonal entry
     of the Schur complement where the factorization stops. It is kept as
@@ -789,12 +772,12 @@ def _least_eigenvalue(ctx, b, x):
 
 class _DecimalContext:
     """The point arithmetic of the certificate search: stdlib decimal
-    numbers at dps significant digits, with the members of an mpmath
-    context that the point routines use. Decimal operators round to the
-    thread's context, so the routines run inside `with ctx.local():`."""
+    numbers at dps significant digits, with the members the point routines
+    read (mpf, zero, one, eps). Decimal operators round to the thread's
+    context, so the routines run inside `with ctx.local():`."""
 
     def __init__(self, dps):
-        import decimal  # libmpdec; only certificate searches load it
+        import decimal  # on first use: only certificate searches need it
 
         self.dps = dps
         self.context = decimal.Context(prec=dps)
@@ -809,12 +792,12 @@ class _DecimalContext:
 
 def _point_image(gram, alpha, digits, k):
     """(ctx, image): the _DecimalContext of `digits` digits and the k x k
-    image, each entry the lower end of (F F^T)^{∘alpha} (_image_end on
+    image, each entry the lower end of (F F^T)^{∘alpha} (_power_ends on
     gram, from _gram) rounded once to those digits; zero where F F^T is."""
     ctx = _DecimalContext(digits)
     image = [[ctx.zero] * k for _ in range(k)]
     for (i, j), s in gram.items():
-        image[i][j] = image[j][i] = ctx.mpf(_image_end(s, alpha, digits, round_floor))
+        image[i][j] = image[j][i] = ctx.mpf(_power_ends(s, alpha, digits)[0])
     return ctx, image
 
 
@@ -827,9 +810,8 @@ def _interval_certificate(factor, alpha, digits):
     _DecimalContext. The test vector is the negative-pivot vector of a
     diagonally pivoted L D L^T of that point image, and _form_upper bounds
     it as IntervalCertificate.upper_bound does, from the same memoized
-    ends (_image_end). The
-    eigenvalue comes from Rayleigh-quotient iteration seeded with it and
-    confirmed least by an inertia count. Where the noise floor of that
+    ends (_power_ends). The eigenvalue comes from Rayleigh-quotient
+    iteration seeded with it and confirmed least by an inertia count. Where the noise floor of that
     precision exceeds 2^-53 of the eigenvalue (a power next to an integer,
     whose image is nearly singular), only the eigenvalue is recomputed, at
     doubled precision up to CERTIFICATE_MAX_DIGITS, so that it is resolved

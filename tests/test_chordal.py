@@ -804,6 +804,24 @@ def test_triangulation_is_a_chordal_supergraph(g):
         assert fill and (fill, order) == naive_min_fill(g)
 
 
+GRAPHS_UP_TO_14 = st.integers(4, 14).flatmap(lambda n: st.builds(
+    Graph.from_edges, st.just(n),
+    st.sets(st.sampled_from(list(itertools.combinations(range(1, n + 1), 2))))))
+
+
+@settings(max_examples=400, deadline=None)
+@given(GRAPHS_UP_TO_14)
+@example(cycle(80))
+@example(complete_bipartite(4, 6))
+@example(Graph.from_edges(40, [(i, i % 40 + 1) for i in range(1, 41)] + [(1, 3), (5, 20)]))
+def test_triangulation_r_is_that_of_the_rebuilt_supergraph(g):
+    # r(H) comes from min-fill's own elimination; the oracle builds H as a
+    # graph and runs its own Lex-BFS and near_complete
+    fill, _, r_h = g.analysis.triangulation
+    h = Graph.from_edges(g.n, [*g.edges, *fill])
+    assert r_h == h.analysis.near_complete_order
+
+
 def test_triangulation_of_cycles_and_bipartite_graphs():
     # a triangulated cycle holds two triangles on one edge, K4 minus an edge
     for n in (4, 5, 9, 80):
