@@ -42,6 +42,7 @@ from .cones import (
 )
 from .graphs import (
     Graph,
+    _integer,
     connected_components,
     graph_from_json,
     graph_to_json,
@@ -356,15 +357,28 @@ GUARD_DIGITS = 3
 IMAGE_EXPONENT_LIMIT = 2**16
 #: most pairs of power ends, and most logarithms, the process keeps
 #: (_power_ends, _log); a witness workload pass of 18 searches and
-#: re-verifications reads 155 distinct pairs, from 85 logarithms
+#: re-verifications reads 155 distinct pairs, from 85 logarithms. A pair
+#: serves a proof's point image and bound and the bound verify()
+#: recomputes; a logarithm serves every alpha
 IMAGE_END_MEMO = 4096
 #: most factor Grams the process keeps (_gram); a witness workload pass
-#: certifies 4 distinct factors
+#: certifies 4 distinct blocks F[U], each read by its proofs and by the
+#: bound every re-verification recomputes
 GRAM_MEMO = 64
+#: most proofs of a support block the process keeps (_certified_block); a
+#: witness workload pass makes 6, for 18 searches
+CERTIFICATE_MEMO = 64
 
 #: a test vector entry: a plain decimal literal in ASCII digits, with no
 #: NaN, infinity, underscores or surrounding spaces
 _DECIMAL_LITERAL = re.compile(r"[+-]?([0-9]+\.?[0-9]*|\.[0-9]+)([eE][+-]?[0-9]+)?")
+
+
+def _block_key(f):
+    """(shape, bytes) of f as C-ordered float64: the memo key of a factor
+    block (_exact_gram, _certified_block)."""
+    f = np.ascontiguousarray(f, dtype=np.float64)
+    return f.shape, f.tobytes()
 
 
 def _gram(f):
@@ -373,10 +387,10 @@ def _gram(f):
     the unbounded context (_exact_context) multiplies and adds exactly.
 
     Memoized per process on F's shape and bytes (_exact_gram), so the
-    plain, odd and even searches at one alpha, which certify one factor,
-    and each re-verification build it once; the mapping is read-only."""
-    f = np.ascontiguousarray(f, dtype=np.float64)
-    return _exact_gram(f.shape, f.tobytes())
+    proof of a block (_certified_block) and the bound each re-verification
+    recomputes build it once, and so do proofs of one block at several
+    alphas; the mapping is read-only."""
+    return _exact_gram(*_block_key(f))
 
 
 @functools.lru_cache(maxsize=GRAM_MEMO)
@@ -440,9 +454,8 @@ def _power_ends(s, alpha, digits):
     ends are the trivial 0 and infinity.
 
     Memoized per process on the exact Gram value, alpha and digits, so the
-    point image, both ends of the bound, the bound that
-    IntervalCertificate.upper_bound recomputes, and the plain, odd and even
-    searches at one alpha, which certify one image, take one exp; the
+    point image, both ends of the bound and the bound that
+    IntervalCertificate.upper_bound recomputes take one exp; the
     logarithm is memoized per (s, p) (_log), since neither alpha nor the
     direction changes it."""
     p = digits + GUARD_DIGITS
@@ -550,10 +563,13 @@ class IntervalCertificate:
 
     @classmethod
     def from_json(cls, data):
+        """The certificate of to_json; ValueError("bad certificate JSON: ...")
+        unless factor holds columns of numbers, test_vector decimal strings
+        and digits a JSON integer (no bool, float or string)."""
         try:
             factor = np.array(data["factor"], dtype=float).T
             test_vector = tuple(data["test_vector"])
-            digits = int(data["digits"])
+            digits = _integer(data["digits"])
         except (KeyError, TypeError, ValueError) as exc:
             raise ValueError(f"bad certificate JSON: {exc}") from None
         if factor.ndim != 2 or not all(isinstance(x, str) for x in test_vector):
@@ -805,37 +821,55 @@ def _interval_certificate(factor, alpha, digits):
     """(certificate, least image eigenvalue) proving F F^T a witness at
     alpha, doubling the precision from `digits`; None past the limit.
 
-    Each precision rounds every image entry on F's rows down once
-    (_point_image); the point arithmetic runs on those lower ends in a
-    _DecimalContext. The test vector is the negative-pivot vector of a
-    diagonally pivoted L D L^T of that point image, and _form_upper bounds
-    it as IntervalCertificate.upper_bound does, from the same memoized
-    ends (_power_ends). The eigenvalue comes from Rayleigh-quotient
-    iteration seeded with it and confirmed least by an inertia count. Where the noise floor of that
-    precision exceeds 2^-53 of the eigenvalue (a power next to an integer,
-    whose image is nearly singular), only the eigenvalue is recomputed, at
-    doubled precision up to CERTIFICATE_MAX_DIGITS, so that it is resolved
-    to float precision.
-    """
+    The proof reads only F's nonzero rows F[U] (_certified_block); its
+    test vector goes back to the rows U, with "0" on every other row."""
     rows = np.flatnonzero(factor.any(axis=1))
-    gram = _gram(factor[rows])
+    proved = _certified_block(*_block_key(factor[rows]), alpha, digits)
+    if proved is None:
+        return None
+    strings, digits, lam = proved
+    x = ["0"] * factor.shape[0]
+    for r, v in zip(rows, strings):
+        x[r] = v
+    return IntervalCertificate(factor=factor, test_vector=tuple(x), digits=digits), lam
+
+
+@functools.lru_cache(maxsize=CERTIFICATE_MEMO)
+def _certified_block(shape, data, alpha, digits):
+    """(test vector, digits, least image eigenvalue) proving B B^T a
+    witness at alpha for the block B of that shape and bytes, F's nonzero
+    rows F[U]: the vector as decimal strings on B's rows, the precision
+    that proved it and a float. None past CERTIFICATE_MAX_DIGITS.
+
+    Each precision rounds every image entry down once (_point_image); the
+    point arithmetic runs on those lower ends in a _DecimalContext. The
+    test vector is the negative-pivot vector of a diagonally pivoted
+    L D L^T of that point image, and _form_upper bounds it as
+    IntervalCertificate.upper_bound does, from the same memoized ends
+    (_power_ends). The eigenvalue comes from Rayleigh-quotient iteration
+    seeded with it and confirmed least by an inertia count. Where the noise
+    floor of that precision exceeds 2^-53 of the eigenvalue (a power next
+    to an integer, whose image is nearly singular), only the eigenvalue is
+    recomputed, at doubled precision up to CERTIFICATE_MAX_DIGITS, so that
+    it is resolved to float precision.
+
+    Memoized per process on (shape, bytes, alpha, digits): the plain, odd
+    and even searches at one alpha, whose nonnegative F F^T has one image,
+    and graphs whose bordered block is the same make one proof.
+    """
+    gram = _exact_gram(shape, data)
     while digits <= CERTIFICATE_MAX_DIGITS:
-        ctx, point = _point_image(gram, alpha, digits, len(rows))
+        ctx, point = _point_image(gram, alpha, digits, shape[0])
         with ctx.local():
             found = _negative_pivot_vector(ctx, point)
             if found is not None:
-                strings = [format(v, f".{digits}g") for v in found[0]]
+                strings = tuple(format(v, f".{digits}g") for v in found[0])
                 exact = [_test_vector_entry(v) for v in strings]
                 if _form_upper(gram, alpha, digits, exact) < 0:
                     lam = _least_eigenvalue(ctx, point, found[0])
                     if lam is not None:
-                        x = ["0"] * factor.shape[0]
-                        for r, v in zip(rows, strings):
-                            x[r] = v
-                        cert = IntervalCertificate(factor=factor, test_vector=tuple(x),
-                                                   digits=digits)
-                        return cert, _resolved_eigenvalue(gram, alpha, ctx, point,
-                                                          found[0], lam)
+                        return strings, digits, _resolved_eigenvalue(gram, alpha, ctx, point,
+                                                                      found[0], lam)
         digits *= 2
     return None
 

@@ -400,16 +400,21 @@ def test_witness_line_names_the_certificate_route(capsys, tmp_path, argv, route)
 
 
 @pytest.mark.parametrize("field, value", [("test_vector", 5), ("test_vector", [0.5]),
-                                          ("factor", "x"), ("digits", None)])
+                                          ("factor", "x"), ("digits", None), ("digits", "45"),
+                                          ("digits", "4_5"), ("digits", 45.9), ("digits", 45.0),
+                                          ("digits", True)])
 def test_witness_malformed_certificate_is_a_load_error(capsys, tmp_path, field, value):
+    # digits is a JSON integer: a string or float that int() would read is
+    # turned down, and so is a bool
     out_file = tmp_path / "w.json"
     run(capsys, ["witness", "--family", "near-complete", "--n", "7", "--alpha", "4.5",
                  "--seed", "1", "-o", str(out_file)])
     data = json.loads(out_file.read_text())
+    assert data["certificate"]["digits"] == 45
     data["certificate"][field] = value
     out_file.write_text(json.dumps(data))
     code, _, err = run(capsys, ["witness", "--verify", str(out_file)])
-    assert code == 2 and "cannot load witness report" in err
+    assert code == 2 and "cannot load witness report: bad certificate JSON: " in err
 
 
 def _witness_report_with(tmp_path, edit):

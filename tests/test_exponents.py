@@ -804,9 +804,12 @@ def test_witness_workload_reports_are_pinned():
             rec["matrix_sha256"]), rec
 
 
-def _clear_end_memos():
-    exponents._power_ends.cache_clear()
-    exponents._log.cache_clear()
+def _clear_certificate_memos():
+    """Empty the four memos of the interval route: proofs, Grams, power
+    ends and logarithms."""
+    for memo in (exponents._certified_block, exponents._exact_gram,
+                 exponents._power_ends, exponents._log):
+        memo.cache_clear()
 
 
 class _CountingContext:
@@ -831,7 +834,7 @@ class _CountingContext:
 def _count_exps_and_logs(monkeypatch):
     """(calls, powers): every exp and ln the power ends compute, and the
     distinct (s, alpha, digits) the certificate routines ask ends of."""
-    _clear_end_memos()  # ends memoized by earlier tests are not counted
+    _clear_certificate_memos()  # proofs and ends memoized by earlier tests are not counted
     calls, powers = [], set()
     context, power_ends = exponents._context, exponents._power_ends
 
@@ -869,22 +872,70 @@ def _witness_workload_pass():
 
 
 def test_a_witness_workload_pass_builds_each_factor_gram_once():
-    # the plain, odd and even searches at one alpha certify one factor, and
+    # the plain, odd and even searches at one alpha share one proof, and
     # each re-verification reads the search's Gram. The 6 graph and alpha
-    # pairs certify 4 distinct factors on their nonzero rows: band(10, 5) at
-    # 4.5 and 4.95 and band(14, 6) at 4.75 share one 7 x 2 closed form. So
-    # 4 builds of 36 reads
-    exponents._exact_gram.cache_clear()
+    # pairs make 6 proofs of 4 distinct blocks F[U]: band(10, 5) at 4.5 and
+    # 4.95 and band(14, 6) at 4.75 share one 7 x 2 closed form. So 4 Gram
+    # builds of 24 reads (6 proofs, 18 re-verifications), and 6 proofs of
+    # 18 searches
+    _clear_certificate_memos()
     _witness_workload_pass()
     info = exponents._exact_gram.cache_info()
-    assert (info.misses, info.hits) == (4, 32)
+    assert (info.misses, info.hits) == (4, 20)
     assert info.maxsize == exponents.GRAM_MEMO
+    info = exponents._certified_block.cache_info()
+    assert (info.misses, info.hits) == (6, 12)
+    assert info.maxsize == exponents.CERTIFICATE_MEMO
+
+
+def test_a_shared_support_block_puts_its_test_vector_at_the_callers_rows():
+    # band(10, 5) and band(14, 6) at 4.75 border the same 7 x 2 block, on
+    # vertices 1-7 and on 1-6 and 8 (their near-complete subgraphs): the
+    # second search reads the first's proof, and its report is the one a
+    # cold process writes, with "0" on the 7 rows outside its support
+    def band_14_6_report():
+        w = find_counterexample(band(14, 6), 4.75, "odd", seed=1)
+        return w, json.dumps(w.to_json(), sort_keys=True)
+
+    _clear_certificate_memos()
+    _, cold = band_14_6_report()
+    _clear_certificate_memos()
+    find_counterexample(band(10, 5), 4.75, "plain", seed=1)
+    w, warm = band_14_6_report()
+    info = exponents._certified_block.cache_info()
+    assert (info.misses, info.hits) == (1, 1)
+    assert info.maxsize == exponents.CERTIFICATE_MEMO
+    assert warm == cold
+    assert WitnessReport.from_json(json.loads(warm)).verify()
+    rows = np.flatnonzero(w.certificate.factor.any(axis=1))
+    assert len(rows) == 7
+    x = w.certificate.test_vector
+    assert [x[r] for r in range(14) if r not in rows] == ["0"] * 7
+    assert all(Decimal(x[r]) for r in rows)
+
+
+def test_a_proof_is_memoized_per_alpha_and_starting_digits():
+    # one block at two powers, and at one power from two starting digits:
+    # three proofs, each the one a cold memo makes
+    factor = bordered_factor(np.ones(5), BORDER_SCALE * np.linspace(1.0, 2.0, 5))
+    cases = [(4.5, 45), (4.95, 45), (4.5, 20)]
+    cold = []
+    for alpha, digits in cases:
+        _clear_certificate_memos()
+        cert, lam = _interval_certificate(factor, alpha, digits)
+        cold.append((cert.test_vector, cert.digits, lam))
+    _clear_certificate_memos()
+    warm = [(cert.test_vector, cert.digits, lam)
+            for cert, lam in (_interval_certificate(factor, *case) for case in cases)]
+    assert warm == cold and len(set(cold)) == 3
+    assert cold[0][1] != cold[2][1]
+    assert exponents._certified_block.cache_info().misses == 3
 
 
 def test_memoized_ends_do_not_change_a_verdict():
     # verify() and the bound itself read the same with a cold memo and with
     # one the search has just filled; a tampered test vector still fails
-    _clear_end_memos()
+    _clear_certificate_memos()
     data = json.loads(json.dumps(_interval_report()))  # the search fills the memo
     warm = WitnessReport.from_json(data)
     warm_bound = warm.certificate.upper_bound(warm.alpha)
@@ -895,23 +946,23 @@ def test_memoized_ends_do_not_change_a_verdict():
     assert not WitnessReport.from_json(bad).verify()
     _unit_test_vector(bad)
     assert not WitnessReport.from_json(bad).verify()
-    _clear_end_memos()
+    _clear_certificate_memos()
     cold = WitnessReport.from_json(data)
     assert cold.certificate.upper_bound(cold.alpha) == warm_bound < 0
     assert cold.verify()
-    _clear_end_memos()
+    _clear_certificate_memos()
     assert not WitnessReport.from_json(bad).verify()
 
 
 def test_image_end_memo_stays_within_its_bound():
-    _clear_end_memos()
+    _clear_certificate_memos()
     bound = exponents.IMAGE_END_MEMO
     for k in range(bound + 10):
         exponents._power_ends(Decimal(1 + k / 2**20), 2.5, 20)
     for memo in (exponents._power_ends, exponents._log):
         info = memo.cache_info()
         assert info.maxsize == bound and info.currsize == bound
-    _clear_end_memos()
+    _clear_certificate_memos()
 
 
 # sha256 of the canonical to_json() bytes (sorted keys, no spaces), recorded
@@ -1083,7 +1134,7 @@ def test_power_ends_bracket_the_iv_power_at_twice_the_digits(alpha, s, digits):
 def test_logarithms_are_memoized_per_precision():
     # one ln per (s, precision): an ln kept from 20 digits would leave the
     # 480-digit ends some 460 digits short of their bound
-    _clear_end_memos()
+    _clear_certificate_memos()
     exact, mp_s = _gram_entry((0.56, 1.12))
     for digits in (20, 480, 20):
         low, high = exponents._power_ends(exact, 6.5, digits)
@@ -1381,6 +1432,6 @@ def test_reports_written_with_binary_power_ends_still_verify():
     reports = json.loads((FIXTURES / "witness_mpmath_end_reports.json").read_text())
     assert [(r["graph"]["n"], r["alpha"]) for r in reports] == [
         (10, 4.5), (10, 4.95), (14, 5.5), (14, 4.75), (9, 6.5), (9, 5.75), (20, 17.5)]
-    _clear_end_memos()
+    _clear_certificate_memos()
     for data in reports:
         assert WitnessReport.from_json(data).verify(), (data["graph"]["n"], data["alpha"])
