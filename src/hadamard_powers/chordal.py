@@ -15,7 +15,7 @@ from collections import deque
 from dataclasses import dataclass
 from functools import cached_property
 
-from .graphs import Graph, is_connected
+from .graphs import Graph, connected_components, is_connected
 
 
 class NotChordalError(ValueError):
@@ -335,6 +335,36 @@ class GraphAnalysis:
         fill, order, parent, count = found
         starts, _ = _lex_bfs_chains(reversed(order), parent, count)
         return fill, order, max(max(count) + 1, 2 + max(count[b] for b in starts))
+
+    @cached_property
+    def components(self):
+        """The vertex sets of the connected components, each a sorted tuple,
+        in label order (graphs.connected_components)."""
+        return tuple(map(tuple, connected_components(self.graph)))
+
+    @cached_property
+    def bipartition(self):
+        """(X, Y), a two-coloring with the least vertex of each component
+        in X, by one breadth-first search per component; None when an odd
+        cycle exists."""
+        g = self.graph
+        near = g._adjacency
+        color = [-1] * (g.n + 1)
+        for start in g.vertices:
+            if color[start] >= 0:
+                continue
+            color[start] = 0
+            queue = deque([start])
+            while queue:
+                v = queue.popleft()
+                for u in near[v]:
+                    if color[u] < 0:
+                        color[u] = 1 - color[v]
+                        queue.append(u)
+                    elif color[u] == color[v]:
+                        return None
+        x = frozenset(v for v in g.vertices if color[v] == 0)
+        return x, frozenset(g.vertices) - x
 
     @cached_property
     def sample_layout(self):

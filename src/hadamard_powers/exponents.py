@@ -14,7 +14,6 @@ import functools
 import itertools
 import math
 import re
-from collections import deque
 from dataclasses import dataclass
 from types import MappingProxyType
 
@@ -43,7 +42,6 @@ from .cones import (
 from .graphs import (
     Graph,
     _integer,
-    connected_components,
     graph_from_json,
     graph_to_json,
     induced_subgraph,
@@ -203,24 +201,9 @@ def hset_cycle(n, family="plain"):
 
 
 def bipartition(g):
-    """(X, Y) two-coloring of a connected bipartite graph, else None."""
-    near = g._adjacency
-    color = [-1] * (g.n + 1)
-    for start in g.vertices:
-        if color[start] >= 0:
-            continue
-        color[start] = 0
-        queue = deque([start])
-        while queue:
-            v = queue.popleft()
-            for u in near[v]:
-                if color[u] < 0:
-                    color[u] = 1 - color[v]
-                    queue.append(u)
-                elif color[u] == color[v]:
-                    return None
-    x = frozenset(v for v in g.vertices if color[v] == 0)
-    return x, frozenset(g.vertices) - x
+    """(X, Y) two-coloring of a connected bipartite graph, else None
+    (GraphAnalysis.bipartition)."""
+    return g.analysis.bipartition
 
 
 def hset_bipartite(g, family="plain"):
@@ -235,9 +218,9 @@ def hset_bipartite(g, family="plain"):
     _check_family(family)
     if g.n < 3:
         raise ValueError(f"need at least 3 vertices, got {g.n}")
-    if len(connected_components(g)) != 1:
+    if len(g.analysis.components) != 1:
         raise ValueError("graph must be connected")
-    parts = bipartition(g)
+    parts = g.analysis.bipartition
     if parts is None:
         raise ValueError("graph is not bipartite (an odd cycle exists)")
     k22_in_k2m = False
@@ -260,7 +243,7 @@ def hset_bipartite(g, family="plain"):
 def _is_cycle_graph(g):
     return (g.n >= 3 and len(g.edges) == g.n
             and all(g.degree(v) == 2 for v in g.vertices)
-            and len(connected_components(g)) == 1)
+            and len(g.analysis.components) == 1)
 
 
 def _combine(sources, inner_end):
@@ -316,11 +299,11 @@ def expected_hset(g, family="plain"):
     outer = HSet(lattice=lattice, ray_start=float(r - 2))
     if g.analysis.is_chordal:  # H = G
         return outer
-    components = connected_components(g)
+    components = g.analysis.components
     theorems = []
     if _is_cycle_graph(g):
         theorems.append(hset_cycle(g.n, family))
-    if g.n >= 3 and len(components) == 1 and bipartition(g) is not None:
+    if g.n >= 3 and len(components) == 1 and g.analysis.bipartition is not None:
         theorems.append(hset_bipartite(g, family))
     if any((h if h.exact else h.inner).ray_start <= 2 for h in theorems):
         return _combine(theorems, min)

@@ -228,7 +228,7 @@ def connected_components(g):
 
 
 def is_connected(g):
-    return g.n <= 1 or len(connected_components(g)) == 1
+    return g.n <= 1 or len(g.analysis.components) == 1
 
 
 def induced_subgraph(g, subset):

@@ -243,6 +243,24 @@ def test_bipartition():
     assert bipartition(complete(3)) is None
 
 
+def test_components_and_two_coloring_once_per_graph(monkeypatch):
+    # expected_hset, hset_bipartite and the cycle test read both off the
+    # graph's analysis, so each graph takes one search of each
+    calls = []
+
+    def components(g):
+        calls.append(g.n)
+        return connected_components(g)
+
+    monkeypatch.setattr(chordal, "connected_components", components)
+    for g in (cycle(8), complete_bipartite(3, 4)):
+        for family in ("plain", "odd", "even"):
+            expected_hset(g, family)
+            hset_bipartite(g, family)
+        assert bipartition(g) is g.analysis.bipartition is not None
+    assert calls == [8, 7]
+
+
 def test_bipartite_two_by_many_detection_boundary():
     # one edge removed still sandwiches between K_{2,2} and K_{2,3}
     g = Graph.from_edges(5, [(1, 4), (1, 5), (2, 3), (2, 4), (2, 5)])
