@@ -39,6 +39,7 @@ from .exponents import (
     HSet,
     WitnessReport,
     conjecture_scan,
+    critical_exponent,
     estimate_ce_numeric,
     expected_hset,
     find_counterexample,

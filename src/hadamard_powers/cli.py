@@ -22,12 +22,11 @@ import sys
 import numpy as np
 
 from . import graphs
-from .chordal import is_chordal
 from .cones import FAMILIES, PSD_TOL, least_eigenvalue, sample_spectra
 from .exponents import (
     WitnessReport,
     conjecture_scan,
-    estimate_ce_numeric,
+    critical_exponent,
     expected_hset,
     find_counterexample,
 )
@@ -165,28 +164,13 @@ def _load_graph(args):
 
 
 def _cmd_ce(args):
-    g = _load_graph(args)
-    if g.n < 2:
-        raise CliError("critical exponents are defined for graphs with >= 2 vertices")
-    r = g.analysis.near_complete_order
-    out = {"n": g.n, "edge_count": len(g.edges), "r": r, "chordal": is_chordal(g)}
-    known = expected_hset(g, args.powers)
-    if known.exact:  # CE is the ray start, and there is nothing to search
-        ce = int(known.ray_start) if known.ray_start.is_integer() else known.ray_start
-        out.update({"ce": ce, "method": "exact"})
-        text = (f"chordal graph: CE = {ce} (exact: r - 2 with r = {r})" if out["chordal"] else
-                f"non-chordal graph: CE = {ce} (exact: {known.describe()}; r - 2 = {r - 2})")
-    else:
-        lower, upper = estimate_ce_numeric(
-            g, args.powers, budget=args.budget, seed=args.seed)
-        out.update({"bracket_lower": lower, "bracket_upper": upper,
-                    "conjectured_ce": r - 2, "method": "heuristic"})
-        text = (f"non-chordal graph: numeric CE bracket [{_sig6(lower)}, {_sig6(upper)}]"
-                f" (heuristic; r - 2 = {r - 2})")
-    if args.output_format == "json":
-        print(_json_dump(out))
-    else:
-        print(text)
+    out, known = critical_exponent(_load_graph(args), args.powers, args.budget, args.seed)
+    r, ce = out["r"], out.get("ce")
+    text = (f"non-chordal graph: numeric CE bracket [{_sig6(out['bracket_lower'])}, "
+            f"{_sig6(out['bracket_upper'])}] (heuristic; r - 2 = {r - 2})" if ce is None else
+            f"chordal graph: CE = {ce} (exact: r - 2 with r = {r})" if out["chordal"] else
+            f"non-chordal graph: CE = {ce} (exact: {known.describe()}; r - 2 = {r - 2})")
+    print(_json_dump(out) if args.output_format == "json" else text)
     return 0
 
 

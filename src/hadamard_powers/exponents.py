@@ -19,7 +19,6 @@ from types import MappingProxyType
 
 import numpy as np
 
-from .chordal import is_chordal
 from .cones import (
     FAMILIES,
     WITNESS_TOL,
@@ -1125,38 +1124,53 @@ def estimate_ce_numeric(g, family="plain", budget=None, seed=0):
     return 0.0, prev_above
 
 
-def conjecture_scan(graphs, family="plain", *, budget=None, seed=0):
-    """Check CE = r - 2 numerically over a stream of graphs.
+def critical_exponent(g, family="plain", budget=None, seed=0):
+    """(record, known) for a pattern on >= 2 vertices: the record `ce
+    --format json` prints, and the expected_hset description it rests on.
+    An exact set gives ce, its ray start (an int at an integer), and method
+    "exact", with no search; a partial one gives estimate_ce_numeric's
+    bracket, conjectured_ce = r - 2 and method "heuristic". Either way
+    budget must be >= 1."""
+    if g.n < 2:
+        raise ValueError("critical exponents are defined for graphs with >= 2 vertices")
+    if budget is not None and budget < 1:
+        raise ValueError(f"budget must be >= 1, got {budget}")
+    r, known = g.analysis.near_complete_order, expected_hset(g, family)
+    record = {"n": g.n, "edge_count": len(g.edges), "r": r, "chordal": g.analysis.is_chordal}
+    if known.exact:
+        ce = known.ray_start
+        record.update(ce=int(ce) if ce.is_integer() else ce, method="exact")
+    else:
+        lower, upper = estimate_ce_numeric(g, family, budget, seed)
+        record.update(bracket_lower=lower, bracket_upper=upper, conjectured_ce=r - 2,
+                      method="heuristic")
+    return record, known
 
-    Per graph: r (GraphAnalysis.near_complete_order), chordality and the
-    numeric bracket. A graph is flagged when its bracket excludes r - 2.
-    Per-graph errors are recorded without aborting.
-    """
+
+def conjecture_scan(graphs, family="plain", *, budget=None, seed=0):
+    """Check CE = r - 2 over a stream of graphs: per graph, its
+    critical_exponent record at seed + index (index: its place in
+    `graphs`, from 0), with conjectured_ce = r - 2 and, on an exact set,
+    the bracket [ce, ce] in floats. A graph is flagged when its bracket
+    excludes r - 2. A graph that raises gets index, n, edge_count and
+    error, and the scan goes on."""
     _check_family(family)
     records = []
-    flagged = errors = 0
     for idx, g in enumerate(graphs):
         rec = {"index": idx, "n": g.n, "edge_count": len(g.edges)}
         try:
-            r = g.analysis.near_complete_order
-            conjectured = r - 2
-            rec["r"] = r
-            rec["conjectured_ce"] = conjectured
-            rec["chordal"] = is_chordal(g)
-            lower, upper = estimate_ce_numeric(g, family, budget=budget, seed=seed + idx)
-            rec["bracket_lower"] = lower
-            rec["bracket_upper"] = upper
-            rec["flagged"] = conjectured < lower - 1e-9 or conjectured > upper + 1e-9
-            flagged += rec["flagged"]
+            rec.update(critical_exponent(g, family, budget, seed + idx)[0])
         except Exception as exc:  # per-graph errors must not kill the scan
             rec["error"] = f"{type(exc).__name__}: {exc}"
-            errors += 1
+        else:
+            if rec["method"] == "exact":
+                rec["bracket_lower"] = rec["bracket_upper"] = float(rec["ce"])
+            ce = rec["conjectured_ce"] = rec["r"] - 2
+            rec["flagged"] = not rec["bracket_lower"] - 1e-9 <= ce <= rec["bracket_upper"] + 1e-9
         records.append(rec)
-    return {
-        "summary": {"graphs": len(records), "flagged": flagged, "errors": errors,
-                    "family": family},
-        "records": records,
-    }
+    summary = {"graphs": len(records), "flagged": sum(rec.get("flagged", 0) for rec in records),
+               "errors": sum("error" in rec for rec in records), "family": family}
+    return {"summary": summary, "records": records}
 
 
 def __getattr__(name):

@@ -12,7 +12,7 @@ import pytest
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
-from hadamard_powers import cli
+from hadamard_powers import cli, exponents
 from hadamard_powers.cli import main
 from hadamard_powers.exponents import (
     WitnessReport,
@@ -31,6 +31,8 @@ from hadamard_powers.graphs import (
     random_tree,
     to_edge_list,
 )
+
+from test_acceptance import SEED, criterion3_graphs
 
 FIXTURES = Path(__file__).resolve().parent / "fixtures"
 
@@ -162,7 +164,7 @@ def test_ce_walks_no_grid_on_a_proven_set(capsys, monkeypatch, tmp_path):
         calls.append(args)
         return estimate_ce_numeric(*args, **kwargs)
 
-    monkeypatch.setattr(cli, "estimate_ce_numeric", counted)
+    monkeypatch.setattr(exponents, "estimate_ce_numeric", counted)
     k250c4 = tmp_path / "k250c4.edges"
     k250c4.write_text(to_edge_list(Graph.from_edges(
         254, [*complete(250).edges, (251, 252), (252, 253), (253, 254), (251, 254)])))
@@ -718,6 +720,62 @@ def test_witness_report_with_a_bad_graph_label_is_a_load_error(capsys, tmp_path)
     assert code == 2 and out == ""
     assert err == ("error: cannot load witness report: "
                    "bad graph JSON: expected an integer, got 2.5\n")
+
+
+def _cli_lines(argv):
+    """(exit code, the JSON lines printed) of one in-process call."""
+    out = io.StringIO()
+    with contextlib.redirect_stdout(out):
+        code = main(argv)
+    return code, [json.loads(line) for line in out.getvalue().splitlines()]
+
+
+def _assert_scan_agrees_with_ce(graphs, family, seed):
+    # graph k of the stream is scanned at seed + k; `ce` at that seed prints
+    # the same method and the same ce or bracket: the scan record holds each
+    # key of ce's with its value, and an exact record the bracket [ce, ce]
+    argv = ["--powers", family, "--budget", "3"]
+    with tempfile.TemporaryDirectory() as tmp:
+        stream = Path(tmp) / "stream.txt"
+        stream.write_text("\n".join(map(to_edge_list, graphs)))
+        code, (*records, summary) = _cli_lines(["scan", str(stream), "--seed", str(seed), *argv])
+        assert code == (1 if summary["summary"]["flagged"] else 0)
+        assert len(records) == len(graphs)
+        for k, (g, rec) in enumerate(zip(graphs, records)):
+            path = Path(tmp) / f"g{k}.edges"
+            path.write_text(to_edge_list(g))
+            code, [ce] = _cli_lines(["ce", str(path), "--seed", str(seed + k), *argv,
+                                     "--format", "json"])
+            assert code == 0
+            assert {key: rec[key] for key in ce} == ce, (k, rec)
+            if ce["method"] == "exact":
+                assert rec["bracket_lower"] == rec["bracket_upper"] == ce["ce"], (k, rec)
+                assert isinstance(rec["bracket_lower"], float)
+
+
+AGREEMENT_GRAPHS = ([g for _, g in criterion3_graphs()]
+                    + [cycle(n) for n in (4, 5, 6, 7, 8, 20)]
+                    + [complete_bipartite(2, b) for b in range(2, 6)]
+                    + [Graph.from_edges(5, [*cycle(5).edges, (1, 3)])])
+
+
+@pytest.mark.parametrize("family", ["plain", "odd", "even"])
+def test_scan_and_ce_give_one_answer(family):
+    # the criterion-10 set, cycle(20) and the chorded 5-cycle, whose sets
+    # are partial in every family
+    _assert_scan_agrees_with_ce(AGREEMENT_GRAPHS, family, SEED)
+
+
+SMALL_CE_GRAPHS = st.integers(2, 7).flatmap(lambda n: st.builds(
+    Graph.from_edges, st.just(n),
+    st.sets(st.sampled_from([(i, j) for i in range(1, n + 1) for j in range(i + 1, n + 1)]))))
+
+
+@settings(max_examples=40, deadline=None)
+@given(st.lists(SMALL_CE_GRAPHS, min_size=1, max_size=3), st.sampled_from(["plain", "odd", "even"]),
+       st.integers(0, 2**16))
+def test_scan_and_ce_give_one_answer_on_small_graphs(graphs, family, seed):
+    _assert_scan_agrees_with_ce(graphs, family, seed)
 
 
 def test_scan_skips_malformed_blocks(capsys, tmp_path):
