@@ -329,14 +329,18 @@ def _cmd_scan(args):
         raise CliError(f"cannot read {args.stream_file}: {exc}") from None
     # parse_edge_list skips a line of only whitespace, so such a line ends a block
     blocks = [b for b in re.split(r"\n\s*\n", text) if b.strip()]
-    graphs_in = []
+    graphs_in, numbers = [], []
     for k, block in enumerate(blocks):
         try:
             graphs_in.append(parse_edge_list(block))
+            numbers.append(k)
         except GraphParseError as exc:
             print(f"block {k}: {exc}", file=sys.stderr)
+    # each graph keeps seed + its place among the parsed graphs, and its
+    # record the number of its block, as stderr numbers the blocks
     report = conjecture_scan(graphs_in, args.powers, budget=args.budget, seed=args.seed)
     for rec in report["records"]:
+        rec["index"] = numbers[rec["index"]]
         print(_json_dump(rec))
     print(_json_dump({"summary": report["summary"]}))
     summary = report["summary"]

@@ -722,6 +722,30 @@ def test_witness_report_with_a_bad_graph_label_is_a_load_error(capsys, tmp_path)
                    "bad graph JSON: expected an integer, got 2.5\n")
 
 
+def test_scan_numbers_records_by_block(capsys, monkeypatch, tmp_path):
+    # stderr and the records both number the blocks from 0, a malformed one
+    # too; each graph's walk keeps the seed --seed plus its place among the
+    # parsed graphs, so no RNG stream moves
+    seeds = []
+
+    def walk(g, family, budget, seed):
+        seeds.append(seed)
+        return estimate_ce_numeric(g, family, budget, seed)
+
+    monkeypatch.setattr(exponents, "estimate_ce_numeric", walk)
+    stream = tmp_path / "graphs.txt"
+    stream.write_text("1 2\n2 3\n\nnot a graph\n\n1 2\n2 3\n3 4\n4 1\n\n"
+                      "1 2\n2 3\n3 4\n4 5\n1 5\n1 3\n")
+    code, out, err = run(capsys, ["scan", str(stream), "--seed", "7", "--budget", "3"])
+    assert code == 0
+    assert err == "block 1: line 1: expected 'i j', got 'not a graph'\n"
+    *records, summary = [json.loads(line) for line in out.splitlines()]
+    assert [(rec["index"], rec["n"], rec["method"]) for rec in records] == [
+        (0, 3, "exact"), (2, 4, "exact"), (3, 5, "heuristic")]
+    assert summary["summary"]["graphs"] == 3
+    assert seeds == [9]
+
+
 def _cli_lines(argv):
     """(exit code, the JSON lines printed) of one in-process call."""
     out = io.StringIO()
