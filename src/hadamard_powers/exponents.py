@@ -1165,8 +1165,8 @@ def conjecture_scan(graphs, family="plain", *, budget=None, seed=0):
         else:
             if rec["method"] == "exact":
                 rec["bracket_lower"] = rec["bracket_upper"] = float(rec["ce"])
-            ce = rec["conjectured_ce"] = rec["r"] - 2
-            rec["flagged"] = not rec["bracket_lower"] - 1e-9 <= ce <= rec["bracket_upper"] + 1e-9
+            conj = rec["conjectured_ce"] = rec["r"] - 2
+            rec["flagged"] = not rec["bracket_lower"] - 1e-9 <= conj <= rec["bracket_upper"] + 1e-9
         records.append(rec)
     summary = {"graphs": len(records), "flagged": sum(rec.get("flagged", 0) for rec in records),
                "errors": sum("error" in rec for rec in records), "family": family}

@@ -34,6 +34,7 @@ from hadamard_powers.exponents import (
     _rayleigh_iteration,
     bipartition,
     conjecture_scan,
+    critical_exponent,
     estimate_ce_numeric,
     expected_hset,
     find_counterexample,
@@ -252,7 +253,9 @@ def test_components_and_two_coloring_once_per_graph(monkeypatch):
         calls.append(g.n)
         return connected_components(g)
 
-    monkeypatch.setattr(chordal, "connected_components", components)
+    for module in (chordal, exponents):  # wherever the search is bound
+        if hasattr(module, "connected_components"):
+            monkeypatch.setattr(module, "connected_components", components)
     for g in (cycle(8), complete_bipartite(3, 4)):
         for family in ("plain", "odd", "even"):
             expected_hset(g, family)
@@ -743,6 +746,9 @@ def test_budget_below_one_is_rejected():
         # r = 2: every power of the walk is proven, so nothing is searched
         with pytest.raises(ValueError, match=f"budget must be >= 1, got {budget}"):
             estimate_ce_numeric(Graph.from_edges(4, [(1, 2), (3, 4)]), budget=budget)
+        # an exact set: critical_exponent walks nothing, and checks all the same
+        with pytest.raises(ValueError, match=f"budget must be >= 1, got {budget}"):
+            critical_exponent(cycle(6), budget=budget)
 
 
 # --- closed-form bordered witnesses and their certificates ----------------------
