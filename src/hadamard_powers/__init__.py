@@ -40,7 +40,6 @@ from .exponents import (
     WitnessReport,
     conjecture_scan,
     critical_exponent,
-    estimate_ce_numeric,
     expected_hset,
     find_counterexample,
     hset_bipartite,

@@ -1069,57 +1069,39 @@ def _sample_search(g, alpha, family, n_samples, rng):
 # numeric bracketing and the conjecture scan
 
 
-#: spacing of the power grid that estimate_ce_numeric walks
+#: spacing of the power grid that critical_exponent's walk covers
 GRID_STEP = 1 / 16
 
 
-def estimate_ce_numeric(g, family="plain", budget=None, seed=0):
-    """Bracket the critical exponent by scanning non-integer powers.
-
-    Walks the non-integer multiples of GRID_STEP in (0, n - 2] top-down; a
-    verified witness at alpha proves alpha is outside the power set (so
-    CE > alpha), giving the lower end. The upper end is the smallest grid
-    power above it with no witness, capped by n - 2. Powers that
-    expected_hset proves in the set (its exact set, or the inner bound of a
-    partial one) count as tested with no witness and are not searched, so
-    an upper end there is proven. The walk visits none above the proven
-    range: of the grid powers from its ray up, all in the set, it reads only
-    the least, as the upper end should the next one down be refuted. Every
-    other upper end only means the search found no witness. A power it
-    proves outside the set counts as refuted, as a witnessed one does, and
-    is not searched either. The searches read one generator,
-    np.random.default_rng(seed), built at their first draw. Returns
-    (lower, upper).
-    """
-    _check_family(family)
-    if g.n < 2:
-        raise ValueError(f"need at least 2 vertices, got {g.n}")
-    if budget is not None and budget < 1:  # checked here too: the walk may search nothing
-        raise ValueError(f"budget must be >= 1, got {budget}")
-    if g.n == 2:  # no grid power in (0, 0]
-        return 0.0, 0.0
-    hi = float(g.n - 2)
+def _walk(g, known, family, budget, seed):
+    """(lower, upper) bracket of the critical exponent of g, whose power set
+    is the partial `known`: the walk over the non-integer multiples of
+    GRID_STEP in (0, n - 2], top-down. A power `known` proves outside the
+    set, or a verified witness at it, is refuted (so CE > alpha), giving
+    the lower end; the upper end is the grid power above it, capped by
+    n - 2. Grid powers from the inner ray up (past every exclusion) are in
+    the set, so the walk reads only the least of them, as the upper end
+    should the next one down be refuted; an upper end there is proven,
+    any other only means the search found no witness. Each unknown power
+    gets find_counterexample with `budget` draws (120 if None); the
+    searches read one generator, np.random.default_rng(seed), built at
+    their first draw."""
     per_unit = round(1 / GRID_STEP)
-    top = (g.n - 2) * per_unit  # the grid power k * GRID_STEP is n - 2
-    known = expected_hset(g, family)
-    # off the integers, a power is "in" from here on: the ray of the exact
-    # set, or the inner ray of a partial one past every exclusion it names
-    start = known.ray_start if known.exact else max(
-        [known.inner.ray_start, *(x + 1e-9 for x in known.exclusions)])
-    lowest = max(math.ceil(start / GRID_STEP), 1) if start <= hi else top + 1
+    top = (g.n - 2) * per_unit  # the grid power top * GRID_STEP is n - 2
+    start = max([known.inner.ray_start, *(x + 1e-9 for x in known.exclusions)])
+    lowest = min(max(math.ceil(start / GRID_STEP), 1), top + 1)
     if lowest % per_unit == 0:
         lowest += 1
-    prev_above = lowest * GRID_STEP if lowest <= top else None
+    prev_above = lowest * GRID_STEP if lowest <= top else float(g.n - 2)
     rng = _LazyGenerator(seed)
-    point_budget = budget if budget is not None else 120
     for k in range(lowest - 1, 0, -1):
         if k % per_unit == 0:
             continue
         a = k * GRID_STEP
         proof = known.classify(a)
         if proof == "out" or (proof == "unknown" and find_counterexample(
-                g, a, family, point_budget, seed=rng) is not None):
-            return a, prev_above if prev_above is not None else hi
+                g, a, family, budget or 120, seed=rng) is not None):
+            return a, prev_above
         prev_above = a
     return 0.0, prev_above
 
@@ -1128,9 +1110,9 @@ def critical_exponent(g, family="plain", budget=None, seed=0):
     """(record, known) for a pattern on >= 2 vertices: the record `ce
     --format json` prints, and the expected_hset description it rests on.
     An exact set gives ce, its ray start (an int at an integer), and method
-    "exact", with no search; a partial one gives estimate_ce_numeric's
-    bracket, conjectured_ce = r - 2 and method "heuristic". Either way
-    budget must be >= 1."""
+    "exact", with no search; a partial one gives the bracket of the grid
+    walk (_walk) on that same description, conjectured_ce = r - 2 and
+    method "heuristic". Either way budget must be >= 1."""
     if g.n < 2:
         raise ValueError("critical exponents are defined for graphs with >= 2 vertices")
     if budget is not None and budget < 1:
@@ -1141,7 +1123,7 @@ def critical_exponent(g, family="plain", budget=None, seed=0):
         ce = known.ray_start
         record.update(ce=int(ce) if ce.is_integer() else ce, method="exact")
     else:
-        lower, upper = estimate_ce_numeric(g, family, budget, seed)
+        lower, upper = _walk(g, known, family, budget, seed)
         record.update(bracket_lower=lower, bracket_upper=upper, conjectured_ce=r - 2,
                       method="heuristic")
     return record, known
@@ -1149,11 +1131,12 @@ def critical_exponent(g, family="plain", budget=None, seed=0):
 
 def conjecture_scan(graphs, family="plain", *, budget=None, seed=0):
     """Check CE = r - 2 over a stream of graphs: per graph, its
-    critical_exponent record at seed + index (index: its place in
-    `graphs`, from 0), with conjectured_ce = r - 2 and, on an exact set,
-    the bracket [ce, ce] in floats. A graph is flagged when its bracket
-    excludes r - 2. A graph that raises gets index, n, edge_count and
-    error, and the scan goes on."""
+    critical_exponent record, whose walk (on a partial set only) reads
+    seed + index (index: its place in `graphs`, from 0), with
+    conjectured_ce = r - 2 and, on an exact set, the bracket [ce, ce] in
+    floats. A graph is flagged when its bracket excludes r - 2. A graph
+    that raises gets index, n, edge_count and error, and the scan goes
+    on."""
     _check_family(family)
     records = []
     for idx, g in enumerate(graphs):

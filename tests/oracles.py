@@ -416,11 +416,12 @@ def parse_edge_list(text):
 
 
 def estimate_ce_by_full_walk(g, family="plain", budget=None, seed=0):
-    """exponents.estimate_ce_numeric by its earlier walk: the list of every
-    non-integer multiple of GRID_STEP in (0, n - 2], each classified from the
-    top down and searched where expected_hset leaves it unknown, the proven
-    powers above the search included. exponents.find_counterexample is read
-    at each call, so a test wrapping it sees this walk's searches too."""
+    """The walk of exponents.critical_exponent by its earlier form: the list
+    of every non-integer multiple of GRID_STEP in (0, n - 2], each
+    classified from the top down and searched where expected_hset leaves it
+    unknown, the proven powers above the search included.
+    exponents.find_counterexample is read at each call, so a test wrapping
+    it sees this walk's searches too."""
     if g.n < 2:
         raise ValueError(f"need at least 2 vertices, got {g.n}")
     hi = float(g.n - 2)

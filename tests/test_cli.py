@@ -16,7 +16,6 @@ from hadamard_powers import cli, exponents
 from hadamard_powers.cli import main
 from hadamard_powers.exponents import (
     WitnessReport,
-    estimate_ce_numeric,
     expected_hset,
     find_counterexample,
 )
@@ -32,6 +31,7 @@ from hadamard_powers.graphs import (
     to_edge_list,
 )
 
+from oracles import estimate_ce_by_full_walk
 from test_acceptance import SEED, criterion3_graphs
 
 FIXTURES = Path(__file__).resolve().parent / "fixtures"
@@ -150,7 +150,7 @@ def test_ce_is_exact_exactly_where_expected_hset_is(g, family, seed):
         assert isinstance(data["ce"], int) == known.ray_start.is_integer()
     else:
         assert data["method"] == "heuristic"
-        assert (data["bracket_lower"], data["bracket_upper"]) == estimate_ce_numeric(
+        assert (data["bracket_lower"], data["bracket_upper"]) == estimate_ce_by_full_walk(
             g, family, budget=3, seed=seed)
 
 
@@ -159,12 +159,13 @@ def test_ce_walks_no_grid_on_a_proven_set(capsys, monkeypatch, tmp_path):
     # the sandwich (r(H) = r) and the component intersection, and the
     # bipartite grid: each set is exact, so ce reads CE off its ray
     calls = []
+    walk = exponents._walk
 
     def counted(*args, **kwargs):
         calls.append(args)
-        return estimate_ce_numeric(*args, **kwargs)
+        return walk(*args, **kwargs)
 
-    monkeypatch.setattr(exponents, "estimate_ce_numeric", counted)
+    monkeypatch.setattr(exponents, "_walk", counted)
     k250c4 = tmp_path / "k250c4.edges"
     k250c4.write_text(to_edge_list(Graph.from_edges(
         254, [*complete(250).edges, (251, 252), (252, 253), (253, 254), (251, 254)])))
@@ -727,12 +728,13 @@ def test_scan_numbers_records_by_block(capsys, monkeypatch, tmp_path):
     # too; each graph's walk keeps the seed --seed plus its place among the
     # parsed graphs, so no RNG stream moves
     seeds = []
+    walk = exponents._walk
 
-    def walk(g, family, budget, seed):
+    def seeded(g, known, family, budget, seed):
         seeds.append(seed)
-        return estimate_ce_numeric(g, family, budget, seed)
+        return walk(g, known, family, budget, seed)
 
-    monkeypatch.setattr(exponents, "estimate_ce_numeric", walk)
+    monkeypatch.setattr(exponents, "_walk", seeded)
     stream = tmp_path / "graphs.txt"
     stream.write_text("1 2\n2 3\n\nnot a graph\n\n1 2\n2 3\n3 4\n4 1\n\n"
                       "1 2\n2 3\n3 4\n4 5\n1 5\n1 3\n")

@@ -32,10 +32,8 @@ from hadamard_powers.exponents import (
     _negative_pivot_vector,
     _noise_floor,
     _rayleigh_iteration,
-    bipartition,
     conjecture_scan,
     critical_exponent,
-    estimate_ce_numeric,
     expected_hset,
     find_counterexample,
     hset_bipartite,
@@ -239,9 +237,9 @@ def test_hset_bipartite_examples():
 
 
 def test_bipartition():
-    parts = bipartition(complete_bipartite(2, 3))
+    parts = complete_bipartite(2, 3).analysis.bipartition
     assert sorted(map(sorted, parts)) == [[1, 2], [3, 4, 5]]
-    assert bipartition(complete(3)) is None
+    assert complete(3).analysis.bipartition is None
 
 
 def test_components_and_two_coloring_once_per_graph(monkeypatch):
@@ -260,7 +258,7 @@ def test_components_and_two_coloring_once_per_graph(monkeypatch):
         for family in ("plain", "odd", "even"):
             expected_hset(g, family)
             hset_bipartite(g, family)
-        assert bipartition(g) is g.analysis.bipartition is not None
+        assert g.analysis.bipartition is not None
     assert calls == [8, 7]
 
 
@@ -365,9 +363,11 @@ def test_expected_hset_builds_no_triangulation_where_a_theorem_decides(monkeypat
 
 
 def test_estimate_on_a_disjoint_union_of_cycles_skips_one_to_two():
-    (lo, hi), searched = _searched_powers(C5_AND_C4, "plain", budget=10, seed=1)
-    assert not [a for a in searched if 1 < a < 2]
-    assert lo < hi <= 1 + STEP
+    # both cycles are exactly [1, oo), so their union is too: CE = 1 with
+    # no grid power searched
+    record, known = critical_exponent(C5_AND_C4, "plain", budget=10, seed=1)
+    assert known.exact and (record["ce"], record["method"]) == (1, "exact")
+    assert _searched_powers(C5_AND_C4, "plain", budget=10, seed=1) == (None, [])
 
 
 def _disjoint_union(g, h):
@@ -396,7 +396,7 @@ def test_each_bound_is_the_family_lattice_and_its_ray(g, family):
             found.append(expected_hset(part, family))
         if exponents._is_cycle_graph(part):
             found.append(hset_cycle(part.n, family))
-        if part.n >= 3 and bipartition(part) is not None:
+        if part.n >= 3 and part.analysis.bipartition is not None:
             found.append(hset_bipartite(part, family))
     for h in found:
         for bound in [h] if h.exact else [h.inner, h.outer]:
@@ -501,25 +501,25 @@ def test_witness_at_zero_and_negative_powers():
 
 
 def test_estimate_brackets_contain_known_exponents():
-    lo, hi = estimate_ce_numeric(complete(4), seed=0)
-    assert lo <= 2.0 <= hi and lo >= 1.5
-    lo, hi = estimate_ce_numeric(cycle(5), seed=0)
-    assert lo <= 1.0 <= hi
+    # K_4 by the chordal theorem and C_5 by the cycle theorem: both exact,
+    # so CE is read off the set with no grid power searched
+    for g, ce in [(complete(4), 2), (cycle(5), 1)]:
+        assert critical_exponent(g, seed=0)[0]["ce"] == ce
+        assert _searched_powers(g, seed=0) == (None, [])
 
 
 def test_estimate_lower_end_is_sound_on_chordal_graphs():
-    # a verified witness proves non-membership, so the lower end can never
-    # exceed the exact exponent
+    # a chordal pattern's set is exact, with CE the clique formula's
     for g in [random_tree(6, seed=1), band(6, 2), complete(5)]:
-        lo, hi = estimate_ce_numeric(g, seed=0)
-        ce = clique_formula(g)
-        assert lo <= ce <= hi
+        record = critical_exponent(g, seed=0)[0]
+        assert (record["ce"], record["method"]) == (clique_formula(g), "exact")
 
 
 def test_estimate_degenerate_two_vertices():
-    assert estimate_ce_numeric(Graph.from_edges(2, [(1, 2)]), seed=0) == (0.0, 0.0)
-    with pytest.raises(ValueError):
-        estimate_ce_numeric(Graph.from_edges(1, []), seed=0)
+    record = critical_exponent(Graph.from_edges(2, [(1, 2)]), seed=0)[0]
+    assert (record["ce"], record["method"]) == (0, "exact")
+    with pytest.raises(ValueError, match=">= 2 vertices"):
+        critical_exponent(Graph.from_edges(1, []), seed=0)
 
 
 STEP = 1 / 16
@@ -534,15 +534,15 @@ CHORDAL_UP_TO_8 = st.one_of(
 @given(CHORDAL_UP_TO_8, st.sampled_from(["plain", "odd", "even"]), st.integers(0, 2**32 - 1))
 @example(complete(8), "odd", 0)  # the interval-certified witness at 5.9375
 @example(band(8, 4), "even", 0)
-def test_estimate_on_chordal_graphs_searches_nothing_above_r_minus_2(g, family, rng_seed):
-    # H = G: every grid power above r - 2 is proven, and the one below it is
-    # the closed-form bordered witness, which draws nothing
+def test_bordered_witness_refutes_the_grid_power_below_r_minus_2(g, family, rng_seed):
+    # the closed-form bordered witness on a largest near-complete subgraph
+    # refutes r - 2 - 1/16, verifies, and draws nothing
     r = max_near_complete_order(g)
     assume(r >= 3)
     rng = np.random.default_rng(rng_seed)
     state = rng.bit_generator.state
-    upper = min(r - 2 + STEP, g.n - 2)  # the grid ends at n - 2
-    assert estimate_ce_numeric(g, family, seed=rng) == (r - 2 - STEP, upper)
+    w = find_counterexample(g, r - 2 - STEP, family, seed=rng)
+    assert w is not None and w.verify()
     assert rng.bit_generator.state == state
 
 
@@ -556,8 +556,9 @@ def _grid(n):
     return [k * STEP for k in range(1, 16 * (n - 2) + 1) if k % 16]
 
 
-def _searched_powers(g, *args, walk=estimate_ce_numeric, **kwargs):
-    """The walk's bracket and the powers it searched, in order."""
+def _searched_powers(g, *args, walk=None, **kwargs):
+    """critical_exponent's bracket (None on an exact set) and the powers its
+    walk searched, in order; or those of `walk`, an oracle."""
     searched = []
 
     def search(g, alpha, *search_args, **search_kwargs):
@@ -566,7 +567,12 @@ def _searched_powers(g, *args, walk=estimate_ce_numeric, **kwargs):
 
     with pytest.MonkeyPatch.context() as mp:
         mp.setattr(exponents, "find_counterexample", search)
-        return walk(g, *args, **kwargs), searched
+        if walk is not None:
+            return walk(g, *args, **kwargs), searched
+        record = critical_exponent(g, *args, **kwargs)[0]
+    if record["method"] == "exact":
+        return None, searched
+    return (record["bracket_lower"], record["bracket_upper"]), searched
 
 
 def _proven(g, family):
@@ -586,12 +592,16 @@ def _proven(g, family):
 def test_estimate_searches_only_below_the_triangulation_bound(g, family):
     proven = _proven(g, family)
     assert proven.ray_start <= g.analysis.triangulation[2] - 2
-    (lo, hi), searched = _searched_powers(g, family, budget=10, seed=1)
+    bracket, searched = _searched_powers(g, family, budget=10, seed=1)
+    known = expected_hset(g, family)
+    if known.exact:  # CE is the ray: nothing is walked
+        assert (bracket, searched) == (None, [])
+        return
+    lo, hi = bracket
     assert lo < hi <= max(proven.ray_start + STEP, STEP)
     # from the top of the grid down to the lower end, each power below the
     # inner ray is searched once, unless expected_hset proves it out: that
     # power ends the walk unsearched
-    known = expected_hset(g, family)
     assert searched == [a for a in reversed(_grid(g.n))
                         if lo <= a < proven.ray_start and known.classify(a) == "unknown"]
 
@@ -613,7 +623,7 @@ def _theorems(g, family):
         found.append(chordal_theorem(g, family))
     if exponents._is_cycle_graph(g):
         found.append(hset_cycle(g.n, family))
-    if g.n >= 3 and is_connected(g) and bipartition(g) is not None:
+    if g.n >= 3 and is_connected(g) and g.analysis.bipartition is not None:
         found.append(hset_bipartite(g, family))
     lattice = LATTICE_FOR_FAMILY[family]
     r, r_h = max_near_complete_order(g), g.analysis.triangulation[2]
@@ -665,6 +675,8 @@ def test_estimate_past_the_min_fill_work_limit_walks_every_power(monkeypatch):
         known = expected_hset(g, family)
         assert searched == [a for a in reversed(_grid(g.n))
                             if a >= bracket[0] and known.classify(a) == "unknown"]
+        assert (got, searched) == _searched_powers(g, family, seed=3,
+                                                   walk=estimate_ce_by_full_walk)
 
 
 BIPARTITE_UP_TO_8 = st.tuples(st.integers(1, 4), st.integers(1, 4)).flatmap(
@@ -683,25 +695,67 @@ BIPARTITE_UP_TO_8 = st.tuples(st.integers(1, 4), st.integers(1, 4)).flatmap(
 @example(C5_AND_C4, "even")
 @example(Graph.from_edges(2, [(1, 2)]), "plain")
 def test_estimate_walks_as_the_full_grid_walk(g, family):
-    # starting below the proven range drops only powers the full walk
-    # classifies "in": same bracket, same searches in the same order
+    # an exact set is not walked; on a partial one, starting below the
+    # proven range drops only powers the full walk classifies "in": same
+    # bracket, same searches in the same order
     got = _searched_powers(g, family, budget=4, seed=1)
-    assert got == _searched_powers(g, family, budget=4, seed=1, walk=estimate_ce_by_full_walk)
+    if expected_hset(g, family).exact:
+        assert got == (None, [])
+    else:
+        assert got == _searched_powers(g, family, budget=4, seed=1,
+                                       walk=estimate_ce_by_full_walk)
 
 
 def test_estimate_classifies_no_proven_power(monkeypatch):
-    # cycle(2000) is exactly [1, oo): 1.0625 stands for the 29,955 grid
-    # powers above 1, and 0.9375 is proven out
-    calls = []
+    # cycle(2000) is exactly [1, oo) for plain powers: CE = 1, with nothing
+    # classified or searched. Its even set is partial, [2, oo) with 1
+    # excluded: 2.0625 stands for the 29,940 grid powers above 2, and the
+    # walk classifies only 1.9375, whose search is made to succeed
+    calls, searched = [], []
     classify = HSet.classify
 
     def counted(self, alpha):
         calls.append(alpha)
         return classify(self, alpha)
 
+    def search(g, alpha, *args, **kwargs):
+        searched.append(alpha)
+        return "witness"
+
     monkeypatch.setattr(HSet, "classify", counted)
-    assert estimate_ce_numeric(cycle(2000), seed=0) == (0.9375, 1.0625)
-    assert len(calls) <= 2
+    monkeypatch.setattr(exponents, "find_counterexample", search)
+    g = cycle(2000)
+    assert critical_exponent(g, seed=0)[0]["ce"] == 1
+    assert calls == searched == []
+    record = critical_exponent(g, "even", seed=0)[0]
+    assert (record["bracket_lower"], record["bracket_upper"]) == (1.9375, 2.0625)
+    assert calls == searched == [1.9375]
+    assert estimate_ce_by_full_walk(g, "even", seed=0) == (1.9375, 2.0625)
+    assert searched == [1.9375, 1.9375]
+
+
+def test_one_description_per_critical_exponent_call(monkeypatch):
+    # two disjoint 5-cycles, each with the chord 1-3, have a partial plain
+    # set; the walk reads the description critical_exponent computed: one
+    # expected_hset for the graph and one per component, each component
+    # built once
+    described, induced = [], []
+    hset, subgraph = exponents.expected_hset, exponents.induced_subgraph
+
+    def counted_hset(g, *args):
+        described.append(g.n)
+        return hset(g, *args)
+
+    def counted_subgraph(g, subset):
+        induced.append(len(subset))
+        return subgraph(g, subset)
+
+    monkeypatch.setattr(exponents, "expected_hset", counted_hset)
+    monkeypatch.setattr(exponents, "induced_subgraph", counted_subgraph)
+    g = _disjoint_union(_chorded_cycle(5, 1, 3), _chorded_cycle(5, 1, 3))
+    record, known = critical_exponent(g, "plain", budget=3, seed=1)
+    assert not known.exact and record["method"] == "heuristic"
+    assert (described, induced) == ([10, 5, 5], [5, 5])
 
 
 def test_conjecture_scan_small_set():
@@ -741,14 +795,11 @@ def test_budget_below_one_is_rejected():
     for budget in (0, -3):
         with pytest.raises(ValueError, match=f"budget must be >= 1, got {budget}"):
             find_counterexample(complete(4), 1.5, "plain", budget=budget)
-        with pytest.raises(ValueError, match=f"budget must be >= 1, got {budget}"):
-            estimate_ce_numeric(cycle(6), budget=budget)
-        # r = 2: every power of the walk is proven, so nothing is searched
-        with pytest.raises(ValueError, match=f"budget must be >= 1, got {budget}"):
-            estimate_ce_numeric(Graph.from_edges(4, [(1, 2), (3, 4)]), budget=budget)
-        # an exact set: critical_exponent walks nothing, and checks all the same
-        with pytest.raises(ValueError, match=f"budget must be >= 1, got {budget}"):
-            critical_exponent(cycle(6), budget=budget)
+        # a partial set, which the walk searches, and two exact sets, which
+        # critical_exponent walks nothing on and checks all the same
+        for g in (_chorded_cycle(5, 1, 3), cycle(6), Graph.from_edges(4, [(1, 2), (3, 4)])):
+            with pytest.raises(ValueError, match=f"budget must be >= 1, got {budget}"):
+                critical_exponent(g, budget=budget)
 
 
 # --- closed-form bordered witnesses and their certificates ----------------------
