@@ -10,9 +10,12 @@ defects.
 
 from __future__ import annotations
 
+import itertools
 from dataclasses import dataclass
 
 import numpy as np
+
+from .graphs import _integer
 
 FAMILIES = ("plain", "odd", "even")
 
@@ -478,13 +481,28 @@ def matrix_to_json(m):
     return {"n": int(m.shape[0]), "rows": [[float(x) for x in row] for row in m]}
 
 
+def _number_rows(rows):
+    """rows, a list of lists of JSON numbers (int or float, not bool or
+    string), as a float array; ValueError naming the first other entry.
+    The entry types are collected at C speed: a report of order 4000 has
+    16 million entries."""
+    if not isinstance(rows, list) or not all(isinstance(row, list) for row in rows):
+        raise ValueError("expected a list of rows")
+    if not set(map(type, itertools.chain.from_iterable(rows))) <= {int, float}:
+        bad = next(x for x in itertools.chain.from_iterable(rows) if type(x) not in (int, float))
+        raise ValueError(f"expected a number, got {bad!r}")
+    return np.array(rows, dtype=float)
+
+
 def matrix_from_json(data):
+    """The matrix of matrix_to_json, {"n": order, "rows": [[...], ...]},
+    the order a JSON integer and every entry a JSON number;
+    ValueError("bad matrix JSON: ...") for anything else."""
     try:
-        n = int(data["n"])
-        rows = data["rows"]
-    except (KeyError, TypeError, ValueError) as exc:
+        n = _integer(data["n"])
+        m = _number_rows(data["rows"])
+    except (KeyError, TypeError, ValueError, OverflowError) as exc:
         raise ValueError(f"bad matrix JSON: {exc}") from None
-    m = np.array(rows, dtype=float)
     if m.shape != (n, n):
         raise ValueError(f"matrix JSON declares n={n} but rows have shape {m.shape}")
     return as_symmetric(m)

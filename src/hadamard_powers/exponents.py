@@ -25,6 +25,7 @@ from .cones import (
     _check_family,
     _cholesky_clears,
     _clique_sample_stack,
+    _number_rows,
     _power,
     as_symmetric,
     bordered_factor,
@@ -197,12 +198,6 @@ def hset_cycle(n, family="plain"):
         outer=HSet(lattice="none", ray_start=1.0),
         exclusions=(1.0,) if n % 2 == 0 else (),
     )
-
-
-def bipartition(g):
-    """(X, Y) two-coloring of a connected bipartite graph, else None
-    (GraphAnalysis.bipartition)."""
-    return g.analysis.bipartition
 
 
 def hset_bipartite(g, family="plain"):
@@ -546,13 +541,14 @@ class IntervalCertificate:
     @classmethod
     def from_json(cls, data):
         """The certificate of to_json; ValueError("bad certificate JSON: ...")
-        unless factor holds columns of numbers, test_vector decimal strings
-        and digits a JSON integer (no bool, float or string)."""
+        unless factor holds columns of JSON numbers (no bool or string),
+        test_vector decimal strings and digits a JSON integer (no bool,
+        float or string)."""
         try:
-            factor = np.array(data["factor"], dtype=float).T
+            factor = _number_rows(data["factor"]).T
             test_vector = tuple(data["test_vector"])
             digits = _integer(data["digits"])
-        except (KeyError, TypeError, ValueError) as exc:
+        except (KeyError, TypeError, ValueError, OverflowError) as exc:
             raise ValueError(f"bad certificate JSON: {exc}") from None
         if factor.ndim != 2 or not all(isinstance(x, str) for x in test_vector):
             raise ValueError("bad certificate JSON: factor must be columns of numbers "

@@ -235,6 +235,9 @@ def induced_subgraph(g, subset):
     """Induced subgraph on `subset`, relabeled 1..|subset| in sorted order.
 
     Returns (subgraph, mapping) where mapping sends old labels to new ones.
+    It reads only the subset's neighbor lists, so splitting a graph into
+    its components takes time linear in its size; the relabeling keeps
+    label order, so the subgraph's neighbor lists come out sorted.
     """
     subset = sorted(set(subset))
     if not subset:
@@ -242,8 +245,12 @@ def induced_subgraph(g, subset):
     if subset[0] < 1 or subset[-1] > g.n:
         raise ValueError(f"subset out of range 1..{g.n}")
     mapping = {old: new for new, old in enumerate(subset, start=1)}
-    edges = [(mapping[i], mapping[j]) for i, j in g.edges if i in mapping and j in mapping]
-    return Graph.from_edges(len(subset), edges), mapping
+    near = g._adjacency
+    sub_near = [[], *([mapping[u] for u in near[v] if u in mapping] for v in subset)]
+    sub = Graph(n=len(subset), edges=frozenset(
+        (i, j) for i, nb in enumerate(sub_near) for j in nb if i < j))
+    sub.__dict__["_adjacency"] = sub_near
+    return sub, mapping
 
 
 # ---------------------------------------------------------------------------

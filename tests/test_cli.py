@@ -420,6 +420,42 @@ def test_witness_malformed_certificate_is_a_load_error(capsys, tmp_path, field, 
     assert code == 2 and "cannot load witness report: bad certificate JSON: " in err
 
 
+_FLOAT_ROUTE = ["--family", "complete", "--n", "4", "--alpha", "1.5"]
+_INTERVAL_ROUTE = ["--family", "near-complete", "--n", "7", "--alpha", "4.5"]
+
+
+@pytest.mark.parametrize("argv, path, value, message", [
+    (_FLOAT_ROUTE, ("matrix", "n"), str, "bad matrix JSON: expected an integer, got '4'"),
+    (_FLOAT_ROUTE, ("matrix", "n"), lambda n: n + 0.9,
+     "bad matrix JSON: expected an integer, got 4.9"),
+    (_FLOAT_ROUTE, ("matrix", "n"), float, "bad matrix JSON: expected an integer, got 4.0"),
+    (_FLOAT_ROUTE, ("matrix", "n"), bool, "bad matrix JSON: expected an integer, got True"),
+    (_FLOAT_ROUTE, ("matrix", "rows", 0, 0), str, "bad matrix JSON: expected a number, got '"),
+    (_FLOAT_ROUTE, ("matrix", "rows", 0, 0), bool, "bad matrix JSON: expected a number, got True"),
+    (_FLOAT_ROUTE, ("matrix", "rows", 0, 0), lambda x: 10 ** 400, "bad matrix JSON: "),
+    (_INTERVAL_ROUTE, ("certificate", "factor", 0, 0), str,
+     "bad certificate JSON: expected a number, got '"),
+    (_INTERVAL_ROUTE, ("certificate", "factor", 0, 0), bool,
+     "bad certificate JSON: expected a number, got True"),
+], ids=["n-string", "n-fraction", "n-float", "n-bool", "entry-string", "entry-bool",
+        "entry-overflow", "factor-string", "factor-bool"])
+def test_witness_report_numbers_are_checked_at_load(capsys, tmp_path, argv, path, value, message):
+    # the matrix order is a JSON integer, and each matrix and factor entry a
+    # JSON number: a string int() or float() would read, a bool or (for the
+    # order) a float is turned down, as graph labels and digits are
+    out_file = tmp_path / "w.json"
+    assert main(["witness", *argv, "--seed", "1", "-o", str(out_file)]) == 0
+    data = json.loads(out_file.read_text())
+    *keys, last = path
+    parent = functools.reduce(lambda node, key: node[key], keys, data)
+    parent[last] = value(parent[last])
+    out_file.write_text(json.dumps(data))
+    capsys.readouterr()
+    code, out, err = run(capsys, ["witness", "--verify", str(out_file)])
+    assert code == 2 and out == ""
+    assert err.startswith("error: cannot load witness report: " + message)
+
+
 def _witness_report_with(tmp_path, edit):
     # a float-route report, so each case reaches only the field it breaks
     out_file = tmp_path / "w.json"

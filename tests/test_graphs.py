@@ -341,6 +341,22 @@ def test_induced_subgraph():
         induced_subgraph(complete(3), {0, 1})
 
 
+@settings(max_examples=200, deadline=None)
+@given(st.integers(1, 12).flatmap(lambda n: st.tuples(
+    st.builds(random_graph, st.just(n), st.floats(0, 1), st.integers(0, 2**16)),
+    st.sets(st.integers(1, n), min_size=1))))
+@example((cycle(5), {1, 3, 4}))
+@example((complete(6), {2, 3, 4, 5, 6}))
+def test_induced_subgraph_is_the_edge_filter(case):
+    # the subset's neighbor lists against a filter over every edge of g
+    g, subset = case
+    sub, mapping = induced_subgraph(g, subset)
+    assert mapping == {old: new for new, old in enumerate(sorted(subset), start=1)}
+    assert sub == Graph.from_edges(len(subset), [
+        (mapping[i], mapping[j]) for i, j in g.edges if i in subset and j in subset])
+    assert sub._adjacency == Graph(n=sub.n, edges=sub.edges)._adjacency
+
+
 def _orders(g):
     """r by the library route and by the brute force."""
     return g.analysis.near_complete_order, max_near_complete_order(g)
