@@ -15,7 +15,7 @@ from collections import deque
 from dataclasses import dataclass
 from functools import cached_property
 
-from .graphs import Graph, connected_components, is_connected
+from .graphs import Graph, is_connected
 
 
 class NotChordalError(ValueError):
@@ -337,34 +337,20 @@ class GraphAnalysis:
         return fill, order, max(max(count) + 1, 2 + max(count[b] for b in starts))
 
     @cached_property
+    def _component_search(self):
+        return _color_components(self.graph)
+
+    @property
     def components(self):
         """The vertex sets of the connected components, each a sorted tuple,
-        in label order (graphs.connected_components)."""
-        return tuple(map(tuple, connected_components(self.graph)))
+        in label order (_color_components)."""
+        return self._component_search[0]
 
-    @cached_property
+    @property
     def bipartition(self):
         """(X, Y), a two-coloring with the least vertex of each component
-        in X, by one breadth-first search per component; None when an odd
-        cycle exists."""
-        g = self.graph
-        near = g._adjacency
-        color = [-1] * (g.n + 1)
-        for start in g.vertices:
-            if color[start] >= 0:
-                continue
-            color[start] = 0
-            queue = deque([start])
-            while queue:
-                v = queue.popleft()
-                for u in near[v]:
-                    if color[u] < 0:
-                        color[u] = 1 - color[v]
-                        queue.append(u)
-                    elif color[u] == color[v]:
-                        return None
-        x = frozenset(v for v in g.vertices if color[v] == 0)
-        return x, frozenset(g.vertices) - x
+        in X (_color_components); None when an odd cycle exists."""
+        return self._component_search[1]
 
     @cached_property
     def sample_layout(self):
@@ -384,6 +370,33 @@ class GraphAnalysis:
             if cyc is not None:
                 return cyc
         return None
+
+
+def _color_components(g):
+    """(components, bipartition) from one breadth-first search per
+    component, which colors each vertex it reaches apart from the vertex it
+    came from (GraphAnalysis.components and .bipartition)."""
+    near = g._adjacency
+    side = [-1] * (g.n + 1)
+    comps = []
+    odd = False
+    for start in g.vertices:
+        if side[start] >= 0:
+            continue
+        side[start] = 0
+        comp = [start]
+        for v in comp:  # comp grows as the search reaches new vertices
+            for u in near[v]:
+                if side[u] < 0:
+                    side[u] = 1 - side[v]
+                    comp.append(u)
+                elif side[u] == side[v]:
+                    odd = True
+        comps.append(tuple(sorted(comp)))
+    if odd:
+        return tuple(comps), None
+    x = frozenset(v for v in g.vertices if side[v] == 0)
+    return tuple(comps), (x, frozenset(g.vertices) - x)
 
 
 def _lex_bfs(g):

@@ -275,24 +275,22 @@ def expected_hset(g, family="plain"):
     pattern, the intersection of its components' descriptions, since its
     set is the intersection of theirs.
 
-    H is built only when r(H) can change the answer. A non-chordal G has
-    an induced k-cycle, k >= 4, and every chordal supergraph of it two
-    triangles on one edge, so r(H) >= 4 and the sandwich's inner ray
-    r(H) - 2 is at least 2. A theorem applies only to a connected
-    triangle-free G on >= 3 vertices, where r = 3: the sandwich is never
-    exact and its outer ray is 1, no theorem's is below. So a theorem with
-    an inner ray <= 2 (every cycle; bipartite plain and even; bipartite
-    odd between K_{2,2} and K_{2,m}) decides the answer alone, winning
-    every tie as the earlier source.
+    r and H are read only when the theorems leave the answer open, and r
+    alone on a chordal G. A non-chordal G has an induced k-cycle, k >= 4,
+    and every chordal supergraph of it two triangles on one edge, so r(H)
+    >= 4 and the sandwich's inner ray r(H) - 2 is at least 2. A theorem
+    applies only to a connected triangle-free G on >= 3 vertices, where
+    r = 3: the sandwich is never exact and its outer ray is 1, no
+    theorem's is below. So a theorem with an inner ray <= 2 (every cycle;
+    bipartite plain and even; bipartite odd between K_{2,2} and K_{2,m})
+    decides the answer alone, winning every tie as the earlier source.
     """
     _check_family(family)
     if g.n < 2:
         return None
     lattice = _LATTICE_FOR_FAMILY[family]
-    r = g.analysis.near_complete_order
-    outer = HSet(lattice=lattice, ray_start=float(r - 2))
     if g.analysis.is_chordal:  # H = G
-        return outer
+        return HSet(lattice=lattice, ray_start=float(g.analysis.near_complete_order - 2))
     components = g.analysis.components
     theorems = []
     if _is_cycle_graph(g):
@@ -301,10 +299,11 @@ def expected_hset(g, family="plain"):
         theorems.append(hset_bipartite(g, family))
     if any((h if h.exact else h.inner).ray_start <= 2 for h in theorems):
         return _combine(theorems, min)
-    r_h = g.analysis.triangulation[2]
+    r, r_h = g.analysis.near_complete_order, g.analysis.triangulation[2]
     sandwich = HSet(lattice=lattice, ray_start=float(r_h - 2))
     if r_h == r:
         return sandwich
+    outer = HSet(lattice=lattice, ray_start=float(r - 2))
     sources = []
     if len(components) > 1:
         parts = [expected_hset(induced_subgraph(g, c)[0], family) for c in components]

@@ -209,22 +209,9 @@ def graph_from_json(data):
 
 
 def connected_components(g):
-    """Vertex sets of the connected components, each sorted, in label order."""
-    near = g._adjacency
-    seen = [False] * (g.n + 1)
-    comps = []
-    for start in g.vertices:
-        if seen[start]:
-            continue
-        seen[start] = True
-        comp = [start]
-        for v in comp:  # comp grows as the search reaches new vertices
-            for u in near[v]:
-                if not seen[u]:
-                    seen[u] = True
-                    comp.append(u)
-        comps.append(sorted(comp))
-    return comps
+    """Vertex sets of the connected components, each sorted, in label order
+    (GraphAnalysis.components)."""
+    return [list(c) for c in g.analysis.components]
 
 
 def is_connected(g):

@@ -243,23 +243,39 @@ def test_bipartition():
 
 
 def test_components_and_two_coloring_once_per_graph(monkeypatch):
-    # expected_hset, hset_bipartite and the cycle test read both off the
-    # graph's analysis, so each graph takes one search of each
+    # expected_hset, hset_bipartite, the cycle test and connected_components
+    # read both off the graph's analysis, and one search gives both, so each
+    # graph takes one search
     calls = []
+    search = chordal._color_components
 
-    def components(g):
+    def counted(g):
         calls.append(g.n)
-        return connected_components(g)
+        return search(g)
 
-    for module in (chordal, exponents):  # wherever the search is bound
-        if hasattr(module, "connected_components"):
-            monkeypatch.setattr(module, "connected_components", components)
+    monkeypatch.setattr(chordal, "_color_components", counted)
     for g in (cycle(8), complete_bipartite(3, 4)):
         for family in ("plain", "odd", "even"):
             expected_hset(g, family)
             hset_bipartite(g, family)
         assert g.analysis.bipartition is not None
+        assert connected_components(g) == [list(g.vertices)]
     assert calls == [8, 7]
+
+
+@pytest.mark.parametrize("make", [lambda: cycle(8), lambda: complete_bipartite(3, 4),
+                                  lambda: _grid_graph(30)], ids=["C8", "K34", "grid30"])
+def test_a_set_a_theorem_decides_computes_no_r(make):
+    # the cycle and bipartite theorems decide these sets from the graph's
+    # shape, so expected_hset enumerates no clique and seeks no near-complete
+    # subgraph; critical_exponent reports r, so it computes it
+    g = make()
+    for family in ("plain", "even"):
+        expected_hset(g, family)
+    computed = g.analysis.__dict__.keys()
+    assert not {"maximal_cliques", "near_complete"} & computed
+    record, _ = critical_exponent(g)
+    assert record["r"] == 3 and {"maximal_cliques", "near_complete"} <= computed
 
 
 def test_bipartite_two_by_many_detection_boundary():
