@@ -639,7 +639,7 @@ def _simple_cycle_of_length(g, length):
                 return None
             v, path_ = stack.pop()
             if len(path_) == length:
-                if start in g.neighbors(v):
+                if g.has_edge(start, v):
                     return path_
                 continue
             for u in reversed(g._adjacency[v]):

@@ -147,11 +147,27 @@ class HSet:
 
     @classmethod
     def from_json(cls, data):
-        inner = cls.from_json(data["inner"]) if data.get("inner") else None
-        outer = cls.from_json(data["outer"]) if data.get("outer") else None
-        return cls(lattice=data["lattice"], ray_start=float(data["ray_start"]),
-                   exact=bool(data["exact"]), inner=inner, outer=outer,
-                   exclusions=tuple(float(x) for x in data.get("exclusions", ())))
+        """The set of to_json; ValueError("bad hset JSON: ...") unless data
+        is an object with exact a JSON bool, ray_start and each exclusion a
+        JSON number (no bool or string), and inner and outer each null or
+        such an object."""
+        def read(d):
+            if not isinstance(d, dict):
+                raise ValueError(f"expected an object, got {d!r}")
+            if type(d["exact"]) is not bool:
+                raise ValueError(f"exact must be a bool, got {d['exact']!r}")
+            excluded = d.get("exclusions", [])
+            if not isinstance(excluded, list):
+                raise ValueError(f"exclusions must be a list, got {excluded!r}")
+            ray, *excluded = _number_rows([[d["ray_start"], *excluded]])[0].tolist()
+            inner, outer = (None if d.get(k) is None else read(d[k]) for k in ("inner", "outer"))
+            return cls(lattice=d["lattice"], ray_start=ray, exact=d["exact"], inner=inner,
+                       outer=outer, exclusions=tuple(excluded))
+
+        try:
+            return read(data)
+        except (KeyError, TypeError, ValueError, OverflowError) as exc:
+            raise ValueError(f"bad hset JSON: {exc}") from None
 
 
 # ---------------------------------------------------------------------------

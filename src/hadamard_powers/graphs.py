@@ -56,7 +56,7 @@ class Graph:
         ascending label order, from one pass over the edges (parse_edge_list
         and random_chordal fill it as they build the graph). The graph
         routines read these lists; the frozensets of `neighbors` are built
-        only for the cycle search."""
+        only when it is called."""
         near = [[] for _ in range(self.n + 1)]
         for i, j in self.edges:
             near[i].append(j)

@@ -206,6 +206,12 @@ def test_exact_routes_build_no_neighbor_sets(capsys, monkeypatch, tmp_path):
         for command in ("ce", "hset"):
             code, _, _ = run(capsys, [command, str(path), "--format", "json"])
             assert code == 0
+    # the even walk on the 5-cycle with chord 1-3 reaches the signed-cycle
+    # search, which tests each closing edge on the neighbor lists too
+    chorded = tmp_path / "chorded5.edges"
+    chorded.write_text("1 2\n2 3\n3 4\n4 5\n1 5\n1 3\n")
+    code, _, _ = run(capsys, ["ce", str(chorded), "--powers", "even", "--format", "json"])
+    assert code == 0
     assert built == []
     assert cycle(5).neighbors(1) == {2, 5} and built == [5]
 

@@ -1,5 +1,6 @@
 """Symbolic power sets, critical exponents, witnesses, and brackets."""
 
+import dataclasses
 import hashlib
 import json
 import math
@@ -129,6 +130,38 @@ def test_hset_json_roundtrip():
     for h in [hset_complete(5, "plain"), hset_cycle(6, "even"),
               hset_bipartite(complete_bipartite(2, 3), "odd")]:
         assert HSet.from_json(json.loads(json.dumps(h.to_json()))) == h
+
+
+def _exact_set_json(**fields):
+    return {"lattice": "none", "ray_start": 2.0, "exact": True, "inner": None,
+            "outer": None, "exclusions": [], **fields}
+
+
+def _partial_set_json(**fields):
+    return {**hset_cycle(6, "even").to_json(), **fields}
+
+
+@pytest.mark.parametrize("data", [
+    pytest.param(_exact_set_json(exact="false", ray_start="2"), id="exact-string"),
+    pytest.param(_exact_set_json(exact=1), id="exact-int"),
+    pytest.param(_exact_set_json(ray_start="2"), id="ray-string"),
+    pytest.param(_exact_set_json(ray_start=True), id="ray-bool"),
+    pytest.param(_exact_set_json(inner={}), id="inner-empty-object"),
+    pytest.param(_exact_set_json(outer=[]), id="outer-list"),
+    pytest.param(_exact_set_json(exclusions=""), id="exclusions-empty-string"),
+    pytest.param(_partial_set_json(exclusions=["1"]), id="exclusion-string"),
+    pytest.param(_partial_set_json(exclusions=[True]), id="exclusion-bool"),
+    pytest.param(_partial_set_json(exclusions="1"), id="exclusions-string"),
+    pytest.param(_partial_set_json(inner=_exact_set_json(exact="true")), id="inner-exact-string"),
+    pytest.param(_partial_set_json(outer=_exact_set_json(ray_start="1")), id="outer-ray-string"),
+    pytest.param(None, id="null"),
+    pytest.param([], id="list"),
+])
+def test_hset_json_takes_only_json_types(data):
+    # exact is a JSON bool, each number a JSON number and each bound null
+    # or an object; anything else was read by bool(), float() or truth
+    with pytest.raises(ValueError, match="bad hset JSON"):
+        HSet.from_json(data)
 
 
 def test_hset_validation():
@@ -1448,6 +1481,67 @@ def test_float_route_report_without_certificate_still_verifies():
     data = json.loads((FIXTURES / "witness_float_route.json").read_text())
     assert "certificate" not in data
     assert WitnessReport.from_json(data).verify()
+
+
+def _float_route_report():
+    return json.loads((FIXTURES / "witness_float_route.json").read_text())
+
+
+def test_float_route_rejects_an_entry_on_a_non_edge():
+    # the matrix stays PSD and its image does not: only the pattern check
+    # sees the 1-2 entry once the graph loses that edge
+    data = _float_route_report()
+    assert data["matrix"]["rows"][0][1] != 0
+    data["graph"]["edges"].remove([1, 2])
+    assert not WitnessReport.from_json(data).verify()
+
+
+def test_interval_certificate_rejects_a_column_across_a_non_edge():
+    # F F^T is still the stored matrix and its bound still negative: only
+    # the clique-support check sees a column spanning the removed edge
+    data = _interval_report()
+    a, b = (int(k) + 1 for k in np.flatnonzero(data["certificate"]["factor"][0])[:2])
+    data["graph"]["edges"].remove([a, b])
+    assert not WitnessReport.from_json(data).verify()
+
+
+@pytest.mark.parametrize("report", [_float_route_report, _interval_report])
+def test_a_report_whose_graph_has_another_order_fails_verification(report):
+    data = report()
+    data["graph"]["n"] += 1
+    assert not WitnessReport.from_json(data).verify()
+
+
+@pytest.mark.parametrize("report", [_float_route_report, _interval_report])
+def test_a_non_symmetric_report_matrix_fails_verification(report):
+    # the JSON loader turns a non-symmetric matrix down itself, so the
+    # report is built around one
+    w = WitnessReport.from_json(report())
+    m = w.matrix.copy()
+    m[0, 1] += 1.0
+    assert not dataclasses.replace(w, matrix=m).verify()
+
+
+def test_a_plain_power_of_a_matrix_with_negative_entries_fails_verification():
+    # flipping the sign of vertex 1 keeps the matrix PSD and, for odd powers,
+    # the image not PSD; plain powers are not defined on it
+    data = _float_route_report()
+    rows = data["matrix"]["rows"]
+    for k in range(1, len(rows)):
+        rows[0][k] = rows[k][0] = -rows[0][k]
+    assert data["family"] == "odd" and WitnessReport.from_json(data).verify()
+    data["family"] = "plain"
+    assert not WitnessReport.from_json(data).verify()
+
+
+@pytest.mark.parametrize("field", ["factor", "test_vector"])
+def test_an_interval_certificate_of_another_shape_fails_verification(field):
+    # a zero column adds nothing to F F^T and a trailing entry sits on no row
+    # of F, so only the shape check turns these down
+    data = _interval_report()
+    cert = data["certificate"]
+    cert[field].append([0.0] * len(cert["test_vector"]) if field == "factor" else "1")
+    assert not WitnessReport.from_json(data).verify()
 
 
 def _python(*args):
