@@ -173,16 +173,16 @@ class GraphAnalysis:
 
     def __init__(self, g):
         self._graph = weakref.ref(g)
-        self._n, self._edges = g.n, g.edges
+        self._store = g.n, g._adjacency, g.m
 
     @property
     def graph(self):
         """The analysed graph. An analysis read after its graph is gone (as
-        in `cycle(5).analysis.near_complete`) rebuilds the graph from its
-        edges around itself and keeps it from then on."""
+        in `cycle(5).analysis.near_complete`) rebuilds the graph around
+        itself from its neighbor lists and keeps it from then on."""
         g = self._graph()
         if g is None:
-            g = Graph(n=self._n, edges=self._edges)
+            g = Graph(*self._store)
             g.__dict__["analysis"] = self
             self._graph = lambda: g
         return g
@@ -246,7 +246,7 @@ class GraphAnalysis:
         than the most neighbors a vertex has visited before it, with no
         clique built."""
         if self.is_chordal:
-            return max(self._lex_bfs_pass[3]) + 1 if self._n else 0
+            return max(self._lex_bfs_pass[3]) + 1 if self.graph.n else 0
         return max(map(len, self.maximal_cliques), default=0)
 
     @cached_property
@@ -482,11 +482,12 @@ def _least_face_pair(g, pos, parent, count, starts, k):
     graph, over its faces E(b) of size k > 0 for the chain starts b, each
     taken once; None when no face has two members. A face's members are
     its vertices' common neighbors: the list of its vertex with the fewest,
-    filtered by edge membership, so no hub's list is read; for k = 1 the
-    face is b's parent, marked once seen, and its members its list."""
+    filtered by has_edge, which bisects the shorter list, so no hub's list
+    is read; for k = 1 the face is b's parent, marked once seen, and its
+    members its list."""
     if not k:  # an edgeless graph's empty face: the split certifies it
         return None
-    near, edges = g._adjacency, g.edges
+    near = g._adjacency
     seen, done, best = set(), [False] * (g.n + 1), None
     for b in starts:
         if count[b] != k:
@@ -504,7 +505,7 @@ def _least_face_pair(g, pos, parent, count, starts, k):
             seen.add(face)
             members = near[min(face, key=lambda s: len(near[s]))]
             for s in face:
-                members = [w for w in members if ((s, w) if s < w else (w, s)) in edges]
+                members = [w for w in members if g.has_edge(s, w)]
         if len(members) > 1:
             found = members[0], members[1], face
             if best is None or found < best:
@@ -524,7 +525,7 @@ def _bron_kerbosch_by_vertex(g):
     n, near = g.n, g._adjacency
     rank = [(len(nb), v) for v, nb in enumerate(near)]
     up = [[w for w in nb if rank[w] > rank[v]] for v, nb in enumerate(near)]
-    limit = MAX_CLIQUE_EXPANSIONS + n + len(g.edges)
+    limit = MAX_CLIQUE_EXPANSIONS + n + g.m
     cliques, expansions = [], 0
     for v in g.vertices:
         if not up[v]:

@@ -251,7 +251,7 @@ def hset_bipartite(g, family="plain"):
 
 
 def _is_cycle_graph(g):
-    return (g.n >= 3 and len(g.edges) == g.n
+    return (g.n >= 3 and g.m == g.n
             and all(g.degree(v) == 2 for v in g.vertices)
             and len(g.analysis.components) == 1)
 
@@ -1129,7 +1129,7 @@ def critical_exponent(g, family="plain", budget=None, seed=0):
     if budget is not None and budget < 1:
         raise ValueError(f"budget must be >= 1, got {budget}")
     r, known = g.analysis.near_complete_order, expected_hset(g, family)
-    record = {"n": g.n, "edge_count": len(g.edges), "r": r, "chordal": g.analysis.is_chordal}
+    record = {"n": g.n, "edge_count": g.m, "r": r, "chordal": g.analysis.is_chordal}
     if known.exact:
         ce = known.ray_start
         record.update(ce=int(ce) if ce.is_integer() else ce, method="exact")
@@ -1151,7 +1151,7 @@ def conjecture_scan(graphs, family="plain", *, budget=None, seed=0):
     _check_family(family)
     records = []
     for idx, g in enumerate(graphs):
-        rec = {"index": idx, "n": g.n, "edge_count": len(g.edges)}
+        rec = {"index": idx, "n": g.n, "edge_count": g.m}
         try:
             rec.update(critical_exponent(g, family, budget, seed + idx)[0])
         except Exception as exc:  # per-graph errors must not kill the scan

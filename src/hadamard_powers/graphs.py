@@ -7,9 +7,11 @@ cliques, the largest near-complete subgraph) live on `Graph.analysis`.
 
 from __future__ import annotations
 
+import bisect
+import gc
 import itertools
 import operator
-from dataclasses import dataclass
+import re
 from functools import cached_property
 
 import numpy as np
@@ -19,16 +21,41 @@ class GraphParseError(ValueError):
     """Malformed edge-list input; the message carries the line number."""
 
 
-@dataclass(frozen=True)
 class Graph:
     """Simple undirected graph on vertices 1..n.
 
-    Edges are stored once, as (i, j) pairs with i < j. Instances are
-    immutable and hashable, so derived quantities can be cached.
+    The one store is `_adjacency`, [[], N(1), ..., N(n)]: each vertex's
+    neighbors as a list in ascending label order, with m, the number of
+    edges. The constructor takes lists already in that form; build graphs
+    with from_edges, parse_edge_list or a generator, which keep one int
+    object per label however many lists hold it. Instances are immutable,
+    and equality and hashing are on (n, lists), so derived quantities can
+    be cached.
     """
 
-    n: int
-    edges: frozenset[tuple[int, int]]
+    def __init__(self, n, adjacency, m):
+        self.__dict__.update(n=n, _adjacency=adjacency, m=m)
+
+    def __setattr__(self, name, value):
+        raise AttributeError(f"Graph is immutable: cannot set {name!r}")
+
+    def __delattr__(self, name):
+        raise AttributeError(f"Graph is immutable: cannot delete {name!r}")
+
+    def __eq__(self, other):
+        if not isinstance(other, Graph):
+            return NotImplemented
+        return self.n == other.n and self._adjacency == other._adjacency
+
+    def __hash__(self):
+        return self._hash
+
+    @cached_property
+    def _hash(self):
+        return hash((self.n, tuple(map(tuple, self._adjacency))))
+
+    def __repr__(self):
+        return f"Graph.from_edges({self.n}, {self.sorted_edges()})"
 
     @classmethod
     def from_edges(cls, n, edges):
@@ -39,7 +66,9 @@ class Graph:
         n = _integer(n)
         if n < 0:
             raise ValueError(f"vertex count must be nonnegative, got {n}")
-        canon = set()
+        label = list(range(n + 1))  # one int object per vertex, however often it is stored
+        near = [[] for _ in label]
+        seen = set()  # i (n + 1) + j for each edge (i, j), i < j
         for i, j in edges:
             if type(i) is not int or type(j) is not int:
                 i, j = _integer(i), _integer(j)
@@ -47,28 +76,20 @@ class Graph:
                 raise ValueError(f"self-loop at vertex {i}")
             if not (1 <= i <= n and 1 <= j <= n):
                 raise ValueError(f"edge ({i}, {j}) out of range 1..{n}")
-            canon.add((i, j) if i < j else (j, i))
-        return cls(n=n, edges=frozenset(canon))
-
-    @cached_property
-    def _adjacency(self):
-        """[[], N(1), ..., N(n)]: each vertex's neighbors as a list in
-        ascending label order, from one pass over the edges (parse_edge_list
-        and random_chordal fill it as they build the graph). The graph
-        routines read these lists; the frozensets of `neighbors` are built
-        only when it is called."""
-        near = [[] for _ in range(self.n + 1)]
-        for i, j in self.edges:
-            near[i].append(j)
-            near[j].append(i)
+            key = i * (n + 1) + j if i < j else j * (n + 1) + i
+            if key not in seen:
+                seen.add(key)
+                near[i].append(label[j])
+                near[j].append(label[i])
         for nb in near:
             nb.sort()
-        return near
+        return cls(n, near, len(seen))
 
-    @cached_property
-    def _neighbor_sets(self):
-        """{v: frozenset of its neighbors} for v in 1..n, on first use."""
-        return dict(zip(self.vertices, map(frozenset, self._adjacency[1:])))
+    @property
+    def edges(self):
+        """The edges as a frozenset of (i, j) pairs with i < j, built anew on
+        each read from the neighbor lists."""
+        return frozenset(self.sorted_edges())
 
     @cached_property
     def analysis(self):
@@ -82,19 +103,26 @@ class Graph:
     def vertices(self):
         return range(1, self.n + 1)
 
-    def neighbors(self, v):
-        return self._neighbor_sets[v]
-
     def degree(self, v):
         if not 1 <= v <= self.n:
             raise KeyError(v)
         return len(self._adjacency[v])
 
     def has_edge(self, i, j):
-        return (min(i, j), max(i, j)) in self.edges
+        """True iff {i, j} is an edge, by bisection of the shorter of the two
+        neighbor lists; False for a label outside 1..n."""
+        if not (0 < i <= self.n and 0 < j <= self.n):
+            return False
+        near, far = self._adjacency[i], self._adjacency[j]
+        if len(far) < len(near):
+            near, j = far, i
+        k = bisect.bisect_left(near, j)
+        return k < len(near) and near[k] == j
 
     def sorted_edges(self):
-        return sorted(self.edges)
+        """The (i, j) edges, i < j, in ascending order: each vertex's later
+        neighbors, vertex by vertex."""
+        return [(i, j) for i, nb in enumerate(self._adjacency) for j in nb if j > i]
 
 
 def _integer(x):
@@ -124,9 +152,113 @@ def parse_edge_list(text):
     "n <count>" fixes the vertex count; otherwise n is the largest label.
     Labels and the count are an optional sign and ASCII digits. A line
     with a label above the declared count is reported only when no line
-    has any other error. The graph's neighbor lists are filled in the same
-    pass, each edge once.
+    has any other error.
+
+    Clean text (_parse_whole_text) is read in one pass over the whole text;
+    any other text, and any text shorter than WHOLE_TEXT_MIN_CHARS, line by
+    line (_parse_lines), which reports errors with their line numbers.
     """
+    if len(text) >= WHOLE_TEXT_MIN_CHARS:
+        g = _parse_whole_text(text)
+        if g is not None:
+            return g
+    return _parse_lines(text)
+
+
+#: Below this many characters the line parser is the faster one: the
+#: whole-text pass costs a few dozen numpy calls, whatever the size.
+WHOLE_TEXT_MIN_CHARS = 600
+
+#: The largest label or count the whole-text pass reads: keys i (n + 1) + j
+#: stay within int64, and a larger one takes the line parser, as before.
+_WHOLE_TEXT_MAX_LABEL = 10**9 - 1
+
+_HEADER = re.compile(r"[ \t\n]*n[ \t]+\+?([0-9]{1,9})[ \t]*(?:\n|\Z)")
+_UNCLEAN = np.ones(256, dtype=bool)
+_UNCLEAN[list(b"0123456789+ \t\n")] = False
+
+
+def _parse_whole_text(text):
+    """The graph of clean edge-list text, with no loop over its lines; None
+    for any other text, and for clean text with an error, both of which
+    _parse_lines reads.
+
+    Clean text is an optional header "n <count>", then lines of two labels
+    or none, each label ASCII digits with an optional "+", and only
+    spaces, tabs and "\n" between them. A label below 1, a self-loop, a
+    label above the count and a label past _WHOLE_TEXT_MAX_LABEL are the
+    errors. The labels are read by numpy; each pair is keyed both ways as
+    i (n + 1) + j, and one sort gives each vertex's neighbors in order,
+    repeated edges next to each other.
+    """
+    if not text.isascii():
+        return None
+    head = _HEADER.match(text)
+    raw = np.frombuffer(text.encode("ascii"), dtype=np.uint8)[head.end() if head else 0:]
+    if not _two_labels_a_line(raw):
+        return None
+    labels = np.fromstring(raw, dtype=np.int64, sep=" ")  # saturates past int64
+    del raw
+    if labels.size and not (1 <= labels.min() and labels.max() <= _WHOLE_TEXT_MAX_LABEL):
+        return None
+    top = int(labels.max()) if labels.size else 0
+    n = int(head[1]) if head else top
+    i, j = labels[0::2], labels[1::2]
+    if top > n or (i == j).any():
+        return None
+    keys = np.concatenate((i * (n + 1) + j, j * (n + 1) + i))
+    del labels, i, j
+    keys.sort()
+    first = np.ones(keys.size, dtype=bool)  # the first copy of each repeated edge
+    np.not_equal(keys[1:], keys[:-1], out=first[1:])
+    if not first.all():
+        keys = keys[first]
+    del first
+    source, target = np.divmod(keys, n + 1)
+    del keys
+    bounds = np.zeros(n + 2, dtype=np.int64)
+    np.cumsum(np.bincount(source, minlength=n + 1), out=bounds[1:])
+    del source
+    label = np.empty(n + 1, dtype=object)
+    label[:] = range(n + 1)  # one int object per vertex, however often it is stored
+    flat = label[target].tolist()
+    del label, target
+    collecting = gc.isenabled()
+    gc.disable()  # each pass of the collector the new lists set off would walk all of `flat`
+    try:
+        near = [flat[a:b] for a, b in itertools.pairwise(bounds.tolist())]
+    finally:
+        if collecting:
+            gc.enable()
+    return Graph(n, near, len(flat) // 2)
+
+
+def _two_labels_a_line(raw):
+    """True iff the bytes `raw` are digits, "+", spaces, tabs and "\n"
+    only, each "+" starts a label and a digit follows it, and each line
+    holds two labels or none."""
+    if _UNCLEAN[raw].any():
+        return False
+    label = raw >= ord("+")  # "+" and the digits, past every separator
+    start = label.copy()
+    start[1:] &= ~label[:-1]
+    del label
+    plus = raw == ord("+")
+    if plus.any() and ((plus & ~start).any() or plus[-1] or (plus[:-1] & (raw[1:] < ord("0"))).any()):
+        return False
+    del plus
+    newline = raw == ord("\n")
+    marks = np.flatnonzero(start | newline)  # the label starts and line ends, in text order
+    del start
+    ends = np.flatnonzero(newline[marks])
+    per_line = np.diff(ends, prepend=-1, append=marks.size) - 1
+    return bool(((per_line == 0) | (per_line == 2)).all())
+
+
+def _parse_lines(text):
+    """parse_edge_list line by line: any text, each error with its line
+    number. The graph's neighbor lists are filled in the same pass, each
+    edge once."""
     edges = set()
     near = [[]]  # near[v]: v's neighbors, in the order their lines come
     n_declared = None
@@ -182,9 +314,7 @@ def parse_edge_list(text):
         raise GraphParseError(f"line {over}: label exceeds declared vertex count {n_declared}")
     for nb in near:
         nb.sort()
-    g = Graph(n=len(near) - 1, edges=frozenset(edges))
-    g.__dict__["_adjacency"] = near
-    return g
+    return Graph(len(near) - 1, near, len(edges))
 
 
 def to_edge_list(g):
@@ -234,10 +364,7 @@ def induced_subgraph(g, subset):
     mapping = {old: new for new, old in enumerate(subset, start=1)}
     near = g._adjacency
     sub_near = [[], *([mapping[u] for u in near[v] if u in mapping] for v in subset)]
-    sub = Graph(n=len(subset), edges=frozenset(
-        (i, j) for i, nb in enumerate(sub_near) for j in nb if i < j))
-    sub.__dict__["_adjacency"] = sub_near
-    return sub, mapping
+    return Graph(len(subset), sub_near, sum(map(len, sub_near)) // 2), mapping
 
 
 # ---------------------------------------------------------------------------
@@ -390,7 +517,6 @@ def random_chordal(n, density=0.5, seed=0):
     draws = draws_from(np.random.default_rng(seed))
     near = [[], []]  # near[v]: v's earlier neighbors, sorted, then its later ones
     earlier = [0, 0]  # earlier[v]: their count; v's clique is near[v][:earlier[v]] and v
-    edges = []
     label = list(range(n + 1))  # one int object per vertex, however often it is stored
     for v in itertools.islice(label, 2, None):
         u = label[1 + draws.integers(v - 1)]
@@ -400,13 +526,10 @@ def random_chordal(n, density=0.5, seed=0):
         attach = [head[i] if i < c else u for i in draws.choice(c + 1, k)]
         for a in attach:
             near[a].append(v)
-        edges.extend(zip(attach, itertools.repeat(v)))
         near.append(attach)
         earlier.append(k)
     draws.sync()
-    g = Graph(n=len(near) - 1, edges=frozenset(edges))
-    g.__dict__["_adjacency"] = near
-    return g
+    return Graph(len(near) - 1, near, sum(earlier))
 
 
 def random_graph(n, edge_prob=0.5, seed=0):

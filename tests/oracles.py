@@ -35,10 +35,17 @@ def _adjacency_masks(g):
     return masks
 
 
+def neighbor_sets(g):
+    """{v: frozenset of v's neighbors} for v in 1..n, from the neighbor
+    lists, iterating as the sets of the removed Graph.neighbors did."""
+    return dict(zip(g.vertices, map(frozenset, g._adjacency[1:])))
+
+
 def bron_kerbosch(g):
     """Maximal cliques of any graph by one pivoting Bron-Kerbosch search
     over the whole graph and its neighbor frozensets, sorted; with no work
     limit, so only for small graphs."""
+    nbrs = neighbor_sets(g)
     cliques = []
     stack = [(frozenset(), frozenset(g.vertices), frozenset())]
     while stack:
@@ -46,9 +53,9 @@ def bron_kerbosch(g):
         if not p and not x:
             cliques.append(r)
             continue
-        pivot = max(p | x, key=lambda u: len(g.neighbors(u) & p))
-        for v in sorted(p - g.neighbors(pivot)):
-            stack.append((r | {v}, p & g.neighbors(v), x & g.neighbors(v)))
+        pivot = max(p | x, key=lambda u: len(nbrs[u] & p))
+        for v in sorted(p - nbrs[pivot]):
+            stack.append((r | {v}, p & nbrs[v], x & nbrs[v]))
             p = p - {v}
             x = x | {v}
     return tuple(sorted(cliques, key=sorted))
@@ -129,11 +136,12 @@ def near_complete_by_pair_walk(g):
     if len(verts) < 2:
         verts = [1, 2]
     best = (len(verts), verts[0], tuple(verts[1:-1]), verts[-1])
+    nbrs = neighbor_sets(g)
     for u in g.vertices:
-        near = g.neighbors(u)
-        second = set().union(*(g.neighbors(w) for w in near)) - near
+        near = nbrs[u]
+        second = set().union(*(nbrs[w] for w in near)) - near
         for v in sorted(x for x in second if x > u):
-            common = near & g.neighbors(v)
+            common = near & nbrs[v]
             if len(common) + 2 > best[0]:
                 s = max((c & common for c in cliques), key=len)
                 if len(s) + 2 > best[0]:
@@ -146,8 +154,9 @@ def least_four_cycle(g):
     with two common neighbors, c < d the two least of them; None when no
     pair has two. Over all vertex pairs, so quadratic in n."""
     best = None
+    nbrs = neighbor_sets(g)
     for a, b in itertools.combinations(g.vertices, 2):
-        common = sorted(g.neighbors(a) & g.neighbors(b))
+        common = sorted(nbrs[a] & nbrs[b])
         if len(common) >= 2:
             cand = [a, common[0], b, common[1]]
             if best is None or cand < best:
@@ -187,7 +196,7 @@ def clique_tree_by_neighbor_scans(g):
     pos = {v: k for k, v in enumerate(visit)}
 
     def visited_before(v):
-        return [u for u in g.neighbors(v) if pos[u] < pos[v]]
+        return [u for u in g._adjacency[v] if pos[u] < pos[v]]
 
     earlier, parent = {}, {}
     for v in visit:
@@ -212,11 +221,11 @@ def clique_tree_by_neighbor_scans(g):
 
 
 def lex_bfs_by_neighbor_sets(g):
-    """chordal._lex_bfs as it was over the frozensets of g.neighbors: the
+    """chordal._lex_bfs as it was over the frozensets of neighbor_sets: the
     same partition refinement, returning (visit, before) with before[v] the
     list of v's neighbors visited before it, in visit order. Ties follow
     the frozensets' iteration order."""
-    nbrs = g.neighbors
+    nbrs = neighbor_sets(g).__getitem__
     n = g.n
     visit = list(g.vertices)
     pos = list(range(-1, n))
@@ -252,7 +261,7 @@ def parent_test_by_neighbor_sets(g, later):
     """chordal._parent_test as it was: each later[v], listed from the back
     of the order, is a clique iff all but its last lie in the frozenset of
     neighbors of the last."""
-    nbrs = g.neighbors
+    nbrs = neighbor_sets(g).__getitem__
     return all(nbrs(ws[-1]).issuperset(ws[:-1]) for ws in later if ws)
 
 
@@ -288,7 +297,7 @@ def analysis_by_neighbor_sets(g):
     omega = max(map(len, cliques), default=0)
     near_complete = None
     if g.n >= 2:
-        nbrs = g.neighbors
+        nbrs = neighbor_sets(g).__getitem__
         if chordal:
             faces = {s for s in tree[1] if len(s) == omega - 1 and s}
             members = [frozenset.intersection(*map(nbrs, s)) for s in faces]
@@ -358,7 +367,7 @@ def parse_edge_list_to_edge_set(text):
     if over is not None:
         raise GraphParseError(f"line {over}: label exceeds declared vertex count {n_declared}")
     n = n_declared if n_declared is not None else max((j for _, j in edges), default=0)
-    return Graph(n=n, edges=frozenset(edges))
+    return Graph.from_edges(n, edges)
 
 
 _INTEGER = re.compile(r"[+-]?[0-9]+")

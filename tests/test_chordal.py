@@ -76,7 +76,7 @@ def pairwise_is_peo(g, order):
     """Quadratic-per-vertex oracle: every two later neighbors are adjacent."""
     pos = {v: k for k, v in enumerate(order)}
     for v in order:
-        later = [u for u in g.neighbors(v) if pos[u] > pos[v]]
+        later = [u for u in g._adjacency[v] if pos[u] > pos[v]]
         if not all(g.has_edge(a, b) for a, b in itertools.combinations(later, 2)):
             return False
     return True
@@ -759,7 +759,7 @@ def test_r_exceeds_omega_exactly_when_two_maximum_cliques_share_a_face(g):
 def naive_min_fill(g):
     """Greedy min-fill recounting every remaining vertex's missing neighbor
     pairs at every step; ties go to the smallest label."""
-    adj = {v: set(g.neighbors(v)) for v in g.vertices}
+    adj = {v: set(g._adjacency[v]) for v in g.vertices}
     fill, order = [], []
 
     def missing(v):

@@ -185,37 +185,6 @@ def test_ce_walks_no_grid_on_a_proven_set(capsys, monkeypatch, tmp_path):
     assert calls == []
 
 
-def test_exact_routes_build_no_neighbor_sets(capsys, monkeypatch, tmp_path):
-    # chordal graphs, cycles and K_{a,b} are read off the neighbor lists:
-    # none of them needs the per-vertex frozensets of Graph.neighbors
-    built = []
-    plain = Graph._neighbor_sets
-
-    def neighbor_sets(g):
-        built.append(g.n)
-        return plain.func(g)
-
-    counted = functools.cached_property(neighbor_sets)
-    counted.__set_name__(Graph, "_neighbor_sets")
-    monkeypatch.setattr(Graph, "_neighbor_sets", counted)
-    graphs = [random_chordal(300, seed=1), random_tree(200, seed=2), complete(30),
-              cycle(9), cycle(12), complete_bipartite(3, 5), complete_bipartite(2, 7)]
-    for k, g in enumerate(graphs):
-        path = tmp_path / f"g{k}.edges"
-        path.write_text(to_edge_list(g))
-        for command in ("ce", "hset"):
-            code, _, _ = run(capsys, [command, str(path), "--format", "json"])
-            assert code == 0
-    # the even walk on the 5-cycle with chord 1-3 reaches the signed-cycle
-    # search, which tests each closing edge on the neighbor lists too
-    chorded = tmp_path / "chorded5.edges"
-    chorded.write_text("1 2\n2 3\n3 4\n4 5\n1 5\n1 3\n")
-    code, _, _ = run(capsys, ["ce", str(chorded), "--powers", "even", "--format", "json"])
-    assert code == 0
-    assert built == []
-    assert cycle(5).neighbors(1) == {2, 5} and built == [5]
-
-
 # `hset --format json` output of an earlier version, byte for byte, for 49
 # graphs in the three families: chordal sandwiches, cycles and the even
 # 6-cycle's excluded 1, bipartite patterns with their partial odd sets,

@@ -10,8 +10,11 @@ from hypothesis import strategies as st
 
 from hadamard_powers.graphs import (
     FAMILY_GENERATORS,
+    WHOLE_TEXT_MIN_CHARS,
     Graph,
     GraphParseError,
+    _parse_lines,
+    _parse_whole_text,
     band,
     complete,
     complete_bipartite,
@@ -150,13 +153,122 @@ def test_parser_fills_the_neighbor_lists_of_from_edges(header, lines, newline, t
         assert g._adjacency == built._adjacency
 
 
-def test_neighbors_outside_the_vertices_raise_key_error():
-    for g in (parse_edge_list("n 4\n1 2"), cycle(5), Graph.from_edges(0, [])):
-        for v in (0, g.n + 1):
-            with pytest.raises(KeyError):
-                g.neighbors(v)
+def _same_graph_or_error(text):
+    """parse_edge_list and its whole-text pass against the line parser: the
+    same graph, lists and edge count, or the line parser's error, which the
+    whole-text pass leaves to it."""
+    try:
+        expected = _parse_lines(text)
+    except GraphParseError as exc:
+        assert _parse_whole_text(text) is None
+        with pytest.raises(GraphParseError) as got:
+            parse_edge_list(text)
+        assert str(got.value) == str(exc)
+        return None
+    for g in (_parse_whole_text(text), parse_edge_list(text)):
+        if g is not None:
+            assert g == expected and g.m == expected.m
+            assert g._adjacency == expected._adjacency
+    return _parse_whole_text(text)
+
+
+# the alphabet of the issue, digits apart: runs of at most three digits keep
+# every label and count below 1000, for the line parser makes a list per
+# vertex up to the largest label
+_NON_DIGITS = "+- \t#\n\r\x0b\x1c\u2028n"
+_RUNS = st.sampled_from(["", "0", "1", "2", "3", "7", "12", "03", "999"])
+
+
+@settings(max_examples=1000, deadline=None)
+@given(st.lists(st.tuples(st.text(_NON_DIGITS, min_size=1, max_size=3), _RUNS), max_size=15)
+       .map(lambda chunks: "".join(gap + run for gap, run in chunks)))
+@example("n 3\n1 2\n")
+@example("1 2\n+3\t4\n\n")
+@example("+ 1 2")  # numpy would read "+ 1" as 1
+@example("1+2 3")  # and "1+2" as 1, 2
+@example("1 2\x1c3 4")  # a line break of str.splitlines
+@example("n 5\n99999999999999999999 1")  # past int64: numpy saturates
+@example("n 5\n1000000000 1")
+def test_the_whole_text_pass_reads_any_text_as_the_line_parser(text):
+    _same_graph_or_error(text)
+
+
+_TOKENS = st.sampled_from(["1", "2", "3", "4", "5", "9", "12", "+2", "03", "0", "-1", "+", "n",
+                           "#", "x"])
+_GAPS = st.sampled_from([" ", "  ", "\t", " \t"])
+_BREAKS = st.sampled_from(["\n"] * 6 + ["\r\n", "\r", "\x0b", "\x1c", "\u2028"])
+
+
+@st.composite
+def _edge_texts(draw):
+    """Mostly clean edge-list texts: a header or none, then lines of two
+    labels or none, now and then with another token, gap or line break."""
+    lines = [draw(st.sampled_from(["", "n 5", "n 12", "  n\t+9", "n 0", "n 999"]))]
+    for _ in range(draw(st.integers(0, 12))):
+        count = draw(st.sampled_from([2] * 8 + [0, 1, 3]))
+        line = draw(_GAPS).join(draw(_TOKENS) if draw(st.integers(0, 9)) == 0
+                                else str(draw(st.integers(1, 12))) for _ in range(count))
+        lines.append(draw(st.sampled_from(["", " ", "\t"])) + line + draw(st.sampled_from(["", " "])))
+    return "".join(line + draw(_BREAKS) for line in lines[:-1]) + lines[-1]
+
+
+@settings(max_examples=1000, deadline=None)
+@given(_edge_texts())
+@example("n 5\n1 2\n2 1\n5 3\n")  # a repeated edge
+@example("n 5\n1 2\n2 6\n")  # a label over the count
+@example("1 2\n3 3\n")  # a self-loop
+@example("\n\n n 4\n\n1 2\n")  # blank lines before the header
+def test_the_whole_text_pass_reads_edge_lists_as_the_line_parser(text):
+    _same_graph_or_error(text)
+
+
+def test_clean_text_takes_the_whole_text_pass():
+    g = random_chordal(300, seed=4)
+    text = to_edge_list(g)
+    assert len(text) >= WHOLE_TEXT_MIN_CHARS
+    for variant in (text, text.replace(" ", "\t  ").replace("\n", "\n\n"), text[text.index("\n"):],
+                    text + "".join(f"+{j} 0{i}\n" for i, j in g.sorted_edges())):
+        assert _parse_whole_text(variant) == g
+        assert parse_edge_list(variant) == g
+    # a comment or a carriage return sends the text to the line parser
+    assert _parse_whole_text(text + "# end\n") is None
+    assert _parse_whole_text(text.replace("\n", "\r\n")) is None
+
+
+def _label_objects(g):
+    return len({id(v) for nb in g._adjacency for v in nb})
+
+
+def test_each_label_is_one_int_object():
+    g = random_chordal(2000, seed=1)
+    built = Graph.from_edges(g.n, g.sorted_edges())
+    parsed = parse_edge_list(to_edge_list(g))
+    assert g == built == parsed
+    for h in (g, built, parsed):
+        assert _label_objects(h) == g.n - sum(h.degree(v) == 0 for v in h.vertices)
+        assert all(type(v) is int for nb in h._adjacency for v in nb)
+
+
+def test_equality_and_hash_agree_with_from_edges_for_every_generator():
+    args = {"complete_bipartite": (3, 4), "band": (9, 3), "split": (4, 5, 2)}
+    for family, gen in FAMILY_GENERATORS.items():
+        g = gen(*args.get(family, (9,)))
+        built = Graph.from_edges(g.n, reversed(g.sorted_edges()))
+        assert g == built and hash(g) == hash(built), family
+        assert g._adjacency == built._adjacency and g.m == built.m == len(g.edges), family
+        assert g != Graph.from_edges(g.n + 1, g.edges), family
+    assert path(3) != Graph.from_edges(3, [(1, 3), (2, 3)]) and path(3) != "path(3)"
+
+
+def test_labels_outside_the_vertices_have_no_degree_and_no_edge():
+    # a negative label must not wrap around to the end of the lists
+    for g in (parse_edge_list("n 4\n1 2"), cycle(5), complete(4), Graph.from_edges(0, [])):
+        for v in (0, -1, g.n + 1):
             with pytest.raises(KeyError):
                 g.degree(v)
+            for u in (v, *g.vertices):
+                assert not g.has_edge(u, v) and not g.has_edge(v, u)
+    assert complete(4).has_edge(4, 1) and cycle(5).has_edge(1, 5) and not cycle(5).has_edge(1, 3)
 
 
 @pytest.mark.parametrize("n, edges", [
@@ -270,7 +382,7 @@ def test_random_chordal_reads_the_numpy_stream(n, density, seed, half_kept):
         assert ours.integers(7) == theirs.integers(7)
     g = random_chordal(n, density, seed=ours)
     assert g.edges == oracles.random_chordal_by_numpy_calls(n, density, seed=theirs).edges
-    assert g._adjacency == Graph(n=g.n, edges=g.edges)._adjacency
+    assert g._adjacency == Graph.from_edges(g.n, g.edges)._adjacency
     # the Generator is left where the numpy calls leave it, kept half included
     assert ours.integers(2**32, size=3).tolist() == theirs.integers(2**32, size=3).tolist()
     assert ours.random() == theirs.random()
@@ -282,7 +394,7 @@ def test_random_chordal_with_another_bit_generator_makes_the_numpy_calls():
     ours, theirs = (np.random.Generator(np.random.MT19937(3)) for _ in range(2))
     g = random_chordal(200, 0.7, seed=ours)
     assert g.edges == oracles.random_chordal_by_numpy_calls(200, 0.7, seed=theirs).edges
-    assert g._adjacency == Graph(n=g.n, edges=g.edges)._adjacency
+    assert g._adjacency == Graph.from_edges(g.n, g.edges)._adjacency
     assert ours.random() == theirs.random()
 
 
@@ -354,7 +466,7 @@ def test_induced_subgraph_is_the_edge_filter(case):
     assert mapping == {old: new for new, old in enumerate(sorted(subset), start=1)}
     assert sub == Graph.from_edges(len(subset), [
         (mapping[i], mapping[j]) for i, j in g.edges if i in subset and j in subset])
-    assert sub._adjacency == Graph(n=sub.n, edges=sub.edges)._adjacency
+    assert sub._adjacency == Graph.from_edges(sub.n, sub.edges)._adjacency
 
 
 def _orders(g):
