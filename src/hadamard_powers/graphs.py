@@ -68,7 +68,6 @@ class Graph:
             raise ValueError(f"vertex count must be nonnegative, got {n}")
         label = list(range(n + 1))  # one int object per vertex, however often it is stored
         near = [[] for _ in label]
-        seen = set()  # i (n + 1) + j for each edge (i, j), i < j
         for i, j in edges:
             if type(i) is not int or type(j) is not int:
                 i, j = _integer(i), _integer(j)
@@ -76,14 +75,14 @@ class Graph:
                 raise ValueError(f"self-loop at vertex {i}")
             if not (1 <= i <= n and 1 <= j <= n):
                 raise ValueError(f"edge ({i}, {j}) out of range 1..{n}")
-            key = i * (n + 1) + j if i < j else j * (n + 1) + i
-            if key not in seen:
-                seen.add(key)
-                near[i].append(label[j])
-                near[j].append(label[i])
+            near[i].append(label[j])
+            near[j].append(label[i])
         for nb in near:
-            nb.sort()
-        return cls(n, near, len(seen))
+            if len(nb) > 1:
+                nb.sort()
+                if len(set(nb)) < len(nb):  # an edge given more than once
+                    nb[:] = sorted(set(nb))
+        return cls(n, near, sum(map(len, near)) // 2)
 
     @property
     def edges(self):
