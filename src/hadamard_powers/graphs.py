@@ -197,7 +197,7 @@ def _parse_whole_text(text):
     if not _two_labels_a_line(raw):
         return None
     labels = np.fromstring(raw, dtype=np.int64, sep=" ")  # saturates past int64
-    del raw
+    del raw  # each array goes once read: at 10^6 lines, each is tens of MB
     if labels.size and not (1 <= labels.min() and labels.max() <= _WHOLE_TEXT_MAX_LABEL):
         return None
     top = int(labels.max()) if labels.size else 0
