@@ -48,10 +48,6 @@ class Graph:
         return self.n == other.n and self._adjacency == other._adjacency
 
     def __hash__(self):
-        return self._hash
-
-    @cached_property
-    def _hash(self):
         return hash((self.n, tuple(map(tuple, self._adjacency))))
 
     def __repr__(self):
@@ -208,7 +204,7 @@ def _parse_whole_text(text):
     keys = np.concatenate((i * (n + 1) + j, j * (n + 1) + i))
     del labels, i, j
     keys.sort()
-    first = np.ones(keys.size, dtype=bool)  # the first copy of each repeated edge
+    first = np.ones(keys.size, dtype=bool)  # True at the first copy of each key
     np.not_equal(keys[1:], keys[:-1], out=first[1:])
     if not first.all():
         keys = keys[first]
