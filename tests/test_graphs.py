@@ -164,17 +164,16 @@ def _same_graph_or_error(text):
         with pytest.raises(GraphParseError) as got:
             parse_edge_list(text)
         assert str(got.value) == str(exc)
-        return None
+        return
     for g in (_parse_whole_text(text), parse_edge_list(text)):
         if g is not None:
             assert g == expected and g.m == expected.m
             assert g._adjacency == expected._adjacency
-    return _parse_whole_text(text)
 
 
-# the alphabet of the issue, digits apart: runs of at most three digits keep
-# every label and count below 1000, for the line parser makes a list per
-# vertex up to the largest label
+# texts over digits, "+", "-", space, tab, "#", "n" and five line breaks;
+# runs of at most three digits keep every label and count below 1000, for
+# the line parser makes a list per vertex up to the largest label
 _NON_DIGITS = "+- \t#\n\r\x0b\x1c\u2028n"
 _RUNS = st.sampled_from(["", "0", "1", "2", "3", "7", "12", "03", "999"])
 
@@ -185,7 +184,7 @@ _RUNS = st.sampled_from(["", "0", "1", "2", "3", "7", "12", "03", "999"])
 @example("n 3\n1 2\n")
 @example("1 2\n+3\t4\n\n")
 @example("+ 1 2")  # numpy would read "+ 1" as 1
-@example("1+2 3")  # and "1+2" as 1, 2
+@example("1+2 3")  # a "+" inside a label
 @example("1 2\x1c3 4")  # a line break of str.splitlines
 @example("n 5\n99999999999999999999 1")  # past int64: numpy saturates
 @example("n 5\n1000000000 1")
