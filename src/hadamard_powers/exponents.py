@@ -48,15 +48,13 @@ from .graphs import (
 )
 
 
-LATTICES = ("naturals", "odd", "even", "none")
+LATTICES = ("naturals", "odd", "even")
 
 _LATTICE_FOR_FAMILY = {"plain": "naturals", "odd": "odd", "even": "even"}
 _LATTICE_MIN = {"naturals": 1.0, "odd": 1.0, "even": 2.0}
 
 
 def _lattice_contains(lattice, alpha):
-    if lattice == "none":
-        return False
     if not np.isfinite(alpha) or alpha < 1 or round(alpha) != alpha:
         return False
     k = int(round(alpha))
@@ -69,7 +67,7 @@ def _lattice_contains(lattice, alpha):
 
 def _shape_str(lattice, ray_start):
     ray = f"[{ray_start:g}, ∞)"
-    if lattice == "none" or ray_start <= _LATTICE_MIN[lattice]:
+    if ray_start <= _LATTICE_MIN[lattice]:
         return ray
     symbol = {"naturals": "N", "odd": "(2N-1)", "even": "2N"}[lattice]
     return f"{symbol} ∪ {ray}"
@@ -205,13 +203,14 @@ def hset_cycle(n, family="plain"):
         raise ValueError(f"cycle needs n >= 3, got {n}")
     if n == 3:
         return hset_complete(3, family)
+    lattice = _LATTICE_FOR_FAMILY[family]
     if family in ("plain", "odd"):
-        return HSet(lattice="none", ray_start=1.0)
+        return HSet(lattice=lattice, ray_start=1.0)
     if n == 4:
-        return HSet(lattice="none", ray_start=2.0)
+        return HSet(lattice=lattice, ray_start=2.0)
     return HSet.partial(
-        inner=HSet(lattice="none", ray_start=2.0),
-        outer=HSet(lattice="none", ray_start=1.0),
+        inner=HSet(lattice=lattice, ray_start=2.0),
+        outer=HSet(lattice=lattice, ray_start=1.0),
         exclusions=(1.0,) if n % 2 == 0 else (),
     )
 
@@ -237,17 +236,18 @@ def hset_bipartite(g, family="plain"):
     for p, q in (parts, parts[::-1]):
         if len(p) == 2 and sum(1 for y in q if all(g.has_edge(x, y) for x in p)) >= 2:
             k22_in_k2m = True
+    lattice = _LATTICE_FOR_FAMILY[family]
+    outer = HSet(lattice=lattice, ray_start=1.0)
     if family == "plain":
-        return HSet(lattice="none", ray_start=1.0)
-    outer = HSet(lattice="none", ray_start=1.0)
+        return outer
     if family == "even":
         if k22_in_k2m:
-            return HSet(lattice="none", ray_start=2.0)
-        return HSet.partial(inner=HSet(lattice="none", ray_start=2.0), outer=outer)
+            return HSet(lattice=lattice, ray_start=2.0)
+        return HSet.partial(inner=HSet(lattice=lattice, ray_start=2.0), outer=outer)
     # odd extension: the lattice {1, 3, 5, ...} union the ray encodes
     # {1} union [ray, oo) exactly for ray <= 3
     inner_ray = 2.0 if k22_in_k2m else 3.0
-    return HSet.partial(inner=HSet(lattice="odd", ray_start=inner_ray), outer=outer)
+    return HSet.partial(inner=HSet(lattice=lattice, ray_start=inner_ray), outer=outer)
 
 
 def _is_cycle_graph(g):
@@ -259,13 +259,12 @@ def _is_cycle_graph(g):
 def _combine(sources, inner_end):
     """One description from several descriptions of one family f.
 
-    Each source, and each of its bounds, is L_f union [ray, oo) as a set,
-    for the family lattice L_f: a bound with lattice "none" has its ray at
-    or below L_f's least power. So a larger ray is a smaller set, and
-    inclusion is ray order. The inner bound is the one inner_end picks by
-    ray (min for a union, max for an intersection), the outer bound the one
-    of largest ray, and the exclusions come together; exact when the outer
-    bound lies inside the inner one. min and max keep the first on a tie.
+    Each source, and each of its bounds, is L_f union [ray, oo) for the
+    family lattice L_f. So a larger ray is a smaller set, inclusion is ray
+    order, and bounds of equal ray are equal. The inner bound is the one
+    inner_end picks by ray (min for a union, max for an intersection), the
+    outer bound the one of largest ray, and the exclusions come together;
+    exact when the outer bound lies inside the inner one.
     """
     inner = inner_end((h if h.exact else h.inner for h in sources), key=lambda h: h.ray_start)
     outer = max((h if h.exact else h.outer for h in sources), key=lambda h: h.ray_start)
@@ -276,30 +275,28 @@ def _combine(sources, inner_end):
 
 
 def expected_hset(g, family="plain"):
-    """The tightest proven description of a pattern's power set; None for
-    fewer than 2 vertices.
+    """The tightest proven description of a pattern's power set, spelled
+    with the family lattice; None for fewer than 2 vertices.
 
     Every pattern has the sandwich lattice union [r(H) - 2, oo) <= set <=
     lattice union [r - 2, oo): zero padding puts the pattern cone of the
     near-complete subgraph (r, GraphAnalysis.near_complete) inside G's, and
     G's inside that of the chordal supergraph H (r(H),
     GraphAnalysis.triangulation), so their chordal sets bound G's. It is
-    exact when r(H) = r, as for every chordal G (H = G).
-    Otherwise the cycle and connected bipartite theorems (hset_cycle,
-    hset_bipartite) join it where they apply: inner bounds by union, outer
-    bounds by intersection, exclusions together. So does, on a disconnected
-    pattern, the intersection of its components' descriptions, since its
-    set is the intersection of theirs.
+    exact when r(H) = r, as for every chordal G (H = G), where r alone is
+    read.
 
-    r and H are read only when the theorems leave the answer open, and r
-    alone on a chordal G. A non-chordal G has an induced k-cycle, k >= 4,
-    and every chordal supergraph of it two triangles on one edge, so r(H)
-    >= 4 and the sandwich's inner ray r(H) - 2 is at least 2. A theorem
-    applies only to a connected triangle-free G on >= 3 vertices, where
-    r = 3: the sandwich is never exact and its outer ray is 1, no
-    theorem's is below. So a theorem with an inner ray <= 2 (every cycle;
-    bipartite plain and even; bipartite odd between K_{2,2} and K_{2,m})
-    decides the answer alone, winning every tie as the earlier source.
+    On a non-chordal G the other sources come first: a disconnected G's set
+    is the intersection of its components' descriptions, and a connected
+    one may meet the cycle or bipartite theorem (hset_cycle,
+    hset_bipartite). Sources join with inner bounds by union, outer bounds
+    by intersection and exclusions together. The sandwich can only add an
+    inner ray r(H) - 2 >= 2 (an induced k-cycle, k >= 4, puts two triangles
+    on one edge of every chordal supergraph) and an outer ray r - 2 that no
+    source's is below: a theorem applies only where r = 3, and each
+    component's outer ray is at least its own r - 2, the largest of which
+    is G's. So a source that is exact or has an inner ray <= 2 decides
+    alone, and r and H are read only otherwise.
     """
     _check_family(family)
     if g.n < 2:
@@ -308,25 +305,22 @@ def expected_hset(g, family="plain"):
     if g.analysis.is_chordal:  # H = G
         return HSet(lattice=lattice, ray_start=float(g.analysis.near_complete_order - 2))
     components = g.analysis.components
-    theorems = []
+    sources = []
+    if len(components) > 1:
+        parts = [expected_hset(induced_subgraph(g, c)[0], family) for c in components]
+        sources.append(_combine([h for h in parts if h is not None], max))
     if _is_cycle_graph(g):
-        theorems.append(hset_cycle(g.n, family))
+        sources.append(hset_cycle(g.n, family))
     if g.n >= 3 and len(components) == 1 and g.analysis.bipartition is not None:
-        theorems.append(hset_bipartite(g, family))
-    if any((h if h.exact else h.inner).ray_start <= 2 for h in theorems):
-        return _combine(theorems, min)
+        sources.append(hset_bipartite(g, family))
+    if any(h.exact or h.inner.ray_start <= 2 for h in sources):
+        return _combine(sources, min)
     r, r_h = g.analysis.near_complete_order, g.analysis.triangulation[2]
     sandwich = HSet(lattice=lattice, ray_start=float(r_h - 2))
     if r_h == r:
         return sandwich
     outer = HSet(lattice=lattice, ray_start=float(r - 2))
-    sources = []
-    if len(components) > 1:
-        parts = [expected_hset(induced_subgraph(g, c)[0], family) for c in components]
-        sources.append(_combine([h for h in parts if h is not None], max))
-    sources += theorems
-    sources.append(HSet.partial(inner=sandwich, outer=outer))
-    return _combine(sources, min)
+    return _combine([*sources, HSet.partial(inner=sandwich, outer=outer)], min)
 
 
 # ---------------------------------------------------------------------------

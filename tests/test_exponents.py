@@ -61,6 +61,7 @@ from hadamard_powers.graphs import (
     split_graph,
 )
 
+import census
 from oracles import clique_formula, estimate_ce_by_full_walk, max_near_complete_order
 
 GRID = [k / 4 for k in range(1, 33)]  # rational grid for set comparisons
@@ -133,7 +134,7 @@ def test_hset_json_roundtrip():
 
 
 def _exact_set_json(**fields):
-    return {"lattice": "none", "ray_start": 2.0, "exact": True, "inner": None,
+    return {"lattice": "naturals", "ray_start": 2.0, "exact": True, "inner": None,
             "outer": None, "exclusions": [], **fields}
 
 
@@ -168,9 +169,9 @@ def test_hset_validation():
     with pytest.raises(ValueError):
         HSet(lattice="primes", ray_start=1.0)
     with pytest.raises(ValueError):
-        HSet(lattice="none", ray_start=-1.0)
+        HSet(lattice="naturals", ray_start=-1.0)
     with pytest.raises(ValueError, match="partial"):
-        HSet(lattice="none", ray_start=1.0, exact=False)
+        HSet(lattice="naturals", ray_start=1.0, exact=False)
 
 
 # --- exact constructors -------------------------------------------------------
@@ -242,7 +243,7 @@ def test_triple_agreement_sample():
 
 def test_hset_cycle_examples():
     h = hset_cycle(5, "plain")
-    assert h.exact and h.ray_start == 1.0 and h.lattice == "none"
+    assert h.exact and h.ray_start == 1.0 and h.lattice == "naturals"
     h = hset_cycle(4, "even")
     assert h.exact and h.ray_start == 2.0
     h = hset_cycle(6, "even")
@@ -255,8 +256,8 @@ def test_hset_cycle_examples():
 
 
 def test_hset_bipartite_examples():
-    assert hset_bipartite(complete_bipartite(3, 3), "plain") == HSet("none", 1.0)
-    assert hset_bipartite(complete_bipartite(2, 3), "even") == HSet("none", 2.0)
+    assert hset_bipartite(complete_bipartite(3, 3), "plain") == HSet("naturals", 1.0)
+    assert hset_bipartite(complete_bipartite(2, 3), "even") == HSet("even", 2.0)
     h = hset_bipartite(complete_bipartite(3, 3), "even")
     assert not h.exact and h.inner.ray_start == 2.0
     h = hset_bipartite(complete_bipartite(2, 3), "odd")
@@ -314,7 +315,7 @@ def test_a_set_a_theorem_decides_computes_no_r(make):
 def test_bipartite_two_by_many_detection_boundary():
     # one edge removed still sandwiches between K_{2,2} and K_{2,3}
     g = Graph.from_edges(5, [(1, 4), (1, 5), (2, 3), (2, 4), (2, 5)])
-    assert hset_bipartite(g, "even") == HSet("none", 2.0)
+    assert hset_bipartite(g, "even") == HSet("even", 2.0)
     # a path on 4 vertices has a size-2 part but no doubly-covered pair
     assert not hset_bipartite(path(4), "even").exact
 
@@ -379,7 +380,34 @@ C5_AND_C4 = Graph.from_edges(9, [(1, 2), (2, 3), (3, 4), (4, 5), (1, 5),
 def test_expected_hset_intersects_the_components_sets(family, ray):
     # the power set of a disjoint union is the intersection of its parts';
     # the two cycle theorems make it exact
-    assert expected_hset(C5_AND_C4, family) == HSet(lattice="none", ray_start=ray)
+    assert expected_hset(C5_AND_C4, family) == HSet(lattice=LATTICE_FOR_FAMILY[family],
+                                                     ray_start=ray)
+
+
+@pytest.mark.parametrize("parts", [(cycle(5), cycle(4)), (cycle(6), complete(3))],
+                         ids=["C5+C4", "C6+K3"])
+def test_components_that_decide_the_set_compute_no_r_or_triangulation(parts):
+    # expected_hset reads a disconnected pattern's components before the
+    # sandwich; their sets decide these (exact, or an inner ray <= 2), so
+    # the whole graph's r and min-fill triangulation are never computed
+    g = _disjoint_union(*parts)
+    for family in ("plain", "odd", "even"):
+        expected_hset(g, family)
+    computed = g.analysis.__dict__.keys()
+    assert not {"near_complete", "maximal_cliques", "triangulation"} & computed
+
+
+def test_every_description_is_spelled_with_the_family_lattice():
+    # one spelling per set: the described set and each of its bounds carry
+    # the family's lattice, whichever source gave them
+    for _, g in census.census_graphs(size=300):
+        for family in ("plain", "odd", "even"):
+            h = expected_hset(g, family)
+            bounds = [h] if h.exact else [h, h.inner, h.outer]
+            assert {b.lattice for b in bounds} == {LATTICE_FOR_FAMILY[family]}, (g, family)
+    with pytest.raises(ValueError) as err:
+        HSet.from_json(_exact_set_json(lattice="none"))
+    assert str(err.value) == "bad hset JSON: unknown lattice 'none'"
 
 
 def _grid_graph(k):
