@@ -412,10 +412,20 @@ def _exact_context():
     return _context(decimal.MAX_PREC)
 
 
+def _correctly_rounded(function, x, prec):
+    """function(x), "ln" or "exp", correctly rounded to prec significant
+    digits: from the integer kernel (_ln_exp), or from the decimal context,
+    the reference, where the kernel cannot decide."""
+    from . import _ln_exp  # on first use: only certificates need it
+
+    value = getattr(_ln_exp, function)(x, prec)
+    return getattr(_context(prec), function)(x) if value is None else value
+
+
 @functools.lru_cache(maxsize=IMAGE_END_MEMO)
 def _log(s, prec):
     """ln(s), correctly rounded to prec significant digits."""
-    return _context(prec).ln(s)
+    return _correctly_rounded("ln", s, prec)
 
 
 @functools.lru_cache(maxsize=IMAGE_END_MEMO)
@@ -424,7 +434,9 @@ def _power_ends(s, alpha, digits):
     digits enclosing s^alpha, s > 0 an exact decimal (a Gram entry).
 
     ln, the product with alpha and exp each round to nearest, within a
-    relative u = 10^(1-p) / 2 (decimal's ln and exp are correctly rounded):
+    relative u = 10^(1-p) / 2 (ln and exp are correctly rounded: the
+    integer kernel _ln_exp computes them, and decimal, the reference, where
+    it cannot decide; _correctly_rounded):
     L = ln(s)(1 + d1), y' = alpha L (1 + d2) and E = exp(y')(1 + d3), with
     |d_i| <= u. For y = alpha ln s, |y' - y| <= eta = |y| (2u + u^2), so
     E / s^alpha lies in [e^-eta (1 - u), e^eta (1 + u)]. Let
@@ -455,7 +467,7 @@ def _power_ends(s, alpha, digits):
     eps = up.multiply(up.add(size, 1), up.scaleb(2, 1 - p))
     if eps > 0.5 or size > IMAGE_EXPONENT_LIMIT * math.log(2):
         return near.create_decimal(0), near.create_decimal("Infinity")
-    e = near.exp(y)
+    e = _correctly_rounded("exp", y, p)
     return down.multiply(e, down.subtract(1, eps)), up.multiply(e, up.add(1, eps))
 
 

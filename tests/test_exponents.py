@@ -19,7 +19,7 @@ from mpmath.ctx_iv import MPIntervalContext
 from mpmath.ctx_mp import MPContext
 from mpmath.libmp import from_float, mpf_mul
 
-from hadamard_powers import chordal, exponents
+from hadamard_powers import _ln_exp, chordal, exponents
 from hadamard_powers.chordal import is_chordal
 from hadamard_powers.cones import bordered_factor
 from hadamard_powers.exponents import (
@@ -964,38 +964,23 @@ def _clear_certificate_memos():
         memo.cache_clear()
 
 
-class _CountingContext:
-    """A decimal context that records the precision and argument of each
-    exp and ln it computes."""
-
-    def __init__(self, context, calls):
-        self._context, self._calls = context, calls
-
-    def __getattr__(self, name):
-        return getattr(self._context, name)
-
-    def exp(self, y):
-        self._calls.append(("exp", self._context.prec, y))
-        return self._context.exp(y)
-
-    def ln(self, s):
-        self._calls.append(("ln", self._context.prec, s))
-        return self._context.ln(s)
-
-
 def _count_exps_and_logs(monkeypatch):
-    """(calls, powers): every exp and ln the power ends compute, and the
-    distinct (s, alpha, digits) the certificate routines ask ends of."""
+    """(calls, powers): every exp and ln the power ends compute, from the
+    integer kernel or from decimal alike, and the distinct
+    (s, alpha, digits) the certificate routines ask ends of."""
     _clear_certificate_memos()  # proofs and ends memoized by earlier tests are not counted
     calls, powers = [], set()
-    context, power_ends = exponents._context, exponents._power_ends
+    correctly_rounded, power_ends = exponents._correctly_rounded, exponents._power_ends
+
+    def evaluate(function, x, prec):
+        calls.append((function, prec, x))
+        return correctly_rounded(function, x, prec)
 
     def ends(s, alpha, digits):
         powers.add((s, alpha, digits))
         return power_ends(s, alpha, digits)
 
-    monkeypatch.setattr(exponents, "_context",
-                        lambda *args: _CountingContext(context(*args), calls))
+    monkeypatch.setattr(exponents, "_correctly_rounded", evaluate)
     monkeypatch.setattr(exponents, "_power_ends", ends)
     return calls, powers
 
@@ -1293,6 +1278,57 @@ def test_logarithms_are_memoized_per_precision():
         want_low, want_high = _iv_power(mp_s, 6.5, 2 * digits)
         assert Fraction(low) <= want_low <= want_high <= Fraction(high)
     assert exponents._log.cache_info().currsize == 2
+
+
+#: the digits p = digits + GUARD_DIGITS of the power ends' ln and exp
+LN_EXP_DIGITS = st.integers(4, exponents.CERTIFICATE_MAX_DIGITS + exponents.GUARD_DIGITS)
+#: |y| of the exp the power ends take, up to the exponent limit
+IMAGE_EXPONENTS = st.floats(-exponents.IMAGE_EXPONENT_LIMIT * math.log(2),
+                            exponents.IMAGE_EXPONENT_LIMIT * math.log(2))
+FINITE_FLOATS = st.floats(allow_nan=False, allow_infinity=False)
+
+
+@settings(max_examples=100, deadline=None)
+@given(st.lists(st.tuples(FINITE_FLOATS, FINITE_FLOATS), min_size=1, max_size=3),
+       IMAGE_EXPONENTS, LN_EXP_DIGITS)
+@example([(1e300, 1e300)], 2**16 * math.log(2), 483)
+@example([(5e-324, 5e-324), (5e-324, 1e-300)], -2**16 * math.log(2), 483)
+@example([(1e-300, 1e-300), (1.0, 1.0)], 1e-300, 20)
+@example([(1 + 2**-52, 1 - 2**-53)], -0.5, 4)
+@example([(0.56, 1.12), (-0.7, 0.9)], 36.5, 53)
+def test_integer_ln_and_exp_are_decimals_or_defer(pairs, y, p):
+    # verify() reads its factors from outside JSON, so a Gram entry may be a
+    # subnormal product, about 1e+-600, next to 1, zero or negative; the
+    # kernel's answer is decimal's, coefficient and exponent, or None
+    exact = exponents._exact_context()
+    s = sum((exact.multiply(Decimal(a), Decimal(b)) for a, b in pairs), Decimal(0))
+    context = exponents._context(p)
+    got = _ln_exp.ln(s, p)
+    if s <= 0:
+        assert got is None
+    elif got is not None:
+        assert str(got) == str(context.ln(s))
+    y = context.create_decimal_from_float(y)
+    got = _ln_exp.exp(y, p)
+    assert got is None or str(got) == str(context.exp(y))
+
+
+@settings(max_examples=60, deadline=None)
+@given(LN_EXP_DIGITS, st.integers(0, 3), st.booleans(), st.data())
+def test_integer_ln_and_exp_next_to_a_rounding_tie_defer_or_agree(p, shift, negative, data):
+    # t, of p + 1 digits ending in 5, is a tie of the p-digit rounding;
+    # e^y and ln s lie within 10^-(p + 37) of it, far inside the kernel's
+    # error bound, so it must defer or, were its bound too small, round to
+    # the side it computed, which is decimal's side only by chance
+    q = data.draw(st.integers(10 ** (p - 1), 10**p - 1))
+    tie = Decimal(f"{q}5E-{p + shift}")
+    wide, context = exponents._context(p + 40), exponents._context(p)
+    y = wide.ln(tie)
+    got = _ln_exp.exp(y, p)
+    assert got is None or str(got) == str(context.exp(y))
+    s = wide.exp(-tie if negative else tie)
+    got = _ln_exp.ln(s, p)
+    assert got is None or str(got) == str(context.ln(s))
 
 
 def _random_test_vector(rng, n, digits):
