@@ -163,9 +163,10 @@ class GraphAnalysis:
     """Clique facts of one graph, each computed on first use and kept as
     long as the graph (reached as `g.analysis`): from one Lex-BFS pass,
     chordality, the elimination order and the clique tree; then the
-    maximal cliques, the clique number, the largest near-complete subgraph
-    with its certificate, a chordal supergraph with its r, and the index
-    layout of the clique-sum sampler. Nothing is kept per vertex pair.
+    maximal cliques, the clique number, the order r of the largest
+    near-complete subgraph and, for the witness searches, its certificate,
+    a chordal supergraph with its r, and the index layout of the
+    clique-sum sampler. Nothing is kept per vertex pair.
 
     The analysis refers to its graph weakly, so an analysed graph is freed
     as soon as its last reference goes, without the cyclic collector.
@@ -303,9 +304,24 @@ class GraphAnalysis:
             verts = [1, 2]
         return len(verts), verts[0], tuple(verts[1:-1]), verts[-1]
 
-    @property
+    @cached_property
     def near_complete_order(self):
-        """r, the order of near_complete."""
+        """r, the order of near_complete, with no certificate built where
+        the analysis already holds r: on a chordal graph it is read off the
+        Lex-BFS chains (_chain_order). A two-colored graph that is not
+        chordal has omega = 2 and a chordless cycle, whose vertices each
+        have two neighbors, a face in two maximum cliques: r = omega + 1
+        = 3. Any other graph builds near_complete, as do the witness
+        searches, its only other reader.
+        """
+        g = self.graph
+        if g.n < 2:
+            raise ValueError(f"need at least 2 vertices, got {g.n}")
+        if self.is_chordal:
+            _, _, _, count, starts, _ = self._lex_bfs_pass
+            return _chain_order(count, starts)
+        if self.bipartition is not None:
+            return 3
         return self.near_complete[0]
 
     @cached_property
@@ -319,12 +335,9 @@ class GraphAnalysis:
         power of H's set, lattice union [r(H) - 2, oo), is in G's set too.
         H comes from greedy min-fill elimination (_min_fill). Each vertex's
         later neighbors in H are its E(v) in the reversed order, so r(H) is
-        read off their Lex-BFS chains, with no graph built for H:
-        omega(H) = max |E(v)| + 1, and r(H) = omega(H) + 1 exactly when a
-        chain start's separator E(b) has omega(H) - 1 vertices (see
-        near_complete), so r(H) = max(omega(H), max |E(b)| + 2). Past
-        MAX_FILL_WORK H is the complete graph: fill None (every missing
-        edge), order 1..n and r = n.
+        read off their Lex-BFS chains (_chain_order), with no graph built
+        for H. Past MAX_FILL_WORK H is the complete graph: fill None (every
+        missing edge), order 1..n and r = n.
         """
         g = self.graph
         if self.is_chordal:
@@ -334,7 +347,7 @@ class GraphAnalysis:
             return None, tuple(g.vertices), g.n
         fill, order, parent, count = found
         starts, _ = _lex_bfs_chains(reversed(order), parent, count)
-        return fill, order, max(max(count) + 1, 2 + max(count[b] for b in starts))
+        return fill, order, _chain_order(count, starts)
 
     @cached_property
     def _component_search(self):
@@ -475,6 +488,16 @@ def _lex_bfs_chains(visit, parent, count):
         else:
             starts.append(v)
     return starts, extends
+
+
+def _chain_order(count, starts):
+    """r of a chordal graph on >= 2 vertices from its Lex-BFS chains, with
+    no face read: omega = max |E(v)| + 1, and r = omega + 1 exactly when
+    some chain start's separator E(b) has omega - 1 vertices, a face with
+    two members: b, and with p its parent, the vertex of p + E(p) outside
+    E(b) or else the vertex that extends p in b's stead. So r = max(omega,
+    max |E(b)| + 2), which is 2 on an edgeless graph."""
+    return max(max(count) + 1, 2 + max(count[b] for b in starts))
 
 
 def _least_face_pair(g, pos, parent, count, starts, k):

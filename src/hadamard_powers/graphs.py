@@ -252,11 +252,12 @@ def _two_labels_a_line(raw):
 
 def _parse_lines(text):
     """parse_edge_list line by line: any text, each error with its line
-    number. The graph's neighbor lists are filled in the same pass, each
-    edge once."""
+    number. Every line is read and checked first, each edge kept once; the
+    neighbor lists are made after that, once, for the final n, so a large
+    count or label in a text with an error costs nothing."""
     edges = set()
-    near = [[]]  # near[v]: v's neighbors, in the order their lines come
     n_declared = None
+    top = 0  # the largest label read
     over = None  # the first line with a label above n_declared
     first_data_line = True
     for lineno, raw in enumerate(text.splitlines(), start=1):
@@ -273,7 +274,6 @@ def _parse_lines(text):
                 raise GraphParseError(f"line {lineno}: bad vertex count {tokens[1]!r}") from None
             if n_declared < 0:
                 raise GraphParseError(f"line {lineno}: negative vertex count")
-            near = [[] for _ in range(n_declared + 1)]
             first_data_line = False
             continue
         first_data_line = False
@@ -293,23 +293,23 @@ def _parse_lines(text):
             raise GraphParseError(f"line {lineno}: vertex labels must be positive")
         if i == j:
             raise GraphParseError(f"line {lineno}: self-loop at vertex {i}")
-        if n_declared is None:
-            if j >= len(near):
-                near.extend([] for _ in range(j + 1 - len(near)))
-        elif j > n_declared:
+        if n_declared is not None and j > n_declared:
             if over is None:
                 over = lineno
             continue
-        edge = (i, j)
-        if edge not in edges:
-            edges.add(edge)
-            near[i].append(j)
-            near[j].append(i)
+        if j > top:
+            top = j
+        edges.add((i, j))
     if over is not None:
         raise GraphParseError(f"line {over}: label exceeds declared vertex count {n_declared}")
+    n = top if n_declared is None else n_declared
+    near = [[] for _ in range(n + 1)]
+    for i, j in edges:
+        near[i].append(j)
+        near[j].append(i)
     for nb in near:
         nb.sort()
-    return Graph(len(near) - 1, near, len(edges))
+    return Graph(n, near, len(edges))
 
 
 def to_edge_list(g):

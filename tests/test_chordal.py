@@ -752,6 +752,44 @@ def test_r_exceeds_omega_exactly_when_two_maximum_cliques_share_a_face(g):
     assert g.analysis.near_complete_order == r
 
 
+@st.composite
+def bipartite_graphs(draw):
+    """Any edge set between two sides of at most 8 vertices each, so
+    disconnected, edgeless or with isolated vertices now and then,
+    relabelled by a random permutation."""
+    a, b = draw(st.integers(0, 8)), draw(st.integers(0, 8))
+    pairs = [(i, j) for i in range(1, a + 1) for j in range(a + 1, a + b + 1)]
+    edges = draw(st.sets(st.sampled_from(pairs))) if pairs else ()
+    perm = draw(st.permutations(range(1, a + b + 1)))
+    return Graph.from_edges(a + b, [(perm[i - 1], perm[j - 1]) for i, j in edges])
+
+
+@settings(max_examples=400, deadline=None)
+@given(chordal_graphs() | bipartite_graphs() | TRIANGLE_FREE
+       | st.builds(random_graph, st.integers(0, 12), st.floats(0, 1),
+                   seed=st.integers(0, 2**32 - 1)))
+@example(Graph.from_edges(0, ()))
+@example(Graph.from_edges(1, ()))
+@example(Graph.from_edges(6, ()))
+@example(Graph.from_edges(7, [(1, 2), (3, 4), (6, 7)]))  # chordal and two-colored: r = 2
+@example(_grid(4, 5))
+@example(cycle(5))
+def test_r_without_the_certificate_is_the_certificates_order(g):
+    # each on its own fresh copy, so neither reads what the other cached;
+    # only a graph neither chordal nor two-colored builds the certificate
+    def fresh():
+        return Graph.from_edges(g.n, g.edges).analysis
+
+    if g.n < 2:
+        for read in (lambda a: a.near_complete_order, lambda a: a.near_complete):
+            with pytest.raises(ValueError, match="at least 2 vertices"):
+                read(fresh())
+        return
+    a = fresh()
+    assert a.near_complete_order == fresh().near_complete[0]
+    assert ("near_complete" in a.__dict__) == (not a.is_chordal and a.bipartition is None)
+
+
 # ---------------------------------------------------------------------------
 # the chordal supergraph
 

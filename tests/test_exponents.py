@@ -302,14 +302,34 @@ def test_components_and_two_coloring_once_per_graph(monkeypatch):
 def test_a_set_a_theorem_decides_computes_no_r(make):
     # the cycle and bipartite theorems decide these sets from the graph's
     # shape, so expected_hset enumerates no clique and seeks no near-complete
-    # subgraph; critical_exponent reports r, so it computes it
+    # subgraph; critical_exponent reports r, read off the two-coloring
     g = make()
     for family in ("plain", "even"):
         expected_hset(g, family)
     computed = g.analysis.__dict__.keys()
     assert not {"maximal_cliques", "near_complete"} & computed
     record, _ = critical_exponent(g)
-    assert record["r"] == 3 and {"maximal_cliques", "near_complete"} <= computed
+    assert record["r"] == 3 and not {"maximal_cliques", "near_complete"} & computed
+
+
+@pytest.mark.parametrize("make", [lambda: band(14, 6), lambda: random_chordal(300, seed=4),
+                                  lambda: complete(30)], ids=["band", "random_chordal", "K30"])
+def test_r_of_a_chordal_pattern_builds_no_certificate(make):
+    # r comes off the Lex-BFS chains; only a witness search reads (v1, S, v2)
+    g = make()
+    for family in ("plain", "odd", "even"):  # each reads expected_hset too
+        record, _ = critical_exponent(g, family)
+        assert record["method"] == "exact"
+    assert record["r"] - 2 == clique_formula(g)
+    assert "near_complete" not in g.analysis.__dict__
+
+
+def test_a_witness_search_builds_the_certificate():
+    g = band(10, 5)
+    assert g.analysis.near_complete_order == 7
+    assert "near_complete" not in g.analysis.__dict__
+    assert find_counterexample(g, 4.5) is not None
+    assert g.analysis.__dict__["near_complete"][0] == 7
 
 
 def test_bipartite_two_by_many_detection_boundary():

@@ -2,6 +2,7 @@
 the subset brute force."""
 
 import itertools
+import time
 
 import numpy as np
 import pytest
@@ -83,6 +84,23 @@ def test_parse_comments_blanks_and_duplicates():
 def test_parse_errors_carry_line_numbers(text, fragment):
     with pytest.raises(GraphParseError, match=fragment):
         parse_edge_list(text)
+
+
+@pytest.mark.parametrize("text", ["n 1000000000\n1 x\n", "1 99999999999\n2 y\n"])
+def test_a_bad_line_after_a_huge_count_or_label_is_reported_at_once(text):
+    # every line is checked before the neighbor lists are made, so neither
+    # 10^9 nor 10^11 of them is asked for before line 2's error
+    start = time.perf_counter()
+    with pytest.raises(GraphParseError, match="line 2: non-integer vertex label"):
+        _parse_lines(text)
+    assert time.perf_counter() - start < 1
+
+
+def test_the_line_parser_builds_every_declared_vertex():
+    # no cap on n: a declared count past every label still gets its lists
+    g = _parse_lines("n 300000\n1 2\n# a comment\n")
+    assert g.n == 300000 and len(g._adjacency) == 300001 and g.m == 1
+    assert g._adjacency[1] == [2] and g._adjacency[300000] == []
 
 
 def test_signed_ascii_labels_parse():
@@ -173,7 +191,8 @@ def _same_graph_or_error(text):
 
 # texts over digits, "+", "-", space, tab, "#", "n" and five line breaks;
 # runs of at most three digits keep every label and count below 1000, for
-# the line parser makes a list per vertex up to the largest label
+# the line parser makes a list per vertex of a valid text, up to its
+# largest label or count
 _NON_DIGITS = "+- \t#\n\r\x0b\x1c\u2028n"
 _RUNS = st.sampled_from(["", "0", "1", "2", "3", "7", "12", "03", "999"])
 
