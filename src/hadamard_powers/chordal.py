@@ -158,6 +158,11 @@ MAX_CYCLE_SEARCH_STEPS = 500_000
 #: numeric walk searches all of (0, n - 2] as without one.
 MAX_FILL_WORK = 50_000_000
 
+#: A face vertex whose neighbor list is longer than this many times the
+#: face's shortest is a hub: _least_face_pair bisects its list instead of
+#: reading it whole.
+HUB_RATIO = 8
+
 
 class GraphAnalysis:
     """Clique facts of one graph, each computed on first use and kept as
@@ -504,10 +509,11 @@ def _least_face_pair(g, pos, parent, count, starts, k):
     """(v1, v2, face) for the least pair of members of a face of a chordal
     graph, over its faces E(b) of size k > 0 for the chain starts b, each
     taken once; None when no face has two members. A face's members are
-    its vertices' common neighbors: the list of its vertex with the fewest,
-    filtered by has_edge, which bisects the shorter list, so no hub's list
-    is read; for k = 1 the face is b's parent, marked once seen, and its
-    members its list."""
+    its vertices' common neighbors: one set intersection of their lists,
+    except the lists longer than HUB_RATIO times the shortest, whose
+    vertices filter the result by has_edge (a bisection), so no hub's list
+    is read, as no fan's center's is; for k = 1 the face is b's parent,
+    marked once seen, and its members its list."""
     if not k:  # an edgeless graph's empty face: the split certifies it
         return None
     near = g._adjacency
@@ -526,9 +532,12 @@ def _least_face_pair(g, pos, parent, count, starts, k):
             if face in seen:
                 continue
             seen.add(face)
-            members = near[min(face, key=lambda s: len(near[s]))]
+            hub = HUB_RATIO * min(len(near[s]) for s in face)
+            lists = [near[s] for s in face if len(near[s]) <= hub]
+            members = sorted(set(lists[0]).intersection(*lists[1:]))
             for s in face:
-                members = [w for w in members if g.has_edge(s, w)]
+                if len(near[s]) > hub:
+                    members = [w for w in members if g.has_edge(s, w)]
         if len(members) > 1:
             found = members[0], members[1], face
             if best is None or found < best:

@@ -377,11 +377,14 @@ _COMMANDS = {
     "witness": {
         "parser": {
             "help": "search for a power-map counterexample",
-            "epilog": "Report JSON fields: graph, alpha, family, matrix, image_min_eigenvalue, "
-                      "construction, and, for witnesses proved by interval arithmetic, "
-                      "certificate: {factor (the columns of F, matrix = F F^T), test_vector "
-                      "(decimal strings), digits (working precision)}. Without a certificate "
-                      "the proof is the float least eigenvalue of the power image."},
+            "epilog": "Report JSON fields: n, support (the sorted labels of U, the witness's "
+                      "nonzero rows), edges (those of G[U], in G's labels), alpha, family, "
+                      "image_min_eigenvalue, construction, and one proof: matrix (the U x U "
+                      "block, proved by the float least eigenvalue of its power image) or, for "
+                      "witnesses proved by interval arithmetic, certificate: {factor (the "
+                      "columns of F on U; the witness is F F^T), test_vector (decimal strings "
+                      "on U), digits (working precision)}. --verify also reads the earlier "
+                      "dense form (graph, n x n matrix)."},
         "arguments": (
             _GRAPH, "--powers", "--seed", "--budget",
             (("--alpha",), {"type": float, "default": None}),

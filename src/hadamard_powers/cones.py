@@ -478,7 +478,7 @@ def superadditive_defect(a_mat, b_mat, alpha, family="plain"):
 
 def matrix_to_json(m):
     m = as_symmetric(m)
-    return {"n": int(m.shape[0]), "rows": [[float(x) for x in row] for row in m]}
+    return {"n": int(m.shape[0]), "rows": m.tolist()}
 
 
 def _number_rows(rows):

@@ -30,7 +30,6 @@ from .cones import (
     as_symmetric,
     bordered_factor,
     certify_not_psd,
-    conforms_to_pattern,
     entrywise_power,
     factor_gram,
     is_psd,
@@ -40,10 +39,8 @@ from .cones import (
     sample_spectra,
 )
 from .graphs import (
-    Graph,
     _integer,
     graph_from_json,
-    graph_to_json,
     induced_subgraph,
 )
 
@@ -348,7 +345,7 @@ IMAGE_EXPONENT_LIMIT = 2**16
 #: recomputes; a logarithm serves every alpha
 IMAGE_END_MEMO = 4096
 #: most factor Grams the process keeps (_gram); a witness workload pass
-#: certifies 4 distinct blocks F[U], each read by its proofs and by the
+#: certifies 4 distinct factors F on U, each read by its proofs and by the
 #: bound every re-verification recomputes
 GRAM_MEMO = 64
 #: most proofs of a support block the process keeps (_certified_block); a
@@ -506,17 +503,17 @@ def _form_upper(gram, alpha, digits, x):
 class IntervalCertificate:
     """Proof that the Gram matrix of a float factor F is a witness.
 
-    F F^T is PSD exactly. The proof is an upper bound on
-    x^T (F F^T)^{∘alpha} x that is negative (a verification method: Rump
-    2010, Acta Numerica 19). It is summed in decimal from the exact
-    x_i x_j and, per image entry, one end of its enclosure at `digits` +
-    GUARD_DIGITS significant digits, the end the sign of x_i x_j calls for
-    (_form_upper). The test vector x is the negative-pivot vector
-    L^{-T} e_k of a diagonally pivoted L D L^T of the image at that
-    precision, so the form is, up to rounding, the negative diagonal entry
-    of the Schur complement where the factorization stops. It is kept as
-    decimal strings: rounding it to floats can move the form by more than
-    the margin.
+    F covers the witness's support U, one row per label. F F^T is PSD
+    exactly. The proof is an upper bound on x^T (F F^T)^{∘alpha} x that is
+    negative (a verification method: Rump 2010, Acta Numerica 19). It is
+    summed in decimal from the exact x_i x_j and, per image entry, one end
+    of its enclosure at `digits` + GUARD_DIGITS significant digits, the end
+    the sign of x_i x_j calls for (_form_upper). The test vector x is the
+    negative-pivot vector L^{-T} e_k of a diagonally pivoted L D L^T of the
+    image at that precision, so the form is, up to rounding, the negative
+    diagonal entry of the Schur complement where the factorization stops.
+    It is kept as decimal strings: rounding it to floats can move the form
+    by more than the margin.
     """
 
     factor: np.ndarray
@@ -527,23 +524,21 @@ class IntervalCertificate:
         """Upper bound on x^T (F F^T)^{∘alpha} x, a decimal; ValueError
         when a test vector entry is not a plain decimal number."""
         x = [_test_vector_entry(v) for v in self.test_vector]
-        rows = np.flatnonzero(self.factor.any(axis=1))
-        return _form_upper(_gram(self.factor[rows]), alpha, self.digits, [x[r] for r in rows])
+        return _form_upper(_gram(self.factor), alpha, self.digits, x)
 
-    def proves(self, g, matrix, alpha, family):
-        """The stored matrix is the float Gram of F bit for bit; each column
-        of F is supported on a clique of g, so F F^T conforms exactly; F is
-        nonnegative, so the three families share one image; and the
-        interval bound is negative."""
+    def proves(self, k, edges, alpha, family):
+        """For a support U of k labels, F's rows in their order, and edges
+        those of G[U] as pairs (i, j), i < j, of rows: F is a finite k x 2
+        factor with one test vector entry per row; each column of F is
+        supported on a clique, so F F^T conforms exactly; F is nonnegative,
+        so the three families share one image; and the interval bound is
+        negative."""
         f = self.factor
-        if f.shape != (g.n, 2) or len(self.test_vector) != g.n or not np.isfinite(f).all():
-            return False
-        gram = factor_gram(f)
-        if gram.shape != matrix.shape or gram.tobytes() != np.ascontiguousarray(matrix).tobytes():
+        if f.shape != (k, 2) or len(self.test_vector) != k or not np.isfinite(f).all():
             return False
         for col in f.T:
-            support = np.flatnonzero(col) + 1
-            if not all(g.has_edge(a, b) for a, b in itertools.combinations(support, 2)):
+            rows = np.flatnonzero(col).tolist()
+            if not all(pair in edges for pair in itertools.combinations(rows, 2)):
                 return False
         if family not in FAMILIES or (f < 0).any() or not np.isfinite(alpha):
             return False
@@ -579,34 +574,72 @@ class IntervalCertificate:
 
 @dataclass(frozen=True, eq=False)
 class WitnessReport:
-    """A PSD pattern-conforming matrix whose entrywise power loses PSD-ness.
+    """A PSD pattern-conforming matrix whose entrywise power loses PSD-ness,
+    kept on its support U, the sorted labels of its nonzero rows: v1, S[:m]
+    and v2 for the bordered construction, the cycle for a signed cycle and
+    every row for a clique-sum sample. A matrix is PSD exactly when its
+    U x U block is, and since 0^alpha = 0 its image is the zero-padded image
+    of the block: the block proves a witness on every n-vertex graph that
+    contains G[U]. `edges` are the edges of G[U], in G's labels.
 
-    Without a certificate, the proof is the float least eigenvalue of the
-    power image, strictly below the witness threshold; with one, it is the
-    interval bound of an IntervalCertificate, and image_min_eigenvalue is
-    the high-precision least eigenvalue: Rayleigh-quotient iteration seeded
-    with the certificate's test vector, confirmed least by an inertia count.
-    verify() recomputes everything from the stored data.
+    A report holds one proof. Without a certificate it is `matrix`, the
+    block, whose float least image eigenvalue is strictly below the witness
+    threshold. With one, the witness is F F^T for the certificate's factor
+    F on U, and the proof is its interval bound; image_min_eigenvalue is
+    then the high-precision least eigenvalue: Rayleigh-quotient iteration
+    seeded with the certificate's test vector, confirmed least by an
+    inertia count. verify() recomputes everything from the stored data, at
+    a cost in |U| rather than n; dense() gives the n x n matrix.
     """
 
-    graph: Graph
+    n: int
+    support: tuple[int, ...]
+    edges: tuple[tuple[int, int], ...]
     alpha: float
     family: str
-    matrix: np.ndarray
     image_min_eigenvalue: float
     construction: str
+    matrix: np.ndarray | None = None
     certificate: IntervalCertificate | None = None
 
+    @classmethod
+    def on_support(cls, g, support, **fields):
+        """The report of a witness on g whose support is the sorted labels
+        `support`, with the edges of G[U] read off their neighbor lists."""
+        support = tuple(support)
+        inside, near = set(support), g._adjacency
+        edges = tuple((u, v) for u in support for v in near[u] if v > u and v in inside)
+        return cls(n=g.n, support=support, edges=edges, **fields)
+
+    def _block_edges(self):
+        """The edges of G[U] as pairs (i, j), i < j, of places in the
+        support; None unless the support is a strictly increasing run of
+        labels in 1..n and every edge joins two distinct labels of it."""
+        u = self.support
+        if not u or u[0] < 1 or u[-1] > self.n or any(a >= b for a, b in itertools.pairwise(u)):
+            return None
+        place, edges = {label: k for k, label in enumerate(u)}, set()
+        for a, b in self.edges:
+            i, j = place.get(a), place.get(b)
+            if i is None or j is None or i == j:
+                return None
+            edges.add((i, j) if i < j else (j, i))
+        return edges
+
     def verify(self):
+        edges, k = self._block_edges(), len(self.support)
+        if edges is None or (self.matrix is None) == (self.certificate is None):
+            return False
+        if self.certificate is not None:
+            return self.certificate.proves(k, edges, self.alpha, self.family)
         try:
             m = as_symmetric(self.matrix)
         except ValueError:
             return False
-        if m.shape[0] != self.graph.n:
+        if m.shape[0] != k:
             return False
-        if self.certificate is not None:
-            return self.certificate.proves(self.graph, m, self.alpha, self.family)
-        if not conforms_to_pattern(m, self.graph):
+        rows, cols = np.nonzero(np.triu(m, 1))
+        if not all(pair in edges for pair in zip(rows.tolist(), cols.tolist())):
             return False
         if not is_psd(m).is_psd:
             return False
@@ -616,15 +649,26 @@ class WitnessReport:
             return False
         return certify_not_psd(image) is not None
 
+    def dense(self):
+        """The witness as an n x n matrix: the block on U, zero elsewhere."""
+        block = self.matrix if self.certificate is None else factor_gram(self.certificate.factor)
+        out = np.zeros((self.n, self.n))
+        rows = np.asarray(self.support, dtype=np.intp) - 1
+        out[np.ix_(rows, rows)] = block
+        return out
+
     def to_json(self):
         out = {
-            "graph": graph_to_json(self.graph),
+            "n": int(self.n),
+            "support": [int(v) for v in self.support],
+            "edges": [[int(a), int(b)] for a, b in self.edges],
             "alpha": float(self.alpha),
             "family": self.family,
-            "matrix": matrix_to_json(self.matrix),
             "image_min_eigenvalue": float(self.image_min_eigenvalue),
             "construction": self.construction,
         }
+        if self.matrix is not None:
+            out["matrix"] = matrix_to_json(self.matrix)
         if self.certificate is not None:
             out["certificate"] = self.certificate.to_json()
         return out
@@ -632,7 +676,12 @@ class WitnessReport:
     @classmethod
     def from_json(cls, data):
         """The report of to_json; ValueError when data is not an object with
-        every field, or alpha or image_min_eigenvalue is not a number."""
+        every field, alpha or image_min_eigenvalue is not a number, or n, a
+        support label or an edge label is not a JSON integer.
+
+        A report in the dense form of earlier versions, with the whole
+        graph, an n x n matrix and a certificate on n rows, is read too
+        (_from_dense)."""
         if not isinstance(data, dict):
             raise ValueError(f"bad witness JSON: expected an object, got {type(data).__name__}")
         for key in ("alpha", "image_min_eigenvalue"):
@@ -641,29 +690,65 @@ class WitnessReport:
                 raise ValueError(f"bad witness JSON: {key} must be a number, got {value!r}")
         try:
             cert = data.get("certificate")
-            return cls(
-                graph=graph_from_json(data["graph"]),
-                alpha=float(data["alpha"]),
-                family=str(data["family"]),
-                matrix=matrix_from_json(data["matrix"]),
-                image_min_eigenvalue=float(data["image_min_eigenvalue"]),
-                construction=str(data["construction"]),
-                certificate=IntervalCertificate.from_json(cert) if cert is not None else None,
-            )
+            cert = IntervalCertificate.from_json(cert) if cert is not None else None
+            fields = {"alpha": float(data["alpha"]), "family": str(data["family"]),
+                      "image_min_eigenvalue": float(data["image_min_eigenvalue"]),
+                      "construction": str(data["construction"]), "certificate": cert}
+            if "graph" in data:
+                return cls._from_dense(graph_from_json(data["graph"]),
+                                       matrix_from_json(data["matrix"]), fields)
+            matrix = data.get("matrix")
+            matrix = matrix_from_json(matrix) if matrix is not None else None
+            labels = data["n"], data["support"], data["edges"]
         except (KeyError, TypeError) as exc:
             raise ValueError(f"bad witness JSON: {type(exc).__name__}: {exc}") from None
+        try:
+            n, support, edges = labels
+            support, edges = tuple(support), tuple((a, b) for a, b in edges)
+            # the label types are collected at C speed; _integer names a bad one
+            if not set(map(type, itertools.chain(support, *edges))) <= {int}:
+                support = tuple(map(_integer, support))
+                edges = tuple((_integer(a), _integer(b)) for a, b in edges)
+            return cls(n=_integer(n), support=support, edges=edges, matrix=matrix, **fields)
+        except (TypeError, ValueError) as exc:
+            raise ValueError(f"bad witness JSON: {exc}") from None
+
+    @classmethod
+    def _from_dense(cls, g, m, fields):
+        """The dense report (g, the n x n matrix m, a certificate on n rows)
+        restricted to U, the rows where m or the factor is nonzero. A
+        certificate's factor and test vector keep their rows on U; the
+        matrix is dropped where it is F F^T bit for bit, and otherwise its
+        block stays beside the certificate, a second proof that verify()
+        turns down. ValueError unless m, the factor and the test vector all
+        have g's n rows."""
+        cert, n = fields["certificate"], g.n
+        if m.shape[0] != n:
+            raise ValueError(f"bad witness JSON: a matrix of order {m.shape[0]} "
+                             f"on a graph of order {n}")
+        rows = m.any(axis=1)
+        if cert is not None:
+            f, x = cert.factor, cert.test_vector
+            if f.shape[0] != n or len(x) != n:
+                raise ValueError(f"bad witness JSON: a certificate must cover the graph's {n} rows")
+            rows |= f.any(axis=1)
+        u = np.flatnonzero(rows)
+        if cert is not None:
+            fields["certificate"] = IntervalCertificate(
+                factor=f[u], test_vector=tuple(x[i] for i in u), digits=cert.digits)
+            if factor_gram(f).tobytes() == m.tobytes():
+                return cls.on_support(g, (u + 1).tolist(), **fields)
+        return cls.on_support(g, (u + 1).tolist(), matrix=m[np.ix_(u, u)], **fields)
 
 
-def _embed_bordered(g, support, u, v):
-    """Factor of the PSD rank-two witness on the near-complete subgraph
-    support = (v1, S, v2)."""
+def _bordered_block(support, u, v):
+    """(U, F): the sorted labels of the near-complete subgraph support =
+    (v1, S, v2) and the factor of the PSD rank-two witness on them
+    (bordered_factor), its rows in label order."""
     v1, s, v2 = support
-    return bordered_factor(u, v, g.n, [v1 - 1, *(x - 1 for x in s), v2 - 1])
-
-
-def _small_bordered_image_fails(u, v, alpha, family):
-    image = entrywise_power(factor_gram(bordered_factor(u, v)), alpha, family)
-    return certify_not_psd(image) is not None
+    labels = sorted([v1, *s, v2])
+    row = {label: k for k, label in enumerate(labels)}
+    return labels, bordered_factor(u, v, len(labels), [row[x] for x in (v1, *s, v2)])
 
 
 def _negative_pivot_vector(ctx, b, shift=0):
@@ -683,24 +768,31 @@ def _negative_pivot_vector(ctx, b, shift=0):
     steps = []  # (pivot, {later index: multiplier}) in elimination order
     while rest:
         p = max(rest, key=lambda i: s[i][i])
-        d = s[p][p]
-        if d <= 0:
+        if s[p][p] <= 0:
             k = min(rest, key=lambda i: s[i][i])
             x = [ctx.zero] * n
             x[k] = ctx.one
             for q, col in reversed(steps):  # back-substitute L^T x = e_k
                 x[q] = -sum((lq * x[i] for i, lq in col.items()), ctx.zero)
             return x, s[k][k]
-        rest.remove(p)
-        sp = s[p]
-        col = {i: s[i][p] / d for i in rest}
-        for a, i in enumerate(rest):
-            li, si = col[i], s[i]
-            for j in rest[a:]:
-                si[j] -= li * sp[j]
-                s[j][i] = si[j]
-        steps.append((p, col))
+        steps.append((p, _eliminate(s, p, rest)))
     return None
+
+
+def _eliminate(s, p, rest):
+    """One step of a symmetric L D L^T of s in place: p leaves rest, and
+    the entries of rest, on and above the diagonal and mirrored below it,
+    become the Schur complement of the pivot s_pp. Returns L's column,
+    {i: s_ip / s_pp} over rest."""
+    rest.remove(p)
+    sp = s[p]
+    col = {i: s[i][p] / sp[p] for i in rest}
+    for a, i in enumerate(rest):
+        li, si = col[i], s[i]
+        for j in rest[a:]:
+            si[j] -= li * sp[j]
+            s[j][i] = si[j]
+    return col
 
 
 def _rayleigh_quotient(ctx, b, x):
@@ -710,24 +802,25 @@ def _rayleigh_quotient(ctx, b, x):
 
 
 def _solve(ctx, a, rhs):
-    """Solution of a y = rhs by Gaussian elimination with partial pivoting;
-    None when a is singular at the working precision."""
-    n = len(a)
-    m = [row[:] + [r] for row, r in zip(a, rhs)]
-    for c in range(n):
-        p = max(range(c, n), key=lambda i: abs(m[i][c]))
-        if not m[p][c]:
+    """Solution of a y = rhs for a symmetric a by a symmetric L D L^T, each
+    step pivoting on the largest remaining |diagonal entry| (about k^3 / 6
+    multiplications, half of an LU's); None at an exactly zero pivot, as
+    when a is singular at the working precision."""
+    s = [row[:] for row in a]
+    z = list(rhs)
+    rest = list(range(len(a)))
+    steps = []  # (pivot, {later index: multiplier}) in elimination order
+    while rest:
+        p = max(rest, key=lambda i: abs(s[i][i]))
+        if not s[p][p]:
             return None
-        m[c], m[p] = m[p], m[c]
-        piv = m[c]
-        for row in m[c + 1:]:
-            f = row[c] / piv[c]
-            if f:
-                for j in range(c + 1, n + 1):
-                    row[j] -= f * piv[j]
-    y = [ctx.zero] * n
-    for c in reversed(range(n)):
-        y[c] = (m[c][n] - sum((m[c][j] * y[j] for j in range(c + 1, n)), ctx.zero)) / m[c][c]
+        col = _eliminate(s, p, rest)
+        for i, li in col.items():  # forward-substitute L z = rhs
+            z[i] -= li * z[p]
+        steps.append((p, col))
+    y = [ctx.zero] * len(a)
+    for p, col in reversed(steps):  # back-substitute D L^T y = z
+        y[p] = z[p] / s[p][p] - sum((li * y[i] for i, li in col.items()), ctx.zero)
     return y
 
 
@@ -818,26 +911,21 @@ def _point_image(gram, alpha, digits, k):
 
 def _interval_certificate(factor, alpha, digits):
     """(certificate, least image eigenvalue) proving F F^T a witness at
-    alpha, doubling the precision from `digits`; None past the limit.
-
-    The proof reads only F's nonzero rows F[U] (_certified_block); its
-    test vector goes back to the rows U, with "0" on every other row."""
-    rows = np.flatnonzero(factor.any(axis=1))
-    proved = _certified_block(*_block_key(factor[rows]), alpha, digits)
+    alpha, F the factor on the witness's support U, every row of it
+    nonzero, doubling the precision from `digits`; None past the limit
+    (_certified_block)."""
+    proved = _certified_block(*_block_key(factor), alpha, digits)
     if proved is None:
         return None
     strings, digits, lam = proved
-    x = ["0"] * factor.shape[0]
-    for r, v in zip(rows, strings):
-        x[r] = v
-    return IntervalCertificate(factor=factor, test_vector=tuple(x), digits=digits), lam
+    return IntervalCertificate(factor=factor, test_vector=strings, digits=digits), lam
 
 
 @functools.lru_cache(maxsize=CERTIFICATE_MEMO)
 def _certified_block(shape, data, alpha, digits):
     """(test vector, digits, least image eigenvalue) proving B B^T a
-    witness at alpha for the block B of that shape and bytes, F's nonzero
-    rows F[U]: the vector as decimal strings on B's rows, the precision
+    witness at alpha for the block B of that shape and bytes, the factor F
+    on the support U: the vector as decimal strings on B's rows, the precision
     that proved it and a float. None past CERTIFICATE_MAX_DIGITS.
 
     Each precision rounds every image entry down once (_point_image); the
@@ -907,21 +995,21 @@ def _closed_form_witness(g, alpha, family, support):
     threshold; otherwise an IntervalCertificate does.
     """
     m = len(support[1])
-    factor = _embed_bordered(g, support, np.ones(m),
-                             BORDER_SCALE * np.linspace(1.0, 2.0, m))
+    labels, factor = _bordered_block(support, np.ones(m),
+                                     BORDER_SCALE * np.linspace(1.0, 2.0, m))
     matrix = factor_gram(factor)
     with np.errstate(over="ignore"):
         image = _power(matrix, alpha, family)
     lam = certify_not_psd(image) if np.isfinite(image).all() else None
-    cert = None
+    proof = {"matrix": matrix}
     if lam is None:
         proved = _interval_certificate(factor, alpha, 20 + 5 * m)
         if proved is None:
             return None
-        cert, lam = proved
-    return WitnessReport(graph=g, alpha=alpha, family=family, matrix=matrix,
-                         image_min_eigenvalue=lam, construction="rank_one_bordered",
-                         certificate=cert)
+        proof, lam = {"certificate": proved[0]}, proved[1]
+    return WitnessReport.on_support(g, labels, alpha=alpha, family=family,
+                                    image_min_eigenvalue=lam,
+                                    construction="rank_one_bordered", **proof)
 
 
 def _bordered_search(g, alpha, family, budget, rng):
@@ -952,13 +1040,13 @@ def _bordered_search(g, alpha, family, budget, rng):
     for _ in range(budget):
         u = gen.standard_normal(m)
         v = gen.standard_normal(m)
-        if _small_bordered_image_fails(u, v, alpha, family):
-            matrix = factor_gram(_embed_bordered(g, support, u, v))
-            lam = certify_not_psd(entrywise_power(matrix, alpha, family))
-            if lam is not None:
-                return WitnessReport(graph=g, alpha=alpha, family=family, matrix=matrix,
-                                     image_min_eigenvalue=lam,
-                                     construction="rank_one_bordered")
+        labels, factor = _bordered_block(support, u, v)
+        matrix = factor_gram(factor)
+        lam = certify_not_psd(entrywise_power(matrix, alpha, family))
+        if lam is not None:
+            return WitnessReport.on_support(g, labels, alpha=alpha, family=family,
+                                            matrix=matrix, image_min_eigenvalue=lam,
+                                            construction="rank_one_bordered")
     return None
 
 
@@ -985,11 +1073,11 @@ def _signed_cycle_witness(g, alpha):
         return None
     x_fail = 0.5 ** (1.0 / alpha)
     x = math.sqrt(x_fail * x_psd)
-    matrix = np.zeros((g.n, g.n))
-    for vert in cyc:
-        matrix[vert - 1, vert - 1] = 1.0
+    labels = sorted(cyc)
+    place = {vert: k for k, vert in enumerate(labels)}
+    matrix = np.eye(k2)
     for idx in range(k2):
-        a, b = cyc[idx] - 1, cyc[(idx + 1) % k2] - 1
+        a, b = place[cyc[idx]], place[cyc[(idx + 1) % k2]]
         val = -x if idx == k2 - 1 else x
         matrix[a, b] = val
         matrix[b, a] = val
@@ -997,8 +1085,8 @@ def _signed_cycle_witness(g, alpha):
     lam = certify_not_psd(image)
     if lam is None:
         return None
-    return WitnessReport(graph=g, alpha=alpha, family="even", matrix=matrix,
-                         image_min_eigenvalue=lam, construction="signed_cycle")
+    return WitnessReport.on_support(g, labels, alpha=alpha, family="even", matrix=matrix,
+                                    image_min_eigenvalue=lam, construction="signed_cycle")
 
 
 class _LazyGenerator:
@@ -1074,9 +1162,9 @@ def _sample_search(g, alpha, family, n_samples, rng):
                         rng.bit_generator.state = state
                         _clique_sample_stack(g, ranks[first:first + b + 1], rng,
                                              family == "plain")
-                        return WitnessReport(graph=g, alpha=alpha, family=family,
-                                             matrix=matrix, image_min_eigenvalue=float(lam[b]),
-                                             construction="random_sample")
+                        return WitnessReport.on_support(
+                            g, range(1, g.n + 1), alpha=alpha, family=family, matrix=matrix,
+                            image_min_eigenvalue=float(lam[b]), construction="random_sample")
             if len(images) < len(stack):  # sample_spectra stops at this overflow
                 return None
     return None

@@ -11,11 +11,14 @@ parser and the one-pass parser that built no neighbor lists; for the
 numeric CE walk,
 by classifying every power of its grid; for the random tree, by the earlier
 Pruefer decoder's sorted leaf list; for the random chordal graph, by one numpy
-call per draw; for the random graph, by one numpy draw per vertex pair; and
-for pattern conformance, by a scan of every vertex pair."""
+call per draw; for the random graph, by one numpy draw per vertex pair; for
+pattern conformance, by a scan of every vertex pair; and for witness reports
+kept on their support, by the dense n x n report, its verification and the
+bordered and signed-cycle matrices its searches built."""
 
 import bisect
 import itertools
+import math
 import re
 from types import SimpleNamespace
 
@@ -23,8 +26,25 @@ import numpy as np
 
 from hadamard_powers import exponents
 from hadamard_powers.chordal import _lex_bfs, _visited_before
-from hadamard_powers.cones import as_symmetric
-from hadamard_powers.graphs import Graph, GraphParseError, _read_integer, path
+from hadamard_powers.cones import (
+    FAMILIES,
+    as_symmetric,
+    bordered_factor,
+    certify_not_psd,
+    entrywise_power,
+    factor_gram,
+    is_psd,
+    matrix_from_json,
+    matrix_to_json,
+)
+from hadamard_powers.graphs import (
+    Graph,
+    GraphParseError,
+    _read_integer,
+    graph_from_json,
+    graph_to_json,
+    path,
+)
 
 
 def _adjacency_masks(g):
@@ -514,3 +534,105 @@ def conforms_by_pair_scan(m, g):
             if m[i - 1, j - 1] != 0.0 and not g.has_edge(i, j):
                 return False
     return True
+
+
+# --- witness reports in the dense form ---------------------------------------
+
+
+def dense_report_json(report, g):
+    """The JSON of a report on g as written before reports were kept on
+    their support: the whole graph, the n x n matrix, and a certificate
+    whose factor and test vector are padded to n rows, "0" off the
+    support."""
+    out = {"graph": graph_to_json(g), "alpha": report.alpha, "family": report.family,
+           "matrix": matrix_to_json(report.dense()),
+           "image_min_eigenvalue": report.image_min_eigenvalue,
+           "construction": report.construction}
+    cert = report.certificate
+    if cert is not None:
+        rows = np.asarray(report.support) - 1
+        factor = np.zeros((g.n, cert.factor.shape[1]))
+        factor[rows] = cert.factor
+        x = ["0"] * g.n
+        for r, v in zip(rows, cert.test_vector):
+            x[r] = v
+        out["certificate"] = {"factor": factor.T.tolist(), "test_vector": x,
+                              "digits": cert.digits}
+    return out
+
+
+def verify_dense(data):
+    """WitnessReport.verify on the dense JSON form, as it ran on n x n
+    reports: the matrix has the graph's order; with a certificate, it is
+    the float Gram of the n x 2 factor bit for bit, each factor column lies
+    on a clique, the factor is nonnegative and the interval bound is
+    negative; without one, it conforms, is PSD and its image clears the
+    witness threshold."""
+    g, m = graph_from_json(data["graph"]), matrix_from_json(data["matrix"])
+    alpha, family = float(data["alpha"]), data["family"]
+    if m.shape[0] != g.n:
+        return False
+    if data.get("certificate") is not None:
+        cert = exponents.IntervalCertificate.from_json(data["certificate"])
+        f = cert.factor
+        if f.shape != (g.n, 2) or len(cert.test_vector) != g.n or not np.isfinite(f).all():
+            return False
+        if factor_gram(f).tobytes() != m.tobytes():
+            return False
+        for col in f.T:
+            if not all(g.has_edge(a + 1, b + 1)
+                       for a, b in itertools.combinations(np.flatnonzero(col), 2)):
+                return False
+        if family not in FAMILIES or (f < 0).any() or not np.isfinite(alpha):
+            return False
+        if not 1 <= cert.digits <= exponents.CERTIFICATE_MAX_DIGITS:
+            return False
+        try:
+            return cert.upper_bound(alpha) < 0
+        except (ValueError, ArithmeticError):
+            return False
+    if not conforms_by_pair_scan(m, g) or not is_psd(m).is_psd:
+        return False
+    try:
+        image = entrywise_power(m, alpha, family)
+    except ValueError:
+        return False
+    return certify_not_psd(image) is not None
+
+
+def dense_witness_matrix(g, alpha, family, budget=200, seed=0):
+    """The n x n matrix of the bordered or signed-cycle witness of
+    find_counterexample, built as its searches built it in n rows: the
+    bordered factor on the rows (v1, S[:m], v2), closed form at a
+    non-integer power, else the first signed pair drawn from
+    default_rng(seed) whose (v1, S, v2)-ordered image fails; then the
+    signed cycle. None where both strategies give up."""
+    r, v1, s, v2 = g.analysis.near_complete
+    integer = float(alpha).is_integer() and alpha >= 1
+    m = int(alpha) + 1 if integer else max(1, math.floor(alpha) + 1)
+    lattice = {"plain": "naturals", "odd": "odd", "even": "even"}[family]
+    if r - 2 >= 1 and (m <= r - 2 if integer else alpha < r - 2) and not (
+            integer and exponents._lattice_contains(lattice, alpha)):
+        index = [v1 - 1, *(x - 1 for x in s[:m]), v2 - 1]
+        if not integer:
+            u, v = np.ones(m), exponents.BORDER_SCALE * np.linspace(1.0, 2.0, m)
+            return factor_gram(bordered_factor(u, v, g.n, index))
+        gen = np.random.default_rng(seed)
+        for _ in range(budget):
+            u, v = gen.standard_normal(m), gen.standard_normal(m)
+            small = entrywise_power(factor_gram(bordered_factor(u, v)), alpha, family)
+            if certify_not_psd(small) is not None:
+                return factor_gram(bordered_factor(u, v, g.n, index))
+    cyc = g.analysis.even_cycle
+    if family != "even" or alpha <= 0 or cyc is None:
+        return None
+    x_psd = 1.0 / (2.0 * math.cos(math.pi / len(cyc)))
+    if alpha >= math.log(2.0) / math.log(1.0 / x_psd):
+        return None
+    x = math.sqrt(0.5 ** (1.0 / alpha) * x_psd)
+    matrix = np.zeros((g.n, g.n))
+    for k, vert in enumerate(cyc):
+        nxt = cyc[(k + 1) % len(cyc)]
+        matrix[vert - 1, vert - 1] = 1.0
+        matrix[vert - 1, nxt - 1] = matrix[nxt - 1, vert - 1] = -x if nxt == cyc[0] else x
+    return matrix

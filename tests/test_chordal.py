@@ -659,6 +659,15 @@ def _timed(f):
     return out, time.perf_counter() - start
 
 
+def test_the_faces_of_a_100000_fan_read_no_hub_list():
+    # vertex 1 lies in every face: a set of its list per face would take
+    # minutes, where bisecting it takes a fraction of a second
+    g = max_outerplanar(100_000)
+    g.analysis._lex_bfs_pass
+    (r, v1, s, v2), seconds = _timed(lambda: g.analysis.near_complete)
+    assert (r, v1, s, v2) == (4, 2, (1, 3), 4) and seconds < 5
+
+
 def test_a_60000_cycle_with_one_chord_has_r_3_within_5_seconds():
     # one triangle: the search per vertex, where the whole-graph search
     # stopped at its work limit

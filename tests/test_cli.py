@@ -723,7 +723,7 @@ def test_json_graph_labels_must_be_integers(capsys, tmp_path, data, message):
 
 def test_witness_report_with_a_bad_graph_label_is_a_load_error(capsys, tmp_path):
     def fractional_label(data):
-        data["graph"]["edges"][0][1] = 2.5
+        data["edges"][0][1] = 2.5
         return data
 
     path = _witness_report_with(tmp_path, fractional_label)
@@ -731,7 +731,7 @@ def test_witness_report_with_a_bad_graph_label_is_a_load_error(capsys, tmp_path)
     code, out, err = run(capsys, ["witness", "--verify", path])
     assert code == 2 and out == ""
     assert err == ("error: cannot load witness report: "
-                   "bad graph JSON: expected an integer, got 2.5\n")
+                   "bad witness JSON: expected an integer, got 2.5\n")
 
 
 def test_scan_numbers_records_by_block(capsys, monkeypatch, tmp_path):

@@ -2,6 +2,7 @@
 
 import dataclasses
 import hashlib
+import itertools
 import json
 import math
 import os
@@ -21,7 +22,7 @@ from mpmath.libmp import from_float, mpf_mul
 
 from hadamard_powers import _ln_exp, chordal, exponents
 from hadamard_powers.chordal import is_chordal
-from hadamard_powers.cones import bordered_factor
+from hadamard_powers.cones import bordered_factor, matrix_to_json
 from hadamard_powers.exponents import (
     BORDER_SCALE,
     HSet,
@@ -62,7 +63,15 @@ from hadamard_powers.graphs import (
 )
 
 import census
-from oracles import clique_formula, estimate_ce_by_full_walk, max_near_complete_order
+from oracles import (
+    clique_formula,
+    dense_report_json,
+    dense_witness_matrix,
+    estimate_ce_by_full_walk,
+    max_near_complete_order,
+    verify_dense,
+)
+from test_chordal import chordal_graphs
 
 GRID = [k / 4 for k in range(1, 33)]  # rational grid for set comparisons
 LATTICE_FOR_FAMILY = {"plain": "naturals", "odd": "odd", "even": "even"}
@@ -561,8 +570,8 @@ def test_witness_respects_pattern_and_psdness():
         w = find_counterexample(g, alpha, family, seed=4)
         assert w is not None
         from hadamard_powers.cones import conforms_to_pattern, is_psd
-        assert conforms_to_pattern(w.matrix, g)
-        assert is_psd(w.matrix).is_psd
+        assert conforms_to_pattern(w.dense(), g)
+        assert is_psd(w.dense()).is_psd
 
 
 def test_witness_interval_certified_closed_form_case():
@@ -969,7 +978,7 @@ def test_witness_workload_reports_are_pinned():
     assert len(records) == 18
     for rec in records:
         w = find_counterexample(graphs[rec["graph"]], rec["alpha"], rec["family"], seed=1)
-        rows = w.to_json()["matrix"]["rows"]
+        rows = matrix_to_json(w.dense())["rows"]
         assert (repr(w.image_min_eigenvalue), w.certificate.digits, w.construction,
                 hashlib.sha256(json.dumps(rows).encode()).hexdigest()) == (
             rec["image_min_eigenvalue"], rec["digits"], rec["construction"],
@@ -1049,7 +1058,7 @@ def test_a_shared_support_block_puts_its_test_vector_at_the_callers_rows():
     # band(10, 5) and band(14, 6) at 4.75 border the same 7 x 2 block, on
     # vertices 1-7 and on 1-6 and 8 (their near-complete subgraphs): the
     # second search reads the first's proof, and its report is the one a
-    # cold process writes, with "0" on the 7 rows outside its support
+    # cold process writes, its test vector on the rows of its own support
     def band_14_6_report():
         w = find_counterexample(band(14, 6), 4.75, "odd", seed=1)
         return w, json.dumps(w.to_json(), sort_keys=True)
@@ -1064,11 +1073,9 @@ def test_a_shared_support_block_puts_its_test_vector_at_the_callers_rows():
     assert info.maxsize == exponents.CERTIFICATE_MEMO
     assert warm == cold
     assert WitnessReport.from_json(json.loads(warm)).verify()
-    rows = np.flatnonzero(w.certificate.factor.any(axis=1))
-    assert len(rows) == 7
-    x = w.certificate.test_vector
-    assert [x[r] for r in range(14) if r not in rows] == ["0"] * 7
-    assert all(Decimal(x[r]) for r in rows)
+    assert w.support == (1, 2, 3, 4, 5, 6, 8)
+    assert w.certificate.factor.shape == (7, 2) and w.certificate.factor.any(axis=1).all()
+    assert len(w.certificate.test_vector) == 7 and all(map(Decimal, w.certificate.test_vector))
 
 
 def test_a_proof_is_memoized_per_alpha_and_starting_digits():
@@ -1122,12 +1129,16 @@ def test_image_end_memo_stays_within_its_bound():
     _clear_certificate_memos()
 
 
-# sha256 of the canonical to_json() bytes (sorted keys, no spaces), recorded
-# before the generator was built lazily: the signed pairs and the samples
-# still read np.random.default_rng(seed) in the same order
+# sha256 of the canonical bytes (sorted keys, no spaces) of the report in
+# its dense form (dense_report_json), recorded before the generator was
+# built lazily: the signed pairs and the samples still read
+# np.random.default_rng(seed) in the same order. The first pin was taken
+# again when reports came to be kept on their support: the n x n Gram of
+# that pair had -0.0 on its zero row, where dense() pads with 0.0, and its
+# least image eigenvalue, now of the 5 x 5 block, moved in its last bits
 RNG_STREAM_PINS = [
     (complete(6), 2.0, "odd", None, 3, "rank_one_bordered",
-     "6e0eb98b4cd043818acbf792b803851f970c5405442b2c868eaac8dad9f1a7d1"),
+     "e758b500d108e48be9141c6568cf2f0be9cdba8ee95854b5cde0db51f997f9f3"),
     (complete(6), 3.0, "even", None, 3, "rank_one_bordered",
      "0f15d75acb870217c4bf6e8957118b02e4afda70a0c2348cfce48a42bfca06a0"),
     # ten signed pairs miss, then the clique-sum samples hit
@@ -1141,7 +1152,7 @@ RNG_STREAM_PINS = [
 def test_seeded_draws_read_the_pinned_stream(g, alpha, family, budget, seed, construction,
                                              sha256):
     w = find_counterexample(g, alpha, family, budget=budget, seed=seed)
-    payload = json.dumps(w.to_json(), sort_keys=True, separators=(",", ":")).encode()
+    payload = json.dumps(dense_report_json(w, g), sort_keys=True, separators=(",", ":")).encode()
     assert w.construction == construction
     assert hashlib.sha256(payload).hexdigest() == sha256
 
@@ -1491,8 +1502,12 @@ def _unknown_family(data):
 
 
 def _bump_matrix_entry(data):
-    rows = data["matrix"]["rows"]
+    # the report in its dense form, whose stored matrix is no longer F F^T
+    dense = dense_report_json(WitnessReport.from_json(data), near_complete(9))
+    rows = dense["matrix"]["rows"]
     rows[2][3] = rows[3][2] = float(np.nextafter(rows[2][3], 2.0))
+    data.clear()
+    data.update(dense)
 
 
 def _too_many_digits(data):
@@ -1581,27 +1596,40 @@ def test_float_route_rejects_an_entry_on_a_non_edge():
 
 
 def test_interval_certificate_rejects_a_column_across_a_non_edge():
-    # F F^T is still the stored matrix and its bound still negative: only
-    # the clique-support check sees a column spanning the removed edge
+    # the bound is still negative: only the clique-support check sees a
+    # column spanning the removed edge of G[U]
     data = _interval_report()
-    a, b = (int(k) + 1 for k in np.flatnonzero(data["certificate"]["factor"][0])[:2])
-    data["graph"]["edges"].remove([a, b])
+    a, b = (data["support"][k] for k in np.flatnonzero(data["certificate"]["factor"][0])[:2])
+    data["edges"].remove([a, b])
     assert not WitnessReport.from_json(data).verify()
 
 
 @pytest.mark.parametrize("report", [_float_route_report, _interval_report])
 def test_a_report_whose_graph_has_another_order_fails_verification(report):
+    # a dense report whose graph and matrix orders differ does not load;
+    # a report kept on its support fails once a label lies past n
     data = report()
+    if "support" in data:
+        data = dense_report_json(WitnessReport.from_json(data), near_complete(9))
     data["graph"]["n"] += 1
-    assert not WitnessReport.from_json(data).verify()
+    with pytest.raises(ValueError, match="bad witness JSON: a matrix of order"):
+        WitnessReport.from_json(data)
+    data["graph"]["n"] -= 1
+    w = WitnessReport.from_json(data)
+    assert w.verify()
+    assert not dataclasses.replace(w, n=w.support[-1] - 1).verify()
 
 
 @pytest.mark.parametrize("report", [_float_route_report, _interval_report])
 def test_a_non_symmetric_report_matrix_fails_verification(report):
     # the JSON loader turns a non-symmetric matrix down itself, so the
-    # report is built around one
+    # report is built around one; beside a certificate, a matrix is a
+    # second proof, which fails however it reads
     w = WitnessReport.from_json(report())
-    m = w.matrix.copy()
+    rows = np.array(w.support) - 1
+    m = w.dense()[np.ix_(rows, rows)]
+    if w.certificate is not None:
+        assert not dataclasses.replace(w, matrix=m).verify()
     m[0, 1] += 1.0
     assert not dataclasses.replace(w, matrix=m).verify()
 
@@ -1704,3 +1732,154 @@ def test_reports_written_with_binary_power_ends_still_verify():
     _clear_certificate_memos()
     for data in reports:
         assert WitnessReport.from_json(data).verify(), (data["graph"]["n"], data["alpha"])
+
+
+# --- witness reports kept on their support -------------------------------------
+
+
+_LATTICE_MIN_POWER = {"plain": 1.0, "odd": 1.0, "even": 2.0}
+
+
+def _check_against_the_dense_report(g, alpha, family, budget, seed):
+    """The report round-trips through JSON; verify() and the dense oracle
+    agree, on the witness and at a power of the family's lattice, where the
+    image is PSD; dense() is the n x n matrix the searches built, up to the
+    sign of its zeros: a signed pair's n x n Gram held -0.0 products on the
+    rows outside (v1, S, v2)."""
+    w = find_counterexample(g, alpha, family, budget=budget, seed=seed)
+    if w is None:
+        return None
+    data = json.loads(json.dumps(w.to_json()))
+    back = WitnessReport.from_json(data)
+    assert back.to_json() == data
+    assert list(back.support) == sorted(set(back.support)) and len(back.support) <= g.n
+    for power in (alpha, _LATTICE_MIN_POWER[family]):
+        report = dataclasses.replace(back, alpha=power)
+        assert report.verify() == verify_dense(dense_report_json(report, g)) == (power == alpha)
+    old = dense_witness_matrix(g, alpha, family, budget or 200, seed) if g.n >= 2 else None
+    if old is None:
+        assert w.construction == "random_sample" and w.support == tuple(g.vertices)
+        old = w.matrix
+    assert (old + 0.0).tobytes() == back.dense().tobytes()
+    return w
+
+
+# a non-integer power, or an integer one (off the lattice once filtered)
+OFF_LATTICE_POWERS = st.one_of(
+    st.builds(lambda k, f: k + f, st.integers(-1, 11), st.floats(1 / 64, 1 - 1 / 64)),
+    st.integers(0, 12).map(float))
+
+
+@settings(max_examples=150, deadline=None)
+@given(chordal_graphs(), st.sampled_from(["plain", "odd", "even"]), OFF_LATTICE_POWERS)
+@example(complete(7), "plain", 4.9375)  # certified by interval arithmetic
+@example(complete(6), "odd", 2.0)  # a signed pair
+def test_a_report_on_its_support_is_the_dense_report(g, family, alpha):
+    assume(not exponents._lattice_contains(exponents._LATTICE_FOR_FAMILY[family], alpha))
+    _check_against_the_dense_report(g, alpha, family, 20, 1)
+
+
+@pytest.mark.parametrize("g, alpha, family, budget, seed, construction", [
+    (cycle(4), 1.5, "even", None, 1, "signed_cycle"),
+    (cycle(6), 1.0, "even", None, 1, "signed_cycle"),
+    (complete(7), 4.0, "odd", 10, 4, "random_sample"),
+])
+def test_signed_cycle_and_sample_reports_are_the_dense_reports(g, alpha, family, budget, seed,
+                                                              construction):
+    w = _check_against_the_dense_report(g, alpha, family, budget, seed)
+    assert w.construction == construction
+
+
+def _float_support_report():
+    # a bordered float-route witness on U = 1..5 of band(7, 3)
+    w = find_counterexample(band(7, 3), 2.5, "odd", seed=2)
+    assert w.certificate is None and w.support == (1, 2, 3, 4, 5) and w.verify()
+    return w.to_json()
+
+
+def _swap_first_two_rows(data):
+    # the same witness, with U listed out of order
+    s = data["support"]
+    s[0], s[1] = s[1], s[0]
+    if "matrix" in data:
+        rows = data["matrix"]["rows"]
+        rows[0], rows[1] = rows[1], rows[0]
+        for row in rows:
+            row[0], row[1] = row[1], row[0]
+    else:
+        cert = data["certificate"]
+        for col in cert["factor"]:
+            col[0], col[1] = col[1], col[0]
+        x = cert["test_vector"]
+        x[0], x[1] = x[1], x[0]
+
+
+def _repeat_first_label(data):
+    # a zero row and column for a second copy of U's first label
+    data["support"].insert(0, data["support"][0])
+    rows = data["matrix"]["rows"]
+    for row in rows:
+        row.insert(0, 0.0)
+    rows.insert(0, [0.0] * len(rows[0]))
+    data["matrix"]["n"] += 1
+
+
+def _relabel(data, old, new):
+    data["support"] = [new if v == old else v for v in data["support"]]
+    data["edges"] = [[new if v == old else v for v in e] for e in data["edges"]]
+
+
+def _drop_a_nonzero_block_edge(data):
+    # the block stays PSD with a failing image: only G[U] loses the edge
+    rows = data["matrix"]["rows"]
+    a, b = next((a, b) for a, b in itertools.combinations(range(len(rows)), 2) if rows[a][b])
+    data["edges"].remove([data["support"][a], data["support"][b]])
+
+
+def _drop_a_factor_column_edge(data):
+    a, b = (data["support"][k] for k in np.flatnonzero(data["certificate"]["factor"][1])[:2])
+    data["edges"].remove([a, b])
+
+
+SUPPORT_MUTATIONS = {
+    "block-entry-on-a-non-edge": (_float_support_report, _drop_a_nonzero_block_edge),
+    "label-past-n": (_float_support_report, lambda d: d.update(n=d["support"][-1] - 1)),
+    "label-zero": (_float_support_report, lambda d: _relabel(d, 1, 0)),
+    "labels-unsorted": (_float_support_report, _swap_first_two_rows),
+    "labels-unsorted-certificate": (_interval_report, _swap_first_two_rows),
+    "label-repeated": (_float_support_report, _repeat_first_label),
+    "edge-leaves-the-support": (_float_support_report, lambda d: d["edges"].append([1, 7])),
+    "self-loop": (_float_support_report, lambda d: d["edges"].append([2, 2])),
+    "factor-column-off-a-clique": (_interval_report, _drop_a_factor_column_edge),
+    "test-vector-too-long": (_interval_report,
+                             lambda d: d["certificate"]["test_vector"].append("0")),
+    "test-vector-too-short": (_interval_report,
+                              lambda d: d["certificate"]["test_vector"].pop()),
+    "two-proofs": (_interval_report, lambda d: d.update(
+        matrix=matrix_to_json(WitnessReport.from_json(d).dense()[:9, :9]))),
+    "no-proof": (_float_support_report, lambda d: d.pop("matrix")),
+}
+
+
+@pytest.mark.parametrize("mutation", SUPPORT_MUTATIONS)
+def test_a_mutated_support_report_fails_verification(mutation):
+    report, mutate = SUPPORT_MUTATIONS[mutation]
+    data = report()
+    assert WitnessReport.from_json(data).verify()
+    mutate(data)
+    assert not WitnessReport.from_json(json.loads(json.dumps(data))).verify()
+
+
+@pytest.mark.parametrize("name", ["witness_float_route.json", "witness_mpmath_test_vector.json",
+                                  "witness_mpmath_end_reports.json"])
+def test_committed_dense_reports_verify_on_their_support(name):
+    # each dense report is read on its nonzero rows; its support form
+    # round-trips, verifies, and pads back to the stored matrix
+    reports = json.loads((FIXTURES / name).read_text())
+    for data in reports if isinstance(reports, list) else [reports]:
+        w = WitnessReport.from_json(data)
+        assert "graph" not in w.to_json() and w.verify()
+        assert WitnessReport.from_json(json.loads(json.dumps(w.to_json()))).verify()
+        stored = np.array(data["matrix"]["rows"])
+        assert w.dense().tobytes() == (stored + 0.0).tobytes()
+        assert len(w.support) == np.count_nonzero(stored.any(axis=1))
