@@ -10,7 +10,6 @@ supergraph of any graph by greedy min-fill elimination.
 from __future__ import annotations
 
 import itertools
-import weakref
 from collections import deque
 from dataclasses import dataclass
 from functools import cached_property
@@ -173,25 +172,14 @@ class GraphAnalysis:
     a chordal supergraph with its r, and the index layout of the
     clique-sum sampler. Nothing is kept per vertex pair.
 
-    The analysis refers to its graph weakly, so an analysed graph is freed
-    as soon as its last reference goes, without the cyclic collector.
+    The analysis keeps `graph`, a view of its graph: a Graph on the same
+    neighbor lists that carries no analysis. So no reference cycle is made:
+    an analysed graph is freed as soon as its last reference goes, and an
+    analysis read after that still answers.
     """
 
     def __init__(self, g):
-        self._graph = weakref.ref(g)
-        self._store = g.n, g._adjacency, g.m
-
-    @property
-    def graph(self):
-        """The analysed graph. An analysis read after its graph is gone (as
-        in `cycle(5).analysis.near_complete`) rebuilds the graph around
-        itself from its neighbor lists and keeps it from then on."""
-        g = self._graph()
-        if g is None:
-            g = Graph(*self._store)
-            g.__dict__["analysis"] = self
-            self._graph = lambda: g
-        return g
+        self.graph = Graph(g.n, g._adjacency, g.m)
 
     @cached_property
     def _lex_bfs_pass(self):
@@ -223,9 +211,9 @@ class GraphAnalysis:
 
         Raises NotChordalError for any other graph.
         """
-        g = self.graph
-        _require_chordal(g)
-        near = g._adjacency
+        if not self.is_chordal:
+            raise NotChordalError(find_chordless_cycle(self.graph))
+        near = self.graph._adjacency
         _, pos, _, _, starts, extends = self._lex_bfs_pass
         cliques, seps = [], []
         for h in starts:

@@ -72,92 +72,103 @@ def _shape_str(lattice, ray_start):
 
 @dataclass(frozen=True)
 class HSet:
-    """Set of powers of the form (integer lattice) union [ray_start, oo).
+    """Set of powers (integer lattice) union [ray_start, oo), or a sandwich.
 
-    Exact sets decide membership outright. Partial sets carry an inner
-    bound (known to be contained), an outer bound (known to contain), and
-    individually excluded powers; exactness is a stored fact backed by a
-    proof, never inferred from sampling.
+    Exact sets (inner_ray None) decide membership outright. A partial set
+    contains lattice union [inner_ray, oo), inner_ray > ray_start, lies in
+    lattice union [ray_start, oo) and excludes each power of exclusions;
+    exactness is a stored fact backed by a proof, never inferred from
+    sampling.
     """
 
     lattice: str
     ray_start: float
-    exact: bool = True
-    inner: HSet | None = None
-    outer: HSet | None = None
+    inner_ray: float | None = None
     exclusions: tuple[float, ...] = ()
 
     def __post_init__(self):
         if self.lattice not in LATTICES:
             raise ValueError(f"unknown lattice {self.lattice!r}")
-        if not np.isfinite(self.ray_start) or self.ray_start < 0:
-            raise ValueError(f"ray_start must be finite and >= 0, got {self.ray_start}")
-        if self.exact and (self.inner is not None or self.outer is not None or self.exclusions):
-            raise ValueError("exact sets carry no inner/outer bounds or exclusions")
-        if not self.exact and (self.inner is None or self.outer is None):
-            raise ValueError("partial sets need both an inner and an outer bound")
+        for ray in (self.ray_start, self.inner_ray):
+            if ray is not None and (not np.isfinite(ray) or ray < 0):
+                raise ValueError(f"rays must be finite and >= 0, got {ray}")
+        object.__setattr__(self, "exclusions", tuple(float(x) for x in self.exclusions))
+        if self.exact and self.exclusions:
+            raise ValueError("exact sets carry no exclusions")
+        if not self.exact and self.inner_ray <= self.ray_start:
+            raise ValueError(f"a partial set's inner ray {self.inner_ray} must lie above "
+                             f"its ray_start {self.ray_start}")
+        if any(self._in_ray_set(self.inner_ray, x) for x in self.exclusions):
+            raise ValueError("an excluded power lies in the inner set")
 
-    @classmethod
-    def partial(cls, inner, outer, exclusions=()):
-        """Partial set; the top-level shape mirrors the outer bound."""
-        return cls(lattice=outer.lattice, ray_start=outer.ray_start, exact=False,
-                   inner=inner, outer=outer, exclusions=tuple(float(x) for x in exclusions))
+    @property
+    def exact(self):
+        return self.inner_ray is None
+
+    def _in_ray_set(self, ray, alpha):
+        return alpha >= ray or _lattice_contains(self.lattice, alpha)
 
     def contains(self, alpha):
         """Membership for exact sets; partial sets must use classify."""
         if not self.exact:
             raise ValueError("membership of a partial set is not decidable; use classify")
-        return alpha >= self.ray_start or _lattice_contains(self.lattice, alpha)
+        return self._in_ray_set(self.ray_start, alpha)
 
     def classify(self, alpha):
         """'in', 'out', or 'unknown' (the last only for partial sets)."""
-        if self.exact:
-            return "in" if self.contains(alpha) else "out"
         if any(abs(alpha - x) < 1e-12 for x in self.exclusions):
             return "out"
-        if self.inner.contains(alpha):
+        if self._in_ray_set(self.ray_start if self.exact else self.inner_ray, alpha):
             return "in"
-        if not self.outer.contains(alpha):
+        if not self._in_ray_set(self.ray_start, alpha):
             return "out"
         return "unknown"
 
     def describe(self):
         if self.exact:
             return _shape_str(self.lattice, self.ray_start)
-        txt = (f"contains {self.inner.describe()}, "
-               f"contained in {self.outer.describe()}")
+        txt = (f"contains {_shape_str(self.lattice, self.inner_ray)}, "
+               f"contained in {_shape_str(self.lattice, self.ray_start)}")
         if self.exclusions:
             txt += ", excludes {" + ", ".join(f"{x:g}" for x in self.exclusions) + "}"
         return txt
 
     def to_json(self):
+        """A partial set's bounds are spelled as exact sets, the outer one at ray_start."""
+        inner, outer = ((None, None) if self.exact else (
+            HSet(self.lattice, ray).to_json() for ray in (self.inner_ray, self.ray_start)))
         return {
             "lattice": self.lattice,
             "ray_start": float(self.ray_start),
             "exact": self.exact,
-            "inner": self.inner.to_json() if self.inner is not None else None,
-            "outer": self.outer.to_json() if self.outer is not None else None,
+            "inner": inner,
+            "outer": outer,
             "exclusions": list(self.exclusions),
         }
 
     @classmethod
     def from_json(cls, data):
-        """The set of to_json; ValueError("bad hset JSON: ...") unless data
-        is an object with exact a JSON bool, ray_start and each exclusion a
-        JSON number (no bool or string), and inner and outer each null or
-        such an object."""
+        """The set of to_json; ValueError("bad hset JSON: ...") for anything
+        to_json cannot write: exact must be a JSON bool, ray_start and each
+        exclusion JSON numbers (no bool or string), and a partial set's
+        bounds exact sets of its own lattice, the outer one at its ray_start
+        and the inner one above it."""
         def read(d):
             if not isinstance(d, dict):
                 raise ValueError(f"expected an object, got {d!r}")
             if type(d["exact"]) is not bool:
                 raise ValueError(f"exact must be a bool, got {d['exact']!r}")
-            excluded = d.get("exclusions", [])
-            if not isinstance(excluded, list):
-                raise ValueError(f"exclusions must be a list, got {excluded!r}")
-            ray, *excluded = _number_rows([[d["ray_start"], *excluded]])[0].tolist()
-            inner, outer = (None if d.get(k) is None else read(d[k]) for k in ("inner", "outer"))
-            return cls(lattice=d["lattice"], ray_start=ray, exact=d["exact"], inner=inner,
-                       outer=outer, exclusions=tuple(excluded))
+            if not isinstance(d["exclusions"], list):
+                raise ValueError(f"exclusions must be a list, got {d['exclusions']!r}")
+            ray, *excluded = _number_rows([[d["ray_start"], *d["exclusions"]]])[0].tolist()
+            inner_ray = None
+            if not d["exact"]:
+                inner_ray = read(d["inner"]).ray_start
+                read(d["outer"])  # its types; the comparison below checks the rest
+            h = cls(d["lattice"], ray, inner_ray, excluded)
+            if h.to_json() != d:
+                raise ValueError(f"not a set to_json writes: {d!r}")
+            return h
 
         try:
             return read(data)
@@ -205,11 +216,7 @@ def hset_cycle(n, family="plain"):
         return HSet(lattice=lattice, ray_start=1.0)
     if n == 4:
         return HSet(lattice=lattice, ray_start=2.0)
-    return HSet.partial(
-        inner=HSet(lattice=lattice, ray_start=2.0),
-        outer=HSet(lattice=lattice, ray_start=1.0),
-        exclusions=(1.0,) if n % 2 == 0 else (),
-    )
+    return HSet(lattice, 1.0, inner_ray=2.0, exclusions=(1.0,) if n % 2 == 0 else ())
 
 
 def hset_bipartite(g, family="plain"):
@@ -234,17 +241,15 @@ def hset_bipartite(g, family="plain"):
         if len(p) == 2 and sum(1 for y in q if all(g.has_edge(x, y) for x in p)) >= 2:
             k22_in_k2m = True
     lattice = _LATTICE_FOR_FAMILY[family]
-    outer = HSet(lattice=lattice, ray_start=1.0)
     if family == "plain":
-        return outer
+        return HSet(lattice=lattice, ray_start=1.0)
     if family == "even":
         if k22_in_k2m:
             return HSet(lattice=lattice, ray_start=2.0)
-        return HSet.partial(inner=HSet(lattice=lattice, ray_start=2.0), outer=outer)
+        return HSet(lattice, 1.0, inner_ray=2.0)
     # odd extension: the lattice {1, 3, 5, ...} union the ray encodes
     # {1} union [ray, oo) exactly for ray <= 3
-    inner_ray = 2.0 if k22_in_k2m else 3.0
-    return HSet.partial(inner=HSet(lattice=lattice, ray_start=inner_ray), outer=outer)
+    return HSet(lattice, 1.0, inner_ray=2.0 if k22_in_k2m else 3.0)
 
 
 def _is_cycle_graph(g):
@@ -257,18 +262,17 @@ def _combine(sources, inner_end):
     """One description from several descriptions of one family f.
 
     Each source, and each of its bounds, is L_f union [ray, oo) for the
-    family lattice L_f. So a larger ray is a smaller set, inclusion is ray
-    order, and bounds of equal ray are equal. The inner bound is the one
-    inner_end picks by ray (min for a union, max for an intersection), the
-    outer bound the one of largest ray, and the exclusions come together;
-    exact when the outer bound lies inside the inner one.
+    family lattice L_f. So a larger ray is a smaller set and inclusion is
+    ray order. The inner ray is the one inner_end picks (min for a union,
+    max for an intersection), the outer ray the largest, and the exclusions
+    come together; exact when the outer ray reaches the inner one.
     """
-    inner = inner_end((h if h.exact else h.inner for h in sources), key=lambda h: h.ray_start)
-    outer = max((h if h.exact else h.outer for h in sources), key=lambda h: h.ray_start)
-    if outer.ray_start >= inner.ray_start:
-        return inner
-    return HSet.partial(inner=inner, outer=outer,
-                        exclusions=sorted({x for h in sources for x in h.exclusions}))
+    inner = inner_end(h.ray_start if h.exact else h.inner_ray for h in sources)
+    outer = max(h.ray_start for h in sources)
+    if outer >= inner:
+        return HSet(lattice=sources[0].lattice, ray_start=inner)
+    return HSet(sources[0].lattice, outer, inner_ray=inner,
+                exclusions=sorted({x for h in sources for x in h.exclusions}))
 
 
 def expected_hset(g, family="plain"):
@@ -310,14 +314,12 @@ def expected_hset(g, family="plain"):
         sources.append(hset_cycle(g.n, family))
     if g.n >= 3 and len(components) == 1 and g.analysis.bipartition is not None:
         sources.append(hset_bipartite(g, family))
-    if any(h.exact or h.inner.ray_start <= 2 for h in sources):
+    if any(h.exact or h.inner_ray <= 2 for h in sources):
         return _combine(sources, min)
     r, r_h = g.analysis.near_complete_order, g.analysis.triangulation[2]
-    sandwich = HSet(lattice=lattice, ray_start=float(r_h - 2))
     if r_h == r:
-        return sandwich
-    outer = HSet(lattice=lattice, ray_start=float(r - 2))
-    return _combine([*sources, HSet.partial(inner=sandwich, outer=outer)], min)
+        return HSet(lattice=lattice, ray_start=float(r_h - 2))
+    return _combine([*sources, HSet(lattice, float(r - 2), inner_ray=float(r_h - 2))], min)
 
 
 # ---------------------------------------------------------------------------
@@ -1193,7 +1195,7 @@ def _walk(g, known, family, budget, seed):
     their first draw."""
     per_unit = round(1 / GRID_STEP)
     top = (g.n - 2) * per_unit  # the grid power top * GRID_STEP is n - 2
-    start = max([known.inner.ray_start, *(x + 1e-9 for x in known.exclusions)])
+    start = max([known.inner_ray, *(x + 1e-9 for x in known.exclusions)])
     lowest = min(max(math.ceil(start / GRID_STEP), 1), top + 1)
     if lowest % per_unit == 0:
         lowest += 1

@@ -12,14 +12,18 @@ numeric CE walk,
 by classifying every power of its grid; for the random tree, by the earlier
 Pruefer decoder's sorted leaf list; for the random chordal graph, by one numpy
 call per draw; for the random graph, by one numpy draw per vertex pair; for
-pattern conformance, by a scan of every vertex pair; and for witness reports
+pattern conformance, by a scan of every vertex pair; for witness reports
 kept on their support, by the dense n x n report, its verification and the
-bordered and signed-cycle matrices its searches built."""
+bordered and signed-cycle matrices its searches built; and for the flat
+power-set record, by the nested HSet it replaced."""
+
+from __future__ import annotations
 
 import bisect
 import itertools
 import math
 import re
+from dataclasses import dataclass
 from types import SimpleNamespace
 
 import numpy as np
@@ -636,3 +640,67 @@ def dense_witness_matrix(g, alpha, family, budget=200, seed=0):
         matrix[vert - 1, vert - 1] = 1.0
         matrix[vert - 1, nxt - 1] = matrix[nxt - 1, vert - 1] = -x if nxt == cyc[0] else x
     return matrix
+
+
+@dataclass(frozen=True)
+class NestedHSet:
+    """The power-set record as two nested sets: a partial set carries an
+    inner bound (known to be contained) and an outer bound (known to
+    contain), each an exact set, and copies the outer one's lattice and
+    ray at its top level."""
+
+    lattice: str
+    ray_start: float
+    exact: bool = True
+    inner: NestedHSet | None = None
+    outer: NestedHSet | None = None
+    exclusions: tuple[float, ...] = ()
+
+    @classmethod
+    def partial(cls, inner, outer, exclusions=()):
+        return cls(lattice=outer.lattice, ray_start=outer.ray_start, exact=False,
+                   inner=inner, outer=outer, exclusions=tuple(float(x) for x in exclusions))
+
+    def contains(self, alpha):
+        if not self.exact:
+            raise ValueError("membership of a partial set is not decidable; use classify")
+        return alpha >= self.ray_start or exponents._lattice_contains(self.lattice, alpha)
+
+    def classify(self, alpha):
+        if self.exact:
+            return "in" if self.contains(alpha) else "out"
+        if any(abs(alpha - x) < 1e-12 for x in self.exclusions):
+            return "out"
+        if self.inner.contains(alpha):
+            return "in"
+        if not self.outer.contains(alpha):
+            return "out"
+        return "unknown"
+
+    def describe(self):
+        if self.exact:
+            return exponents._shape_str(self.lattice, self.ray_start)
+        txt = (f"contains {self.inner.describe()}, "
+               f"contained in {self.outer.describe()}")
+        if self.exclusions:
+            txt += ", excludes {" + ", ".join(f"{x:g}" for x in self.exclusions) + "}"
+        return txt
+
+    def to_json(self):
+        return {
+            "lattice": self.lattice,
+            "ray_start": float(self.ray_start),
+            "exact": self.exact,
+            "inner": self.inner.to_json() if self.inner is not None else None,
+            "outer": self.outer.to_json() if self.outer is not None else None,
+            "exclusions": list(self.exclusions),
+        }
+
+
+def nested_hset(h):
+    """The flat record h (exponents.HSet) as a NestedHSet."""
+    if h.exact:
+        return NestedHSet(h.lattice, h.ray_start)
+    return NestedHSet.partial(inner=NestedHSet(h.lattice, h.inner_ray),
+                              outer=NestedHSet(h.lattice, h.ray_start),
+                              exclusions=h.exclusions)

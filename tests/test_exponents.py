@@ -69,6 +69,7 @@ from oracles import (
     dense_witness_matrix,
     estimate_ce_by_full_walk,
     max_near_complete_order,
+    nested_hset,
     verify_dense,
 )
 from test_chordal import chordal_graphs
@@ -87,6 +88,14 @@ def classifications_consistent(exact, partial, grid=GRID):
         if e != p:
             return False
     return True
+
+
+def _bounds(h):
+    """(inner, outer): the exact sets between which h lies, h itself twice
+    when it is exact."""
+    if h.exact:
+        return h, h
+    return HSet(h.lattice, h.inner_ray), HSet(h.lattice, h.ray_start)
 
 
 # --- HSet mechanics ----------------------------------------------------------
@@ -131,9 +140,10 @@ def test_hset_partial_inner_subset_of_outer():
     for h in [hset_cycle(6, "even"), hset_cycle(7, "even"),
               hset_bipartite(complete_bipartite(3, 3), "odd"),
               hset_bipartite(complete_bipartite(2, 4), "odd")]:
+        inner, outer = _bounds(h)
         for a in GRID:
-            if h.inner.contains(a):
-                assert h.outer.contains(a)
+            if inner.contains(a):
+                assert outer.contains(a)
 
 
 def test_hset_json_roundtrip():
@@ -166,12 +176,62 @@ def _partial_set_json(**fields):
     pytest.param(_partial_set_json(outer=_exact_set_json(ray_start="1")), id="outer-ray-string"),
     pytest.param(None, id="null"),
     pytest.param([], id="list"),
+    # sets that contradict themselves
+    pytest.param(_partial_set_json(ray_start=3.0, outer=_exact_set_json(lattice="even",
+                                                                         ray_start=3.0)),
+                 id="inner-larger-than-outer"),
+    pytest.param(_partial_set_json(inner=_exact_set_json(ray_start=2.0),
+                                   outer=_exact_set_json(ray_start=1.0)),
+                 id="bounds-on-another-lattice"),
+    pytest.param(_partial_set_json(ray_start=0.5), id="top-ray-not-the-outer-ray"),
+    pytest.param(_partial_set_json(inner=HSet("even", 2.0, inner_ray=3.0).to_json()),
+                 id="partial-set-as-a-bound"),
 ])
 def test_hset_json_takes_only_json_types(data):
-    # exact is a JSON bool, each number a JSON number and each bound null
-    # or an object; anything else was read by bool(), float() or truth
+    # exact is a JSON bool, each number a JSON number, and a partial set's
+    # bounds exact sets of its lattice, the outer one at its ray and the
+    # inner one above it; anything else was read by bool(), float() or
+    # truth, or loaded a set that contradicts itself
     with pytest.raises(ValueError, match="bad hset JSON"):
         HSet.from_json(data)
+
+
+PROBES = [k / 16 for k in range(-16, 16 * 10)] + [*range(9), math.nan, math.inf, -math.inf]
+SMALL_RAYS = st.integers(0, 16 * 8)  # a ray k / 16 in [0, 8]
+
+
+@st.composite
+def hset_records(draw):
+    """A valid HSet: an exact set, or a partial one with up to three
+    exclusions outside its inner set, its rays on the 1/16 grid."""
+    lattice, k = draw(st.sampled_from(exponents.LATTICES)), draw(SMALL_RAYS)
+    if draw(st.booleans()):
+        return HSet(lattice, k / 16)
+    inner = HSet(lattice, draw(st.integers(k + 1, 16 * 9)) / 16)
+    outside = [x for x in PROBES[16:-3] if not inner.contains(x)]
+    exclusions = draw(st.lists(st.sampled_from(outside), max_size=3, unique=True))
+    return HSet(lattice, k / 16, inner_ray=inner.ray_start, exclusions=sorted(exclusions))
+
+
+GRAPHS_UP_TO_7 = st.integers(2, 7).flatmap(lambda n: st.builds(
+    Graph.from_edges, st.just(n),
+    st.sets(st.sampled_from([(i, j) for i in range(1, n + 1) for j in range(i + 1, n + 1)]))))
+
+
+@settings(max_examples=400, deadline=None)
+@given(st.one_of(hset_records(), st.builds(expected_hset, GRAPHS_UP_TO_7,
+                                           st.sampled_from(["plain", "odd", "even"]))))
+@example(hset_cycle(6, "even"))
+@example(hset_bipartite(complete_bipartite(3, 3), "odd"))
+@example(HSet("naturals", 0.0, inner_ray=0.0625, exclusions=(0.0,)))
+def test_the_flat_record_answers_as_the_nested_one(h):
+    # the nested record it replaced is the oracle: the same verdicts,
+    # text and JSON, and the JSON loads back to the same record
+    oracle = nested_hset(h)
+    assert [h.classify(a) for a in PROBES] == [oracle.classify(a) for a in PROBES]
+    assert h.describe() == oracle.describe()
+    assert h.to_json() == oracle.to_json()
+    assert HSet.from_json(json.loads(json.dumps(h.to_json()))) == h
 
 
 def test_hset_validation():
@@ -179,8 +239,15 @@ def test_hset_validation():
         HSet(lattice="primes", ray_start=1.0)
     with pytest.raises(ValueError):
         HSet(lattice="naturals", ray_start=-1.0)
-    with pytest.raises(ValueError, match="partial"):
-        HSet(lattice="naturals", ray_start=1.0, exact=False)
+    for inner_ray in (1.0, 0.5):  # at or below the outer ray
+        with pytest.raises(ValueError, match="inner ray"):
+            HSet(lattice="naturals", ray_start=1.0, inner_ray=inner_ray)
+    with pytest.raises(ValueError, match="finite"):
+        HSet(lattice="naturals", ray_start=1.0, inner_ray=math.inf)
+    with pytest.raises(ValueError, match="exclusions"):
+        HSet(lattice="naturals", ray_start=1.0, exclusions=(0.5,))
+    with pytest.raises(ValueError, match="inner set"):
+        HSet(lattice="even", ray_start=1.0, inner_ray=2.0, exclusions=(2.0,))
 
 
 # --- exact constructors -------------------------------------------------------
@@ -256,7 +323,7 @@ def test_hset_cycle_examples():
     h = hset_cycle(4, "even")
     assert h.exact and h.ray_start == 2.0
     h = hset_cycle(6, "even")
-    assert not h.exact and h.inner.ray_start == 2.0 and h.outer.ray_start == 1.0
+    assert not h.exact and h.inner_ray == 2.0 and h.ray_start == 1.0
     assert h.exclusions == (1.0,)
     assert hset_cycle(7, "even").exclusions == ()
     assert hset_cycle(3, "plain") == hset_complete(3, "plain")
@@ -268,11 +335,11 @@ def test_hset_bipartite_examples():
     assert hset_bipartite(complete_bipartite(3, 3), "plain") == HSet("naturals", 1.0)
     assert hset_bipartite(complete_bipartite(2, 3), "even") == HSet("even", 2.0)
     h = hset_bipartite(complete_bipartite(3, 3), "even")
-    assert not h.exact and h.inner.ray_start == 2.0
+    assert not h.exact and h.inner_ray == 2.0
     h = hset_bipartite(complete_bipartite(2, 3), "odd")
-    assert not h.exact and h.inner.classify(1.0) == "in" == h.inner.classify(2.0)
-    h = hset_bipartite(complete_bipartite(3, 3), "odd")
-    assert h.inner.contains(1.0) and not h.inner.contains(2.5) and h.inner.contains(3.0)
+    assert not h.exact and h.classify(1.0) == "in" == h.classify(2.0)
+    inner, _ = _bounds(hset_bipartite(complete_bipartite(3, 3), "odd"))
+    assert inner.contains(1.0) and not inner.contains(2.5) and inner.contains(3.0)
     with pytest.raises(ValueError, match="bipartite"):
         hset_bipartite(complete(3))
     with pytest.raises(ValueError, match="connected"):
@@ -382,8 +449,7 @@ def test_expected_hset_dispatch():
     g = Graph.from_edges(5, [(1, 2), (2, 3), (3, 4), (4, 5), (1, 5), (1, 3)])
     h = expected_hset(g)
     assert not h.exact
-    assert (h.inner.lattice, h.inner.ray_start) == ("naturals", 2.0)
-    assert (h.outer.lattice, h.outer.ray_start) == ("naturals", 1.0)
+    assert (h.lattice, h.inner_ray, h.ray_start) == ("naturals", 2.0, 1.0)
     assert expected_hset(Graph.from_edges(1, [])) is None
 
 
@@ -393,12 +459,12 @@ def test_expected_hset_inner_bound_is_the_sandwich_when_it_beats_a_theorem():
     # holds hset_bipartite's (2N-1) ∪ [3, ∞), so the union is the sandwich's
     g = Graph.from_edges(7, [(1, 2), (2, 3), (3, 4), (4, 5), (5, 6), (1, 6), (6, 7)])
     assert (g.analysis.near_complete_order, g.analysis.triangulation[2]) == (3, 4)
-    theorem = hset_bipartite(g, "odd").inner
-    assert (theorem.lattice, theorem.ray_start) == ("odd", 3.0)
+    theorem = hset_bipartite(g, "odd")
+    assert (theorem.lattice, theorem.inner_ray) == ("odd", 3.0)
     h = expected_hset(g, "odd")
     assert h.describe() == "contains (2N-1) ∪ [2, ∞), contained in [1, ∞)"
-    assert (h.inner.lattice, h.inner.ray_start) == ("odd", 2.0)
-    assert h.inner != theorem
+    assert (h.lattice, h.inner_ray) == ("odd", 2.0)
+    assert h != theorem
 
 
 C5_AND_C4 = Graph.from_edges(9, [(1, 2), (2, 3), (3, 4), (4, 5), (1, 5),
@@ -427,13 +493,13 @@ def test_components_that_decide_the_set_compute_no_r_or_triangulation(parts):
 
 
 def test_every_description_is_spelled_with_the_family_lattice():
-    # one spelling per set: the described set and each of its bounds carry
-    # the family's lattice, whichever source gave them
+    # one spelling per set: the described set and each bound of its JSON
+    # carry the family's lattice, whichever source gave them
     for _, g in census.census_graphs(size=300):
         for family in ("plain", "odd", "even"):
-            h = expected_hset(g, family)
-            bounds = [h] if h.exact else [h, h.inner, h.outer]
-            assert {b.lattice for b in bounds} == {LATTICE_FOR_FAMILY[family]}, (g, family)
+            data = expected_hset(g, family).to_json()
+            bounds = [b for b in (data, data["inner"], data["outer"]) if b is not None]
+            assert {b["lattice"] for b in bounds} == {LATTICE_FOR_FAMILY[family]}, (g, family)
     with pytest.raises(ValueError) as err:
         HSet.from_json(_exact_set_json(lattice="none"))
     assert str(err.value) == "bad hset JSON: unknown lattice 'none'"
@@ -505,7 +571,7 @@ def test_each_bound_is_the_family_lattice_and_its_ray(g, family):
         if part.n >= 3 and part.analysis.bipartition is not None:
             found.append(hset_bipartite(part, family))
     for h in found:
-        for bound in [h] if h.exact else [h.inner, h.outer]:
+        for bound in _bounds(h):
             ray_form = HSet(lattice=lattice, ray_start=bound.ray_start)
             assert [bound.contains(x) for x in QUARTER_GRID] == [
                 ray_form.contains(x) for x in QUARTER_GRID], (h, bound)
@@ -684,8 +750,7 @@ def _searched_powers(g, *args, walk=None, **kwargs):
 def _proven(g, family):
     """The set of powers the walk skips: expected_hset's exact set or inner
     bound."""
-    known = expected_hset(g, family)
-    return known if known.exact else known.inner
+    return _bounds(expected_hset(g, family))[0]
 
 
 @settings(max_examples=40, deadline=None)
@@ -733,9 +798,8 @@ def _theorems(g, family):
         found.append(hset_bipartite(g, family))
     lattice = LATTICE_FOR_FAMILY[family]
     r, r_h = max_near_complete_order(g), g.analysis.triangulation[2]
-    inner = HSet(lattice=lattice, ray_start=r_h - 2)
-    found.append(inner if r_h == r else HSet.partial(
-        inner=inner, outer=HSet(lattice=lattice, ray_start=r - 2)))
+    found.append(HSet(lattice=lattice, ray_start=r_h - 2) if r_h == r else
+                 HSet(lattice=lattice, ray_start=r - 2, inner_ray=r_h - 2))
     return found
 
 
@@ -753,7 +817,7 @@ def _theorems(g, family):
 @example(C5_AND_C4, "even")  # two components: their sets intersected
 def test_expected_hset_is_the_tightest_proven_sandwich(g, family):
     known = expected_hset(g, family)
-    inner, outer = (known, known) if known.exact else (known.inner, known.outer)
+    inner, outer = _bounds(known)
     for a in SANDWICH_GRID:
         assert outer.contains(a) or not inner.contains(a), a
         got = known.classify(a)
