@@ -684,32 +684,28 @@ class CliqueOrdering:
 
     cliques: tuple[frozenset[int], ...]
 
+    def _running(self):
+        """(separator_j, history_j) per clique, from one running set of the
+        vertices seen so far, updated in place: each step costs |C_j|, and a
+        reader that keeps a history copies it."""
+        seen = set()
+        for c in self.cliques:
+            sep = c & seen
+            seen |= c
+            yield sep, seen
+
     @property
     def histories(self):
-        out = []
-        acc = frozenset()
-        for c in self.cliques:
-            acc = acc | c
-            out.append(acc)
-        return tuple(out)
+        return tuple(frozenset(h) for _, h in self._running())
 
     @property
     def residuals(self):
-        out = []
-        acc = frozenset()
-        for c in self.cliques:
-            out.append(c - acc)
-            acc = acc | c
-        return tuple(out)
+        # removing history_{j-1} from C_j removes exactly separator_j
+        return tuple(c - sep for c, (sep, _) in zip(self.cliques, self._running()))
 
     @property
     def separators(self):
-        out = []
-        acc = frozenset()
-        for c in self.cliques:
-            out.append(acc & c)
-            acc = acc | c
-        return tuple(out)
+        return tuple(sep for sep, _ in self._running())
 
     def to_json(self):
         return {
@@ -726,15 +722,15 @@ def check_perfect_ordering(g, cliques):
     (2) each separator induces a complete subgraph.
     """
     cliques = [frozenset(c) for c in cliques]
-    history = frozenset()
+    history = set()
     for i, c in enumerate(cliques):
-        sep = history & c
+        sep = c & history
         if i > 0 and sep and not any(sep <= cliques[j] for j in range(i)):
             return False
         for a, b in itertools.combinations(sorted(sep), 2):
             if not g.has_edge(a, b):
                 return False
-        history = history | c
+        history |= c
     return True
 
 

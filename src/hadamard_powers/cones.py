@@ -158,26 +158,23 @@ def sample_spectra(g, ranks, alpha, family, rng):
     the given ranks (nonnegative for the plain family), drawn a stack of
     at most SAMPLE_CHUNK_FLOATS floats at a time, and their power images.
 
-    Yields (first, state, samples, images) per stack: the index in ranks of
-    its first sample, the generator state before its draw, the samples and
-    their power images. A non-finite image ends the stack before it, and
-    the loop raises ValueError once that stack is read; the witness search
-    stops reading there instead, with no witness. Each reader reduces
-    the images its own way: `verify` takes every least eigenvalue
-    (least_eigenvalue), the witness search first tries to clear the whole
-    stack with one Cholesky factorization (_cholesky_clears).
+    Yields (samples, images) once per stack, and ends after the stack that
+    holds the first non-finite image, with its images cut before that one:
+    `verify` raises on such a short stack, the witness search finds no
+    witness past it. Each reader reduces the images its own way: `verify`
+    takes every least eigenvalue (least_eigenvalue), the witness search
+    first tries to clear the whole stack with one Cholesky factorization
+    (_cholesky_clears).
     """
     step = max(1, SAMPLE_CHUNK_FLOATS // max(1, g.n * g.n))
     for first in range(0, len(ranks), step):
-        chunk = ranks[first:first + step]
-        state = rng.bit_generator.state
-        stack = _clique_sample_stack(g, chunk, rng, family == "plain")
+        stack = _clique_sample_stack(g, ranks[first:first + step], rng, family == "plain")
         images = _power(stack, alpha, family)
         finite = np.isfinite(images).all(axis=(1, 2))
-        stop = len(chunk) if finite.all() else int(np.argmin(finite))
-        yield first, state, stack, images[:stop]
-        if stop < len(chunk):
-            raise ValueError("matrix has non-finite entries")
+        if not finite.all():
+            yield stack, images[:int(np.argmin(finite))]
+            return
+        yield stack, images
 
 
 def _cholesky_clears(images, scale):

@@ -24,7 +24,6 @@ from .cones import (
     WITNESS_TOL,
     _check_family,
     _cholesky_clears,
-    _clique_sample_stack,
     _number_rows,
     _power,
     as_symmetric,
@@ -1122,7 +1121,8 @@ def find_counterexample(g, alpha, family="plain", budget=None, seed=0):
     The generator np.random.default_rng(seed) is built at the first draw,
     by the signed pairs or the samples, which read it in that order. A
     search settled by the closed form or a signed cycle builds none, so it
-    leaves a Generator passed as seed untouched.
+    leaves a Generator passed as seed untouched. The samples are drawn a
+    stack at a time: a sample witness leaves it after its stack.
     """
     _check_family(family)
     if not np.isfinite(alpha):
@@ -1148,27 +1148,21 @@ def _sample_search(g, alpha, family, n_samples, rng):
     a time. A stack that one Cholesky factorization clears holds no
     witness; any other is eigensolved whole. The witness is the first
     sample, in draw order, whose image clears the witness threshold and
-    which is_psd accepts; the generator is left where drawing the
-    samples one at a time up to that one would leave it. A sample whose
-    image overflows ends the search: its image proves nothing, and
+    which is_psd accepts; the generator is left after its stack. A sample
+    whose image overflows ends the search: its image proves nothing, and
     sample_spectra reads no further.
     """
     ranks = [2 if k % 5 == 4 else 1 for k in range(n_samples)]
     with np.errstate(over="ignore"):
-        for first, state, stack, images in sample_spectra(g, ranks, alpha, family, rng):
+        for stack, images in sample_spectra(g, ranks, alpha, family, rng):
             if not _cholesky_clears(images, WITNESS_TOL):
                 lam, tol = least_eigenvalue(images, WITNESS_TOL)
                 for b in np.flatnonzero(lam < -tol):
                     matrix = stack[b].copy()
                     if is_psd(matrix).is_psd:
-                        rng.bit_generator.state = state
-                        _clique_sample_stack(g, ranks[first:first + b + 1], rng,
-                                             family == "plain")
                         return WitnessReport.on_support(
                             g, range(1, g.n + 1), alpha=alpha, family=family, matrix=matrix,
                             image_min_eigenvalue=float(lam[b]), construction="random_sample")
-            if len(images) < len(stack):  # sample_spectra stops at this overflow
-                return None
     return None
 
 

@@ -303,10 +303,11 @@ def _parse_lines(text):
     if over is not None:
         raise GraphParseError(f"line {over}: label exceeds declared vertex count {n_declared}")
     n = top if n_declared is None else n_declared
-    near = [[] for _ in range(n + 1)]
+    label = list(range(n + 1))  # one int object per vertex, however often it is stored
+    near = [[] for _ in label]
     for i, j in edges:
-        near[i].append(j)
-        near[j].append(i)
+        near[i].append(label[j])
+        near[j].append(label[i])
     for nb in near:
         nb.sort()
     return Graph(n, near, len(edges))

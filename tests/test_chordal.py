@@ -380,6 +380,16 @@ def test_perfect_ordering_json_shape():
     assert data["separators"][1] == [2, 3]
 
 
+def test_a_band_ordering_is_read_in_linear_time():
+    # one running set of the vertices seen: a new union of all of them per
+    # clique made to_json quadratic, about 3.5 s on this graph
+    g = band(20000, 3)
+    start = time.perf_counter()
+    perfect_ordering(g).to_json()
+    assert time.perf_counter() - start < 1
+    assert perfect_ordering(g).separators == g.analysis.clique_tree[1]
+
+
 def test_check_perfect_ordering_rejects_bad_orders():
     g = band(5, 2)
     # placing the middle clique last leaves its separator {2,3,4} in no

@@ -5,6 +5,10 @@ import contextlib
 import functools
 import io
 import json
+import os
+import resource
+import subprocess
+import sys
 import tempfile
 from pathlib import Path
 
@@ -953,3 +957,34 @@ def test_ce_exact_on_a_large_chordal_graph(capsys):
     data = json.loads(out)
     assert data["method"] == "exact"
     assert data["ce"] == data["r"] - 2
+
+
+def _cli_process(*args, preexec_fn=None):
+    """A fresh `python -m hadamard_powers.cli ARGS` importing from this src/,
+    on one OpenBLAS thread."""
+    src = str(Path(__file__).resolve().parents[1] / "src")
+    env = dict(os.environ, OPENBLAS_NUM_THREADS="1", PYTHONPATH=os.pathsep.join(
+        filter(None, [src, os.environ.get("PYTHONPATH")])))
+    return subprocess.run([sys.executable, "-m", "hadamard_powers.cli", *args], env=env,
+                          capture_output=True, text=True, timeout=120, preexec_fn=preexec_fn)
+
+
+def _limit_address_space():
+    resource.setrlimit(resource.RLIMIT_AS, (2 << 30, 2 << 30))
+
+
+def test_an_allocation_past_the_memory_limit_is_one_error_line():
+    # the sample search of a 20,000-vertex graph asks for a 2.98 GiB stack:
+    # under a 2 GiB address-space limit that is exit 2 and one error line
+    run = _cli_process("witness", "--family", "random-chordal", "--n", "20000",
+                       "--alpha", "50.5", "--budget", "1", "--seed", "1",
+                       preexec_fn=_limit_address_space)
+    assert run.returncode == 2 and run.stdout == ""
+    assert run.stderr.startswith("error: Unable to allocate") and run.stderr.count("\n") == 1
+
+
+def test_verify_of_an_overflowing_image_prints_one_error_line():
+    run = _cli_process("verify", "--family", "complete", "--n", "3", "--alphas", "-400",
+                       "--samples", "5", "--seed", "1")
+    assert (run.returncode, run.stdout, run.stderr) == (
+        2, "", "error: matrix has non-finite entries\n")

@@ -103,6 +103,15 @@ def test_the_line_parser_builds_every_declared_vertex():
     assert g._adjacency[1] == [2] and g._adjacency[300000] == []
 
 
+def test_the_line_parser_keeps_one_int_object_per_label():
+    # labels above 256 are separate objects each time int() reads them; the
+    # neighbor lists hold one per label, as from_edges makes them
+    near = parse_edge_list("# c\n1000 1001\n1001 1002\n1000 1002\n")._adjacency
+    assert near[1000][0] is near[1002][1]  # 1001
+    assert near[1000][1] is near[1001][1]  # 1002
+    assert near[1001][0] is near[1002][0]  # 1000
+
+
 def test_signed_ascii_labels_parse():
     assert parse_edge_list("n +3\n+1 003\n2\t1\r\n") == Graph.from_edges(3, [(1, 3), (1, 2)])
 

@@ -3,8 +3,11 @@
 Every reader of `cones._clique_sample_stack` (single samples, and through
 `cones.sample_spectra` the sample phase of the witness search and the
 `verify` command) must give, bit for bit, what drawing one sample at a
-time would, and leave the generator in the same state. The Cholesky screen
-of the search may skip a stack only if the eigensolve would flag none of it.
+time would. Each stack is drawn once: a stack or a single sample leaves
+the generator where one-at-a-time drawing would, a search that finds no
+witness leaves it after its last sample, and one that finds a witness
+after the witness's stack. The Cholesky screen of the search may skip a
+stack only if the eigensolve would flag none of it.
 """
 
 import itertools
@@ -117,11 +120,36 @@ def test_sample_phase_matches_one_at_a_time(monkeypatch, g, alpha, family,
     expected = _reference_sample_search(g, alpha, family, 30, rng_ref)
     if expected is None:
         assert report is None
+        # a miss reads every sample
+        assert rng.bit_generator.state == rng_ref.bit_generator.state
     else:
         assert report is not None and report.construction == "random_sample"
         assert report.matrix.tobytes() == expected[0].tobytes()
         assert report.image_min_eigenvalue == expected[1]
         assert report.verify()
+
+
+def test_a_sample_witness_draws_each_sample_once(monkeypatch):
+    # K4 at 1.5 first hits at sample 4, the first of the third stack of two:
+    # the search draws the three stacks, samples 0-5, each once, and leaves
+    # the generator after them
+    g = complete(4)
+    monkeypatch.setattr(cones, "SAMPLE_CHUNK_FLOATS", 2 * g.n * g.n)
+    sampler, drawn = cones._clique_sample_stack, []
+
+    def counted(g, ranks, rng, nonnegative):
+        drawn.append(len(ranks))
+        return sampler(g, ranks, rng, nonnegative)
+
+    for module in (cones, exponents):  # wherever the sampler is imported
+        if hasattr(module, "_clique_sample_stack"):
+            monkeypatch.setattr(module, "_clique_sample_stack", counted)
+    rng, rng_ref = np.random.default_rng(3), np.random.default_rng(3)
+    report = _sample_search(g, 1.5, "plain", 30, rng)
+    expected = _reference_sample_search(g, 1.5, "plain", 5, rng_ref)
+    assert report.matrix.tobytes() == expected[0].tobytes()
+    assert drawn == [2, 2, 2]
+    _reference_sample(g, 1, rng_ref, True)  # sample 5, the rest of the stack
     assert rng.bit_generator.state == rng_ref.bit_generator.state
 
 
@@ -140,34 +168,38 @@ def test_sample_phase_stops_at_a_non_finite_image():
 @pytest.mark.parametrize("g, alpha, family", [(complete(5), -1e6, "plain"),
                                               (complete(3), 2000.5, "odd")])
 def test_overflowing_sample_search_finds_nothing_quietly(g, alpha, family):
-    # the first overflow ends the search with no warning, where the
-    # sampling check of the same images still raises
+    # the first overflow ends the search with no warning, and the loop over
+    # the same samples with a stack shorter than its samples
     assert find_counterexample(g, alpha, family, seed=1) is None
-    ranks = [1] * 5
-    with pytest.raises(ValueError, match="non-finite"), np.errstate(over="ignore"):
-        for _ in sample_spectra(g, ranks, alpha, family, np.random.default_rng(1)):
-            pass
+    with np.errstate(over="ignore"):
+        stacks = list(sample_spectra(g, [1] * 5, alpha, family, np.random.default_rng(1)))
+    samples, images = stacks[-1]
+    assert len(images) < len(samples)
 
 
 def test_sample_search_ends_at_the_first_overflow_after_an_earlier_witness(monkeypatch):
-    # from the second stack on every image overflows: a witness of the first
-    # stack still stands, and a search without one reads no third stack
+    # the first image of the second stack overflows, so the loop ends there:
+    # a witness of the first stack still stands, and a search without one
+    # finds none in the short stack
     spectra, read = cones.sample_spectra, []
 
     def overflow_from_the_second_stack(*args):
-        for first, state, stack, images in spectra(*args):
-            read.append(first)
-            yield first, state, stack, images[:0] if first else images
+        for samples, images in spectra(*args):
+            read.append(len(samples))
+            if len(read) > 1:
+                yield samples, images[:0]
+                return
+            yield samples, images
 
     g = complete(4)
     monkeypatch.setattr(cones, "SAMPLE_CHUNK_FLOATS", 5 * g.n * g.n)
     monkeypatch.setattr(exponents, "sample_spectra", overflow_from_the_second_stack)
     expected = _reference_sample_search(g, 1.5, "plain", 30, np.random.default_rng(3))
     report = _sample_search(g, 1.5, "plain", 30, np.random.default_rng(3))
-    assert report.matrix.tobytes() == expected[0].tobytes() and read == [0]
+    assert report.matrix.tobytes() == expected[0].tobytes() and read == [5]
     read.clear()
     assert _sample_search(g, 2.5, "plain", 30, np.random.default_rng(3)) is None
-    assert read == [0, 5]
+    assert read == [5, 5]
 
 
 def test_verify_rows_match_one_sample_at_a_time(capsys):
