@@ -718,19 +718,20 @@ class CliqueOrdering:
 def check_perfect_ordering(g, cliques):
     """Independent check of the two perfect-ordering conditions.
 
-    (1) each separator is contained in some earlier clique;
+    (1) each separator lies in some earlier clique (sought among those of its least-held vertex);
     (2) each separator induces a complete subgraph.
     """
     cliques = [frozenset(c) for c in cliques]
-    history = set()
+    holders = {}  # vertex -> the earlier cliques that hold it; the keys are the history
     for i, c in enumerate(cliques):
-        sep = c & history
-        if i > 0 and sep and not any(sep <= cliques[j] for j in range(i)):
+        sep = frozenset(v for v in c if v in holders)
+        if sep and not any(sep <= cliques[j] for j in min((holders[v] for v in sep), key=len)):
             return False
         for a, b in itertools.combinations(sorted(sep), 2):
             if not g.has_edge(a, b):
                 return False
-        history |= c
+        for v in c:
+            holders.setdefault(v, []).append(i)
     return True
 
 

@@ -241,13 +241,12 @@ def _cmd_verify(args):
             raise CliError(f"power must be finite, got {alpha}")
         worst = np.inf
         preserved = True
-        with np.errstate(over="ignore"):
-            for samples, images in sample_spectra(g, [1] * args.samples, alpha, args.powers, rng):
-                if len(images) < len(samples):
-                    raise ValueError("matrix has non-finite entries")
-                lam, tol = least_eigenvalue(images, PSD_TOL)
-                worst = min(worst, float(lam.min(initial=np.inf)))
-                preserved = preserved and bool((lam >= -tol).all())
+        for samples, images in sample_spectra(g, [1] * args.samples, alpha, args.powers, rng):
+            if len(images) < len(samples):
+                raise ValueError("matrix has non-finite entries")
+            lam, tol = least_eigenvalue(images, PSD_TOL)
+            worst = min(worst, float(lam.min(initial=np.inf)))
+            preserved = preserved and bool((lam >= -tol).all())
         row = {"alpha": alpha, "samples": args.samples,
                "worst_min_eigenvalue": worst, "all_images_psd": preserved}
         if expected is not None:

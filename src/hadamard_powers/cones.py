@@ -56,7 +56,7 @@ def symmetrize(m):
 
 
 def entrywise_power(m, alpha, family="plain"):
-    """Apply the power map entry by entry; zero entries stay exactly zero."""
+    """The power map entry by entry: 0 stays 0, and past the float range inf, quietly."""
     _check_family(family)
     if not np.isfinite(alpha):
         raise ValueError(f"power must be finite, got {alpha}")
@@ -68,9 +68,10 @@ def entrywise_power(m, alpha, family="plain"):
 
 
 def _power(m, alpha, family="plain"):
-    """entrywise_power on a float array, without the input checks."""
+    """entrywise_power on a float array, unchecked; the one place that decides overflow."""
     out = np.abs(m)
-    np.power(out, alpha, out=out, where=out != 0)
+    with np.errstate(over="ignore"):
+        np.power(out, alpha, out=out, where=out != 0)
     if family == "odd":
         out *= np.sign(m)
     return out
@@ -106,13 +107,15 @@ def is_psd(m):
 
 def certify_not_psd(m):
     """Strict non-PSD certificate: the least eigenvalue if it clears
-    -WITNESS_TOL * max(1, spectral radius), else None.
+    -WITNESS_TOL * max(1, spectral radius), else None; None also for a
+    matrix with a non-finite entry: an image that overflowed proves nothing.
 
     Deliberately stricter than the is_psd tolerance so numerical noise is
     never promoted to a counterexample.
     """
-    m = as_symmetric(m)
-    lam_min, tol = map(float, least_eigenvalue(m, WITNESS_TOL))
+    if not np.isfinite(m).all():
+        return None
+    lam_min, tol = map(float, least_eigenvalue(as_symmetric(m), WITNESS_TOL))
     return lam_min if lam_min < -tol else None
 
 

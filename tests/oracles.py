@@ -14,8 +14,9 @@ Pruefer decoder's sorted leaf list; for the random chordal graph, by one numpy
 call per draw; for the random graph, by one numpy draw per vertex pair; for
 pattern conformance, by a scan of every vertex pair; for witness reports
 kept on their support, by the dense n x n report, its verification and the
-bordered and signed-cycle matrices its searches built; and for the flat
-power-set record, by the nested HSet it replaced."""
+bordered and signed-cycle matrices its searches built; for the flat
+power-set record, by the nested HSet it replaced; and for the perfect-ordering
+check, by a scan of every earlier clique per separator."""
 
 from __future__ import annotations
 
@@ -704,3 +705,19 @@ def nested_hset(h):
     return NestedHSet.partial(inner=NestedHSet(h.lattice, h.inner_ray),
                               outer=NestedHSet(h.lattice, h.ray_start),
                               exclusions=h.exclusions)
+
+
+def check_perfect_ordering_by_clique_scans(g, cliques):
+    """chordal.check_perfect_ordering as it first ran: each separator is
+    looked for in every earlier clique, quadratic in the number of cliques."""
+    cliques = [frozenset(c) for c in cliques]
+    history = set()
+    for i, c in enumerate(cliques):
+        sep = c & history
+        if i > 0 and sep and not any(sep <= cliques[j] for j in range(i)):
+            return False
+        for a, b in itertools.combinations(sorted(sep), 2):
+            if not g.has_edge(a, b):
+                return False
+        history |= c
+    return True

@@ -51,6 +51,7 @@ from hadamard_powers.graphs import (
 from oracles import (
     analysis_by_neighbor_sets,
     bron_kerbosch,
+    check_perfect_ordering_by_clique_scans,
     clique_formula,
     clique_tree_by_neighbor_scans,
     is_chordal_by_subsets,
@@ -403,6 +404,55 @@ def test_check_perfect_ordering_rejects_bad_orders():
     h = cycle(4)
     assert not check_perfect_ordering(h, [frozenset({1, 2}), frozenset({3, 4}),
                                           frozenset({2, 3}), frozenset({1, 4})])
+
+
+def test_a_band_ordering_is_checked_in_near_linear_time():
+    # the scan of every earlier clique per separator took about 11 s on
+    # this graph (2-vCPU VM)
+    g = band(20000, 3)
+    cliques = perfect_ordering(g).cliques
+    start = time.perf_counter()
+    assert check_perfect_ordering(g, cliques)
+    assert time.perf_counter() - start < 1
+
+
+@st.composite
+def clique_lists(draw):
+    """A graph's maximal cliques, in its perfect ordering where it has one
+    and else in enumeration order, then shuffled or not and damaged zero to
+    three times: a vertex dropped from a clique or added to one, a clique
+    dropped, repeated or moved."""
+    g = draw(chordal_graphs() | small_graphs())
+    if g.analysis.is_chordal:
+        cliques = [set(c) for c in perfect_ordering(g).cliques]
+    else:
+        cliques = [set(c) for c in g.analysis.maximal_cliques]
+    rnd = draw(st.randoms())
+    if draw(st.booleans()):
+        rnd.shuffle(cliques)
+    for _ in range(draw(st.integers(0, 3))):
+        if not cliques:
+            break
+        k, v = rnd.randrange(len(cliques)), rnd.randint(1, g.n)
+        kind = draw(st.sampled_from(["drop vertex", "add vertex", "drop", "repeat", "move"]))
+        if kind == "drop vertex":
+            cliques[k].discard(v)
+        elif kind == "add vertex":
+            cliques[k].add(v)
+        elif kind == "drop":
+            del cliques[k]
+        elif kind == "repeat":
+            cliques.insert(rnd.randrange(len(cliques) + 1), set(cliques[k]))
+        else:
+            cliques.insert(rnd.randrange(len(cliques)), cliques.pop(k))
+    return g, cliques
+
+
+@settings(max_examples=400, deadline=None)
+@given(clique_lists())
+def test_check_perfect_ordering_matches_the_clique_scan_oracle(case):
+    g, cliques = case
+    assert check_perfect_ordering(g, cliques) == check_perfect_ordering_by_clique_scans(g, cliques)
 
 
 def test_decompose_examples():

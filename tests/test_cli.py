@@ -2,6 +2,7 @@
 
 import argparse
 import contextlib
+import dataclasses
 import functools
 import io
 import json
@@ -981,6 +982,21 @@ def test_an_allocation_past_the_memory_limit_is_one_error_line():
                        preexec_fn=_limit_address_space)
     assert run.returncode == 2 and run.stdout == ""
     assert run.stderr.startswith("error: Unable to allocate") and run.stderr.count("\n") == 1
+
+
+def test_a_pair_search_whose_images_overflow_finds_none_quietly():
+    run = _cli_process("witness", "--family", "complete", "--n", "400", "--alpha", "320",
+                       "--powers", "odd", "--seed", "1")
+    assert (run.returncode, run.stdout, run.stderr) == (1, "", "none found in budget\n")
+
+
+def test_a_report_whose_image_overflows_fails_re_verification(tmp_path):
+    report = dataclasses.replace(find_counterexample(complete(4), 1.5, seed=1), alpha=5000.5)
+    path = tmp_path / "w.json"
+    path.write_text(json.dumps(report.to_json()))
+    run = _cli_process("witness", "--verify", str(path))
+    assert (run.returncode, run.stdout, run.stderr) == (
+        1, "witness FAILED re-verification\n", "")
 
 
 def test_verify_of_an_overflowing_image_prints_one_error_line():

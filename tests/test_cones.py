@@ -175,6 +175,18 @@ def test_certify_not_psd_is_stricter_than_tolerance():
     assert certify_not_psd(np.diag([1.0, -0.5])) == pytest.approx(-0.5)
 
 
+
+def test_a_non_finite_matrix_certifies_nothing_and_is_no_psd_matrix():
+    # an image past the float range proves no failure, and passes no PSD test
+    for m in (np.array([[np.inf]]), np.array([[1.0, np.nan], [np.nan, 1.0]])):
+        assert certify_not_psd(m) is None
+        with pytest.raises(ValueError, match="non-finite"):
+            is_psd(m)
+    with pytest.raises(ValueError, match="square"):
+        certify_not_psd(np.ones((2, 3)))
+    with pytest.raises(ValueError, match="symmetric"):
+        certify_not_psd(np.array([[1.0, 2.0], [0.0, 1.0]]))
+
 # --- sampler ----------------------------------------------------------------
 
 

@@ -1710,6 +1710,23 @@ def test_a_plain_power_of_a_matrix_with_negative_entries_fails_verification():
     assert not WitnessReport.from_json(data).verify()
 
 
+@pytest.mark.filterwarnings("error")
+def test_a_float_report_whose_image_overflows_fails_verification():
+    # the block's entries above 1 overflow at this power: an image past the
+    # float range certifies nothing, so the report fails, quietly
+    w = find_counterexample(complete(4), 1.5, seed=1)
+    assert w.matrix is not None and w.verify()
+    assert dataclasses.replace(w, alpha=5000.5).verify() is False
+
+
+@pytest.mark.filterwarnings("error")
+def test_an_overflowing_signed_pair_proves_nothing():
+    # the signed pairs' images at this integer power off the odd lattice
+    # overflow: such a draw proves nothing, and the search goes on to the end
+    # of its budget without a warning
+    assert find_counterexample(complete(400), 320.0, "odd", seed=1) is None
+
+
 @pytest.mark.parametrize("field", ["factor", "test_vector"])
 def test_an_interval_certificate_of_another_shape_fails_verification(field):
     # a zero column adds nothing to F F^T and a trailing entry sits on no row
