@@ -9,7 +9,7 @@ cost of a numpy call per draw.
 
 import math
 
-import numpy as np
+from ._lazy_numpy import np
 
 
 def draws_from(rng):

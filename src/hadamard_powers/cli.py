@@ -19,9 +19,8 @@ import json
 import re
 import sys
 
-import numpy as np
-
 from . import graphs
+from ._lazy_numpy import np
 from .cones import FAMILIES, PSD_TOL, least_eigenvalue, sample_spectra
 from .exponents import (
     WitnessReport,
@@ -459,7 +458,7 @@ def main(argv=None):
     try:
         _resolve_config(args)
         return args.func(args)
-    except (CliError, ValueError, MemoryError, np.linalg.LinAlgError) as exc:
+    except (CliError, ValueError, MemoryError) as exc:  # numpy's LinAlgError is a ValueError
         print(f"error: {exc}", file=sys.stderr)
         return 2
 

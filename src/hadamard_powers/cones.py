@@ -13,8 +13,7 @@ from __future__ import annotations
 import itertools
 from dataclasses import dataclass
 
-import numpy as np
-
+from ._lazy_numpy import np
 from .graphs import _integer
 
 FAMILIES = ("plain", "odd", "even")

@@ -17,8 +17,7 @@ import re
 from dataclasses import dataclass
 from types import MappingProxyType
 
-import numpy as np
-
+from ._lazy_numpy import np
 from .cones import (
     FAMILIES,
     WITNESS_TOL,
@@ -51,7 +50,7 @@ _LATTICE_MIN = {"naturals": 1.0, "odd": 1.0, "even": 2.0}
 
 
 def _lattice_contains(lattice, alpha):
-    if not np.isfinite(alpha) or alpha < 1 or round(alpha) != alpha:
+    if not math.isfinite(alpha) or alpha < 1 or round(alpha) != alpha:
         return False
     k = int(round(alpha))
     if lattice == "naturals":
@@ -89,7 +88,7 @@ class HSet:
         if self.lattice not in LATTICES:
             raise ValueError(f"unknown lattice {self.lattice!r}")
         for ray in (self.ray_start, self.inner_ray):
-            if ray is not None and (not np.isfinite(ray) or ray < 0):
+            if ray is not None and (not math.isfinite(ray) or ray < 0):
                 raise ValueError(f"rays must be finite and >= 0, got {ray}")
         object.__setattr__(self, "exclusions", tuple(float(x) for x in self.exclusions))
         if self.exact and self.exclusions:
@@ -1123,7 +1122,7 @@ def find_counterexample(g, alpha, family="plain", budget=None, seed=0):
     stack at a time: a sample witness leaves it after its stack.
     """
     _check_family(family)
-    if not np.isfinite(alpha):
+    if not math.isfinite(alpha):
         raise ValueError(f"power must be finite, got {alpha}")
     if g.n < 1:
         raise ValueError("graph must have at least one vertex")

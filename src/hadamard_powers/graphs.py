@@ -12,9 +12,9 @@ import gc
 import itertools
 import operator
 import re
-from functools import cached_property
+from functools import cache, cached_property
 
-import numpy as np
+from ._lazy_numpy import np
 
 
 class GraphParseError(ValueError):
@@ -169,8 +169,15 @@ WHOLE_TEXT_MIN_CHARS = 600
 _WHOLE_TEXT_MAX_LABEL = 10**9 - 1
 
 _HEADER = re.compile(r"[ \t\n]*n[ \t]+\+?([0-9]{1,9})[ \t]*(?:\n|\Z)")
-_UNCLEAN = np.ones(256, dtype=bool)
-_UNCLEAN[list(b"0123456789+ \t\n")] = False
+
+
+@cache
+def _unclean():
+    """The mask of the bytes that clean text holds none of, built at the
+    first whole-text pass: importing the package runs no numpy."""
+    mask = np.ones(256, dtype=bool)
+    mask[list(b"0123456789+ \t\n")] = False
+    return mask
 
 
 def _parse_whole_text(text):
@@ -232,7 +239,7 @@ def _two_labels_a_line(raw):
     """True iff the bytes `raw` are digits, "+", spaces, tabs and "\n"
     only, each "+" starts a label and a digit follows it, and each line
     holds two labels or none."""
-    if _UNCLEAN[raw].any():
+    if _unclean()[raw].any():
         return False
     label = raw >= ord("+")  # "+" and the digits, past every separator
     start = label.copy()

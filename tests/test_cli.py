@@ -4,6 +4,7 @@ import argparse
 import contextlib
 import dataclasses
 import functools
+import hashlib
 import io
 import json
 import os
@@ -19,6 +20,7 @@ from hypothesis import strategies as st
 
 from hadamard_powers import cli, exponents
 from hadamard_powers.cli import main
+from hadamard_powers.cones import matrix_to_json
 from hadamard_powers.exponents import (
     WitnessReport,
     expected_hset,
@@ -960,14 +962,18 @@ def test_ce_exact_on_a_large_chordal_graph(capsys):
     assert data["ce"] == data["r"] - 2
 
 
-def _cli_process(*args, preexec_fn=None):
-    """A fresh `python -m hadamard_powers.cli ARGS` importing from this src/,
-    on one OpenBLAS thread."""
+def _python_process(*args, preexec_fn=None):
+    """A fresh `python ARGS` importing from this src/, on one OpenBLAS thread."""
     src = str(Path(__file__).resolve().parents[1] / "src")
     env = dict(os.environ, OPENBLAS_NUM_THREADS="1", PYTHONPATH=os.pathsep.join(
         filter(None, [src, os.environ.get("PYTHONPATH")])))
-    return subprocess.run([sys.executable, "-m", "hadamard_powers.cli", *args], env=env,
-                          capture_output=True, text=True, timeout=120, preexec_fn=preexec_fn)
+    return subprocess.run([sys.executable, *args], env=env, capture_output=True, text=True,
+                          timeout=120, preexec_fn=preexec_fn)
+
+
+def _cli_process(*args, preexec_fn=None):
+    """A fresh `python -m hadamard_powers.cli ARGS`, as _python_process."""
+    return _python_process("-m", "hadamard_powers.cli", *args, preexec_fn=preexec_fn)
 
 
 def _limit_address_space():
@@ -1004,3 +1010,104 @@ def test_verify_of_an_overflowing_image_prints_one_error_line():
                        "--samples", "5", "--seed", "1")
     assert (run.returncode, run.stdout, run.stderr) == (
         2, "", "error: matrix has non-finite entries\n")
+
+
+# --- numpy is imported at its first use -------------------------------------
+
+# numpy's own modules: the lazily bound `numpy` sits in sys.modules unrun
+_NUMPY_RAN = "('numpy._core' in sys.modules)"
+
+_EXACT_RUNS_SCRIPT = f"""
+import contextlib, io, json, sys
+from pathlib import Path
+import hadamard_powers
+from hadamard_powers import cli
+from hadamard_powers.graphs import band, cycle, near_complete, to_edge_list
+assert not {_NUMPY_RAN}, "import hadamard_powers ran numpy"
+work, runs = Path(sys.argv[1]), json.loads(sys.argv[2])
+for name, g in [("band", band(10, 5)), ("near_complete", near_complete(9)), ("cycle", cycle(7))]:
+    (work / f"{{name}}.edges").write_text(to_edge_list(g), encoding="utf-8")
+results = []
+for argv in runs:
+    out = io.StringIO()
+    with contextlib.redirect_stdout(out):
+        code = cli.main(argv)
+    results.append([code, out.getvalue(), {_NUMPY_RAN}])
+print(json.dumps(results))
+"""
+
+
+def test_the_exact_routes_run_no_numpy(capsys, tmp_path):
+    files = [str(tmp_path / f"{name}.edges") for name in ("band", "near_complete", "cycle")]
+    runs = [[command, path, *fmt] for path in files for command in ("hset", "ce")
+            for fmt in ([], ["--format", "json"])]
+    runs += [["hset", "--family", "cycle", "--n", "7"],
+             ["hset", "--family", "complete", "--n", "5", "--powers", "odd"],
+             ["hset", "--family", "complete-bipartite", "--a", "3", "--b", "4",
+              "--powers", "even"],
+             ["ce", "--family", "cycle", "--n", "600", "--seed", "3"],
+             ["ce", "--family", "cycle", "--n", "4", "--powers", "even", "--format", "json"],
+             ["ce", "--family", "complete", "--n", "40", "--format", "json"]]
+    process = _python_process("-c", _EXACT_RUNS_SCRIPT, str(tmp_path), json.dumps(runs))
+    assert process.returncode == 0, process.stderr
+    results = json.loads(process.stdout)
+    for argv, (code, out, numpy_ran) in zip(runs, results, strict=True):
+        assert not numpy_ran, argv
+        assert (code, out) == run(capsys, argv)[:2], argv  # as with numpy loaded
+
+
+_WITNESS_SCRIPT = f"""
+import contextlib, io, json, os, sys
+os.chdir(sys.argv[1])  # the reports are written here, by relative path
+if sys.argv[2] == "numpy first":
+    import numpy
+from hadamard_powers import cli
+assert {_NUMPY_RAN} == (sys.argv[2] == "numpy first")
+results = []
+for family in ("plain", "odd", "even"):
+    out = io.StringIO()
+    with contextlib.redirect_stdout(out):
+        code = cli.main(["witness", "--family", "near-complete", "--n", "9", "--alpha", "6.5",
+                         "--powers", family, "--seed", "1", "--output", f"{{family}}.json"])
+    results.append([code, out.getvalue()])
+print(json.dumps(results))
+"""
+
+
+def test_a_search_that_imports_numpy_first_writes_the_same_reports(tmp_path):
+    reports = {}
+    for when in ("numpy first", "numpy at first use"):
+        work = tmp_path / when.replace(" ", "_")
+        work.mkdir()
+        process = _python_process("-c", _WITNESS_SCRIPT, str(work), when)
+        assert process.returncode == 0, process.stderr
+        reports[when] = (process.stdout, {family: (work / f"{family}.json").read_bytes()
+                                          for family in ("plain", "odd", "even")})
+    assert reports["numpy at first use"] == reports["numpy first"]
+    pinned = {rec["family"]: rec for rec in json.loads(
+        (FIXTURES / "witness_certificates.json").read_text())
+        if rec["graph"] == "near_complete(9)" and rec["alpha"] == 6.5}
+    for family, report in reports["numpy first"][1].items():
+        w = WitnessReport.from_json(json.loads(report))
+        rows = matrix_to_json(w.dense())["rows"]
+        rec = pinned[family]
+        assert (repr(w.image_min_eigenvalue), w.certificate.digits, w.construction,
+                hashlib.sha256(json.dumps(rows).encode()).hexdigest()) == (
+            rec["image_min_eigenvalue"], rec["digits"], rec["construction"],
+            rec["matrix_sha256"]), family
+
+
+_WHOLE_TEXT_SCRIPT = f"""
+import json, sys
+from hadamard_powers import graphs
+text = graphs.to_edge_list(graphs.band(60, 3))
+assert len(text) >= graphs.WHOLE_TEXT_MIN_CHARS and not {_NUMPY_RAN}
+whole = graphs._parse_whole_text(text)  # builds its byte mask now
+print(json.dumps([whole is not None and whole == graphs._parse_lines(text), {_NUMPY_RAN}]))
+"""
+
+
+def test_the_whole_text_parser_reads_its_first_text_as_the_line_parser():
+    process = _python_process("-c", _WHOLE_TEXT_SCRIPT)
+    assert process.returncode == 0, process.stderr
+    assert json.loads(process.stdout) == [True, True]
