@@ -85,7 +85,9 @@ _RUN_FLAGS = {
     "--powers": {"choices": FAMILIES, "default": "plain",
                  "help": "power family: plain x^a, odd sgn(x)|x|^a, even |x|^a"},
     "--seed": {"type": int, "default": None, "help": "random seed (default 0)"},
-    "--budget": {"type": int, "default": None},
+    "--budget": {"type": int, "default": None,
+                 "help": "most random samples per witness search, >= 1 (default 500 in "
+                         "witness, 120 per searched power in ce and scan)"},
     "--format": {"choices": ("text", "json"), "default": "text", "dest": "output_format"},
 }
 

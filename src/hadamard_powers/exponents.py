@@ -324,7 +324,7 @@ def expected_hset(g, family="plain"):
 # witness search
 
 
-#: v = BORDER_SCALE * linspace(1, 2, m) in the closed-form bordered witness
+#: v = BORDER_SCALE * y in the closed-form bordered witness (_closed_form_witness)
 BORDER_SCALE = 0.56
 #: most decimal digits an interval certificate may use; a closed-form
 #: witness not proved at this precision is dropped, and verify() rejects
@@ -476,16 +476,26 @@ def _test_vector_entry(text):
     return _exact_context().create_decimal(text)
 
 
-def _form_upper(gram, alpha, digits, x):
-    """Upper bound on x^T (F F^T)^{∘alpha} x, gram the entries of F F^T
-    (_gram) and x exact decimals.
+def _image_ends(s, alpha, digits, odd):
+    """(lower, upper) enclosing the image of the Gram entry s: the ends of
+    |s|^alpha (_power_ends), negated and swapped where s < 0 and the family
+    is odd. Sign changes are exact, so the ends round as _power_ends's do."""
+    lower, upper = _power_ends(s.copy_abs(), alpha, digits)
+    if odd and s < 0:
+        return upper.copy_negate(), lower.copy_negate()
+    return lower, upper
 
-    Every image entry is positive, so the term of the pair i <= j,
-    c = x_i x_j (doubled off the diagonal) times the entry, is at most c
-    times the entry's upper end when c > 0 and its lower end when c < 0;
-    only that end is read (_power_ends). Every operation rounds up, at
-    2 digits + 1 digits, so c is exact for x of `digits` digits and the sum
-    is an upper bound.
+
+def _form_upper(gram, alpha, digits, x, odd):
+    """Upper bound on x^T (F F^T)^{∘alpha} x, gram the entries of F F^T
+    (_gram), x exact decimals and odd whether the family keeps the sign of
+    a negative entry (_image_ends).
+
+    The term of the pair i <= j, c = x_i x_j (doubled off the diagonal)
+    times the image entry, is at most c times the entry's upper end when
+    c > 0 and its lower end when c < 0; only that end is read. Every
+    operation rounds up, at 2 digits + 1 digits, so c is exact for x of
+    `digits` digits and the sum is an upper bound.
     """
     ctx = _context(2 * digits + 1, "ROUND_CEILING")
     total = ctx.create_decimal(0)
@@ -494,7 +504,7 @@ def _form_upper(gram, alpha, digits, x):
         if i != j:
             c = ctx.add(c, c)
         if c:
-            end = _power_ends(s, alpha, digits)[c > 0]
+            end = _image_ends(s, alpha, digits, odd)[c > 0]
             total = ctx.add(total, ctx.multiply(c, end))
     return total
 
@@ -520,18 +530,20 @@ class IntervalCertificate:
     test_vector: tuple[str, ...]
     digits: int
 
-    def upper_bound(self, alpha):
-        """Upper bound on x^T (F F^T)^{∘alpha} x, a decimal; ValueError
-        when a test vector entry is not a plain decimal number."""
+    def upper_bound(self, alpha, family="plain"):
+        """Upper bound on x^T (F F^T)^{∘alpha} x in the family's powers, a
+        decimal; ValueError when a test vector entry is not a plain decimal
+        number."""
         x = [_test_vector_entry(v) for v in self.test_vector]
-        return _form_upper(_gram(self.factor), alpha, self.digits, x)
+        return _form_upper(_gram(self.factor), alpha, self.digits, x, family == "odd")
 
     def proves(self, k, edges, alpha, family):
         """For a support U of k labels, F's rows in their order, and edges
         those of G[U] as pairs (i, j), i < j, of rows: F is a finite k x 2
         factor with one test vector entry per row; each column of F is
-        supported on a clique, so F F^T conforms exactly; F is nonnegative,
-        so the three families share one image; and the interval bound is
+        supported on a clique, so F F^T conforms exactly; F is nonnegative
+        in the plain family, whose powers take no negative entry, and may be
+        signed in the odd and even ones; and the interval bound is
         negative."""
         f = self.factor
         if f.shape != (k, 2) or len(self.test_vector) != k or not np.isfinite(f).all():
@@ -540,12 +552,12 @@ class IntervalCertificate:
             rows = np.flatnonzero(col).tolist()
             if not all(pair in edges for pair in itertools.combinations(rows, 2)):
                 return False
-        if family not in FAMILIES or (f < 0).any() or not np.isfinite(alpha):
+        if family not in FAMILIES or family == "plain" and (f < 0).any() or not np.isfinite(alpha):
             return False
         if not 1 <= self.digits <= CERTIFICATE_MAX_DIGITS:
             return False
         try:
-            return self.upper_bound(alpha) < 0
+            return self.upper_bound(alpha, family) < 0
         except (ValueError, ArithmeticError):  # not a number, or out of decimal range
             return False
 
@@ -898,23 +910,24 @@ class _DecimalContext:
         return self.context.create_decimal(x)
 
 
-def _point_image(gram, alpha, digits, k):
+def _point_image(gram, alpha, digits, k, odd=False):
     """(ctx, image): the _DecimalContext of `digits` digits and the k x k
-    image, each entry the lower end of (F F^T)^{∘alpha} (_power_ends on
+    image, each entry the lower end of (F F^T)^{∘alpha} (_image_ends on
     gram, from _gram) rounded once to those digits; zero where F F^T is."""
     ctx = _DecimalContext(digits)
     image = [[ctx.zero] * k for _ in range(k)]
     for (i, j), s in gram.items():
-        image[i][j] = image[j][i] = ctx.mpf(_power_ends(s, alpha, digits)[0])
+        image[i][j] = image[j][i] = ctx.mpf(_image_ends(s, alpha, digits, odd)[0])
     return ctx, image
 
 
-def _interval_certificate(factor, alpha, digits):
+def _interval_certificate(factor, alpha, digits, family="plain"):
     """(certificate, least image eigenvalue) proving F F^T a witness at
-    alpha, F the factor on the witness's support U, every row of it
-    nonzero, doubling the precision from `digits`; None past the limit
-    (_certified_block)."""
-    proved = _certified_block(*_block_key(factor), alpha, digits)
+    alpha in the family's powers, F the factor on the witness's support U,
+    every row of it nonzero, doubling the precision from `digits`; None
+    past the limit (_certified_block)."""
+    odd = family == "odd" and bool((factor < 0).any())
+    proved = _certified_block(*_block_key(factor), alpha, digits, odd)
     if proved is None:
         return None
     strings, digits, lam = proved
@@ -922,10 +935,11 @@ def _interval_certificate(factor, alpha, digits):
 
 
 @functools.lru_cache(maxsize=CERTIFICATE_MEMO)
-def _certified_block(shape, data, alpha, digits):
+def _certified_block(shape, data, alpha, digits, odd):
     """(test vector, digits, least image eigenvalue) proving B B^T a
     witness at alpha for the block B of that shape and bytes, the factor F
-    on the support U: the vector as decimal strings on B's rows, the precision
+    on the support U, odd whether a negative entry's image keeps its sign
+    (_image_ends): the vector as decimal strings on B's rows, the precision
     that proved it and a float. None past CERTIFICATE_MAX_DIGITS.
 
     Each precision rounds every image entry down once (_point_image); the
@@ -940,28 +954,29 @@ def _certified_block(shape, data, alpha, digits):
     recomputed, at doubled precision up to CERTIFICATE_MAX_DIGITS, so that
     it is resolved to float precision.
 
-    Memoized per process on (shape, bytes, alpha, digits): the plain, odd
-    and even searches at one alpha, whose nonnegative F F^T has one image,
-    and graphs whose bordered block is the same make one proof.
+    Memoized per process on (shape, bytes, alpha, digits, odd): the plain,
+    odd and even searches at one alpha, whose nonnegative F F^T has one
+    image (odd is False for it), and graphs whose bordered block is the
+    same make one proof.
     """
     gram = _exact_gram(shape, data)
     while digits <= CERTIFICATE_MAX_DIGITS:
-        ctx, point = _point_image(gram, alpha, digits, shape[0])
+        ctx, point = _point_image(gram, alpha, digits, shape[0], odd)
         with ctx.local():
             found = _negative_pivot_vector(ctx, point)
             if found is not None:
                 strings = tuple(format(v, f".{digits}g") for v in found[0])
                 exact = [_test_vector_entry(v) for v in strings]
-                if _form_upper(gram, alpha, digits, exact) < 0:
+                if _form_upper(gram, alpha, digits, exact, odd) < 0:
                     lam = _least_eigenvalue(ctx, point, found[0])
                     if lam is not None:
-                        return strings, digits, _resolved_eigenvalue(gram, alpha, ctx, point,
-                                                                      found[0], lam)
+                        return strings, digits, _resolved_eigenvalue(gram, alpha, odd, ctx,
+                                                                      point, found[0], lam)
         digits *= 2
     return None
 
 
-def _resolved_eigenvalue(gram, alpha, ctx, image, x, lam):
+def _resolved_eigenvalue(gram, alpha, odd, ctx, image, x, lam):
     """lam, the least eigenvalue of the point image = (F F^T)^{∘alpha} at
     ctx's precision, as a float. While the noise floor exceeds 2^-53 |lam|
     and the precision stays within CERTIFICATE_MAX_DIGITS, Rayleigh-quotient
@@ -971,7 +986,7 @@ def _resolved_eigenvalue(gram, alpha, ctx, image, x, lam):
         with ctx.local():
             if _noise_floor(ctx, image) <= abs(lam) * ctx.mpf(2.0 ** -53):
                 break
-        ctx, image = _point_image(gram, alpha, 2 * ctx.dps, len(image))
+        ctx, image = _point_image(gram, alpha, 2 * ctx.dps, len(image), odd)
         with ctx.local():
             finer = _least_eigenvalue(ctx, image, [ctx.mpf(v) for v in x])
         if finer is None:
@@ -981,27 +996,32 @@ def _resolved_eigenvalue(gram, alpha, ctx, image, x, lam):
 
 
 def _closed_form_witness(g, alpha, family, support):
-    """Bordered witness at a non-integer alpha with u = 1 and
-    v = BORDER_SCALE * linspace(1, 2, m), m = |S| = floor(alpha) + 1.
+    """Bordered witness with u = 1 and v = BORDER_SCALE * y on
+    m = |S| = floor(alpha) + 1 rows: y = linspace(1, 2, m) at a non-integer
+    alpha, linspace(-0.7, 2, m) at an integer alpha >= 1.
 
     The image is PSD iff the defect (J + e^2 yy^T)^{∘alpha} - J
-    - e^{2 alpha} y^{∘alpha} (y^{∘alpha})^T is, with v = e y. Expanding
-    (1 + e^2 y_i y_j)^alpha in powers of e^2, the terms up to
-    e^{2 floor(alpha)} vanish on a vector orthogonal to y^{∘1}, ...,
-    y^{∘floor(alpha)}, and there the -e^{2 alpha} term outweighs the rest
-    (the Taylor argument, FitzGerald-Horn 1977, J. Math. Anal. Appl. 61).
-    The entries are nonnegative, so the matrix serves all three families.
-    The float eigenvalue proves the failure when it clears the witness
-    threshold; otherwise an IntervalCertificate does.
+    - f(e y) f(e y)^T is, with v = e y and f the family's power map.
+    Expanding (1 + e^2 y_i y_j)^alpha in powers of e^2, the terms up to
+    e^{2 floor(alpha)} vanish on a vector z orthogonal to y^{∘1}, ...,
+    y^{∘floor(alpha)}, and there the -e^{2 alpha} (z^T f(y))^2 term outweighs
+    the rest (the Taylor argument, FitzGerald-Horn 1977, J. Math. Anal.
+    Appl. 61). At a non-integer alpha the series does not stop and y > 0;
+    at an integer one it stops at e^{2 alpha} y^{∘alpha}, and the signs of
+    y keep f(y) off it: off the lattice, f is sgn(x)|x|^alpha at an even
+    alpha or |x|^alpha at an odd one. The float eigenvalue proves the
+    failure when it clears the witness threshold; otherwise an
+    IntervalCertificate does.
     """
     m = len(support[1])
+    low = -0.7 if float(alpha).is_integer() and alpha >= 1 else 1.0
     labels, factor = _bordered_block(support, np.ones(m),
-                                     BORDER_SCALE * np.linspace(1.0, 2.0, m))
+                                     BORDER_SCALE * np.linspace(low, 2.0, m))
     matrix = factor_gram(factor)
     lam = certify_not_psd(_power(matrix, alpha, family))
     proof = {"matrix": matrix}
     if lam is None:
-        proved = _interval_certificate(factor, alpha, 20 + 5 * m)
+        proved = _interval_certificate(factor, alpha, 20 + 5 * m, family)
         if proved is None:
             return None
         proof, lam = {"certificate": proved[0]}, proved[1]
@@ -1010,42 +1030,15 @@ def _closed_form_witness(g, alpha, family, support):
                                     construction="rank_one_bordered", **proof)
 
 
-def _bordered_search(g, alpha, family, budget, rng):
-    """Rank-one bordered strategy on (v1, S[:m], v2), S the clique of the
-    largest near-complete subgraph's certificate: the closed-form pair at
-    non-integer powers, random signed pairs whose super-additivity defect
-    fails on the separator clique at integer powers off the family's
-    lattice. rng() returns the generator; only the signed pairs call it."""
+def _bordered_search(g, alpha, family):
+    """The closed-form witness (_closed_form_witness) on (v1, S[:m], v2),
+    S the clique of the largest near-complete subgraph's certificate, at a
+    power alpha < r - 2 off the family's lattice; None at any other."""
     r, v1, s, v2 = g.analysis.near_complete
-    s_max = r - 2
-    if s_max < 1:
+    if r < 3 or alpha >= r - 2 or _lattice_contains(_LATTICE_FOR_FAMILY[family], alpha):
         return None
-    is_integer = float(alpha).is_integer() and alpha >= 1
-    if is_integer:
-        if _lattice_contains(_LATTICE_FOR_FAMILY[family], alpha):
-            return None
-        m = int(alpha) + 1
-        if m > s_max:
-            return None
-    else:
-        if alpha >= s_max:
-            return None
-        m = max(1, int(math.floor(alpha)) + 1)
-    support = (v1, s[:m], v2)
-    if not is_integer:
-        return _closed_form_witness(g, alpha, family, support)
-    gen = rng()
-    for _ in range(budget):
-        u = gen.standard_normal(m)
-        v = gen.standard_normal(m)
-        labels, factor = _bordered_block(support, u, v)
-        matrix = factor_gram(factor)
-        lam = certify_not_psd(entrywise_power(matrix, alpha, family))
-        if lam is not None:
-            return WitnessReport.on_support(g, labels, alpha=alpha, family=family,
-                                            matrix=matrix, image_min_eigenvalue=lam,
-                                            construction="rank_one_bordered")
-    return None
+    m = max(1, math.floor(alpha) + 1)
+    return _closed_form_witness(g, alpha, family, (v1, s[:m], v2))
 
 
 # --- signed even cycles (even-power family only) ---------------------------
@@ -1088,9 +1081,10 @@ def _signed_cycle_witness(g, alpha):
 
 
 class _LazyGenerator:
-    """np.random.default_rng(seed), built on the first call: a search that
-    draws nothing does not load numpy.random. Searches handed the same
-    handle read one stream."""
+    """np.random.default_rng(seed), built on the first call, which only the
+    samples make: a search settled by the closed form or a signed cycle
+    does not load numpy.random. Searches handed the same handle read one
+    stream."""
 
     def __init__(self, seed):
         self._seed = seed
@@ -1106,20 +1100,19 @@ def find_counterexample(g, alpha, family="plain", budget=None, seed=0):
     """Search for a PSD matrix in the pattern cone whose entrywise power
     fails PSD-ness at the given alpha.
 
-    Strategies, in order: the rank-one bordered construction on a largest
-    near-complete subgraph (closed-form at non-integer powers, random
-    signed pairs at integer ones), a signed even cycle for the even-power
-    family, and random clique-sum samples. `budget` (>= 1) caps both the
-    signed-pair draws and the samples; None means 200 draws and 500
-    samples. Returns the first strictly certified witness, or None once the
-    budget is exhausted (absence of a witness is evidence, not proof). An
-    image that overflows proves nothing, in any strategy.
+    Strategies, in order: the closed-form rank-one bordered construction
+    on a largest near-complete subgraph, at every power below r - 2 off
+    the family's lattice; a signed even cycle for the even-power family;
+    and random clique-sum samples. `budget` (>= 1) caps the samples; None
+    means 500. Returns the first strictly certified witness, or None once
+    the budget is exhausted (absence of a witness is evidence, not proof).
+    An image that overflows proves nothing, in any strategy.
 
-    The generator np.random.default_rng(seed) is built at the first draw,
-    by the signed pairs or the samples, which read it in that order. A
-    search settled by the closed form or a signed cycle builds none, so it
-    leaves a Generator passed as seed untouched. The samples are drawn a
-    stack at a time: a sample witness leaves it after its stack.
+    Only the samples draw: np.random.default_rng(seed) is built at their
+    first draw, and a search settled by the closed form or a signed cycle
+    builds none, so it leaves a Generator passed as seed untouched. The
+    samples are drawn a stack at a time: a sample witness leaves it after
+    its stack.
     """
     _check_family(family)
     if not math.isfinite(alpha):
@@ -1130,7 +1123,7 @@ def find_counterexample(g, alpha, family="plain", budget=None, seed=0):
         raise ValueError(f"budget must be >= 1, got {budget}")
     rng = seed if isinstance(seed, _LazyGenerator) else _LazyGenerator(seed)
     if g.n >= 2:
-        report = _bordered_search(g, alpha, family, budget or 200, rng)
+        report = _bordered_search(g, alpha, family)
         if report is not None:
             return report
     if family == "even":
@@ -1180,7 +1173,7 @@ def _walk(g, known, family, budget, seed):
     the set, so the walk reads only the least of them, as the upper end
     should the next one down be refuted; an upper end there is proven,
     any other only means the search found no witness. Each unknown power
-    gets find_counterexample with `budget` draws (120 if None); the
+    gets find_counterexample with `budget` samples (120 if None); the
     searches read one generator, np.random.default_rng(seed), built at
     their first draw."""
     per_unit = round(1 / GRID_STEP)

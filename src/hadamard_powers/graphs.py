@@ -12,6 +12,7 @@ import gc
 import itertools
 import operator
 import re
+import sys
 from functools import cache, cached_property
 
 from ._lazy_numpy import np
@@ -149,11 +150,16 @@ def parse_edge_list(text):
     with a label above the declared count is reported only when no line
     has any other error.
 
-    Clean text (_parse_whole_text) is read in one pass over the whole text;
-    any other text, and any text shorter than WHOLE_TEXT_MIN_CHARS, line by
-    line (_parse_lines), which reports errors with their line numbers.
+    Clean text (_parse_whole_text) is read in one pass over the whole text,
+    from WHOLE_TEXT_MIN_CHARS characters once numpy is loaded and from
+    WHOLE_TEXT_COLD_MIN_CHARS before; any other text, and any shorter text,
+    line by line (_parse_lines), which reports errors with their line
+    numbers.
     """
-    if len(text) >= WHOLE_TEXT_MIN_CHARS:
+    # the lazily bound numpy sits in sys.modules from the start: its core
+    # is there once its import has run
+    loaded = "numpy._core" in sys.modules
+    if len(text) >= (WHOLE_TEXT_MIN_CHARS if loaded else WHOLE_TEXT_COLD_MIN_CHARS):
         g = _parse_whole_text(text)
         if g is not None:
             return g
@@ -163,6 +169,11 @@ def parse_edge_list(text):
 #: Below this many characters the line parser is the faster one: the
 #: whole-text pass costs a few dozen numpy calls, whatever the size.
 WHOLE_TEXT_MIN_CHARS = 600
+#: The same break-even in a process that has not imported numpy, whose
+#: import (about 0.1 s) the whole-text pass would pay: on tree edge lists
+#: in fresh processes (2 vCPUs, Python 3.11, numpy 2.4) the two routes tie
+#: at about 1.18 M characters.
+WHOLE_TEXT_COLD_MIN_CHARS = 1_200_000
 
 #: The largest label or count the whole-text pass reads: keys i (n + 1) + j
 #: stay within int64, and a larger one takes the line parser, as before.

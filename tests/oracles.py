@@ -570,9 +570,9 @@ def verify_dense(data):
     """WitnessReport.verify on the dense JSON form, as it ran on n x n
     reports: the matrix has the graph's order; with a certificate, it is
     the float Gram of the n x 2 factor bit for bit, each factor column lies
-    on a clique, the factor is nonnegative and the interval bound is
-    negative; without one, it conforms, is PSD and its image clears the
-    witness threshold."""
+    on a clique, the factor is nonnegative in the plain family and the
+    interval bound is negative; without one, it conforms, is PSD and its
+    image clears the witness threshold."""
     g, m = graph_from_json(data["graph"]), matrix_from_json(data["matrix"])
     alpha, family = float(data["alpha"]), data["family"]
     if m.shape[0] != g.n:
@@ -588,12 +588,12 @@ def verify_dense(data):
             if not all(g.has_edge(a + 1, b + 1)
                        for a, b in itertools.combinations(np.flatnonzero(col), 2)):
                 return False
-        if family not in FAMILIES or (f < 0).any() or not np.isfinite(alpha):
+        if family not in FAMILIES or family == "plain" and (f < 0).any() or not np.isfinite(alpha):
             return False
         if not 1 <= cert.digits <= exponents.CERTIFICATE_MAX_DIGITS:
             return False
         try:
-            return cert.upper_bound(alpha) < 0
+            return cert.upper_bound(alpha, family) < 0
         except (ValueError, ArithmeticError):
             return False
     if not conforms_by_pair_scan(m, g) or not is_psd(m).is_psd:
@@ -605,29 +605,22 @@ def verify_dense(data):
     return certify_not_psd(image) is not None
 
 
-def dense_witness_matrix(g, alpha, family, budget=200, seed=0):
+def dense_witness_matrix(g, alpha, family):
     """The n x n matrix of the bordered or signed-cycle witness of
     find_counterexample, built as its searches built it in n rows: the
-    bordered factor on the rows (v1, S[:m], v2), closed form at a
-    non-integer power, else the first signed pair drawn from
-    default_rng(seed) whose (v1, S, v2)-ordered image fails; then the
+    closed-form bordered factor on the rows (v1, S[:m], v2), u = 1 and
+    v = BORDER_SCALE * linspace(1, 2, m), or linspace(-0.7, 2, m) at an
+    integer power, below r - 2 and off the family's lattice; then the
     signed cycle. None where both strategies give up."""
     r, v1, s, v2 = g.analysis.near_complete
     integer = float(alpha).is_integer() and alpha >= 1
-    m = int(alpha) + 1 if integer else max(1, math.floor(alpha) + 1)
+    m = max(1, math.floor(alpha) + 1)
     lattice = {"plain": "naturals", "odd": "odd", "even": "even"}[family]
-    if r - 2 >= 1 and (m <= r - 2 if integer else alpha < r - 2) and not (
-            integer and exponents._lattice_contains(lattice, alpha)):
+    if r - 2 >= 1 and alpha < r - 2 and not exponents._lattice_contains(lattice, alpha):
         index = [v1 - 1, *(x - 1 for x in s[:m]), v2 - 1]
-        if not integer:
-            u, v = np.ones(m), exponents.BORDER_SCALE * np.linspace(1.0, 2.0, m)
-            return factor_gram(bordered_factor(u, v, g.n, index))
-        gen = np.random.default_rng(seed)
-        for _ in range(budget):
-            u, v = gen.standard_normal(m), gen.standard_normal(m)
-            small = entrywise_power(factor_gram(bordered_factor(u, v)), alpha, family)
-            if certify_not_psd(small) is not None:
-                return factor_gram(bordered_factor(u, v, g.n, index))
+        y = np.linspace(-0.7 if integer else 1.0, 2.0, m)
+        u, v = np.ones(m), exponents.BORDER_SCALE * y
+        return factor_gram(bordered_factor(u, v, g.n, index))
     cyc = g.analysis.even_cycle
     if family != "even" or alpha <= 0 or cyc is None:
         return None

@@ -18,7 +18,7 @@ import pytest
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
-from hadamard_powers import cli, exponents
+from hadamard_powers import cli, exponents, graphs
 from hadamard_powers.cli import main
 from hadamard_powers.cones import matrix_to_json
 from hadamard_powers.exponents import (
@@ -29,6 +29,7 @@ from hadamard_powers.exponents import (
 from hadamard_powers.graphs import (
     FAMILY_GENERATORS,
     Graph,
+    band,
     complete,
     complete_bipartite,
     cycle,
@@ -382,6 +383,48 @@ def test_witness_line_names_the_certificate_route(capsys, tmp_path, argv, route)
     assert code == 0 and out.rstrip().endswith(route)
     code, out, _ = run(capsys, ["witness", "--verify", str(out_file)])
     assert code == 0 and "verified" in out
+
+
+def _integer_power_report(capsys, tmp_path, k, family):
+    """The report of witness on K_{k+3} at the integer power k, in a family
+    whose lattice misses k: the closed form with signed y."""
+    out_file = tmp_path / "w.json"
+    code, out, _ = run(capsys, ["witness", "--family", "complete", "--n", str(k + 3),
+                                "--alpha", str(k), "--powers", family, "--seed", "1",
+                                "-o", str(out_file)])
+    assert code == 0 and f"interval, {20 + 5 * (k + 1)} digits" in out
+    return json.loads(out_file.read_text())
+
+
+def _verify_exit(capsys, tmp_path, data):
+    path = tmp_path / "mutant.json"
+    path.write_text(json.dumps(data))
+    code, out, _ = run(capsys, ["witness", "--verify", str(path)])
+    assert out == ("witness verified\n" if code == 0 else "witness FAILED re-verification\n")
+    return code
+
+
+@pytest.mark.parametrize("k, family", [(7, "even"), (8, "odd")])
+def test_an_integer_power_report_with_one_sign_of_y_flipped_fails_verify(capsys, tmp_path, k,
+                                                                         family):
+    data = _integer_power_report(capsys, tmp_path, k, family)
+    assert _verify_exit(capsys, tmp_path, data) == 0
+    u, v = data["certificate"]["factor"]
+    rows = [i for i, (a, b) in enumerate(zip(u, v)) if a and b]  # the rows of S
+    assert len(rows) == k + 1 and min(v[i] for i in rows) < 0 < max(v[i] for i in rows)
+    for i in rows:
+        data["certificate"]["factor"][1][i] = -v[i]
+        assert _verify_exit(capsys, tmp_path, data) == 1, i
+        data["certificate"]["factor"][1][i] = -v[i]
+
+
+@pytest.mark.parametrize("k, family, other", [(7, "even", "plain"), (8, "odd", "even")])
+def test_a_signed_factor_fails_verify_in_another_family(capsys, tmp_path, k, family, other):
+    # plain powers take no negative entry, even at 7 where the even-family
+    # bound is negative; the odd report at 8 re-read in the even family has
+    # the image |s|^8, PSD by the Schur product theorem
+    data = _integer_power_report(capsys, tmp_path, k, family)
+    assert _verify_exit(capsys, tmp_path, {**data, "family": other}) == 1
 
 
 @pytest.mark.parametrize("field, value", [("test_vector", 5), ("test_vector", [0.5]),
@@ -1111,3 +1154,28 @@ def test_the_whole_text_parser_reads_its_first_text_as_the_line_parser():
     process = _python_process("-c", _WHOLE_TEXT_SCRIPT)
     assert process.returncode == 0, process.stderr
     assert json.loads(process.stdout) == [True, True]
+
+
+_COLD_CE_SCRIPT = f"""
+import contextlib, io, json, sys
+from hadamard_powers import cli
+out = io.StringIO()
+with contextlib.redirect_stdout(out):
+    code = cli.main(["ce", sys.argv[1], "--format", "json"])
+print(json.dumps([code, out.getvalue(), {_NUMPY_RAN}]))
+"""
+
+
+def test_an_exact_ce_of_a_short_clean_file_runs_no_numpy(capsys, tmp_path):
+    # band(60, 3) is 1,001 characters of clean text: past the whole-text
+    # pass's break-even once numpy is loaded, far below the one that pays
+    # numpy's import, so a fresh process reads it line by line
+    path = tmp_path / "band60.edges"
+    path.write_text(to_edge_list(band(60, 3)))
+    size = len(path.read_text())
+    assert graphs.WHOLE_TEXT_MIN_CHARS <= size < graphs.WHOLE_TEXT_COLD_MIN_CHARS
+    process = _python_process("-c", _COLD_CE_SCRIPT, str(path))
+    assert process.returncode == 0, process.stderr
+    code, out, numpy_ran = json.loads(process.stdout)
+    assert not numpy_ran
+    assert (code, out) == run(capsys, ["ce", str(path), "--format", "json"])[:2]

@@ -22,7 +22,7 @@ from mpmath.libmp import from_float, mpf_mul
 
 from hadamard_powers import _ln_exp, chordal, exponents
 from hadamard_powers.chordal import is_chordal
-from hadamard_powers.cones import bordered_factor, matrix_to_json
+from hadamard_powers.cones import bordered_factor, factor_gram, matrix_to_json
 from hadamard_powers.exponents import (
     BORDER_SCALE,
     HSet,
@@ -1010,13 +1010,68 @@ def test_closed_form_witness_verifies(case):
     assume(not float(alpha).is_integer())
     g = near_complete(m + 3) if near else complete(m + 2)
 
-    def no_generator():
-        raise AssertionError("the closed form draws nothing")
-
-    w = _bordered_search(g, alpha, family, 1, no_generator)
+    w = _bordered_search(g, alpha, family)
     assert w is not None and w.construction == "rank_one_bordered"
     assert w.image_min_eigenvalue < 0
     assert WitnessReport.from_json(json.loads(json.dumps(w.to_json()))).verify()
+
+
+# the family whose lattice misses the integer power k
+_EXCLUDING_FAMILY = {0: "odd", 1: "even"}
+
+
+@settings(max_examples=40, deadline=None)
+@given(st.one_of(st.builds(complete, st.integers(2, 12)),
+                 chordal_graphs().filter(lambda g: g.n <= 12)))
+def test_every_integer_power_proved_out_has_a_certified_witness(g):
+    assume(g.n >= 2)
+    for family in ("plain", "odd", "even"):
+        known = expected_hset(g, family)
+        for k in range(1, g.n - 2):
+            if known.classify(float(k)) == "out":
+                w = find_counterexample(g, float(k), family, seed=1)
+                assert w is not None and w.construction == "rank_one_bordered", (family, k)
+                assert WitnessReport.from_json(json.loads(json.dumps(w.to_json()))).verify()
+
+
+def _family_image(mp, f, alpha, family):
+    """(F F^T)^{∘alpha} in the family's powers as an mpmath matrix."""
+    vals = [[mp.mpf(float(x)) for x in row] for row in f]
+    out = mp.matrix(len(vals), len(vals))
+    for i, row in enumerate(vals):
+        for j, other in enumerate(vals):
+            s = sum(a * b for a, b in zip(row, other))
+            if s:
+                out[i, j] = abs(s) ** alpha * (-1 if family == "odd" and s < 0 else 1)
+    return out
+
+
+@pytest.mark.parametrize("k", [4, 7, 8, 13])
+def test_the_integer_closed_form_eigenvalue_is_the_200_digit_one(k):
+    family = _EXCLUDING_FAMILY[k % 2]
+    w = find_counterexample(complete(k + 3), float(k), family, seed=1)
+    assert w.certificate is not None and w.certificate.digits == 20 + 5 * (k + 1)
+    mp = MPContext()
+    mp.dps = 200
+    least = min(mp.eigsy(_family_image(mp, w.certificate.factor, k, family))[0])
+    assert least < 0 and abs(w.image_min_eigenvalue - least) <= abs(least) * 2**-52
+
+
+@pytest.mark.parametrize("k", [2, 3, 7, 8])
+def test_an_integer_closed_form_on_k_rows_proves_nothing(k):
+    # with m = k rows no vector is orthogonal to y^{∘1}, ..., y^{∘k}, so the
+    # defect has no negative direction: the image is positive definite, no
+    # certificate is found up to the digit limit and the float report fails
+    family = _EXCLUDING_FAMILY[k % 2]
+    factor = bordered_factor(np.ones(k), BORDER_SCALE * np.linspace(-0.7, 2.0, k))
+    mp = MPContext()
+    mp.dps = 60
+    assert min(mp.eigsy(_family_image(mp, factor, k, family))[0]) > 0
+    assert _interval_certificate(factor, float(k), 20 + 5 * k, family) is None
+    report = WitnessReport.on_support(
+        complete(k + 3), range(1, k + 3), alpha=float(k), family=family,
+        image_min_eigenvalue=-1.0, construction="rank_one_bordered", matrix=factor_gram(factor))
+    assert not WitnessReport.from_json(report.to_json()).verify()
 
 
 WITNESS_WORKLOAD = [(band(10, 5), (4.5, 4.95)), (band(14, 6), (5.5, 4.75)),
@@ -1194,25 +1249,24 @@ def test_image_end_memo_stays_within_its_bound():
 
 
 # sha256 of the canonical bytes (sorted keys, no spaces) of the report in
-# its dense form (dense_report_json), recorded before the generator was
-# built lazily: the signed pairs and the samples still read
-# np.random.default_rng(seed) in the same order. The first pin was taken
-# again when reports came to be kept on their support: the n x n Gram of
-# that pair had -0.0 on its zero row, where dense() pads with 0.0, and its
-# least image eigenvalue, now of the 5 x 5 block, moved in its last bits
+# its dense form (dense_report_json). The integer powers of K_6 off the
+# family's lattice take the closed form with signed y, which draws nothing,
+# on the float route. Two disjoint edges have r = 2, so no bordered
+# witness: the clique-sum samples read np.random.default_rng(seed) from its
+# start
+TWO_EDGES = Graph.from_edges(4, [(1, 2), (3, 4)])
 RNG_STREAM_PINS = [
     (complete(6), 2.0, "odd", None, 3, "rank_one_bordered",
-     "e758b500d108e48be9141c6568cf2f0be9cdba8ee95854b5cde0db51f997f9f3"),
+     "011ec792e0bbae05b291546be0947c54045f9dc93a022551278b08efdeee63c8"),
     (complete(6), 3.0, "even", None, 3, "rank_one_bordered",
-     "0f15d75acb870217c4bf6e8957118b02e4afda70a0c2348cfce48a42bfca06a0"),
-    # ten signed pairs miss, then the clique-sum samples hit
-    (complete(7), 4.0, "odd", 10, 4, "random_sample",
-     "6722e4497b59ee32ddb41ef5786698589f69727791dda9513ab6f67a05fe049c"),
+     "cc3c0ecf0c1a1f0c8bb385581cfadf1ae08c1cab4875bdede9d51206271a3283"),
+    (TWO_EDGES, -1.0, "odd", 10, 4, "random_sample",
+     "df6e175a1bee1e3469220c3f3240773e8953fc08ed7c7fc99ee7b3db62ed139c"),
 ]
 
 
 @pytest.mark.parametrize("g, alpha, family, budget, seed, construction, sha256", RNG_STREAM_PINS,
-                         ids=["pairs-odd", "pairs-even", "pairs-then-samples"])
+                         ids=["closed-form-odd", "closed-form-even", "samples"])
 def test_seeded_draws_read_the_pinned_stream(g, alpha, family, budget, seed, construction,
                                              sha256):
     w = find_counterexample(g, alpha, family, budget=budget, seed=seed)
@@ -1720,10 +1774,11 @@ def test_a_float_report_whose_image_overflows_fails_verification():
 
 
 @pytest.mark.filterwarnings("error")
-def test_an_overflowing_signed_pair_proves_nothing():
-    # the signed pairs' images at this integer power off the odd lattice
-    # overflow: such a draw proves nothing, and the search goes on to the end
-    # of its budget without a warning
+def test_an_overflowing_sample_proves_nothing():
+    # at this integer power off the odd lattice the closed form, on m = 321
+    # rows, clears no float threshold and starts past the certificate's
+    # digit limit; the samples' images then overflow: such a draw proves
+    # nothing, and the search ends there without a warning
     assert find_counterexample(complete(400), 320.0, "odd", seed=1) is None
 
 
@@ -1825,8 +1880,8 @@ def _check_against_the_dense_report(g, alpha, family, budget, seed):
     """The report round-trips through JSON; verify() and the dense oracle
     agree, on the witness and at a power of the family's lattice, where the
     image is PSD; dense() is the n x n matrix the searches built, up to the
-    sign of its zeros: a signed pair's n x n Gram held -0.0 products on the
-    rows outside (v1, S, v2)."""
+    sign of its zeros: at an integer power the n x n Gram of the signed y
+    holds -0.0 products on the rows outside (v1, S, v2)."""
     w = find_counterexample(g, alpha, family, budget=budget, seed=seed)
     if w is None:
         return None
@@ -1837,7 +1892,7 @@ def _check_against_the_dense_report(g, alpha, family, budget, seed):
     for power in (alpha, _LATTICE_MIN_POWER[family]):
         report = dataclasses.replace(back, alpha=power)
         assert report.verify() == verify_dense(dense_report_json(report, g)) == (power == alpha)
-    old = dense_witness_matrix(g, alpha, family, budget or 200, seed) if g.n >= 2 else None
+    old = dense_witness_matrix(g, alpha, family) if g.n >= 2 else None
     if old is None:
         assert w.construction == "random_sample" and w.support == tuple(g.vertices)
         old = w.matrix
@@ -1854,7 +1909,7 @@ OFF_LATTICE_POWERS = st.one_of(
 @settings(max_examples=150, deadline=None)
 @given(chordal_graphs(), st.sampled_from(["plain", "odd", "even"]), OFF_LATTICE_POWERS)
 @example(complete(7), "plain", 4.9375)  # certified by interval arithmetic
-@example(complete(6), "odd", 2.0)  # a signed pair
+@example(complete(6), "odd", 2.0)  # an integer power: the closed form with signed y
 def test_a_report_on_its_support_is_the_dense_report(g, family, alpha):
     assume(not exponents._lattice_contains(exponents._LATTICE_FOR_FAMILY[family], alpha))
     _check_against_the_dense_report(g, alpha, family, 20, 1)
@@ -1863,7 +1918,7 @@ def test_a_report_on_its_support_is_the_dense_report(g, family, alpha):
 @pytest.mark.parametrize("g, alpha, family, budget, seed, construction", [
     (cycle(4), 1.5, "even", None, 1, "signed_cycle"),
     (cycle(6), 1.0, "even", None, 1, "signed_cycle"),
-    (complete(7), 4.0, "odd", 10, 4, "random_sample"),
+    (TWO_EDGES, -1.0, "odd", 10, 4, "random_sample"),
 ])
 def test_signed_cycle_and_sample_reports_are_the_dense_reports(g, alpha, family, budget, seed,
                                                               construction):
