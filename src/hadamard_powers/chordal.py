@@ -11,9 +11,9 @@ from __future__ import annotations
 
 import itertools
 from collections import deque
-from dataclasses import dataclass
 from functools import cached_property
 
+from ._record import record
 from .graphs import Graph, is_connected
 
 
@@ -673,7 +673,7 @@ def _simple_cycle_of_length(g, length):
 # perfect orderings of the maximal cliques
 
 
-@dataclass(frozen=True)
+@record
 class CliqueOrdering:
     """Ordered maximal cliques C_1..C_k with derived set sequences.
 
@@ -746,7 +746,7 @@ def perfect_ordering(g):
 # decompositions
 
 
-@dataclass(frozen=True)
+@record
 class Decomposition:
     """Partition (A, C, B): C a clique separating the nonempty sides A, B."""
 

@@ -14,7 +14,6 @@ from __future__ import annotations
 
 import argparse
 import functools
-import inspect
 import json
 import re
 import sys
@@ -52,14 +51,27 @@ def _sig6(x):
 _FLAG_FOR_PARAM = {"seed": "graph_seed", "attach_degrees": "attach"}
 
 
+#: the default of a generator parameter that has none
+_REQUIRED = object()
+
+
+def _parameters(gen):
+    """{parameter name: its default, or _REQUIRED} of a generator, in order,
+    read off its code object: every generator in graphs.FAMILY_GENERATORS
+    takes positional-or-keyword parameters only."""
+    code, defaults = gen.__code__, gen.__defaults__ or ()
+    names = code.co_varnames[:code.co_argcount]
+    return dict(zip(names, (_REQUIRED,) * (len(names) - len(defaults)) + defaults))
+
+
 @functools.cache
 def _graph_params():
-    """{parameter name: (its first inspect.Parameter, the families taking
-    it)} over the generators in graphs.FAMILY_GENERATORS."""
+    """{parameter name: (its default in the first generator taking it, the
+    families taking it)} over the generators in graphs.FAMILY_GENERATORS."""
     params = {}
     for family, gen in graphs.FAMILY_GENERATORS.items():
-        for param in inspect.signature(gen).parameters.values():
-            params.setdefault(param.name, (param, []))[1].append(family.replace("_", "-"))
+        for name, default in _parameters(gen).items():
+            params.setdefault(name, (default, []))[1].append(family.replace("_", "-"))
     return params
 
 
@@ -72,12 +84,12 @@ def _add_graph_arguments(p):
     p.add_argument("--family",
                    choices=sorted(name.replace("_", "-") for name in graphs.FAMILY_GENERATORS),
                    help="generate a named family member instead of reading a file")
-    for name, (param, families) in _graph_params().items():
+    for name, (default, families) in _graph_params().items():
         dest = _FLAG_FOR_PARAM.get(name, name)
-        default = "" if param.default is param.empty else f" (default {param.default})"
+        shown = "" if default is _REQUIRED else f" (default {default})"
         p.add_argument(f"--{dest.replace('_', '-')}", dest=dest, default=None,
-                       type=float if isinstance(param.default, float) else int,
-                       help=f"{name} of {', '.join(families)}{default}")
+                       type=float if isinstance(default, float) else int,
+                       help=f"{name} of {', '.join(families)}{shown}")
 
 
 #: the run flags and their add_argument keywords; a subcommand takes those it reads
@@ -144,15 +156,15 @@ def _load_graph(args):
     # parameter without a default needs its flag, and a flag the generator
     # does not take is an error
     gen = graphs.FAMILY_GENERATORS[args.family.replace("-", "_")]
-    taken = inspect.signature(gen).parameters
+    taken = _parameters(gen)
     _reject_unused_graph_flags(args, taken, f"family {args.family}")
     params = {}
-    for param in taken.values():
-        attr = _FLAG_FOR_PARAM.get(param.name, param.name)
+    for name, default in taken.items():
+        attr = _FLAG_FOR_PARAM.get(name, name)
         value = getattr(args, attr)
         if value is not None:
-            params[param.name] = value
-        elif param.default is param.empty:
+            params[name] = value
+        elif default is _REQUIRED:
             raise CliError(f"family {args.family} needs --{attr.replace('_', '-')}")
     try:
         return gen(**params)

@@ -11,9 +11,9 @@ defects.
 from __future__ import annotations
 
 import itertools
-from dataclasses import dataclass
 
 from ._lazy_numpy import np
+from ._record import record
 from .graphs import _integer
 
 FAMILIES = ("plain", "odd", "even")
@@ -76,7 +76,7 @@ def _power(m, alpha, family="plain"):
     return out
 
 
-@dataclass(frozen=True)
+@record
 class PsdVerdict:
     is_psd: bool
     min_eigenvalue: float
@@ -348,7 +348,7 @@ def split_by_decomposition(m, d):
     return m1, m2
 
 
-@dataclass(frozen=True)
+@record
 class ThreeFactorForm:
     """Factorization m = left @ middle @ left.T in the (A, C, B) basis.
 

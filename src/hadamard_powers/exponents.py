@@ -14,10 +14,10 @@ import functools
 import itertools
 import math
 import re
-from dataclasses import dataclass
 from types import MappingProxyType
 
 from ._lazy_numpy import np
+from ._record import record
 from .cones import (
     FAMILIES,
     WITNESS_TOL,
@@ -68,7 +68,7 @@ def _shape_str(lattice, ray_start):
     return f"{symbol} ∪ {ray}"
 
 
-@dataclass(frozen=True)
+@record
 class HSet:
     """Set of powers (integer lattice) union [ray_start, oo), or a sandwich.
 
@@ -509,7 +509,7 @@ def _form_upper(gram, alpha, digits, x, odd):
     return total
 
 
-@dataclass(frozen=True, eq=False)
+@record(eq=False)
 class IntervalCertificate:
     """Proof that the Gram matrix of a float factor F is a witness.
 
@@ -584,7 +584,7 @@ class IntervalCertificate:
         return cls(factor=factor, test_vector=test_vector, digits=digits)
 
 
-@dataclass(frozen=True, eq=False)
+@record(eq=False)
 class WitnessReport:
     """A PSD pattern-conforming matrix whose entrywise power loses PSD-ness,
     kept on its support U, the sorted labels of its nonzero rows: v1, S[:m]

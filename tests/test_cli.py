@@ -2,9 +2,9 @@
 
 import argparse
 import contextlib
-import dataclasses
 import functools
 import hashlib
+import inspect
 import io
 import json
 import os
@@ -41,6 +41,7 @@ from hadamard_powers.graphs import (
 
 from oracles import estimate_ce_by_full_walk
 from test_acceptance import SEED, criterion3_graphs
+from test_records import replaced
 
 FIXTURES = Path(__file__).resolve().parent / "fixtures"
 
@@ -942,6 +943,17 @@ def test_family_flags_build_the_generators_graph(family):
         assert gen(**everything) != gen(**required)
 
 
+@pytest.mark.parametrize("family", sorted(FAMILY_GENERATORS))
+def test_generator_parameters_are_those_of_the_signature(family):
+    # inspect is the oracle: the CLI reads the code object and does not import it
+    gen = FAMILY_GENERATORS[family]
+    expected = {p.name: cli._REQUIRED if p.default is p.empty else p.default
+                for p in inspect.signature(gen).parameters.values()}
+    assert list(cli._parameters(gen).items()) == list(expected.items())
+    assert {p.kind for p in inspect.signature(gen).parameters.values()} == {
+        inspect.Parameter.POSITIONAL_OR_KEYWORD}
+
+
 def test_subcommand_option_strings_are_pinned():
     parser = cli.build_parser()
     sub = next(a for a in parser._actions if isinstance(a, argparse._SubParsersAction))
@@ -1040,7 +1052,7 @@ def test_a_pair_search_whose_images_overflow_finds_none_quietly():
 
 
 def test_a_report_whose_image_overflows_fails_re_verification(tmp_path):
-    report = dataclasses.replace(find_counterexample(complete(4), 1.5, seed=1), alpha=5000.5)
+    report = replaced(find_counterexample(complete(4), 1.5, seed=1), alpha=5000.5)
     path = tmp_path / "w.json"
     path.write_text(json.dumps(report.to_json()))
     run = _cli_process("witness", "--verify", str(path))
@@ -1059,6 +1071,8 @@ def test_verify_of_an_overflowing_image_prints_one_error_line():
 
 # numpy's own modules: the lazily bound `numpy` sits in sys.modules unrun
 _NUMPY_RAN = "('numpy._core' in sys.modules)"
+# the modules that @dataclass and inspect.signature would load
+_INTROSPECTION_LOADED = "sorted({'dataclasses', 'inspect'} & sys.modules.keys())"
 
 _EXACT_RUNS_SCRIPT = f"""
 import contextlib, io, json, sys
@@ -1067,6 +1081,7 @@ import hadamard_powers
 from hadamard_powers import cli
 from hadamard_powers.graphs import band, cycle, near_complete, to_edge_list
 assert not {_NUMPY_RAN}, "import hadamard_powers ran numpy"
+assert not {_INTROSPECTION_LOADED}, {_INTROSPECTION_LOADED}
 work, runs = Path(sys.argv[1]), json.loads(sys.argv[2])
 for name, g in [("band", band(10, 5)), ("near_complete", near_complete(9)), ("cycle", cycle(7))]:
     (work / f"{{name}}.edges").write_text(to_edge_list(g), encoding="utf-8")
@@ -1075,7 +1090,7 @@ for argv in runs:
     out = io.StringIO()
     with contextlib.redirect_stdout(out):
         code = cli.main(argv)
-    results.append([code, out.getvalue(), {_NUMPY_RAN}])
+    results.append([code, out.getvalue(), {_NUMPY_RAN}, {_INTROSPECTION_LOADED}])
 print(json.dumps(results))
 """
 
@@ -1094,8 +1109,8 @@ def test_the_exact_routes_run_no_numpy(capsys, tmp_path):
     process = _python_process("-c", _EXACT_RUNS_SCRIPT, str(tmp_path), json.dumps(runs))
     assert process.returncode == 0, process.stderr
     results = json.loads(process.stdout)
-    for argv, (code, out, numpy_ran) in zip(runs, results, strict=True):
-        assert not numpy_ran, argv
+    for argv, (code, out, numpy_ran, loaded) in zip(runs, results, strict=True):
+        assert not numpy_ran and not loaded, (argv, loaded)
         assert (code, out) == run(capsys, argv)[:2], argv  # as with numpy loaded
 
 

@@ -1,6 +1,5 @@
 """Symbolic power sets, critical exponents, witnesses, and brackets."""
 
-import dataclasses
 import hashlib
 import itertools
 import json
@@ -73,6 +72,7 @@ from oracles import (
     verify_dense,
 )
 from test_chordal import chordal_graphs
+from test_records import replaced
 
 GRID = [k / 4 for k in range(1, 33)]  # rational grid for set comparisons
 LATTICE_FOR_FAMILY = {"plain": "naturals", "odd": "odd", "even": "even"}
@@ -1735,7 +1735,7 @@ def test_a_report_whose_graph_has_another_order_fails_verification(report):
     data["graph"]["n"] -= 1
     w = WitnessReport.from_json(data)
     assert w.verify()
-    assert not dataclasses.replace(w, n=w.support[-1] - 1).verify()
+    assert not replaced(w, n=w.support[-1] - 1).verify()
 
 
 @pytest.mark.parametrize("report", [_float_route_report, _interval_report])
@@ -1747,9 +1747,9 @@ def test_a_non_symmetric_report_matrix_fails_verification(report):
     rows = np.array(w.support) - 1
     m = w.dense()[np.ix_(rows, rows)]
     if w.certificate is not None:
-        assert not dataclasses.replace(w, matrix=m).verify()
+        assert not replaced(w, matrix=m).verify()
     m[0, 1] += 1.0
-    assert not dataclasses.replace(w, matrix=m).verify()
+    assert not replaced(w, matrix=m).verify()
 
 
 def test_a_plain_power_of_a_matrix_with_negative_entries_fails_verification():
@@ -1770,7 +1770,7 @@ def test_a_float_report_whose_image_overflows_fails_verification():
     # float range certifies nothing, so the report fails, quietly
     w = find_counterexample(complete(4), 1.5, seed=1)
     assert w.matrix is not None and w.verify()
-    assert dataclasses.replace(w, alpha=5000.5).verify() is False
+    assert replaced(w, alpha=5000.5).verify() is False
 
 
 @pytest.mark.filterwarnings("error")
@@ -1890,7 +1890,7 @@ def _check_against_the_dense_report(g, alpha, family, budget, seed):
     assert back.to_json() == data
     assert list(back.support) == sorted(set(back.support)) and len(back.support) <= g.n
     for power in (alpha, _LATTICE_MIN_POWER[family]):
-        report = dataclasses.replace(back, alpha=power)
+        report = replaced(back, alpha=power)
         assert report.verify() == verify_dense(dense_report_json(report, g)) == (power == alpha)
     old = dense_witness_matrix(g, alpha, family) if g.n >= 2 else None
     if old is None:
