@@ -398,8 +398,7 @@ _COMMANDS = {
                       "block, proved by the float least eigenvalue of its power image) or, for "
                       "witnesses proved by interval arithmetic, certificate: {factor (the "
                       "columns of F on U; the witness is F F^T), test_vector (decimal strings "
-                      "on U), digits (working precision)}. --verify also reads the earlier "
-                      "dense form (graph, n x n matrix)."},
+                      "on U), digits (working precision)}."},
         "arguments": (
             _GRAPH, "--powers", "--seed", "--budget",
             (("--alpha",), {"type": float, "default": None}),

@@ -38,7 +38,6 @@ from .cones import (
 )
 from .graphs import (
     _integer,
-    graph_from_json,
     induced_subgraph,
 )
 
@@ -570,18 +569,20 @@ class IntervalCertificate:
     def from_json(cls, data):
         """The certificate of to_json; ValueError("bad certificate JSON: ...")
         unless factor holds columns of JSON numbers (no bool or string),
-        test_vector decimal strings and digits a JSON integer (no bool,
-        float or string)."""
+        test_vector is a JSON list of decimal strings (a string is not read
+        as its characters) and digits a JSON integer (no bool, float or
+        string)."""
         try:
             factor = _number_rows(data["factor"]).T
-            test_vector = tuple(data["test_vector"])
+            test_vector = data["test_vector"]
             digits = _integer(data["digits"])
         except (KeyError, TypeError, ValueError, OverflowError) as exc:
             raise ValueError(f"bad certificate JSON: {exc}") from None
-        if factor.ndim != 2 or not all(isinstance(x, str) for x in test_vector):
+        if (factor.ndim != 2 or not isinstance(test_vector, list)
+                or not all(isinstance(x, str) for x in test_vector)):
             raise ValueError("bad certificate JSON: factor must be columns of numbers "
-                             "and test_vector decimal strings")
-        return cls(factor=factor, test_vector=test_vector, digits=digits)
+                             "and test_vector a list of decimal strings")
+        return cls(factor=factor, test_vector=tuple(test_vector), digits=digits)
 
 
 @record(eq=False)
@@ -688,34 +689,35 @@ class WitnessReport:
     @classmethod
     def from_json(cls, data):
         """The report of to_json; ValueError when data is not an object with
-        every field, alpha or image_min_eigenvalue is not a number, or n, a
-        support label or an edge label is not a JSON integer.
-
-        A report in the dense form of earlier versions, with the whole
-        graph, an n x n matrix and a certificate on n rows, is read too
-        (_from_dense)."""
+        every field, alpha or image_min_eigenvalue is not a number, family
+        or construction is not a string, or n, a support label or an edge
+        label is not a JSON integer. A report in the dense form of earlier
+        versions (a graph field) does not load."""
         if not isinstance(data, dict):
             raise ValueError(f"bad witness JSON: expected an object, got {type(data).__name__}")
+        if "graph" in data:
+            raise ValueError("bad witness JSON: the dense form (a graph field) is retired; "
+                             "a report carries n, support and edges")
         for key in ("alpha", "image_min_eigenvalue"):
             value = data.get(key)
             if isinstance(value, bool) or not isinstance(value, (int, float)):
                 raise ValueError(f"bad witness JSON: {key} must be a number, got {value!r}")
+        for key in ("family", "construction"):
+            value = data.get(key)
+            if not isinstance(value, str):
+                raise ValueError(f"bad witness JSON: {key} must be a string, got {value!r}")
         try:
             cert = data.get("certificate")
             cert = IntervalCertificate.from_json(cert) if cert is not None else None
-            fields = {"alpha": float(data["alpha"]), "family": str(data["family"]),
-                      "image_min_eigenvalue": float(data["image_min_eigenvalue"]),
-                      "construction": str(data["construction"]), "certificate": cert}
-            if "graph" in data:
-                return cls._from_dense(graph_from_json(data["graph"]),
-                                       matrix_from_json(data["matrix"]), fields)
             matrix = data.get("matrix")
             matrix = matrix_from_json(matrix) if matrix is not None else None
-            labels = data["n"], data["support"], data["edges"]
+            n, support, edges = data["n"], data["support"], data["edges"]
+            fields = {"alpha": float(data["alpha"]), "family": data["family"],
+                      "image_min_eigenvalue": float(data["image_min_eigenvalue"]),
+                      "construction": data["construction"], "certificate": cert}
         except (KeyError, TypeError) as exc:
             raise ValueError(f"bad witness JSON: {type(exc).__name__}: {exc}") from None
         try:
-            n, support, edges = labels
             support, edges = tuple(support), tuple((a, b) for a, b in edges)
             # the label types are collected at C speed; _integer names a bad one
             if not set(map(type, itertools.chain(support, *edges))) <= {int}:
@@ -724,33 +726,6 @@ class WitnessReport:
             return cls(n=_integer(n), support=support, edges=edges, matrix=matrix, **fields)
         except (TypeError, ValueError) as exc:
             raise ValueError(f"bad witness JSON: {exc}") from None
-
-    @classmethod
-    def _from_dense(cls, g, m, fields):
-        """The dense report (g, the n x n matrix m, a certificate on n rows)
-        restricted to U, the rows where m or the factor is nonzero. A
-        certificate's factor and test vector keep their rows on U; the
-        matrix is dropped where it is F F^T bit for bit, and otherwise its
-        block stays beside the certificate, a second proof that verify()
-        turns down. ValueError unless m, the factor and the test vector all
-        have g's n rows."""
-        cert, n = fields["certificate"], g.n
-        if m.shape[0] != n:
-            raise ValueError(f"bad witness JSON: a matrix of order {m.shape[0]} "
-                             f"on a graph of order {n}")
-        rows = m.any(axis=1)
-        if cert is not None:
-            f, x = cert.factor, cert.test_vector
-            if f.shape[0] != n or len(x) != n:
-                raise ValueError(f"bad witness JSON: a certificate must cover the graph's {n} rows")
-            rows |= f.any(axis=1)
-        u = np.flatnonzero(rows)
-        if cert is not None:
-            fields["certificate"] = IntervalCertificate(
-                factor=f[u], test_vector=tuple(x[i] for i in u), digits=cert.digits)
-            if factor_gram(f).tobytes() == m.tobytes():
-                return cls.on_support(g, (u + 1).tolist(), **fields)
-        return cls.on_support(g, (u + 1).tolist(), matrix=m[np.ix_(u, u)], **fields)
 
 
 def _bordered_block(support, u, v):

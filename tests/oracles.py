@@ -548,7 +548,8 @@ def dense_report_json(report, g):
     """The JSON of a report on g as written before reports were kept on
     their support: the whole graph, the n x n matrix, and a certificate
     whose factor and test vector are padded to n rows, "0" off the
-    support."""
+    support. WitnessReport.from_json no longer reads this form; only
+    verify_dense does."""
     out = {"graph": graph_to_json(g), "alpha": report.alpha, "family": report.family,
            "matrix": matrix_to_json(report.dense()),
            "image_min_eigenvalue": report.image_min_eigenvalue,

@@ -39,7 +39,7 @@ from hadamard_powers.graphs import (
     to_edge_list,
 )
 
-from oracles import estimate_ce_by_full_walk
+from oracles import dense_report_json, estimate_ce_by_full_walk
 from test_acceptance import SEED, criterion3_graphs
 from test_records import replaced
 
@@ -429,6 +429,7 @@ def test_a_signed_factor_fails_verify_in_another_family(capsys, tmp_path, k, fam
 
 
 @pytest.mark.parametrize("field, value", [("test_vector", 5), ("test_vector", [0.5]),
+                                          ("test_vector", "1234567"),
                                           ("factor", "x"), ("digits", None), ("digits", "45"),
                                           ("digits", "4_5"), ("digits", 45.9), ("digits", 45.0),
                                           ("digits", True)])
@@ -505,7 +506,11 @@ def _set(key, value):
     (_set("alpha", "1.5"), "alpha must be a number, got '1.5'"),
     (_set("image_min_eigenvalue", None), "image_min_eigenvalue must be a number"),
     (_set("image_min_eigenvalue", True), "image_min_eigenvalue must be a number"),
-], ids=["list", "number", "alpha-list", "alpha-string", "eigenvalue-null", "eigenvalue-bool"])
+    (_set("family", 7), "family must be a string, got 7"),
+    (_set("construction", ["x"]), "construction must be a string, got ['x']"),
+    (_set("construction", None), "construction must be a string, got None"),
+], ids=["list", "number", "alpha-list", "alpha-string", "eigenvalue-null", "eigenvalue-bool",
+        "family-number", "construction-list", "construction-null"])
 def test_witness_malformed_report_is_a_load_error(capsys, tmp_path, edit, message):
     # a report that does not load is a usage error (2), not a failed proof (1)
     path = _witness_report_with(tmp_path, edit)
@@ -553,6 +558,27 @@ def test_witness_report_with_an_mpmath_test_vector_still_verifies(capsys):
     assert list(found.certificate.test_vector) != stored
     code, out, _ = run(capsys, ["witness", "--verify", str(path)])
     assert code == 0 and "verified" in out
+
+
+def test_witness_report_in_the_dense_form_is_a_load_error(capsys, tmp_path):
+    g = near_complete(9)
+    path = tmp_path / "w.json"
+    path.write_text(json.dumps(dense_report_json(find_counterexample(g, 6.5, seed=1), g)))
+    code, out, err = run(capsys, ["witness", "--verify", str(path)])
+    assert code == 2 and out == ""
+    assert err.startswith("error: cannot load witness report: bad witness JSON: the dense form")
+    assert err.count("\n") == 1
+
+
+@pytest.mark.parametrize("name", ["witness_float_route.json", "witness_mpmath_test_vector.json",
+                                  "witness_mpmath_end_reports.json"])
+def test_witness_committed_reports_verify(capsys, tmp_path, name):
+    reports = json.loads((FIXTURES / name).read_text())
+    for k, data in enumerate(reports if isinstance(reports, list) else [reports]):
+        path = tmp_path / f"w{k}.json"
+        path.write_text(json.dumps(data))
+        code, out, _ = run(capsys, ["witness", "--verify", str(path)])
+        assert (code, out) == (0, "witness verified\n"), (name, k)
 
 
 def test_witness_tampered_report_fails(capsys, tmp_path):

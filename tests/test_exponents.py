@@ -1619,22 +1619,12 @@ def _unknown_family(data):
     data["family"] = "absolute"
 
 
-def _bump_matrix_entry(data):
-    # the report in its dense form, whose stored matrix is no longer F F^T
-    dense = dense_report_json(WitnessReport.from_json(data), near_complete(9))
-    rows = dense["matrix"]["rows"]
-    rows[2][3] = rows[3][2] = float(np.nextafter(rows[2][3], 2.0))
-    data.clear()
-    data.update(dense)
-
-
 def _too_many_digits(data):
     data["certificate"]["digits"] = 10**6
 
 
 @pytest.mark.parametrize("tamper", [_bump_factor, _unit_test_vector, _integer_alpha,
-                                    _unknown_family, _bump_matrix_entry,
-                                    _too_many_digits])
+                                    _unknown_family, _too_many_digits])
 def test_tampered_interval_certificate_fails(tamper):
     data = _interval_report()
     tamper(data)
@@ -1706,10 +1696,10 @@ def _float_route_report():
 
 def test_float_route_rejects_an_entry_on_a_non_edge():
     # the matrix stays PSD and its image does not: only the pattern check
-    # sees the 1-2 entry once the graph loses that edge
+    # sees the 1-2 entry once G[U] loses that edge
     data = _float_route_report()
-    assert data["matrix"]["rows"][0][1] != 0
-    data["graph"]["edges"].remove([1, 2])
+    assert data["support"][:2] == [1, 2] and data["matrix"]["rows"][0][1] != 0
+    data["edges"].remove([1, 2])
     assert not WitnessReport.from_json(data).verify()
 
 
@@ -1724,16 +1714,8 @@ def test_interval_certificate_rejects_a_column_across_a_non_edge():
 
 @pytest.mark.parametrize("report", [_float_route_report, _interval_report])
 def test_a_report_whose_graph_has_another_order_fails_verification(report):
-    # a dense report whose graph and matrix orders differ does not load;
     # a report kept on its support fails once a label lies past n
-    data = report()
-    if "support" in data:
-        data = dense_report_json(WitnessReport.from_json(data), near_complete(9))
-    data["graph"]["n"] += 1
-    with pytest.raises(ValueError, match="bad witness JSON: a matrix of order"):
-        WitnessReport.from_json(data)
-    data["graph"]["n"] -= 1
-    w = WitnessReport.from_json(data)
+    w = WitnessReport.from_json(report())
     assert w.verify()
     assert not replaced(w, n=w.support[-1] - 1).verify()
 
@@ -1863,11 +1845,11 @@ def test_reports_written_with_binary_power_ends_still_verify():
     # kernel: the six distinct reports of the witness workload and
     # complete(20) at 17.5, each with the test vector that arithmetic found
     reports = json.loads((FIXTURES / "witness_mpmath_end_reports.json").read_text())
-    assert [(r["graph"]["n"], r["alpha"]) for r in reports] == [
+    assert [(r["n"], r["alpha"]) for r in reports] == [
         (10, 4.5), (10, 4.95), (14, 5.5), (14, 4.75), (9, 6.5), (9, 5.75), (20, 17.5)]
     _clear_certificate_memos()
     for data in reports:
-        assert WitnessReport.from_json(data).verify(), (data["graph"]["n"], data["alpha"])
+        assert WitnessReport.from_json(data).verify(), (data["n"], data["alpha"])
 
 
 # --- witness reports kept on their support -------------------------------------
@@ -2009,13 +1991,23 @@ def test_a_mutated_support_report_fails_verification(mutation):
 @pytest.mark.parametrize("name", ["witness_float_route.json", "witness_mpmath_test_vector.json",
                                   "witness_mpmath_end_reports.json"])
 def test_committed_dense_reports_verify_on_their_support(name):
-    # each dense report is read on its nonzero rows; its support form
-    # round-trips, verifies, and pads back to the stored matrix
+    # each report was written in the dense form and converted to its
+    # support once; dense_sha256 hashes the float64 bytes of the n x n
+    # matrix it was written with (-0.0 read as 0.0), so padding back gives
+    # the same witness
     reports = json.loads((FIXTURES / name).read_text())
     for data in reports if isinstance(reports, list) else [reports]:
         w = WitnessReport.from_json(data)
-        assert "graph" not in w.to_json() and w.verify()
+        assert w.verify()
+        assert w.to_json() == {k: v for k, v in data.items() if k != "dense_sha256"}
         assert WitnessReport.from_json(json.loads(json.dumps(w.to_json()))).verify()
-        stored = np.array(data["matrix"]["rows"])
-        assert w.dense().tobytes() == (stored + 0.0).tobytes()
-        assert len(w.support) == np.count_nonzero(stored.any(axis=1))
+        assert hashlib.sha256(w.dense().tobytes()).hexdigest() == data["dense_sha256"]
+        assert len(w.support) == np.count_nonzero(w.dense().any(axis=1))
+
+
+def test_a_dense_form_report_does_not_load():
+    g = near_complete(9)
+    data = dense_report_json(find_counterexample(g, 6.5, "plain", seed=1), g)
+    assert verify_dense(data)
+    with pytest.raises(ValueError, match=r"^bad witness JSON: the dense form \(a graph field\)"):
+        WitnessReport.from_json(data)
